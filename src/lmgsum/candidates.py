@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -366,21 +367,6 @@ class LshState:
         return result
 
 
-def lsh_add_band(state: LshState) -> None:
-    state.add_band()
-
-
-def filter_and_grow(state: LshState) -> int:
-    """Promote cached pairs that clear the current threshold; returns the
-
-    number of similarity-graph edges (promotion happens inside add_band as
-    bands arrive; this drains anything left at the current threshold)."""
-    t = threshold(max(state.bands_added, 1), state.r)
-    for j, u, v in state.cache.pop_at_least(t):
-        state.gsim.add_edge(u, v, j)
-    return state.gsim.edge_count
-
-
 def prune_redundant(cands: list[Candidate]) -> list[Candidate]:
     """Drop candidates that are strict subsets of an equal-or-better one."""
     by_node: dict[int, list[int]] = {}
@@ -403,6 +389,25 @@ def prune_redundant(cands: list[Candidate]) -> list[Candidate]:
     return [c for i, c in enumerate(cands) if keep[i]]
 
 
+def candidate_batches(
+    state: LshState, checkpoints: tuple[int, ...] = ()
+) -> Iterator[tuple[int, list[Candidate]]]:
+    """Add bands up to ``state.b_max``, yielding (band, batch) at each
+    checkpoint band and at the last one.
+
+    A batch holds the candidates harvested since the previous batch, pruned
+    and sorted best first: they compete in one pass, so a complete
+    structure outranks its own fragments.
+    """
+    pending: list[Candidate] = []
+    for b in range(state.bands_added + 1, state.b_max + 1):
+        state.add_band()
+        pending.extend(state.harvest_cliques())
+        if b in checkpoints or b == state.b_max:
+            yield b, sorted(prune_redundant(pending), key=candidate_sort_key)
+            pending = []
+
+
 def generate_candidates(
     g: LabeledMultiGraph,
     r: int = 8,
@@ -412,10 +417,5 @@ def generate_candidates(
 ) -> list[Candidate]:
     """Run all bands and return the merged candidate list, best first."""
     state = LshState(g, r=r, b_max=b_max, seed=seed, cluster_cap=cluster_cap)
-    cands: list[Candidate] = []
-    for _ in range(b_max):
-        state.add_band()
-        cands.extend(state.harvest_cliques())
-    cands = prune_redundant(cands)
-    cands.sort(key=candidate_sort_key)
+    [(_band, cands)] = candidate_batches(state)
     return cands

@@ -63,8 +63,14 @@ def _add_common(p: argparse.ArgumentParser, need_input: bool = True) -> None:
     p.add_argument("-r", type=int, default=8, help="minhash rows per band")
     p.add_argument("-b", "--bands", type=int, default=10, help="number of bands")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default: $LMGSUM_SEED or 0)")
-    p.add_argument("--threads", type=int, default=1, help="worker cap for parallel parts")
-    p.add_argument("--cluster-cap", type=int, default=5000, help="LSH cluster size cap")
+    p.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted for compatibility (must be >= 1); has no effect",
+    )
+    p.add_argument(
+        "--cluster-cap", type=int, default=5000,
+        help="sets the pair-verification budget per LSH cluster union to 8 x this value",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

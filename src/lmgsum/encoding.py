@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 LOG2E = math.log2(math.e)
 
 #: Number of structural glyphs a super-node can take
@@ -53,9 +55,50 @@ def ell_diff(m_prime: int, m: int) -> float:
     return 2.0 * math.log2(abs(m - m_prime)) + 3.0
 
 
+def ell_diff_array(m_prime: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """:func:`ell_diff` elementwise over broadcast float arrays."""
+    diffs = np.abs(m - m_prime)
+    return np.where(diffs == 0, 1.0, 2.0 * np.log2(np.maximum(diffs, 1.0)) + 3.0)
+
+
 def cost_multiplicity_diff(mults: Iterable[int], m: int) -> float:
     """Total multiplicity-correction bits for edges summarized by m."""
     return sum(ell_diff(m_prime, m) for m_prime in mults)
+
+
+def summary_header_bits(summary_size: int, label_count: int) -> float:
+    """Bits for the summary's super-node count and label alphabet size."""
+    return len_natural(summary_size) + len_natural(label_count)
+
+
+def supernode_width_bits(
+    summary_size: int, label_count: int, n_out: int, glyph_count: int = GLYPH_COUNT
+) -> float:
+    """The part of a super-node's bits that depends on the summary size.
+
+    Covers its label, glyph, out-super-edge count (over an alphabet of
+    summary_size + 1 so that zero neighbors is encodable) and the choice of
+    which n_out super-nodes it points to.
+    """
+    bits = math.log2(label_count)
+    bits += math.log2(glyph_count)
+    bits += math.log2(summary_size + 1)
+    bits += log2_binomial(summary_size, n_out)
+    return bits
+
+
+def super_edge_bits(rep_mult: int) -> float:
+    """Bits for one out-super-edge's representative multiplicity."""
+    return len_natural(rep_mult)
+
+
+def supernode_own_bits(
+    member_count: int, rep_mult: int, out_edge_mults: Iterable[int]
+) -> float:
+    """The part of a super-node's bits that is its own: member count,
+    representative multiplicity and each out-super-edge's multiplicity."""
+    bits = len_natural(member_count) + len_natural(rep_mult)
+    return bits + sum(map(super_edge_bits, out_edge_mults))
 
 
 def cost_supernode(
@@ -68,10 +111,7 @@ def cost_supernode(
 ) -> float:
     """Bits to encode one super-node in the summary graph.
 
-    Covers its label, glyph, member count, representative multiplicity,
-    out-super-edge count (over an alphabet of summary_size + 1 so that zero
-    neighbors is encodable), the choice of which super-nodes it points to,
-    and the representative multiplicity of each out-super-edge.
+    The sum of :func:`supernode_width_bits` and :func:`supernode_own_bits`.
     """
     if member_count < 1:
         raise ValueError("super-node needs at least one member")
@@ -80,14 +120,9 @@ def cost_supernode(
     n_out = len(out_edge_mults)
     if n_out > summary_size:
         raise ValueError("more out-super-edges than super-nodes")
-    bits = math.log2(label_count)
-    bits += math.log2(glyph_count)
-    bits += len_natural(member_count)
-    bits += len_natural(rep_mult)
-    bits += math.log2(summary_size + 1)
-    bits += log2_binomial(summary_size, n_out)
-    bits += sum(len_natural(m) for m in out_edge_mults)
-    return bits
+    return supernode_width_bits(
+        summary_size, label_count, n_out, glyph_count
+    ) + supernode_own_bits(member_count, rep_mult, out_edge_mults)
 
 
 def cost_summary(summary) -> float:
@@ -103,7 +138,7 @@ def cost_summary(summary) -> float:
     out_mults: dict[int, list[int]] = {vid: [] for vid in summary.super_nodes}
     for (src, _dst), m in summary.super_edges.items():
         out_mults[src].append(m)
-    bits = len_natural(n_s) + len_natural(summary.label_count)
+    bits = summary_header_bits(n_s, summary.label_count)
     for vid, sn in summary.super_nodes.items():
         bits += cost_supernode(
             len(sn.members),

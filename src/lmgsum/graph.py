@@ -128,6 +128,13 @@ class LabeledMultiGraph:
     def self_loop_mult(self, v: int) -> int:
         return self.multiplicity(v, v)
 
+    def self_loop_mults(self) -> np.ndarray:
+        """Every node's self-loop multiplicity, 0 where it has none."""
+        loops = np.zeros(self.n, dtype=np.int64)
+        is_loop = self.out_src == self.out_dst
+        loops[self.out_src[is_loop]] = self.out_mult[is_loop]
+        return loops
+
     def edges(self) -> Iterator[tuple[int, int, int]]:
         for u, w, m in zip(self.out_src, self.out_dst, self.out_mult):
             yield int(u), int(w), int(m)
@@ -179,9 +186,6 @@ class LabeledMultiGraph:
             and np.array_equal(self.out_dst, other.out_dst)
             and np.array_equal(self.out_mult, other.out_mult)
         )
-
-    def __hash__(self):
-        return hash((self.n, self.edge_count))
 
     def canonical_dump(self) -> str:
         """Deterministic text form: sorted edge lines then label lines."""

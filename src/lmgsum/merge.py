@@ -9,6 +9,13 @@ reduce the total cost.  Scoring never mutates the state, so rejecting a
 proposal is free, and committed deltas are exact: after every commit the
 running total equals a from-scratch recomputation.
 
+This module only keeps books.  Every bit it counts, the all-singleton
+baseline included, comes from the functions that
+:func:`lmgsum.summary.total_cost` uses (the super-node parts in
+:mod:`lmgsum.encoding`, the context costs in :mod:`lmgsum.summary`), so a
+change to a formula reaches the greedy objective and the reported cost
+together.
+
 Only current singletons can be merged; once a node is absorbed into a
 multi-member super-node it is marked and never regrouped.  Candidate sets
 whose glyph comes out disconnected are additionally scored with one
@@ -19,18 +26,17 @@ which is the typical case — remain reachable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .encoding import (
-    GLYPH_COUNT,
-    cost_multiplicity_diff,
     cost_node_map,
-    ell_diff,
-    len_natural,
-    log2_binomial,
+    ell_diff_array,
+    summary_header_bits,
+    super_edge_bits,
+    supernode_own_bits,
+    supernode_width_bits,
 )
 from .graph import LabeledMultiGraph, induced_edge_stats
 from .summary import (
@@ -38,6 +44,7 @@ from .summary import (
     STAR_GLYPHS,
     SummaryGraph,
     SuperNode,
+    all_singleton_summary,
     node_context_bits,
     pair_context_bits,
 )
@@ -49,6 +56,13 @@ PROBE_LIMIT = 256
 
 class MergeError(RuntimeError):
     pass
+
+
+def _distinct(values: np.ndarray) -> tuple[list[int], list[int], list[int]]:
+    """Sorted distinct values, the index of each one's first occurrence, and
+    how often each occurs."""
+    uniq, first, counts = np.unique(values, return_index=True, return_counts=True)
+    return uniq.tolist(), first.tolist(), counts.tolist()
 
 
 def split_by_label(g: LabeledMultiGraph, nodes) -> list[list[int]]:
@@ -115,10 +129,7 @@ def representative_multiplicity(mults) -> tuple[int, float]:
     arr = np.asarray(mults, dtype=np.float64)
 
     def batch_cost(candidates: np.ndarray) -> np.ndarray:
-        diffs = np.abs(arr[None, :] - candidates[:, None])
-        return np.where(
-            diffs == 0, 1.0, 2.0 * np.log2(np.maximum(diffs, 1.0)) + 3.0
-        ).sum(axis=1)
+        return ell_diff_array(arr[None, :], candidates[:, None]).sum(axis=1)
 
     if hi - lo <= SCAN_LIMIT:
         candidates = np.arange(lo, hi + 1, dtype=np.float64)
@@ -147,35 +158,29 @@ def representative_multiplicity(mults) -> tuple[int, float]:
     return int(candidates[best]), float(costs[best])
 
 
-@dataclass
-class EdgeBundle:
-    """All original edges crossing one ordered super-node pair."""
+def decide_super_edge(
+    src: SuperNode, dst: SuperNode, edges: list[tuple[int, int, int]]
+) -> tuple[int | None, float]:
+    """Super-edge or plain corrections for the original edges from ``src``'s
+    members to ``dst``'s, whichever is cheaper.
 
-    src: SuperNode
-    dst: SuperNode
-    edges: list[tuple[int, int, int]]
-
-
-def decide_super_edge(bundle: EdgeBundle) -> tuple[int | None, float]:
-    """Super-edge or plain corrections for one bundle, whichever is cheaper.
-
-    Returns (rep_mult, context_bits): rep_mult is None when the bundle stays
+    Returns (rep_mult, context_bits): rep_mult is None when the edges stay
     as positive corrections.  context_bits is the correction cost of the
-    chosen option; the super-edge option additionally pays len_natural(rep)
+    chosen option; the super-edge option additionally pays super_edge_bits
     on the summary side, which is included in the comparison here but
     charged to the source super-node by the caller.
     """
-    without_bits = pair_context_bits(bundle.src, bundle.dst, None, bundle.edges)
-    if not bundle.edges:
+    without_bits = pair_context_bits(src, dst, None, edges)
+    if not edges:
         return None, without_bits
-    port_src = set(bundle.src.ports())
-    port_dst = set(bundle.dst.ports())
-    covered = [m for u, w, m in bundle.edges if u in port_src and w in port_dst]
+    port_src = set(src.ports())
+    port_dst = set(dst.ports())
+    covered = [m for u, w, m in edges if u in port_src and w in port_dst]
     if not covered:
         return None, without_bits
     rep, _ = representative_multiplicity(covered)
-    with_bits = pair_context_bits(bundle.src, bundle.dst, rep, bundle.edges)
-    if with_bits + len_natural(rep) < without_bits:
+    with_bits = pair_context_bits(src, dst, rep, edges)
+    if with_bits + super_edge_bits(rep) < without_bits:
         return rep, with_bits
     return None, without_bits
 
@@ -193,7 +198,6 @@ class MergeProposal:
     d_summary: float
     d_correction: float
     odeg_delta: dict[int, int] = field(default_factory=dict)
-    per_node_delta: float = 0.0
 
 
 class SummaryState:
@@ -211,61 +215,44 @@ class SummaryState:
         self.n_s = g.n
         self.next_id = g.n
         self.assign = list(range(g.n))
-        self.snodes: dict[int, SuperNode] = {}
+        self.snodes: dict[int, SuperNode] = all_singleton_summary(g).super_nodes
         self.sedges: dict[tuple[int, int], int] = {}
         self.out_se: dict[int, dict[int, int]] = {}
         self.in_se: dict[int, dict[int, int]] = {}
         self.odeg_hist: dict[int, int] = {0: g.n}
 
-        loops = {}
-        for v, w, m in zip(g.out_src, g.out_dst, g.out_mult):
-            if v == w:
-                loops[int(v)] = int(m)
-        per_node = 0.0
-        for v in range(g.n):
-            rep = loops.get(v, 1)
-            self.snodes[v] = SuperNode(
-                id=v,
-                label=int(g.labels[v]),
-                glyph=Glyph.SINGLETON,
-                members=(v,),
-                rep_mult=rep,
-                self_loop=v in loops,
-            )
-            per_node += 1.0 + len_natural(rep)  # member count + rep mult
-        self.per_node_sum = per_node
-
-        # baseline corrections: every edge is a positive correction in its
-        # own 1x1 pair context; each node pays its map term and one
-        # self-loop bundle flag (plus a 1-bit multiplicity flag for a
-        # covered loop).
-        loop_mask = g.out_src == g.out_dst
-        n_loops = int(loop_mask.sum())
-        plain_mults = g.out_mult[~loop_mask].astype(np.float64)
-        corr = g.n * math.log2(g.n) if g.n > 1 else 0.0  # map terms
-        corr += g.n  # one bundle flag per node context
-        corr += n_loops  # covered loops: equal-multiplicity flags
-        corr += len(plain_mults)  # one bundle flag per edge-bearing pair
-        if len(plain_mults):
-            corr += float((2.0 * np.log2(plain_mults) + 1.0).sum())
+        # Baseline: every node is a singleton and every other edge a positive
+        # correction in its own 1x1 pair context.  Those costs depend only on
+        # a node's loop multiplicity and an edge's multiplicity, so each
+        # distinct value is costed once and multiplied by its count.
+        own = 0.0
+        corr = g.n * cost_node_map(1, g.n, False)
+        for m, v, count in zip(*_distinct(g.self_loop_mults())):
+            sn = self.snodes[v]
+            internal = [(v, v, m)] if m else []
+            own += count * supernode_own_bits(sn.size, sn.rep_mult, ())
+            corr += count * node_context_bits(sn, internal)
+        plain = np.nonzero(g.out_src != g.out_dst)[0]
+        for m, i, count in zip(*_distinct(g.out_mult[plain])):
+            u, w = int(g.out_src[plain[i]]), int(g.out_dst[plain[i]])
+            edge = [(u, w, m)]
+            corr += count * pair_context_bits(self.snodes[u], self.snodes[w], None, edge)
         self.correction_bits = corr
-        self.summary_bits = self._width_bits() + len_natural(g.label_count) + per_node
+        self.summary_bits = self._width_bits() + own
 
     # -- cost helpers ------------------------------------------------------
 
     def _width_bits(
         self, n_s: int | None = None, hist: dict[int, int] | None = None
     ) -> float:
-        """Summary-cost terms that depend on the number of super-nodes."""
+        """The summary header plus every super-node's width bits, which
+        depend on the number of super-nodes and the out-degree histogram."""
         n_s = self.n_s if n_s is None else n_s
         hist = self.odeg_hist if hist is None else hist
-        bits = len_natural(n_s)
-        bits += n_s * (
-            math.log2(self.g.label_count) + math.log2(GLYPH_COUNT) + math.log2(n_s + 1)
-        )
+        label_count = self.g.label_count
+        bits = summary_header_bits(n_s, label_count)
         for d, cnt in hist.items():
-            if d:
-                bits += cnt * log2_binomial(n_s, d)
+            bits += cnt * supernode_width_bits(n_s, label_count, d)
         return bits
 
     @property
@@ -288,14 +275,6 @@ class SummaryState:
         return s
 
     # -- proposal scoring ----------------------------------------------------
-
-    def _singleton_ctx_bits(self, sid: int) -> float:
-        """Node-context bits of an existing singleton super-node."""
-        sn = self.snodes[sid]
-        u = sn.members[0]
-        loop_m = self.g.self_loop_mult(u)
-        internal = [(u, u, loop_m)] if loop_m else []
-        return node_context_bits(sn, internal)
 
     def _gather_cross(self, member_set: set[int]):
         """Internal edges and crossing bundles of a prospective member set.
@@ -349,16 +328,17 @@ class SummaryState:
 
         # ---- old terms being removed
         old_corr = 0.0
-        old_per_node = 0.0
+        old_own = 0.0
         odeg_delta: dict[int, int] = {}
         for sid in absorbed:
             sn = self.snodes[sid]
-            old_corr += cost_node_map(1, g.n, False)
-            old_corr += self._singleton_ctx_bits(sid)
-            odeg = len(self.out_se.get(sid, {}))
-            old_per_node += 1.0 + len_natural(sn.rep_mult)
-            old_per_node += sum(len_natural(m) for m in self.out_se.get(sid, {}).values())
-            odeg_delta[odeg] = odeg_delta.get(odeg, 0) - 1
+            out = self.out_se.get(sid, {})
+            (u,) = sn.members
+            loop_m = g.self_loop_mult(u)
+            old_corr += cost_node_map(sn.size, g.n, False)
+            old_corr += node_context_bits(sn, [(u, u, loop_m)] if loop_m else [])
+            old_own += supernode_own_bits(sn.size, sn.rep_mult, out.values())
+            odeg_delta[len(out)] = odeg_delta.get(len(out), 0) - 1
 
         # old pair contexts touching any absorbed singleton
         old_keys: set[tuple[int, int]] = set()
@@ -391,25 +371,21 @@ class SummaryState:
                 dissolved.append((a, b))
                 # the source side loses this super-edge from its own cost
                 if a not in absorbed_set:
-                    old_per_node += len_natural(rep_ab)
+                    old_own += super_edge_bits(rep_ab)
                     se_change[a] = se_change.get(a, 0) - 1
 
         # ---- new terms
         new_corr = cost_node_map(k, g.n, glyph in STAR_GLYPHS)
         new_corr += node_context_bits(new_node, internal)
-        new_per_node = len_natural(k) + len_natural(rep)
         out_edges: dict[int, int] = {}
         in_edges: dict[int, int] = {}
         for other in sorted(out_b):
-            bundle = EdgeBundle(new_node, self.snodes[other], out_b[other])
-            se_rep, ctx_bits = decide_super_edge(bundle)
+            se_rep, ctx_bits = decide_super_edge(new_node, self.snodes[other], out_b[other])
             new_corr += ctx_bits
             if se_rep is not None:
                 out_edges[other] = se_rep
-                new_per_node += len_natural(se_rep)
         for other in sorted(in_b):
-            bundle = EdgeBundle(self.snodes[other], new_node, in_b[other])
-            se_rep, ctx_bits = decide_super_edge(bundle)
+            se_rep, ctx_bits = decide_super_edge(self.snodes[other], new_node, in_b[other])
             new_corr += ctx_bits
             if se_rep is not None:
                 in_edges[other] = se_rep
@@ -422,9 +398,9 @@ class SummaryState:
             d_old = len(self.out_se.get(other, {}))
             odeg_delta[d_old] = odeg_delta.get(d_old, 0) - 1
             odeg_delta[d_old + change] = odeg_delta.get(d_old + change, 0) + 1
-        per_node_delta = new_per_node - old_per_node
-        for other, m in in_edges.items():
-            per_node_delta += len_natural(m)
+        # the sources of in-super-edges pay for them in their own bits
+        new_own = supernode_own_bits(k, rep, out_edges.values())
+        new_own += sum(map(super_edge_bits, in_edges.values()))
 
         # ---- assemble exact deltas, including the summary-size-wide terms
         old_width = self._width_bits()
@@ -435,7 +411,7 @@ class SummaryState:
                 del new_hist[d]
         new_width = self._width_bits(self.n_s - len(absorbed) + 1, new_hist)
 
-        d_summary = (new_width - old_width) + per_node_delta
+        d_summary = (new_width - old_width) + (new_own - old_own)
         d_correction = new_corr - old_corr
         return MergeProposal(
             node=new_node,
@@ -447,7 +423,6 @@ class SummaryState:
             d_summary=d_summary,
             d_correction=d_correction,
             odeg_delta=odeg_delta,
-            per_node_delta=per_node_delta,
         )
 
     def _region_edges(self, a: int, b: int) -> list[tuple[int, int, int]]:

@@ -18,12 +18,11 @@ chance.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .candidates import LshState, candidate_sort_key, prune_redundant, threshold
+from .candidates import LshState, candidate_batches, threshold
 from .graph import LabeledMultiGraph
 from .merge import SummaryState
 from .summary import SummaryGraph, compute_corrections
@@ -37,6 +36,7 @@ class RunConfig:
     cluster_cap: int = 5000
     undirected: bool = False
     checkpoints: tuple[int, ...] = ()
+    #: accepted and validated for compatibility; nothing in a run reads it
     threads: int = 1
     shuffles: int = 20
 
@@ -131,24 +131,14 @@ def run(
         seed=config.seed,
         cluster_cap=config.cluster_cap,
     )
-    want = set(config.checkpoints)
     checkpoints: list[Checkpoint] = []
     n_candidates = 0
     n_commits = 0
-    pending: list = []
-    for b in range(1, config.b_max + 1):
-        lsh.add_band()
-        pending.extend(lsh.harvest_cliques())
-        if b not in want and b != config.b_max:
-            continue
-        # Batch boundary: all candidates discovered up to band b compete in
-        # one sorted pass, so a complete structure outranks its fragments.
-        batch = sorted(prune_redundant(pending), key=candidate_sort_key)
-        pending = []
+    for b, batch in candidate_batches(lsh, config.checkpoints):
         n_candidates += len(batch)
         for cand in batch:
             n_commits += len(state.process_candidate(cand.nodes, audit=audit))
-        if b in want:
+        if b in config.checkpoints:
             summary = state.to_summary_graph()
             bits = state.total_bits
             checkpoints.append(
@@ -227,15 +217,9 @@ def shuffled_label_eval(
     base = np.asarray(g.labels)
     permuted = [base[rng.permutation(g.n)] for _ in range(n_shuffles)]
 
-    def one(labels) -> float:
-        _, rep = run(_with_labels(g, labels), config)
-        return rep.compression_ratio
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            ratios = list(pool.map(one, permuted))
-    else:
-        ratios = [one(labels) for labels in permuted]
+    ratios = [
+        run(_with_labels(g, labels), config)[1].compression_ratio for labels in permuted
+    ]
     mean = float(np.mean(ratios))
     return {
         "actual": actual,

@@ -35,7 +35,6 @@ from .encoding import (
     cost_multiplicity_diff,
     cost_node_map,
     cost_summary,
-    ell_diff,
     len_natural,
 )
 from .graph import LabeledMultiGraph
@@ -201,11 +200,11 @@ def all_singleton_summary(g: LabeledMultiGraph) -> SummaryGraph:
         label_names=tuple(g.label_names),
         node_names=tuple(g.node_names),
     )
-    for v in range(g.n):
-        loop = g.self_loop_mult(v)
+    labels = g.labels.tolist()
+    for v, loop in enumerate(g.self_loop_mults().tolist()):
         s.super_nodes[v] = SuperNode(
             id=v,
-            label=int(g.labels[v]),
+            label=labels[v],
             glyph=Glyph.SINGLETON,
             members=(v,),
             rep_mult=loop if loop else 1,
@@ -272,13 +271,6 @@ def _group_edges(g: LabeledMultiGraph, summary: SummaryGraph):
     return internal, cross
 
 
-def _pair_expansion(summary: SummaryGraph, a: int, b: int):
-    """Ports and expansion size for the super-edge footprint of (a, b)."""
-    sa, sb = summary.super_nodes[a], summary.super_nodes[b]
-    ports_a, ports_b = sa.ports(), sb.ports()
-    return ports_a, ports_b, len(ports_a) * len(ports_b)
-
-
 def compute_corrections(g: LabeledMultiGraph, summary: SummaryGraph) -> CorrectionSet:
     """Corrections such that reconstruct(summary, corrections) == g exactly."""
     cor = CorrectionSet()
@@ -314,13 +306,12 @@ def compute_corrections(g: LabeledMultiGraph, summary: SummaryGraph) -> Correcti
 
     for (a, b), rep in sorted(summary.super_edges.items()):
         present = {(u, w): m for (u, w, m) in cross.get((a, b), [])}
-        ports_a, ports_b, _ = _pair_expansion(summary, a, b)
+        ports_a = summary.super_nodes[a].ports()
+        ports_b = summary.super_nodes[b].ports()
         port_b_set = set(ports_b)
-        covered: set[tuple[int, int]] = set()
         for u in ports_a:
             for w in ports_b:
                 if (u, w) in present:
-                    covered.add((u, w))
                     if present[(u, w)] != rep:
                         cor.mult_deltas.append((u, w, present[(u, w)] - rep))
                 else:
@@ -366,6 +357,30 @@ def reconstruct(summary: SummaryGraph, corrections: CorrectionSet) -> LabeledMul
 # -- correction cost ----------------------------------------------------------
 
 
+def _context_bits(region: int, x_size: int, rep: int, edges, covers) -> float:
+    """Correction bits of one context whose expansion X holds ``x_size`` of
+    its ``region`` node pairs; ``covers(u, w)`` tells whether (u, w) is in X.
+
+    Edges inside X are corrected against ``rep``, edges outside X are
+    positive corrections, and pairs of X without an edge are negative ones.
+    """
+    covered_mults: list[int] = []
+    pos_mults: list[int] = []
+    for u, w, m in edges:
+        if covers(u, w):
+            covered_mults.append(m)
+        else:
+            pos_mults.append(m)
+    bits = 0.0
+    if x_size >= 1:
+        bits += cost_correction_set(x_size - len(covered_mults), x_size)
+    if region - x_size >= 1:
+        bits += cost_correction_set(len(pos_mults), region - x_size)
+    bits += cost_multiplicity_diff(covered_mults, rep)
+    bits += sum(len_natural(m) for m in pos_mults)
+    return bits
+
+
 def node_context_bits(sn: SuperNode, internal: list[tuple[int, int, int]]) -> float:
     """Correction bits owned by one super-node's internal region.
 
@@ -373,24 +388,8 @@ def node_context_bits(sn: SuperNode, internal: list[tuple[int, int, int]]) -> fl
     the super-node, self-loops included.
     """
     k = sn.size
-    region = k * k
     x_size = sn.glyph_pair_count() + (k if sn.self_loop else 0)
-    covered_mults: list[int] = []
-    pos_mults: list[int] = []
-    for u, w, m in internal:
-        if sn.covers_pair(u, w):
-            covered_mults.append(m)
-        else:
-            pos_mults.append(m)
-    n_neg = x_size - len(covered_mults)
-    bits = 0.0
-    if x_size >= 1:
-        bits += cost_correction_set(n_neg, x_size)
-    if region - x_size >= 1:
-        bits += cost_correction_set(len(pos_mults), region - x_size)
-    bits += cost_multiplicity_diff(covered_mults, sn.rep_mult)
-    bits += sum(len_natural(m) for m in pos_mults)
-    return bits
+    return _context_bits(k * k, x_size, sn.rep_mult, internal, sn.covers_pair)
 
 
 def pair_context_bits(
@@ -412,22 +411,11 @@ def pair_context_bits(
         return cost_correction_set(len(edges), region) + sum(
             len_natural(m) for _, _, m in edges
         )
-    ports_a, ports_b = sa.ports(), sb.ports()
-    x_size = len(ports_a) * len(ports_b)
-    port_a_set, port_b_set = set(ports_a), set(ports_b)
-    covered_mults = []
-    pos_mults = []
-    for u, w, m in edges:
-        if u in port_a_set and w in port_b_set:
-            covered_mults.append(m)
-        else:
-            pos_mults.append(m)
-    bits = cost_correction_set(x_size - len(covered_mults), x_size)
-    if region - x_size >= 1:
-        bits += cost_correction_set(len(pos_mults), region - x_size)
-    bits += cost_multiplicity_diff(covered_mults, rep)
-    bits += sum(len_natural(m) for m in pos_mults)
-    return bits
+    ports_a, ports_b = set(sa.ports()), set(sb.ports())
+    return _context_bits(
+        region, len(ports_a) * len(ports_b), rep, edges,
+        lambda u, w: u in ports_a and w in ports_b,
+    )
 
 
 def correction_cost(
@@ -460,11 +448,6 @@ def total_cost(g: LabeledMultiGraph, summary: SummaryGraph) -> CostBreakdown:
     """Two-part description length of g under the given summary."""
     corr, _ = correction_cost(g, summary)
     return CostBreakdown(summary_bits=cost_summary(summary), correction_bits=corr)
-
-
-def correction_set_cost(g: LabeledMultiGraph, summary: SummaryGraph) -> float:
-    """Convenience: correction bits only."""
-    return correction_cost(g, summary)[0]
 
 
 # -- exports ------------------------------------------------------------------

@@ -14,7 +14,6 @@ from lmgsum.candidates import (
     SimilarityGraph,
     candidate_sort_key,
     directed_jaccard,
-    filter_and_grow,
     generate_candidates,
     minhash_band,
     prune_redundant,
@@ -233,16 +232,20 @@ class TestLshState:
         assert state.harvest_cliques() == []
         assert state.gsim.edge_count == 0
 
-    def test_filter_and_grow_drains_cache_at_current_threshold(self):
+    def test_add_band_promotes_cached_pair_at_first_clearing_band(self):
+        # nodes 2 and 3 have no tokens, so only the cache can link them
         g = LabeledMultiGraph(4, {(0, 1): 1})
         state = LshState(g, r=8, b_max=10, seed=0)
-        state.bands_added = 2  # admission threshold (1/2)^(1/8)
-        t = threshold(2, 8)
-        state.cache.push(t + 0.01, 2, 3)
-        state.cache.push(t - 0.01, 1, 2)
-        assert filter_and_grow(state) == 1
-        assert state.gsim.similarity(2, 3) == t + 0.01
-        assert len(state.cache) == 1
+        between = (threshold(3, 8) + threshold(4, 8)) / 2
+        state.cache.push(between, 2, 3)
+        state.cache.push(threshold(6, 8), 1, 2)  # exactly at band 6's bar
+        for band in range(1, 11):
+            state.add_band()
+            assert ((2, 3) in state.gsim.jaccard) == (band >= 4)
+            assert ((1, 2) in state.gsim.jaccard) == (band >= 6)
+        assert state.gsim.similarity(2, 3) == between
+        assert state.gsim.similarity(1, 2) == threshold(6, 8)
+        assert len(state.cache) == 0
 
 
 class TestCliqueEnumeration:

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 import lmgsum as L
 from lmgsum.graph import LabeledMultiGraph
 from lmgsum.merge import (
-    EdgeBundle,
     MergeError,
     SummaryState,
     decide_glyph,
@@ -148,38 +147,38 @@ def _bundle(src_members, dst_members, edges, src_glyph=Glyph.DISCONNECTED,
             dst_glyph=Glyph.DISCONNECTED, src_hub=None, dst_hub=None):
     src = SuperNode(id=0, label=0, glyph=src_glyph, members=src_members, hub=src_hub)
     dst = SuperNode(id=1, label=0, glyph=dst_glyph, members=dst_members, hub=dst_hub)
-    return EdgeBundle(src=src, dst=dst, edges=edges)
+    return src, dst, edges
 
 
 class TestDecideSuperEdge:
     def test_complete_uniform_bundle_gets_super_edge(self):
         edges = [(u, w, 2) for u in (0, 1) for w in (2, 3, 4)]
-        rep, _bits = decide_super_edge(_bundle((0, 1), (2, 3, 4), edges))
+        rep, _bits = decide_super_edge(*_bundle((0, 1), (2, 3, 4), edges))
         assert rep == 2
 
     def test_single_edge_in_large_footprint_stays_correction(self):
         edges = [(0, 10, 1)]
         rep, _bits = decide_super_edge(
-            _bundle(tuple(range(10)), tuple(range(10, 20)), edges)
+            *_bundle(tuple(range(10)), tuple(range(10, 20)), edges)
         )
         assert rep is None
 
     def test_empty_bundle(self):
-        rep, bits = decide_super_edge(_bundle((0, 1), (2, 3), []))
+        rep, bits = decide_super_edge(*_bundle((0, 1), (2, 3), []))
         assert rep is None and bits == 0.0
 
     def test_star_footprint_uses_hub_side(self):
         # edges toward an in-star land on its hub: footprint is 2x1
         edges = [(0, 4, 1), (1, 4, 1)]
         rep, _ = decide_super_edge(
-            _bundle((0, 1), (2, 3, 4), edges, dst_glyph=Glyph.IN_STAR, dst_hub=4)
+            *_bundle((0, 1), (2, 3, 4), edges, dst_glyph=Glyph.IN_STAR, dst_hub=4)
         )
         assert rep == 1
 
     def test_frozen_two_by_three_example(self):
         # 4 edges of mult 2 in a 2x3 footprint: super-edge with rep 2 wins
         edges = [(0, 2, 2), (0, 3, 2), (1, 2, 2), (1, 4, 2)]
-        rep, bits = decide_super_edge(_bundle((0, 1), (2, 3, 4), edges))
+        rep, bits = decide_super_edge(*_bundle((0, 1), (2, 3, 4), edges))
         assert rep == 2
         # with: L_nat(2)=3 rep + neg bundle (2 of 6) + 4 equal flags
         expected_ctx = (
@@ -204,6 +203,25 @@ class TestSummaryState:
             assert state.total_bits == pytest.approx(want, abs=1e-6)
 
         summary, report = L.run(g, L.RunConfig(seed=3), audit=audit)
+        assert report.commit_count > 0
+
+    def test_changed_formula_reaches_both_cost_paths(self, monkeypatch):
+        # SummaryState and total_cost share their bit formulas, so altering
+        # one primitive must leave the running total equal to the
+        # from-scratch cost, baseline and every commit included.
+        import lmgsum.encoding as enc
+
+        binomial, natural = enc.log2_binomial, enc.len_natural
+        monkeypatch.setattr(enc, "log2_binomial", lambda n, k: 1.5 * binomial(n, k))
+        monkeypatch.setattr(enc, "len_natural", lambda k: natural(k) + 0.25)
+        g, _ = L.planted_graph(seed=3, cliques=2, in_stars=2, out_stars=2)
+
+        def audit(state, _p):
+            want = total_cost(state.g, state.to_summary_graph()).total_bits
+            assert state.total_bits == pytest.approx(want, abs=1e-6)
+
+        audit(SummaryState(g), None)
+        _, report = L.run(g, L.RunConfig(seed=3), audit=audit)
         assert report.commit_count > 0
 
     def test_commit_rejects_non_negative(self):
