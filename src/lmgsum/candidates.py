@@ -16,7 +16,9 @@ of the similarity graph, pairs between the final threshold and the current
 one wait in a max-heap cache and are promoted when the threshold drops to
 them.  Candidates are the maximal cliques of the similarity graph that
 contain at least one new edge; their quality is the minimum pairwise
-similarity inside the clique.
+similarity inside the clique.  A harvest enumerates the maximal cliques
+through each endpoint of a new edge once, by Bron-Kerbosch with Tomita
+pivoting on integer bitsets, and keeps those that contain a new edge.
 """
 
 from __future__ import annotations
@@ -171,6 +173,69 @@ class SimilarityGraph:
             for v in nodes[i + 1 :]
         )
 
+    def cliques_through(self, u: int, excluded: set[int]) -> list[tuple[int, ...]]:
+        """Maximal cliques that contain ``u`` and no node of ``excluded``,
+        each once, as sorted node tuples.
+
+        Bron-Kerbosch with Tomita pivoting over u's neighbors, relabeled to
+        bits 0..deg-1 so every set is a Python int as wide as u's degree.
+        Excluded neighbors start in X: a clique they could extend is not
+        maximal here, and one they belong to is left to their own call.
+        """
+        nbr_set = self.adj[u]
+        nbrs = sorted(nbr_set)
+        bit = {w: 1 << i for i, w in enumerate(nbrs)}
+        nb = []
+        for w in nbrs:
+            m = 0
+            for x in self.adj[w] & nbr_set:
+                m |= bit[x]
+            nb.append(m)
+        p = x = 0
+        for w, b in bit.items():
+            if w in excluded:
+                x |= b
+            else:
+                p |= b
+        masks: list[int] = []
+
+        def expand(r: int, p: int, x: int) -> None:
+            if not p:
+                if not x:
+                    masks.append(r)
+                return
+            # pivot: the vertex of P | X with the most neighbors in P
+            size_p = p.bit_count()
+            best = -1
+            scan = p | x
+            while scan:
+                low = scan & -scan
+                scan ^= low
+                covered = (p & nb[low.bit_length() - 1]).bit_count()
+                if covered > best:
+                    best, pivot = covered, low.bit_length() - 1
+                    if covered == size_p:
+                        break
+            rest = p & ~nb[pivot]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                i = low.bit_length() - 1
+                expand(r | low, p & nb[i], x & nb[i])
+                p ^= low
+                x |= low
+
+        expand(0, p, x)
+        cliques = []
+        for r in masks:
+            nodes = [u]
+            while r:
+                low = r & -r
+                r ^= low
+                nodes.append(nbrs[low.bit_length() - 1])
+            cliques.append(tuple(sorted(nodes)))
+        return cliques
+
     @property
     def edge_count(self) -> int:
         return len(self.jaccard)
@@ -308,63 +373,47 @@ class LshState:
             self.gsim.add_edge(u, v, j)
 
     def harvest_cliques(self) -> list[Candidate]:
-        """Maximal cliques containing at least one edge added since the last
+        """Maximal cliques that contain an edge added since the last harvest.
 
-        harvest.  A new edge whose potential clique cannot beat the recorded
-        maximum of either endpoint is skipped; emitted node sets are never
-        repeated.
+        A new edge (u, v) is skipped when ``2 + |N(u) & N(v)|``, the size
+        bound of any clique through it, cannot beat the recorded maximum of
+        both endpoints; the others are the live edges.  Each maximal clique
+        through an endpoint of a live edge is enumerated once, from the
+        first such endpoint in node order, and kept if it contains a live
+        edge.  Emitted node sets are never repeated.
         """
+        adj = self.gsim.adj
         new_edges = self.gsim.new_edges
         self.gsim.new_edges = []
-        found: list[Candidate] = []
-        sizes_seen: list[tuple[frozenset, int]] = []
+        live: dict[int, set[int]] = {}
         for u, v in new_edges:
-            common = self.gsim.neighbors(u) & self.gsim.neighbors(v)
-            bound = 2 + len(common)
+            bound = 2 + len(adj[u] & adj[v])
             known_u = self.max_clique_size.get(u, 0)
             known_v = self.max_clique_size.get(v, 0)
             if bound <= known_u and bound <= known_v:
                 continue
-            if common:
-                cliques = [c | {u, v} for c in self._max_cliques(common)]
-            else:
-                cliques = [{u, v}]
-            for c in cliques:
-                fs = frozenset(c)
+            live.setdefault(u, set()).add(v)
+            live.setdefault(v, set()).add(u)
+        found: list[Candidate] = []
+        done: set[int] = set()
+        for u in sorted(live):
+            for nodes in self.gsim.cliques_through(u, done):
+                members = set(nodes)
+                if all(members.isdisjoint(live.get(x, ())) for x in nodes):
+                    continue
+                fs = frozenset(nodes)
                 if fs in self.emitted:
                     continue
                 self.emitted.add(fs)
-                nodes = tuple(sorted(fs))
                 found.append(
                     Candidate(nodes, self.gsim.quality(nodes), self.bands_added)
                 )
-                sizes_seen.append((fs, len(fs)))
-        for fs, size in sizes_seen:
-            for x in fs:
-                if self.max_clique_size.get(x, 0) < size:
-                    self.max_clique_size[x] = size
+            done.add(u)
+        for c in found:
+            for x in c.nodes:
+                if self.max_clique_size.get(x, 0) < c.size:
+                    self.max_clique_size[x] = c.size
         return found
-
-    def _max_cliques(self, subset: set[int]):
-        """Maximal cliques of the similarity graph induced on ``subset``."""
-        result: list[set[int]] = []
-
-        def expand(r: set[int], p: set[int], x: set[int]):
-            if not p and not x:
-                result.append(set(r))
-                return
-            pivot_pool = p | x
-            pivot = max(
-                pivot_pool, key=lambda n: len(self.gsim.neighbors(n) & p)
-            )
-            for n in sorted(p - self.gsim.neighbors(pivot)):
-                nb = self.gsim.neighbors(n) & subset
-                expand(r | {n}, p & nb, x & nb)
-                p = p - {n}
-                x = x | {n}
-
-        expand(set(), set(subset), set())
-        return result
 
 
 def prune_redundant(cands: list[Candidate]) -> list[Candidate]:

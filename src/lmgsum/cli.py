@@ -307,8 +307,15 @@ def cmd_verify(args) -> int:
         raise UsageError(f"{args.json}: no 'summary' section")
     if "corrections" not in payload:
         raise UsageError(f"{args.json}: no 'corrections' section — cannot reconstruct")
-    summary = summary_from_dict(payload["summary"])
-    corrections = corrections_from_dict(summary, payload["corrections"])
+    try:
+        summary = summary_from_dict(payload["summary"])
+        corrections = corrections_from_dict(summary, payload["corrections"])
+    except KeyError as e:
+        raise GraphFormatError(
+            f"{args.json}: unknown or missing key {e.args[0]!r}"
+        ) from None
+    except (TypeError, ValueError) as e:
+        raise GraphFormatError(f"{args.json}: malformed report: {e}") from None
     recon = reconstruct(summary, corrections)
     original = g.canonical_dump()
     rebuilt = recon.canonical_dump()

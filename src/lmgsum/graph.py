@@ -15,6 +15,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 DEFAULT_LABEL = "node"
+#: largest multiplicity the int64 edge arrays hold
+MAX_MULT = 2**63 - 1
 
 
 class GraphFormatError(ValueError):
@@ -309,11 +311,18 @@ def load_graph(
             name_to_id[name] = i
         return i
 
-    for _line_num, src, dst, mult in _parse_edge_file(path):
+    for line_num, src, dst, mult in _parse_edge_file(path):
         u, w = node_id(src), node_id(dst)
-        edges[(u, w)] = edges.get((u, w), 0) + mult
+        total = edges.get((u, w), 0) + mult
+        if total > MAX_MULT:
+            raise GraphFormatError(
+                f"{path}:{line_num}: multiplicity {total} of {src!r} -> {dst!r} "
+                f"exceeds 2^63-1"
+            )
+        edges[(u, w)] = total
         if undirected and u != w:
-            edges[(w, u)] = edges.get((w, u), 0) + mult
+            # every line adds to both directions, so they stay equal
+            edges[(w, u)] = total
 
     if not name_to_id:
         raise GraphFormatError(f"{path}: no edges found")

@@ -220,3 +220,56 @@ def oracle_best_glyph(g, members) -> tuple[Glyph, int | None]:
         if best is None or bits < best[0] - 1e-12:
             best = (bits, glyph, hub)
     return best[1], best[2]
+
+
+def oracle_harvest(gsim, new_edges, max_clique_size, emitted):
+    """Per-edge clique harvest: the reference for ``LshState.harvest_cliques``.
+
+    For every new edge (u, v) whose size bound ``2 + |N(u) & N(v)|`` beats
+    the recorded maximum of u or of v, lists the maximal cliques through
+    both endpoints as {u, v} plus a maximal clique of the common
+    neighborhood, found by pivoted Bron-Kerbosch on plain sets.  Updates
+    ``max_clique_size`` and ``emitted`` in place once all edges are done and
+    returns sorted ``(nodes, quality)`` pairs, quality being the minimum
+    pairwise similarity.
+    """
+    adj = gsim.adj
+
+    def max_cliques(subset):
+        result = []
+
+        def expand(r, p, x):
+            if not p and not x:
+                result.append(set(r))
+                return
+            pivot = max(p | x, key=lambda n: len(adj[n] & p))
+            for n in sorted(p - adj[pivot]):
+                nb = adj[n] & subset
+                expand(r | {n}, p & nb, x & nb)
+                p = p - {n}
+                x = x | {n}
+
+        expand(set(), set(subset), set())
+        return result
+
+    found = []
+    for u, v in new_edges:
+        common = adj[u] & adj[v]
+        bound = 2 + len(common)
+        if bound <= max_clique_size.get(u, 0) and bound <= max_clique_size.get(v, 0):
+            continue
+        for c in max_cliques(common) if common else [set()]:
+            fs = frozenset(c | {u, v})
+            if fs not in emitted:
+                emitted.add(fs)
+                found.append(fs)
+    for fs in found:
+        for x in fs:
+            max_clique_size[x] = max(max_clique_size.get(x, 0), len(fs))
+    return sorted(
+        (
+            tuple(sorted(fs)),
+            min(gsim.jaccard[(a, b)] for a, b in combinations(sorted(fs), 2)),
+        )
+        for fs in found
+    )

@@ -2,6 +2,8 @@
 
 incremental LSH state, and candidate harvesting."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +24,25 @@ from lmgsum.candidates import (
 from lmgsum.graph import LabeledMultiGraph
 from lmgsum.synth import planted_graph
 
-from oracle import oracle_maximal_cliques
+from oracle import oracle_harvest, oracle_maximal_cliques
+
+
+def edge_sets(n):
+    """Sets of normalized non-loop node pairs over ``n`` nodes."""
+    return st.sets(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        .filter(lambda p: p[0] != p[1])
+        .map(lambda p: (min(p), max(p))),
+        max_size=20,
+    )
+
+
+def add_similarity_edges(state, adj, pairs):
+    """Add ``pairs`` to the state's similarity graph and to ``adj``."""
+    for u, v in pairs:
+        state.gsim.add_edge(u, v, 1.0)
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
 
 
 @st.composite
@@ -261,32 +281,69 @@ class TestCliqueEnumeration:
         with pytest.raises(ValueError):
             oracle_maximal_cliques({}, range(13))
 
-    @given(
-        st.integers(1, 9).flatmap(
-            lambda n: st.tuples(
-                st.just(n),
-                st.sets(
-                    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(
-                        lambda p: (min(p), max(p))
-                    ).filter(lambda p: p[0] != p[1]),
-                    max_size=20,
-                ),
-            )
-        )
-    )
+    @given(st.integers(1, 9).flatmap(lambda n: st.tuples(st.just(n), edge_sets(n))))
     @settings(max_examples=120, deadline=None)
     def test_production_enumerator_matches_oracle(self, case):
         n, pairs = case
         state = LshState(LabeledMultiGraph(n, {}), r=4, b_max=4, seed=0)
         adj: dict[int, set[int]] = {}
-        for u, v in pairs:
-            state.gsim.add_edge(u, v, 1.0)
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-        got = sorted(
-            tuple(sorted(c)) for c in state._max_cliques(set(range(n)))
+        add_similarity_edges(state, adj, pairs)
+        got = sorted(c.nodes for c in state.harvest_cliques())
+        expected = [c for c in oracle_maximal_cliques(adj, range(n)) if len(c) >= 2]
+        assert got == expected
+
+    @given(
+        st.integers(2, 9).flatmap(
+            lambda n: st.tuples(st.just(n), edge_sets(n), edge_sets(n))
         )
-        assert got == oracle_maximal_cliques(adj, range(n))
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_second_harvest_keeps_cliques_with_a_live_new_edge(self, case):
+        n, first, second = case
+        second = second - first
+        state = LshState(LabeledMultiGraph(n, {}), r=4, b_max=4, seed=0)
+        adj: dict[int, set[int]] = {}
+        add_similarity_edges(state, adj, first)
+        out1 = {c.nodes for c in state.harvest_cliques()}
+        add_similarity_edges(state, adj, second)
+        known: dict[int, int] = {}
+        for c in out1:
+            for x in c:
+                known[x] = max(known.get(x, 0), len(c))
+        live = {
+            (u, v)
+            for u, v in second
+            if 2 + len(adj[u] & adj[v]) > min(known.get(u, 0), known.get(v, 0))
+        }
+        expected = {
+            c
+            for c in oracle_maximal_cliques(adj, range(n))
+            if any(pair in live for pair in combinations(c, 2))
+        } - out1
+        got = [c.nodes for c in state.harvest_cliques()]
+        assert len(got) == len(set(got))
+        assert set(got) == expected
+
+    @pytest.mark.parametrize(
+        "seed, groups, size_range",
+        [(s, 3, (6, 10)) for s in range(4)] + [(s, 2, (8, 8)) for s in (1, 7)],
+    )
+    def test_harvest_matches_per_edge_oracle_every_band(self, seed, groups, size_range):
+        g, _ = planted_graph(seed, groups, groups, groups, size_range=size_range, noise=0.05)
+        prod = LshState(g, r=8, b_max=10, seed=seed)
+        ref = LshState(g, r=8, b_max=10, seed=seed)
+        total = 0
+        for _band in range(10):
+            prod.add_band()
+            ref.add_band()
+            got = sorted((c.nodes, c.quality) for c in prod.harvest_cliques())
+            new_edges, ref.gsim.new_edges = ref.gsim.new_edges, []
+            assert got == oracle_harvest(
+                ref.gsim, new_edges, ref.max_clique_size, ref.emitted
+            )
+            assert prod.max_clique_size == ref.max_clique_size
+            total += len(got)
+        assert total > 0
 
 
 class TestGenerateCandidates:

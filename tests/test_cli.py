@@ -104,6 +104,22 @@ class TestSummarize:
         assert main(["summarize", "-i", str(bad)]) == 3
         assert "bad.tsv:2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content, line",
+        [
+            ("a\tb\t1\na\tc\t99999999999999999999\n", 2),
+            (f"a\tb\t{2**62}\nb\tc\t1\na\tb\t{2**62}\n", 3),
+        ],
+        ids=["one-line", "duplicates-sum"],
+    )
+    def test_multiplicity_beyond_int64_is_io_error(self, tmp_path, capsys, content, line):
+        bad = tmp_path / "big.tsv"
+        bad.write_text(content)
+        assert main(["summarize", "-i", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert f"big.tsv:{line}:" in err
+        assert "exceeds 2^63-1" in err
+
     def test_bad_checkpoints_are_usage_error(self, planted_files, capsys):
         edges, _labels, _g = planted_files
         code = main([
@@ -160,6 +176,30 @@ class TestVerify:
         bad.write_text("{truncated")
         assert main(["verify", "-i", edges, "-l", labels, "--json", str(bad)]) == 3
         assert "invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "corrupt, needle",
+        [
+            (lambda p: p["corrections"]["positive"].append(
+                ["ghost", p["summary"]["node_names"][0], 1]), "'ghost'"),
+            (lambda p: p["summary"]["super_nodes"][0].update(glyph="bogus"), "'bogus'"),
+        ],
+        ids=["unknown-node", "unknown-glyph"],
+    )
+    def test_report_naming_unknown_entries_is_io_error(
+        self, planted_files, tmp_path, capsys, corrupt, needle
+    ):
+        edges, labels, _g = planted_files
+        out_json = self._report(tmp_path, edges, labels)
+        payload = json.loads(out_json.read_text())
+        corrupt(payload)
+        out_json.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main(["verify", "-i", edges, "-l", labels, "--json", str(out_json)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "report.json:" in err
+        assert needle in err
 
     def test_undirected_round_trip(self, tmp_path, capsys):
         edge_path = tmp_path / "undirected.tsv"
