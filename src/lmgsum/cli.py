@@ -21,7 +21,6 @@ import numpy as np
 from .graph import GraphFormatError, LabeledMultiGraph, load_graph
 from .summarize import RunConfig, run, shuffled_label_eval
 from .summary import (
-    compute_corrections,
     corrections_from_dict,
     corrections_to_dict,
     export_dot,
@@ -167,7 +166,6 @@ def cmd_summarize(args) -> int:
     g = _load(args)
     config = _config(args, checkpoints=args.checkpoints)
     summary, report = run(g, config, keep_checkpoint_summaries=bool(args.dot))
-    corrections = compute_corrections(g, summary)
     payload = {
         "config": {
             "r": config.r,
@@ -179,9 +177,8 @@ def cmd_summarize(args) -> int:
         },
         "report": report.to_dict(),
         "summary": summary_to_dict(g, summary),
-        "corrections": corrections_to_dict(summary, corrections),
+        "corrections": corrections_to_dict(summary, report.corrections),
     }
-    text = json.dumps(payload, indent=2)
     if args.dot:
         os.makedirs(args.dot, exist_ok=True)
         for cp in report.checkpoints:
@@ -191,16 +188,19 @@ def cmd_summarize(args) -> int:
                     f.write(export_dot(cp.summary, f"summary_b{cp.band}"))
         with open(os.path.join(args.dot, "summary_final.dot"), "w") as f:
             f.write(export_dot(summary, "summary_final"))
+    # json.dump streams the same text json.dumps would build whole in memory
     if args.json:
         with open(args.json, "w") as f:
-            f.write(text + "\n")
+            json.dump(payload, f, indent=2)
+            f.write("\n")
         print(
             f"bits_before={report.bits_before:.3f} bits_after={report.bits_after:.3f} "
             f"ratio={report.compression_ratio:.4f} super_nodes={report.super_node_count} "
             f"super_edges={report.super_edge_count} -> {args.json}"
         )
     else:
-        print(text)
+        json.dump(payload, sys.stdout, indent=2)
+        print()
     return EXIT_OK
 
 
@@ -303,12 +303,15 @@ def cmd_verify(args) -> int:
             payload = json.load(f)
     except json.JSONDecodeError as e:
         raise GraphFormatError(f"{args.json}: invalid JSON: {e}")
+    if not isinstance(payload, dict):
+        raise GraphFormatError(f"{args.json}: report is not a JSON object")
     if "summary" not in payload:
         raise UsageError(f"{args.json}: no 'summary' section")
     if "corrections" not in payload:
         raise UsageError(f"{args.json}: no 'corrections' section — cannot reconstruct")
     try:
         summary = summary_from_dict(payload["summary"])
+        summary.validate()
         corrections = corrections_from_dict(summary, payload["corrections"])
     except KeyError as e:
         raise GraphFormatError(

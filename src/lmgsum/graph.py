@@ -10,6 +10,7 @@ in-adjacency of its node.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -21,6 +22,15 @@ MAX_MULT = 2**63 - 1
 
 class GraphFormatError(ValueError):
     """Raised for malformed input files; message carries the line number."""
+
+
+def _check_edges(n: int, edges: dict[tuple[int, int], int]) -> None:
+    """Raise the ValueError of the first invalid edge, in ``edges``' order."""
+    for (u, w), m in edges.items():
+        if not (0 <= u < n and 0 <= w < n):
+            raise ValueError(f"edge ({u}, {w}) out of node range")
+        if m < 1:
+            raise ValueError(f"edge ({u}, {w}) has multiplicity {m} < 1")
 
 
 class LabeledMultiGraph:
@@ -51,34 +61,32 @@ class LabeledMultiGraph:
         if len(self.node_names) != n:
             raise ValueError("node_names must cover every node")
 
-        for (u, w), m in edges.items():
-            if not (0 <= u < n and 0 <= w < n):
-                raise ValueError(f"edge ({u}, {w}) out of node range")
-            if m < 1:
-                raise ValueError(f"edge ({u}, {w}) has multiplicity {m} < 1")
-
         m_edges = len(edges)
-        src = np.empty(m_edges, dtype=np.int64)
-        dst = np.empty(m_edges, dtype=np.int64)
-        mult = np.empty(m_edges, dtype=np.int64)
-        for i, ((u, w), m) in enumerate(edges.items()):
-            src[i], dst[i], mult[i] = u, w, m
+        try:
+            ends = np.fromiter(
+                chain.from_iterable(edges), dtype=np.int64, count=2 * m_edges
+            )
+            mult = np.fromiter(edges.values(), dtype=np.int64, count=m_edges)
+        except OverflowError:
+            _check_edges(n, edges)
+            raise
+        src, dst = ends[0::2], ends[1::2]
+        if not ((src >= 0) & (src < n) & (dst >= 0) & (dst < n) & (mult >= 1)).all():
+            _check_edges(n, edges)
 
         order = np.lexsort((dst, src))
         self.out_src = src[order]
         self.out_dst = dst[order]
         self.out_mult = mult[order]
         self.out_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(self.out_indptr, self.out_src + 1, 1)
-        np.cumsum(self.out_indptr, out=self.out_indptr)
+        np.cumsum(np.bincount(src, minlength=n), out=self.out_indptr[1:])
 
         order = np.lexsort((src, dst))
         self.in_src = src[order]
         self.in_dst = dst[order]
         self.in_mult = mult[order]
         self.in_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(self.in_indptr, self.in_dst + 1, 1)
-        np.cumsum(self.in_indptr, out=self.in_indptr)
+        np.cumsum(np.bincount(dst, minlength=n), out=self.in_indptr[1:])
 
         self._token_cache: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -161,18 +169,15 @@ class LabeledMultiGraph:
         with dir 0 for in and 1 for out.  Cached after the first call.
         """
         if self._token_cache is None:
-            deg_in = np.diff(self.in_indptr)
-            deg_out = np.diff(self.out_indptr)
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(deg_in + deg_out, out=indptr[1:])
+            # node v's in-tokens start at indptr[v] = in_indptr[v] + out_indptr[v]
+            # and its out-tokens follow them, at in_indptr[v + 1] + out_indptr[v]
+            indptr = self.in_indptr + self.out_indptr
             tokens = np.empty(indptr[-1], dtype=np.uint64)
-            pos = indptr[:-1]
-            for v in range(self.n):
-                a = self.in_src[self.in_indptr[v] : self.in_indptr[v + 1]]
-                b = self.out_dst[self.out_indptr[v] : self.out_indptr[v + 1]]
-                p = pos[v]
-                tokens[p : p + len(a)] = a.astype(np.uint64) * 2
-                tokens[p + len(a) : p + len(a) + len(b)] = b.astype(np.uint64) * 2 + 1
+            at = np.arange(len(self.in_src))
+            tokens[at + self.out_indptr[self.in_dst]] = self.in_src.astype(np.uint64) * 2
+            tokens[at + self.in_indptr[self.out_src + 1]] = (
+                self.out_dst.astype(np.uint64) * 2 + 1
+            )
             self._token_cache = (tokens, indptr)
         return self._token_cache
 

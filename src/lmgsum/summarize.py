@@ -25,7 +25,7 @@ import numpy as np
 from .candidates import LshState, candidate_batches, threshold
 from .graph import LabeledMultiGraph
 from .merge import SummaryState
-from .summary import SummaryGraph, compute_corrections
+from .summary import CorrectionSet, SummaryGraph, compute_corrections
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,13 @@ class Checkpoint:
 
 @dataclass
 class RunReport:
+    """What a run did and what it cost, plus the final summary's corrections.
+
+    ``corrections`` is the :class:`CorrectionSet` that rebuilds the input
+    from the final summary, computed once by :func:`run`; it stays out of
+    :meth:`to_dict`, and a report built elsewhere may leave it ``None``.
+    """
+
     bits_before: float
     bits_after: float
     compression_ratio: float
@@ -74,6 +81,7 @@ class RunReport:
     super_edge_count: int = 0
     glyph_counts: dict[str, int] = field(default_factory=dict)
     correction_counts: dict[str, int] = field(default_factory=dict)
+    corrections: CorrectionSet | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -119,7 +127,8 @@ def run(
 
     ``audit(state, proposal)``, when given, runs after every single commit.
     With ``keep_checkpoint_summaries`` each checkpoint carries a deep
-    snapshot of the summary for export.
+    snapshot of the summary for export.  The final summary's corrections
+    are computed once, here, and handed back as ``report.corrections``.
     """
     t0 = time.perf_counter()
     state = SummaryState(g)
@@ -168,6 +177,7 @@ def run(
         super_edge_count=len(summary.super_edges),
         glyph_counts=summary.glyph_counts(),
         correction_counts=corrections.counts(),
+        corrections=corrections,
     )
     return summary, report
 

@@ -27,7 +27,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Iterable
+
+import numpy as np
 
 from .encoding import (
     CostBreakdown,
@@ -257,27 +260,157 @@ class CorrectionSet:
         }
 
 
-def _group_edges(g: LabeledMultiGraph, summary: SummaryGraph):
-    """Split g's edges into per-super-node internal and per-pair cross lists."""
-    assign = summary.node_to_super()
-    internal: dict[int, list[tuple[int, int, int]]] = {}
-    cross: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for u, w, m in g.edges():
-        a, b = assign[u], assign[w]
-        if a == b:
-            internal.setdefault(a, []).append((u, w, m))
-        else:
-            cross.setdefault((a, b), []).append((u, w, m))
-    return internal, cross
+def _triples(u: np.ndarray, w: np.ndarray, m: np.ndarray) -> list[tuple[int, int, int]]:
+    return list(zip(u.tolist(), w.tolist(), m.tolist()))
+
+
+class _EdgeGroups:
+    """g's edges grouped by the super-nodes of a summary, as sorted arrays.
+
+    Super-nodes are ranked in ascending id order.  Internal edges (both
+    endpoints in one super-node) are grouped by that super-node and cross
+    edges by their ordered pair of super-nodes; within a group the edges
+    keep g's (u, w) order.  The pair of ranks (a, b) has the key
+    ``a * S + b`` for S super-nodes, so keys sort like pairs of ids.
+    Corrections and correction bits are both read off this one grouping.
+    """
+
+    def __init__(self, g: LabeledMultiGraph, summary: SummaryGraph):
+        self.summary = summary
+        self.ids = sorted(summary.super_nodes)
+        self.rank = {vid: r for r, vid in enumerate(self.ids)}
+        s_count = len(self.ids)
+        members = [summary.super_nodes[vid].members for vid in self.ids]
+        self.sizes = np.fromiter(map(len, members), dtype=np.int64, count=s_count)
+        assign = np.full(g.n, -1, dtype=np.int64)
+        assign[np.fromiter(chain.from_iterable(members), dtype=np.int64)] = np.repeat(
+            np.arange(s_count, dtype=np.int64), self.sizes
+        )
+        if (assign < 0).any():
+            raise ValueError(f"node {int(np.argmax(assign < 0))} is in no super-node")
+        a, b = assign[g.out_src], assign[g.out_dst]
+        inside = a == b
+
+        # g's out-arrays are sorted by (u, w); stable sorts keep that order
+        idx = np.flatnonzero(inside)
+        idx = idx[np.argsort(a[idx], kind="stable")]
+        self.int_src, self.int_dst, self.int_mult = (
+            g.out_src[idx], g.out_dst[idx], g.out_mult[idx]
+        )
+        self.int_ptr = np.searchsorted(a[idx], np.arange(s_count + 1)).tolist()
+
+        idx = np.flatnonzero(~inside)
+        key = a[idx] * s_count + b[idx]
+        order = np.argsort(key, kind="stable")
+        idx, self.x_key = idx[order], key[order]
+        self.x_src, self.x_dst, self.x_mult = (
+            g.out_src[idx], g.out_dst[idx], g.out_mult[idx]
+        )
+
+        self.linked = sorted(summary.super_edges.items())
+        self.linked_keys = np.array(
+            [self.rank[a] * s_count + self.rank[b] for (a, b), _ in self.linked],
+            dtype=np.int64,
+        )
+
+    def internal(self, vid: int) -> list[tuple[int, int, int]]:
+        """The edges inside super-node ``vid``."""
+        r = self.rank[vid]
+        lo, hi = self.int_ptr[r], self.int_ptr[r + 1]
+        return _triples(self.int_src[lo:hi], self.int_dst[lo:hi], self.int_mult[lo:hi])
+
+    def cross(self, lo: int, hi: int) -> list[tuple[int, int, int]]:
+        return _triples(self.x_src[lo:hi], self.x_dst[lo:hi], self.x_mult[lo:hi])
+
+    def linked_contexts(self):
+        """((a, b), rep, edges) per super-edge, in (a, b) order."""
+        lo = np.searchsorted(self.x_key, self.linked_keys, "left").tolist()
+        hi = np.searchsorted(self.x_key, self.linked_keys, "right").tolist()
+        for (pair, rep), l, h in zip(self.linked, lo, hi):
+            yield pair, rep, self.cross(l, h)
+
+    def unlinked_positives(self) -> list[tuple[int, int, int]]:
+        """The cross edges of pairs without a super-edge, in (a, b) order."""
+        free = ~np.isin(self.x_key, self.linked_keys)
+        return _triples(self.x_src[free], self.x_dst[free], self.x_mult[free])
+
+    def node_bits(self) -> list[float]:
+        """Map bits then node-context bits of every super-node, in the
+        summary's order."""
+        summary = self.summary
+        n = summary.graph_size
+        map_memo: dict[tuple[int, bool], float] = {}
+        one_memo: dict[tuple[bool, int, int], float] = {}
+        ptr, rank, mults = self.int_ptr, self.rank, self.int_mult
+        out: list[float] = []
+        for vid, sn in summary.super_nodes.items():
+            k, is_star = sn.size, sn.glyph in STAR_GLYPHS
+            bits = map_memo.get((k, is_star))
+            if bits is None:
+                bits = map_memo[(k, is_star)] = cost_node_map(k, n, is_star)
+            out.append(bits)
+            if k == 1:
+                # one member's only internal pair is its self-loop
+                lo, hi = ptr[rank[vid]], ptr[rank[vid] + 1]
+                key = (sn.self_loop, sn.rep_mult, int(mults[lo]) if hi > lo else 0)
+                bits = one_memo.get(key)
+                if bits is None:
+                    bits = one_memo[key] = node_context_bits(sn, self.internal(vid))
+            else:
+                bits = node_context_bits(sn, self.internal(vid))
+            out.append(bits)
+        return out
+
+    def pair_bits(self) -> tuple[np.ndarray, list[float]]:
+        """Sorted keys of the pairs with a cross edge or a super-edge, and
+        each pair context's bits."""
+        x_key, s_count = self.x_key, len(self.ids)
+        bounds = np.append(np.flatnonzero(np.diff(x_key, prepend=-1)), len(x_key))
+        starts, ends = bounds[:-1], bounds[1:]
+        group_keys = x_key[starts]
+        keys = np.union1d(group_keys, self.linked_keys)
+        bits = np.empty(len(keys))
+        nodes, ids = self.summary.super_nodes, self.ids
+
+        def unlinked(i: int) -> float:
+            a, b = divmod(int(group_keys[i]), s_count)
+            edges = self.cross(starts[i], ends[i])
+            return pair_context_bits(nodes[ids[a]], nodes[ids[b]], None, edges)
+
+        at = np.searchsorted(keys, group_keys)
+        free = ~np.isin(group_keys, self.linked_keys)
+        single = np.flatnonzero(free & (ends - starts == 1))
+        # a one-edge context's bits depend on its region and multiplicity only
+        region = self.sizes[group_keys[single] // s_count] * self.sizes[
+            group_keys[single] % s_count
+        ]
+        _, inv_r = np.unique(region, return_inverse=True)
+        uniq_m, inv_m = np.unique(self.x_mult[starts[single]], return_inverse=True)
+        _, first, inverse = np.unique(
+            inv_r * len(uniq_m) + inv_m, return_index=True, return_inverse=True
+        )
+        values = np.array([unlinked(i) for i in single[first].tolist()])
+        bits[at[single]] = values[inverse]
+        for i in np.flatnonzero(free & (ends - starts > 1)).tolist():
+            bits[at[i]] = unlinked(i)
+        linked_at = np.searchsorted(keys, self.linked_keys).tolist()
+        for i, ((a, b), rep, edges) in zip(linked_at, self.linked_contexts()):
+            bits[i] = pair_context_bits(nodes[a], nodes[b], rep, edges)
+        return keys, bits.tolist()
 
 
 def compute_corrections(g: LabeledMultiGraph, summary: SummaryGraph) -> CorrectionSet:
     """Corrections such that reconstruct(summary, corrections) == g exactly."""
     cor = CorrectionSet()
-    internal, cross = _group_edges(g, summary)
+    groups = _EdgeGroups(g, summary)
 
+    ptr, rank = groups.int_ptr, groups.rank
     for vid, sn in summary.super_nodes.items():
-        present = {(u, w): m for (u, w, m) in internal.get(vid, [])}
+        r = rank[vid]
+        if ptr[r] == ptr[r + 1] and not sn.self_loop and not sn.glyph_pair_count():
+            continue
+        internal = groups.internal(vid)
+        present = {(u, w): m for (u, w, m) in internal}
         for pair in sn.glyph_pairs():
             if pair in present:
                 if present[pair] != sn.rep_mult:
@@ -293,19 +426,14 @@ def compute_corrections(g: LabeledMultiGraph, summary: SummaryGraph) -> Correcti
                         cor.mult_deltas.append((u, u, present[(u, u)] - sn.rep_mult))
                 else:
                     cor.negative.append((u, u))
-        for (u, w), m in sorted(present.items()):
+        for u, w, m in internal:
             if not sn.covers_pair(u, w):
                 cor.positive.append((u, w, m))
 
-    linked = set(summary.super_edges)
-    for (a, b), edges in sorted(cross.items()):
-        if (a, b) in linked:
-            continue
-        for u, w, m in sorted(edges):
-            cor.positive.append((u, w, m))
+    cor.positive.extend(groups.unlinked_positives())
 
-    for (a, b), rep in sorted(summary.super_edges.items()):
-        present = {(u, w): m for (u, w, m) in cross.get((a, b), [])}
+    for (a, b), rep, edges in groups.linked_contexts():
+        present = {(u, w): m for (u, w, m) in edges}
         ports_a = summary.super_nodes[a].ports()
         ports_b = summary.super_nodes[b].ports()
         port_b_set = set(ports_b)
@@ -317,7 +445,7 @@ def compute_corrections(g: LabeledMultiGraph, summary: SummaryGraph) -> Correcti
                 else:
                     cor.negative.append((u, w))
         port_a_set = set(ports_a)
-        for (u, w), m in sorted(present.items()):
+        for u, w, m in edges:
             if not (u in port_a_set and w in port_b_set):
                 cor.positive.append((u, w, m))
 
@@ -426,27 +554,25 @@ def correction_cost(
     Returns (total_bits, breakdown) where breakdown maps context keys —
     ("map", v), ("node", v), ("pair", a, b) — to their bit costs.
     """
-    internal, cross = _group_edges(g, summary)
+    groups = _EdgeGroups(g, summary)
+    node_bits = iter(groups.node_bits())
     breakdown: dict[tuple, float] = {}
-    for vid, sn in summary.super_nodes.items():
-        breakdown[("map", vid)] = cost_node_map(
-            sn.size, summary.graph_size, sn.glyph in STAR_GLYPHS
-        )
-        breakdown[("node", vid)] = node_context_bits(sn, internal.get(vid, []))
-    pair_keys = set(cross) | set(summary.super_edges)
-    for a, b in sorted(pair_keys):
-        breakdown[("pair", a, b)] = pair_context_bits(
-            summary.super_nodes[a],
-            summary.super_nodes[b],
-            summary.super_edges.get((a, b)),
-            cross.get((a, b), []),
-        )
+    for vid in summary.super_nodes:
+        breakdown[("map", vid)] = next(node_bits)
+        breakdown[("node", vid)] = next(node_bits)
+    keys, pair_bits = groups.pair_bits()
+    ids, s_count = groups.ids, len(groups.ids)
+    for key, bits in zip(keys.tolist(), pair_bits):
+        a, b = divmod(key, s_count)
+        breakdown[("pair", ids[a], ids[b])] = bits
     return sum(breakdown.values()), breakdown
 
 
 def total_cost(g: LabeledMultiGraph, summary: SummaryGraph) -> CostBreakdown:
     """Two-part description length of g under the given summary."""
-    corr, _ = correction_cost(g, summary)
+    groups = _EdgeGroups(g, summary)
+    # summed in correction_cost's breakdown order, so the float is the same
+    corr = sum(chain(groups.node_bits(), groups.pair_bits()[1]))
     return CostBreakdown(summary_bits=cost_summary(summary), correction_bits=corr)
 
 

@@ -4,6 +4,12 @@ Everything here recomputes costs from first principles with plain loops,
 dicts, and exact integer binomials (math.comb), so tests can pin the
 incremental engine against values derived by an implementation that shares
 no bookkeeping with it.  Deliberately slow; only for small inputs.
+
+The exact references at the end (``oracle_compute_corrections`` and the
+correction-cost functions) are the exception: they group edges with plain
+dicts, one edge at a time, but call the production per-context cost
+functions, so the array grouping in :mod:`lmgsum.summary` must match them
+bit for bit, not just within a tolerance.
 """
 
 from __future__ import annotations
@@ -11,7 +17,14 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from lmgsum.summary import Glyph, STAR_GLYPHS
+from lmgsum.encoding import CostBreakdown, cost_node_map, cost_summary
+from lmgsum.summary import (
+    STAR_GLYPHS,
+    CorrectionSet,
+    Glyph,
+    node_context_bits,
+    pair_context_bits,
+)
 
 
 def olen_natural(k: int) -> float:
@@ -273,3 +286,97 @@ def oracle_harvest(gsim, new_edges, max_clique_size, emitted):
         )
         for fs in found
     )
+
+
+# -- exact references for the edge grouping ----------------------------------
+
+
+def oracle_group_edges(g, summary):
+    """Split g's edges into per-super-node internal and per-pair cross lists."""
+    assign = summary.node_to_super()
+    internal: dict[int, list[tuple[int, int, int]]] = {}
+    cross: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for u, w, m in g.edges():
+        a, b = assign[u], assign[w]
+        if a == b:
+            internal.setdefault(a, []).append((u, w, m))
+        else:
+            cross.setdefault((a, b), []).append((u, w, m))
+    return internal, cross
+
+
+def oracle_compute_corrections(g, summary) -> CorrectionSet:
+    """Per-edge reference for ``compute_corrections``, same lists in the
+    same order: node contexts in the summary's order, then the cross edges
+    of unlinked pairs, then the super-edge contexts, pairs sorted."""
+    cor = CorrectionSet()
+    internal, cross = oracle_group_edges(g, summary)
+
+    for vid, sn in summary.super_nodes.items():
+        present = {(u, w): m for (u, w, m) in internal.get(vid, [])}
+        for pair in sn.glyph_pairs():
+            if pair in present:
+                if present[pair] != sn.rep_mult:
+                    cor.mult_deltas.append((*pair, present[pair] - sn.rep_mult))
+            else:
+                cor.negative.append(pair)
+        if sn.self_loop:
+            for u in sn.members:
+                if (u, u) in present:
+                    if present[(u, u)] != sn.rep_mult:
+                        cor.mult_deltas.append((u, u, present[(u, u)] - sn.rep_mult))
+                else:
+                    cor.negative.append((u, u))
+        for (u, w), m in sorted(present.items()):
+            if not sn.covers_pair(u, w):
+                cor.positive.append((u, w, m))
+
+    linked = set(summary.super_edges)
+    for (a, b), edges in sorted(cross.items()):
+        if (a, b) in linked:
+            continue
+        for u, w, m in sorted(edges):
+            cor.positive.append((u, w, m))
+
+    for (a, b), rep in sorted(summary.super_edges.items()):
+        present = {(u, w): m for (u, w, m) in cross.get((a, b), [])}
+        ports_a = summary.super_nodes[a].ports()
+        ports_b = summary.super_nodes[b].ports()
+        for u in ports_a:
+            for w in ports_b:
+                if (u, w) in present:
+                    if present[(u, w)] != rep:
+                        cor.mult_deltas.append((u, w, present[(u, w)] - rep))
+                else:
+                    cor.negative.append((u, w))
+        for (u, w), m in sorted(present.items()):
+            if not (u in ports_a and w in ports_b):
+                cor.positive.append((u, w, m))
+
+    return cor
+
+
+def oracle_correction_cost(g, summary) -> tuple[float, dict]:
+    """Per-edge reference for ``correction_cost``: the same context keys,
+    in the same order, priced by the same context functions."""
+    internal, cross = oracle_group_edges(g, summary)
+    breakdown: dict[tuple, float] = {}
+    for vid, sn in summary.super_nodes.items():
+        breakdown[("map", vid)] = cost_node_map(
+            sn.size, summary.graph_size, sn.glyph in STAR_GLYPHS
+        )
+        breakdown[("node", vid)] = node_context_bits(sn, internal.get(vid, []))
+    for a, b in sorted(set(cross) | set(summary.super_edges)):
+        breakdown[("pair", a, b)] = pair_context_bits(
+            summary.super_nodes[a],
+            summary.super_nodes[b],
+            summary.super_edges.get((a, b)),
+            cross.get((a, b), []),
+        )
+    return sum(breakdown.values()), breakdown
+
+
+def oracle_total_cost_exact(g, summary) -> CostBreakdown:
+    """Per-edge reference for ``total_cost``, equal to it bit for bit."""
+    corr, _ = oracle_correction_cost(g, summary)
+    return CostBreakdown(summary_bits=cost_summary(summary), correction_bits=corr)

@@ -120,6 +120,32 @@ class TestSummarize:
         assert f"big.tsv:{line}:" in err
         assert "exceeds 2^63-1" in err
 
+    def test_corrections_and_cost_computed_once(
+        self, planted_files, tmp_path, monkeypatch, capsys
+    ):
+        import lmgsum.cli
+        import lmgsum.summarize
+        import lmgsum.summary
+
+        calls = {"compute_corrections": 0, "total_cost": 0}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            wrapper = counting(name, getattr(lmgsum.summary, name))
+            for module in (lmgsum.summary, lmgsum.summarize, lmgsum.cli):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
+        edges, labels, _g = planted_files
+        out_json = tmp_path / "report.json"
+        assert main(["summarize", "-i", edges, "-l", labels, "--seed", "1",
+                     "--json", str(out_json)]) == 0
+        assert calls == {"compute_corrections": 1, "total_cost": 1}
+
     def test_bad_checkpoints_are_usage_error(self, planted_files, capsys):
         edges, _labels, _g = planted_files
         code = main([
@@ -127,6 +153,18 @@ class TestSummarize:
         ])
         assert code == 2
         assert "checkpoints" in capsys.readouterr().err
+
+
+def _unknown_super_edge_endpoint(payload):
+    first = payload["summary"]["super_nodes"][0]["id"]
+    payload["summary"]["super_edges"].append({"src": 999, "dst": first, "rep_mult": 1})
+
+
+def _node_in_two_super_nodes(payload):
+    nodes = payload["summary"]["super_nodes"]
+    host = next(sn for sn in nodes if len(sn["members"]) > 1)
+    other = next(sn for sn in nodes if sn is not host)
+    host["members"].append(other["members"][0])
 
 
 class TestVerify:
@@ -200,6 +238,39 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "report.json:" in err
         assert needle in err
+
+    @pytest.mark.parametrize(
+        "corrupt, needle",
+        [
+            (_unknown_super_edge_endpoint, "super-edge endpoint missing"),
+            (_node_in_two_super_nodes, "in two super-nodes"),
+        ],
+        ids=["unknown-super-edge-endpoint", "node-in-two-super-nodes"],
+    )
+    def test_structurally_invalid_summary_is_io_error(
+        self, planted_files, tmp_path, capsys, corrupt, needle
+    ):
+        edges, labels, _g = planted_files
+        out_json = self._report(tmp_path, edges, labels)
+        payload = json.loads(out_json.read_text())
+        corrupt(payload)
+        out_json.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main(["verify", "-i", edges, "-l", labels, "--json", str(out_json)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "report.json:" in err
+        assert needle in err
+
+    @pytest.mark.parametrize("text", ["3", "[]", '"x"'], ids=["number", "list", "string"])
+    def test_report_not_a_json_object_is_io_error(
+        self, planted_files, tmp_path, capsys, text
+    ):
+        edges, labels, _g = planted_files
+        report = tmp_path / "report.json"
+        report.write_text(text)
+        assert main(["verify", "-i", edges, "-l", labels, "--json", str(report)]) == 3
+        assert f"{report}: report is not a JSON object" in capsys.readouterr().err
 
     def test_undirected_round_trip(self, tmp_path, capsys):
         edge_path = tmp_path / "undirected.tsv"

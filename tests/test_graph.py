@@ -31,6 +31,20 @@ def graphs(draw):
     return LabeledMultiGraph(n, edges)
 
 
+@st.composite
+def graphs_with_loop_and_isolated_node(draw):
+    """Node n - 1 is isolated and at least one other node has a self-loop."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    edges = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=25))):
+        u = draw(st.integers(0, n - 2))
+        w = draw(st.integers(0, n - 2))
+        edges[(u, w)] = draw(st.integers(1, 9))
+    loop = draw(st.integers(0, n - 2))
+    edges[(loop, loop)] = draw(st.integers(1, 9))
+    return LabeledMultiGraph(n, edges)
+
+
 class TestContainer:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -43,6 +57,25 @@ class TestContainer:
             LabeledMultiGraph(2, {(0, 1): 1}, labels=[0])
         with pytest.raises(ValueError):
             LabeledMultiGraph(2, {(0, 1): 1}, labels=[0, 7])
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ({(0, 1): 1, (0, 5): 1}, "edge (0, 5) out of node range"),
+            ({(-1, 0): 1}, "edge (-1, 0) out of node range"),
+            ({(0, 1): 0}, "edge (0, 1) has multiplicity 0 < 1"),
+            # the first invalid edge in the dict's order is the one named
+            ({(1, 0): -3, (0, 9): 1}, "edge (1, 0) has multiplicity -3 < 1"),
+            ({(0, 9): 1, (1, 0): -3}, "edge (0, 9) out of node range"),
+            ({(0, 1): -(2**70)}, f"edge (0, 1) has multiplicity {-(2**70)} < 1"),
+        ],
+        ids=["endpoint", "negative-endpoint", "mult-zero", "mult-first",
+             "range-first", "mult-below-int64"],
+    )
+    def test_invalid_edge_messages(self, edges, message):
+        with pytest.raises(ValueError) as exc:
+            LabeledMultiGraph(2, edges)
+        assert str(exc.value) == message
 
     def test_accessors(self):
         g = small_graph()
@@ -75,10 +108,11 @@ class TestContainer:
         v2 = tokens[indptr[2] : indptr[3]]
         assert list(v2) == [0 * 2, 1 * 2, 2 * 2, 2 * 2 + 1]
 
-    @given(graphs())
-    @settings(max_examples=60)
+    @given(st.one_of(graphs(), graphs_with_loop_and_isolated_node()))
+    @settings(max_examples=80)
     def test_token_array_matches_concat_adjacency(self, g):
         tokens, indptr = g.token_array()
+        assert tokens.dtype == np.uint64 and indptr[-1] == len(tokens)
         for v in range(g.n):
             want = [
                 nbr * 2 + (1 if d == "out" else 0)

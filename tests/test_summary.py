@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import lmgsum as L
 from lmgsum.graph import LabeledMultiGraph
 from lmgsum.summary import (
+    STAR_GLYPHS,
     CorrectionSet,
     Glyph,
     SummaryGraph,
@@ -26,7 +27,12 @@ from lmgsum.summary import (
 )
 from lmgsum.synth import planted_graph
 
-from oracle import oracle_total_cost
+from oracle import (
+    oracle_compute_corrections,
+    oracle_correction_cost,
+    oracle_total_cost,
+    oracle_total_cost_exact,
+)
 
 
 class TestSuperNode:
@@ -147,6 +153,92 @@ def graph_and_summary(draw):
         edges[(u, w)] = draw(st.integers(1, 6))
     g = LabeledMultiGraph(n, edges, labels, label_names=["x", "y"])
     return g, _random_summary(draw, g)
+
+
+@st.composite
+def grouping_cases(draw):
+    """A small graph with self-loops and multiplicities, and a random valid
+    summary of it.
+
+    The summary uses every glyph (one-member super-nodes included), drawn
+    star hubs, self-loop flags and representative multiplicities above 1.
+    Its ids are sparse and inserted out of order, so the summary's order,
+    id order and rank order all differ.  Super-edges land on pairs with
+    edges underneath and on empty pairs; groups of up to five members make
+    unlinked pair contexts with several edges.
+    """
+    n = draw(st.integers(1, 12))
+    labels = [draw(st.integers(0, 1)) for _ in range(n)]
+    edges = {}
+    for _ in range(draw(st.integers(0, 40))):
+        u, w = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        edges[(u, w)] = draw(st.sampled_from([1, 1, 2, 3, 9]))
+    g = LabeledMultiGraph(n, edges, labels, label_names=["x", "y"])
+
+    groups = []
+    for label in (0, 1):
+        nodes = draw(st.permutations([v for v in range(n) if labels[v] == label]))
+        while nodes:
+            take = draw(st.integers(1, min(5, len(nodes))))
+            groups.append((label, nodes[:take]))
+            nodes = nodes[take:]
+    ids = [3 * i + 5 for i in draw(st.permutations(range(len(groups))))]
+    s = SummaryGraph(
+        graph_size=n,
+        label_count=2,
+        label_names=("x", "y"),
+        node_names=tuple(g.node_names),
+    )
+    for vid, (label, members) in zip(ids, groups):
+        glyphs = list(Glyph) if len(members) == 1 else [
+            gl for gl in Glyph if gl is not Glyph.SINGLETON
+        ]
+        glyph = draw(st.sampled_from(glyphs))
+        s.super_nodes[vid] = SuperNode(
+            id=vid,
+            label=label,
+            glyph=glyph,
+            members=tuple(members),
+            hub=draw(st.sampled_from(members)) if glyph in STAR_GLYPHS else None,
+            rep_mult=draw(st.integers(1, 4)),
+            self_loop=draw(st.booleans()),
+        )
+    assign = s.node_to_super()
+    carrying = sorted({(assign[u], assign[w]) for u, w, _ in g.edges()
+                       if assign[u] != assign[w]})
+    for pair in carrying:
+        if draw(st.booleans()):
+            s.super_edges[pair] = draw(st.integers(1, 4))
+    for a in ids:
+        for b in ids:
+            if a != b and (a, b) not in carrying and draw(st.integers(0, 7)) == 0:
+                s.super_edges[(a, b)] = draw(st.integers(1, 4))
+    s.validate(g)
+    return g, s
+
+
+class TestEdgeGrouping:
+    """The array grouping against the per-edge references, exactly."""
+
+    @given(grouping_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_corrections_match_reference_in_order(self, case):
+        g, s = case
+        got, want = compute_corrections(g, s), oracle_compute_corrections(g, s)
+        assert got.positive == want.positive
+        assert got.negative == want.negative
+        assert got.mult_deltas == want.mult_deltas
+
+    @given(grouping_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_cost_matches_reference_bit_for_bit(self, case):
+        g, s = case
+        assert total_cost(g, s) == oracle_total_cost_exact(g, s)
+        bits, breakdown = correction_cost(g, s)
+        want_bits, want = oracle_correction_cost(g, s)
+        assert bits == want_bits
+        assert list(breakdown) == list(want)
+        assert list(breakdown.values()) == list(want.values())
 
 
 class TestRoundTrip:
