@@ -313,13 +313,14 @@ def cmd_verify(args) -> int:
         summary = summary_from_dict(payload["summary"])
         summary.validate()
         corrections = corrections_from_dict(summary, payload["corrections"])
+        # corrections that contradict their own summary are malformed too
+        recon = reconstruct(summary, corrections)
     except KeyError as e:
         raise GraphFormatError(
             f"{args.json}: unknown or missing key {e.args[0]!r}"
         ) from None
-    except (TypeError, ValueError) as e:
+    except (OverflowError, TypeError, ValueError) as e:
         raise GraphFormatError(f"{args.json}: malformed report: {e}") from None
-    recon = reconstruct(summary, corrections)
     original = g.canonical_dump()
     rebuilt = recon.canonical_dump()
     if original == rebuilt:

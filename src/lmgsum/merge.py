@@ -16,6 +16,17 @@ baseline included, comes from the functions that
 change to a formula reaches the greedy objective and the reported cost
 together.
 
+A proposal reads the member edges once: ``_gather_cross`` collects every
+edge that touches a member (``decide_glyph`` counts the induced ones), and
+every old context the merge removes — the absorbed singletons' node
+contexts and each pair context with an absorbed endpoint — is priced from
+those edges, grouped by the current super-nodes of their endpoints.  That
+finds every super-edge the merge dissolves because of one invariant: each
+super-edge has at least one edge of the graph under it.  A super-edge is
+only created over a non-empty list of covered edges, graphs are immutable,
+and a multi-member super-node never changes, so the invariant holds from
+commit to commit.
+
 Only current singletons can be merged; once a node is absorbed into a
 multi-member super-node it is marked and never regrouped.  Candidate sets
 whose glyph comes out disconnected are additionally scored with one
@@ -27,6 +38,7 @@ which is the typical case — remain reachable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -203,6 +215,14 @@ class MergeProposal:
 class SummaryState:
     """A summary under construction, with exact incremental cost tracking.
 
+    ``snodes`` maps ids to super-nodes and ``assign`` every node to its
+    super-node's id.  ``out_se[a][b]`` is the representative multiplicity of
+    the super-edge (a, b); it is the one store of super-edges, in the order
+    they were added per source, and :meth:`to_summary_graph` reads it.
+    Every super-edge has an edge of the graph under it (see the module
+    docstring), which is what lets a proposal find the super-edges it
+    dissolves among its gathered edges.
+
     ``summary_bits`` and ``correction_bits`` always equal the from-scratch
     costs of the current summary; commits adjust them by the proposal's
     deltas, including the global terms that depend on the number of
@@ -212,13 +232,10 @@ class SummaryState:
 
     def __init__(self, g: LabeledMultiGraph):
         self.g = g
-        self.n_s = g.n
         self.next_id = g.n
         self.assign = list(range(g.n))
         self.snodes: dict[int, SuperNode] = all_singleton_summary(g).super_nodes
-        self.sedges: dict[tuple[int, int], int] = {}
         self.out_se: dict[int, dict[int, int]] = {}
-        self.in_se: dict[int, dict[int, int]] = {}
         self.odeg_hist: dict[int, int] = {0: g.n}
 
         # Baseline: every node is a singleton and every other edge a positive
@@ -247,7 +264,7 @@ class SummaryState:
     ) -> float:
         """The summary header plus every super-node's width bits, which
         depend on the number of super-nodes and the out-degree histogram."""
-        n_s = self.n_s if n_s is None else n_s
+        n_s = len(self.snodes) if n_s is None else n_s
         hist = self.odeg_hist if hist is None else hist
         label_count = self.g.label_count
         bits = summary_header_bits(n_s, label_count)
@@ -271,7 +288,9 @@ class SummaryState:
             node_names=tuple(self.g.node_names),
         )
         s.super_nodes = dict(self.snodes)
-        s.super_edges = dict(self.sedges)
+        s.super_edges = {
+            (a, b): m for a, out in self.out_se.items() for b, m in out.items()
+        }
         return s
 
     # -- proposal scoring ----------------------------------------------------
@@ -302,14 +321,11 @@ class SummaryState:
 
     def _score(self, members: list[int]) -> MergeProposal:
         """Score merging ``members`` (label-homogeneous, unmarked, >= 2)."""
-        g = self.g
-        member_set = set(members)
+        g, assign = self.g, self.assign
         k = len(members)
         glyph, hub = decide_glyph(g, members)
-        stats = induced_edge_stats(g, members)
-        self_loop = 2 * stats.self_loop_count >= k
-
-        internal, out_b, in_b = self._gather_cross(member_set)
+        internal, out_b, in_b = self._gather_cross(set(members))
+        loops = {u: m for u, w, m in internal if u == w}
         new_node = SuperNode(
             id=self.next_id,
             label=int(g.labels[members[0]]),
@@ -317,13 +333,13 @@ class SummaryState:
             members=tuple(members),
             hub=hub,
             rep_mult=1,
-            self_loop=self_loop,
+            self_loop=2 * len(loops) >= k,
         )
         covered = [m for u, w, m in internal if new_node.covers_pair(u, w)]
         rep = representative_multiplicity(covered)[0] if covered else 1
         new_node.rep_mult = rep
 
-        absorbed = tuple(sorted(self.assign[u] for u in members))
+        absorbed = tuple(sorted(assign[u] for u in members))
         absorbed_set = set(absorbed)
 
         # ---- old terms being removed
@@ -334,38 +350,27 @@ class SummaryState:
             sn = self.snodes[sid]
             out = self.out_se.get(sid, {})
             (u,) = sn.members
-            loop_m = g.self_loop_mult(u)
             old_corr += cost_node_map(sn.size, g.n, False)
-            old_corr += node_context_bits(sn, [(u, u, loop_m)] if loop_m else [])
+            old_corr += node_context_bits(sn, [(u, u, loops[u])] if u in loops else [])
             old_own += supernode_own_bits(sn.size, sn.rep_mult, out.values())
             odeg_delta[len(out)] = odeg_delta.get(len(out), 0) - 1
 
-        # old pair contexts touching any absorbed singleton
-        old_keys: set[tuple[int, int]] = set()
-        for sid in absorbed:
-            for b in self.out_se.get(sid, {}):
-                old_keys.add((sid, b))
-            for a in self.in_se.get(sid, {}):
-                old_keys.add((a, sid))
-        for other, edges in out_b.items():
-            for u, _w, _m in edges:
-                old_keys.add((self.assign[u], other))
-        for other, edges in in_b.items():
-            for _w, u, _m in edges:
-                old_keys.add((other, self.assign[u]))
-        for u, w, _m in internal:
-            a, b = self.assign[u], self.assign[w]
+        # old pair contexts touching any absorbed singleton: every super-edge
+        # has an edge of g under it, so the gathered edges name them all, and
+        # each pair's edges come from one member's scan in (u, w) order
+        old_pairs: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+        for u, w, m in chain(internal, *out_b.values(), *in_b.values()):
+            a, b = assign[u], assign[w]
             if a != b:
-                old_keys.add((a, b))
+                old_pairs.setdefault((a, b), []).append((u, w, m))
 
         # net out-super-edge count change of surviving super-nodes
         se_change: dict[int, int] = {}
         dissolved: list[tuple[int, int]] = []
-        for a, b in sorted(old_keys):
-            rep_ab = self.sedges.get((a, b))
-            edges_ab = self._region_edges(a, b)
+        for a, b in sorted(old_pairs):
+            rep_ab = self.out_se.get(a, {}).get(b)
             old_corr += pair_context_bits(
-                self.snodes[a], self.snodes[b], rep_ab, edges_ab
+                self.snodes[a], self.snodes[b], rep_ab, old_pairs[(a, b)]
             )
             if rep_ab is not None:
                 dissolved.append((a, b))
@@ -409,7 +414,7 @@ class SummaryState:
             new_hist[d] = new_hist.get(d, 0) + c
             if new_hist[d] == 0:
                 del new_hist[d]
-        new_width = self._width_bits(self.n_s - len(absorbed) + 1, new_hist)
+        new_width = self._width_bits(len(self.snodes) - len(absorbed) + 1, new_hist)
 
         d_summary = (new_width - old_width) + (new_own - old_own)
         d_correction = new_corr - old_corr
@@ -424,27 +429,6 @@ class SummaryState:
             d_correction=d_correction,
             odeg_delta=odeg_delta,
         )
-
-    def _region_edges(self, a: int, b: int) -> list[tuple[int, int, int]]:
-        """Original edges from super-node a's members to b's members."""
-        sa, sb = self.snodes[a], self.snodes[b]
-        if sa.size <= sb.size:
-            targets = set(sb.members)
-            out = []
-            for u in sa.members:
-                dsts, mults = self.g.out_edges(u)
-                for w, m in zip(dsts, mults):
-                    if int(w) in targets:
-                        out.append((u, int(w), int(m)))
-            return out
-        sources = set(sa.members)
-        out = []
-        for w in sb.members:
-            srcs, mults = self.g.in_edges(w)
-            for u, m in zip(srcs, mults):
-                if int(u) in sources:
-                    out.append((int(u), w, int(m)))
-        return out
 
     def _hub_variants(self, members: list[int]) -> list[list[int]]:
         """Candidate hub completions for a set whose glyph came out
@@ -526,30 +510,22 @@ class SummaryState:
                 raise MergeError("absorbed super-node is no longer a singleton")
 
         for a, b in proposal.dissolved:
-            del self.sedges[(a, b)]
             del self.out_se[a][b]
-            del self.in_se[b][a]
         for sid in proposal.absorbed:
             del self.snodes[sid]
             self.out_se.pop(sid, None)
-            self.in_se.pop(sid, None)
         self.snodes[new.id] = new
         for u in new.members:
             self.assign[u] = new.id
-        for other, m in proposal.out_edges.items():
-            self.sedges[(new.id, other)] = m
-            self.out_se.setdefault(new.id, {})[other] = m
-            self.in_se.setdefault(other, {})[new.id] = m
+        if proposal.out_edges:
+            self.out_se[new.id] = dict(proposal.out_edges)
         for other, m in proposal.in_edges.items():
-            self.sedges[(other, new.id)] = m
             self.out_se.setdefault(other, {})[new.id] = m
-            self.in_se.setdefault(new.id, {})[other] = m
 
         for d, c in proposal.odeg_delta.items():
             self.odeg_hist[d] = self.odeg_hist.get(d, 0) + c
             if self.odeg_hist[d] == 0:
                 del self.odeg_hist[d]
-        self.n_s = self.n_s - len(proposal.absorbed) + 1
         self.next_id += 1
         self.summary_bits += proposal.d_summary
         self.correction_bits += proposal.d_correction

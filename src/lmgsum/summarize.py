@@ -17,6 +17,7 @@ chance.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
 
@@ -189,15 +190,14 @@ def normalized_gain(actual: float, shuffled_mean: float) -> float:
     return (actual - shuffled_mean) / (1.0 - shuffled_mean)
 
 
-def _with_labels(g: LabeledMultiGraph, labels) -> LabeledMultiGraph:
-    edges = {(u, w): m for u, w, m in g.edges()}
-    return LabeledMultiGraph(
-        g.n,
-        edges,
-        list(labels),
-        label_names=list(g.label_names),
-        node_names=list(g.node_names),
-    )
+def _with_labels(g: LabeledMultiGraph, labels: np.ndarray) -> LabeledMultiGraph:
+    """``g`` with other labels: a shallow copy that shares g's edge arrays
+    and token cache, which depend on the edges only and which no graph
+    modifies.  ``labels`` is taken as is, unchecked: one of g's label ids
+    per node, as a permutation of ``g.labels`` is."""
+    relabeled = copy.copy(g)
+    relabeled.labels = labels
+    return relabeled
 
 
 def shuffled_label_eval(

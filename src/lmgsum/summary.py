@@ -27,8 +27,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
-from typing import Iterable
+from itertools import chain, product
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -115,6 +115,14 @@ class SuperNode:
             for w in self.members:
                 if w != self.hub:
                     yield (self.hub, w)
+
+    def expansion(self) -> Iterator[tuple[int, int]]:
+        """Every internal pair the super-node expands to: the glyph pairs,
+        then the self-loop diagonal when flagged."""
+        yield from self.glyph_pairs()
+        if self.self_loop:
+            for u in self.members:
+                yield (u, u)
 
     def glyph_pair_count(self) -> int:
         k = len(self.members)
@@ -226,15 +234,12 @@ def decompress(summary: SummaryGraph) -> LabeledMultiGraph:
     for sn in summary.super_nodes.values():
         for u in sn.members:
             labels[u] = sn.label
-        for pair in sn.glyph_pairs():
+        for pair in sn.expansion():
             edges[pair] = sn.rep_mult
-        if sn.self_loop:
-            for u in sn.members:
-                edges[(u, u)] = sn.rep_mult
     for (a, b), m in summary.super_edges.items():
-        for u in summary.super_nodes[a].ports():
-            for w in summary.super_nodes[b].ports():
-                edges[(u, w)] = m
+        sa, sb = summary.super_nodes[a], summary.super_nodes[b]
+        for pair in product(sa.ports(), sb.ports()):
+            edges[pair] = m
     return LabeledMultiGraph(
         summary.graph_size,
         edges,
@@ -399,56 +404,45 @@ class _EdgeGroups:
         return keys, bits.tolist()
 
 
+def _correct_context(cor: CorrectionSet, expansion, rep: int, edges, covers) -> None:
+    """Append one context's corrections: for each pair of its expansion, in
+    order, a negative correction when it has no edge or a multiplicity
+    delta against ``rep`` when it has another multiplicity; then, in
+    ``edges``' order, the edges that ``covers(u, w)`` leaves outside the
+    expansion as positive corrections."""
+    present = {(u, w): m for u, w, m in edges}
+    for pair in expansion:
+        m = present.get(pair)
+        if m is None:
+            cor.negative.append(pair)
+        elif m != rep:
+            cor.mult_deltas.append((*pair, m - rep))
+    cor.positive.extend(e for e in edges if not covers(e[0], e[1]))
+
+
 def compute_corrections(g: LabeledMultiGraph, summary: SummaryGraph) -> CorrectionSet:
-    """Corrections such that reconstruct(summary, corrections) == g exactly."""
+    """Corrections such that reconstruct(summary, corrections) == g exactly.
+
+    Node contexts come first, in the summary's order, then the edges of
+    unlinked pairs, then the super-edge contexts in (a, b) order.
+    """
     cor = CorrectionSet()
     groups = _EdgeGroups(g, summary)
-
     ptr, rank = groups.int_ptr, groups.rank
     for vid, sn in summary.super_nodes.items():
         r = rank[vid]
         if ptr[r] == ptr[r + 1] and not sn.self_loop and not sn.glyph_pair_count():
             continue
         internal = groups.internal(vid)
-        present = {(u, w): m for (u, w, m) in internal}
-        for pair in sn.glyph_pairs():
-            if pair in present:
-                if present[pair] != sn.rep_mult:
-                    cor.mult_deltas.append(
-                        (*pair, present[pair] - sn.rep_mult)
-                    )
-            else:
-                cor.negative.append(pair)
-        if sn.self_loop:
-            for u in sn.members:
-                if (u, u) in present:
-                    if present[(u, u)] != sn.rep_mult:
-                        cor.mult_deltas.append((u, u, present[(u, u)] - sn.rep_mult))
-                else:
-                    cor.negative.append((u, u))
-        for u, w, m in internal:
-            if not sn.covers_pair(u, w):
-                cor.positive.append((u, w, m))
+        _correct_context(cor, sn.expansion(), sn.rep_mult, internal, sn.covers_pair)
 
     cor.positive.extend(groups.unlinked_positives())
 
     for (a, b), rep, edges in groups.linked_contexts():
-        present = {(u, w): m for (u, w, m) in edges}
-        ports_a = summary.super_nodes[a].ports()
-        ports_b = summary.super_nodes[b].ports()
-        port_b_set = set(ports_b)
-        for u in ports_a:
-            for w in ports_b:
-                if (u, w) in present:
-                    if present[(u, w)] != rep:
-                        cor.mult_deltas.append((u, w, present[(u, w)] - rep))
-                else:
-                    cor.negative.append((u, w))
-        port_a_set = set(ports_a)
-        for u, w, m in edges:
-            if not (u in port_a_set and w in port_b_set):
-                cor.positive.append((u, w, m))
-
+        sa, sb = summary.super_nodes[a], summary.super_nodes[b]
+        _correct_context(
+            cor, product(sa.ports(), sb.ports()), rep, edges, _port_cover(sa, sb)
+        )
     return cor
 
 
@@ -509,6 +503,13 @@ def _context_bits(region: int, x_size: int, rep: int, edges, covers) -> float:
     return bits
 
 
+def _port_cover(sa: SuperNode, sb: SuperNode):
+    """Whether (u, w) lies in the expansion of a super-edge from sa to sb:
+    every port of sa to every port of sb."""
+    ports_a, ports_b = set(sa.ports()), set(sb.ports())
+    return lambda u, w: u in ports_a and w in ports_b
+
+
 def node_context_bits(sn: SuperNode, internal: list[tuple[int, int, int]]) -> float:
     """Correction bits owned by one super-node's internal region.
 
@@ -539,11 +540,8 @@ def pair_context_bits(
         return cost_correction_set(len(edges), region) + sum(
             len_natural(m) for _, _, m in edges
         )
-    ports_a, ports_b = set(sa.ports()), set(sb.ports())
-    return _context_bits(
-        region, len(ports_a) * len(ports_b), rep, edges,
-        lambda u, w: u in ports_a and w in ports_b,
-    )
+    x_size = len(sa.ports()) * len(sb.ports())
+    return _context_bits(region, x_size, rep, edges, _port_cover(sa, sb))
 
 
 def correction_cost(

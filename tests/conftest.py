@@ -1,4 +1,5 @@
-"""Shared fixtures: a hand-built toy graph/summary pair and its golden file.
+"""Shared fixtures: a hand-built toy graph/summary pair and its golden file,
+and a small seeded planted graph with multiplicities, self-loops and labels.
 
 The toy exercises every correction kind at once: a clique with one missing
 edge and one deviating multiplicity, an in-star with a missing spoke and a
@@ -13,12 +14,14 @@ import json
 import os
 import sys
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
 from lmgsum.graph import LabeledMultiGraph
 from lmgsum.summary import Glyph, SummaryGraph, SuperNode
+from lmgsum.synth import planted_graph
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -66,6 +69,32 @@ def build_toy() -> tuple[LabeledMultiGraph, SummaryGraph]:
     return g, s
 
 
+def _planted_multigraph(seed: int) -> LabeledMultiGraph:
+    """Two planted groups per glyph (4-7 members, 10 % noise), plus what
+    ``planted_graph`` leaves out: 1-3 extra multiplicity on a fifth of the
+    edges, self-loops of multiplicity 1-3 on a quarter of the nodes, and
+    two labels, alternating from one group to the next."""
+    g, groups = planted_graph(seed, 2, 2, 2, size_range=(4, 7), noise=0.1)
+    rng = np.random.default_rng([seed, 5])
+    edges = {(u, w): m for u, w, m in g.edges()}
+    keys = sorted(edges)
+    for i in rng.choice(len(keys), len(keys) // 5, replace=False).tolist():
+        edges[keys[i]] += int(rng.integers(1, 4))
+    for v in rng.choice(g.n, g.n // 4, replace=False).tolist():
+        edges[(v, v)] = int(rng.integers(1, 4))
+    labels = [0] * g.n
+    for i, grp in enumerate(groups):
+        for v in grp.members:
+            labels[v] = i % 2
+    return LabeledMultiGraph(g.n, edges, labels, label_names=["red", "blue"])
+
+
+@pytest.fixture(scope="session")
+def planted_multigraph():
+    """The seeded builder ``planted_multigraph(seed) -> LabeledMultiGraph``."""
+    return _planted_multigraph
+
+
 @pytest.fixture(scope="session")
 def toy():
     return build_toy()
@@ -74,6 +103,12 @@ def toy():
 @pytest.fixture(scope="session")
 def toy_golden():
     with open(os.path.join(GOLDEN_DIR, "fig1_toy.json")) as f:
+        return json.load(f)
+
+
+@pytest.fixture(scope="session")
+def run_golden():
+    with open(os.path.join(GOLDEN_DIR, "run_planted.json")) as f:
         return json.load(f)
 
 

@@ -167,6 +167,28 @@ def _node_in_two_super_nodes(payload):
     host["members"].append(other["members"][0])
 
 
+def _repeated_positive(payload, g):
+    payload["corrections"]["positive"].append(payload["corrections"]["positive"][0])
+
+
+def _string_multiplicity(payload, g):
+    payload["corrections"]["positive"][0][2] = "x"
+
+
+def _huge_multiplicity(payload, g):
+    payload["corrections"]["positive"][0][2] = 10**30
+
+
+def _delta_for_missing_edge(payload, g):
+    # planted graphs have no self-loops
+    payload["corrections"]["mult_deltas"].append([g.node_names[0], g.node_names[0], 1])
+
+
+def _delta_below_one(payload, g):
+    u, w, m = next(g.edges())
+    payload["corrections"]["mult_deltas"].append([g.node_names[u], g.node_names[w], -m])
+
+
 class TestVerify:
     def _report(self, tmp_path, edges, labels, extra=()):
         out_json = tmp_path / "report.json"
@@ -254,6 +276,35 @@ class TestVerify:
         out_json = self._report(tmp_path, edges, labels)
         payload = json.loads(out_json.read_text())
         corrupt(payload)
+        out_json.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main(["verify", "-i", edges, "-l", labels, "--json", str(out_json)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "report.json:" in err
+        assert needle in err
+
+    @pytest.mark.parametrize(
+        "corrupt, needle",
+        [
+            (_repeated_positive, "positive correction for existing edge"),
+            (_string_multiplicity, "malformed report"),
+            (_huge_multiplicity, "malformed report"),
+            (_delta_for_missing_edge, "multiplicity delta for missing edge"),
+            (_delta_below_one, "dropped below 1"),
+        ],
+        ids=[
+            "repeated-positive", "string-multiplicity", "huge-multiplicity",
+            "delta-for-missing-edge", "delta-below-one",
+        ],
+    )
+    def test_corrections_contradicting_summary_are_io_error(
+        self, planted_files, tmp_path, capsys, corrupt, needle
+    ):
+        edges, labels, g = planted_files
+        out_json = self._report(tmp_path, edges, labels)
+        payload = json.loads(out_json.read_text())
+        corrupt(payload, g)
         out_json.write_text(json.dumps(payload))
         capsys.readouterr()
         code = main(["verify", "-i", edges, "-l", labels, "--json", str(out_json)])

@@ -3,12 +3,14 @@
 decisions, and incremental merge bookkeeping."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import lmgsum as L
+from lmgsum.candidates import LshState, candidate_batches
 from lmgsum.graph import LabeledMultiGraph
 from lmgsum.merge import (
     MergeError,
@@ -21,7 +23,12 @@ from lmgsum.merge import (
 from lmgsum.summary import Glyph, SuperNode, total_cost
 from lmgsum.synth import perfect_edges
 
-from oracle import oracle_best_glyph, oracle_rep_mult, oracle_total_cost
+from oracle import (
+    oracle_best_glyph,
+    oracle_group_edges,
+    oracle_rep_mult,
+    oracle_total_cost,
+)
 
 
 def planted(glyph: Glyph, size: int, hub: int | None = None):
@@ -187,7 +194,51 @@ class TestDecideSuperEdge:
         assert bits == pytest.approx(expected_ctx, abs=1e-9)
 
 
+def apply_proposal(summary, p):
+    """A copy of ``summary`` with proposal ``p`` applied, built without the
+    state's bookkeeping."""
+    nodes = {sid: sn for sid, sn in summary.super_nodes.items() if sid not in p.absorbed}
+    nodes[p.node.id] = p.node
+    edges = {k: m for k, m in summary.super_edges.items() if k not in p.dissolved}
+    assert not any(a in p.absorbed or b in p.absorbed for a, b in edges)
+    edges.update({(p.node.id, b): m for b, m in p.out_edges.items()})
+    edges.update({(a, p.node.id): m for a, m in p.in_edges.items()})
+    return replace(summary, super_nodes=nodes, super_edges=edges)
+
+
 class TestSummaryState:
+    def test_every_scored_proposal_prices_its_exact_delta(self, planted_multigraph):
+        # committed or rejected, a proposal's dcost is the from-scratch
+        # difference, and the super-edges it dissolves are all there are;
+        # seed 4 dissolves super-edges both out of and into absorbed nodes
+        scored = rejected = 0
+        dissolved_sides = set()
+        for seed in range(5):
+            g = planted_multigraph(seed)
+            state = SummaryState(g)
+            for _b, batch in candidate_batches(LshState(g, seed=seed)):
+                for cand in batch:
+                    unmarked = [v for v in cand.nodes if state.is_unmarked(v)]
+                    for subset in split_by_label(g, unmarked):
+                        p = state.evaluate_proposal(subset)
+                        if p is None:
+                            continue
+                        before = state.to_summary_graph()
+                        after = apply_proposal(before, p)
+                        want = oracle_total_cost(g, after) - oracle_total_cost(g, before)
+                        assert p.dcost == pytest.approx(want, abs=1e-6)
+                        scored += 1
+                        dissolved_sides.update(a in p.absorbed for a, _b in p.dissolved)
+                        if p.dcost >= 0:
+                            rejected += 1
+                            continue
+                        state.commit(p)
+                        # every super-edge has an edge of g under it
+                        now = state.to_summary_graph()
+                        assert set(now.super_edges) <= set(oracle_group_edges(g, now)[1])
+        assert rejected and scored > rejected
+        assert dissolved_sides == {True, False}
+
     def test_baseline_matches_oracle(self):
         for seed in range(4):
             g = L.random_graph(seed)

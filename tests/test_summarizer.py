@@ -2,12 +2,14 @@
 
 compression metrics, determinism, and the shuffled-label evaluation."""
 
+import numpy as np
 import pytest
 
 from lmgsum.candidates import threshold
 from lmgsum.graph import LabeledMultiGraph
 from lmgsum.summarize import (
     RunConfig,
+    _with_labels,
     compression_ratio,
     normalized_gain,
     run,
@@ -74,7 +76,44 @@ class TestNormalizedGain:
             normalized_gain(0.5, 1.0)
 
 
+#: seed of the pinned run, for both the graph and the run
+GOLDEN_SEED = 1
+
+
+def run_record(summary, report) -> dict:
+    """Everything a run decides, in plain JSON types: super-nodes by id,
+    super-edges sorted, the corrections in emission order, the counts and
+    the final bits."""
+    cor = report.corrections
+    return {
+        "super_nodes": [
+            [sn.id, list(sn.members), sn.glyph.value, sn.hub, sn.rep_mult, sn.self_loop]
+            for sn in sorted(summary.super_nodes.values(), key=lambda sn: sn.id)
+        ],
+        "super_edges": [[a, b, m] for (a, b), m in sorted(summary.super_edges.items())],
+        "positive": [list(c) for c in cor.positive],
+        "negative": [list(c) for c in cor.negative],
+        "mult_deltas": [list(c) for c in cor.mult_deltas],
+        "commit_count": report.commit_count,
+        "candidate_count": report.candidate_count,
+        "bits_after": report.bits_after,
+    }
+
+
 class TestRun:
+    def test_pinned_run_matches_golden(self, planted_multigraph, run_golden):
+        # golden written by run_record on planted_multigraph(1), checkpoints
+        # (2, 5); bits_after gets a relative tolerance because log2 may
+        # round differently in the last ulp on another platform
+        g = planted_multigraph(GOLDEN_SEED)
+        summary, report = run(g, RunConfig(seed=GOLDEN_SEED, checkpoints=(2, 5)))
+        got = run_record(summary, report)
+        want = dict(run_golden)
+        assert got.pop("bits_after") == pytest.approx(want.pop("bits_after"), rel=1e-9)
+        assert got == want
+        assert report.commit_count > 0 and summary.super_edges
+        assert all(want[kind] for kind in ("positive", "negative", "mult_deltas"))
+
     def test_edgeless_graph_is_a_fixed_point(self):
         g = LabeledMultiGraph(12, {})
         summary, report = run(g)
@@ -192,6 +231,24 @@ class TestShuffledLabelEval:
         g = _two_label_graph()
         with pytest.raises(ValueError):
             shuffled_label_eval(g, RunConfig(), n_shuffles=0)
+
+    def test_relabeled_graph_equals_rebuilt_one(self, planted_multigraph):
+        g = planted_multigraph(0)
+        source_labels = g.labels.copy()
+        labels = g.labels[np.random.default_rng(0).permutation(g.n)]
+        relabeled = _with_labels(g, labels)
+        rebuilt = LabeledMultiGraph(
+            g.n,
+            {(u, w): m for u, w, m in g.edges()},
+            labels.tolist(),
+            label_names=g.label_names,
+            node_names=g.node_names,
+        )
+        assert relabeled == rebuilt
+        assert relabeled.label_names == rebuilt.label_names
+        assert relabeled.node_names == rebuilt.node_names
+        assert np.array_equal(g.labels, source_labels)
+        assert not np.array_equal(g.labels, relabeled.labels)
 
 
 def _two_label_graph() -> LabeledMultiGraph:
