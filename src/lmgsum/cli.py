@@ -236,27 +236,24 @@ def _bench_rows(args) -> list[dict]:
         if not args.input:
             raise UsageError("--fractions needs an input graph (-i)")
         base = _load(args)
-        all_edges = list(base.edges())
         rng = np.random.default_rng(seed)
-        order = rng.permutation(len(all_edges))
+        order = rng.permutation(base.edge_count)
         graphs = []
         for frac in args.fractions:
             if not (0 < frac <= 1):
                 raise UsageError(f"fraction out of range: {frac}")
-            take = max(1, int(round(frac * len(all_edges))))
-            sub = {
-                (all_edges[i][0], all_edges[i][1]): all_edges[i][2]
-                for i in order[:take]
-            }
+            take = order[: max(1, int(round(frac * base.edge_count)))]
             graphs.append(
                 (
                     f"frac_{frac:g}",
-                    LabeledMultiGraph(
+                    LabeledMultiGraph.from_arrays(
                         base.n,
-                        sub,
-                        list(base.labels),
-                        label_names=list(base.label_names),
-                        node_names=list(base.node_names),
+                        base.out_src[take],
+                        base.out_dst[take],
+                        base.out_mult[take],
+                        base.labels,
+                        base.label_names,
+                        base.node_names,
                     ),
                 )
             )
@@ -313,6 +310,9 @@ def cmd_verify(args) -> int:
         summary = summary_from_dict(payload["summary"])
         summary.validate()
         corrections = corrections_from_dict(summary, payload["corrections"])
+        # the parsed JSON and reconstruct's edge dict together would set the
+        # peak memory of verify
+        del payload
         # corrections that contradict their own summary are malformed too
         recon = reconstruct(summary, corrections)
     except KeyError as e:
@@ -321,6 +321,14 @@ def cmd_verify(args) -> int:
         ) from None
     except (OverflowError, TypeError, ValueError) as e:
         raise GraphFormatError(f"{args.json}: malformed report: {e}") from None
+    if (
+        g == recon
+        and g.node_names == recon.node_names
+        and g.label_names == recon.label_names
+    ):
+        print(f"OK: reconstruction matches {args.input} exactly")
+        return EXIT_OK
+    # the ids may still differ by a renaming; the sorted text forms decide
     original = g.canonical_dump()
     rebuilt = recon.canonical_dump()
     if original == rebuilt:

@@ -5,12 +5,24 @@ kept in ``node_names`` so every export can be mapped back.  Adjacency is
 stored CSR-style in sorted numpy arrays, once, at construction time — graphs
 are immutable after that.  A self-loop appears in both the out- and the
 in-adjacency of its node.
+
+Every graph is built by :meth:`LabeledMultiGraph.from_arrays` from unique
+``(src, dst, mult)`` edge arrays; the ``edges``-dict constructor is a thin
+wrapper over it.  The out-CSR is one ``argsort`` of the int64 key
+``src * n + dst`` and the in-CSR one of ``dst * n + src``.  :func:`dedup_sum`
+is the one routine that turns repeated edges into unique ones; the file
+loader and the generators in :mod:`lmgsum.synth` all go through it.
+
+:func:`load_graph` reads a clean edge file with whole-file array operations
+and falls back to a per-line scan, which alone words the ``file:line``
+errors, whenever the file has anything the bulk path does not handle.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -24,13 +36,42 @@ class GraphFormatError(ValueError):
     """Raised for malformed input files; message carries the line number."""
 
 
-def _check_edges(n: int, edges: dict[tuple[int, int], int]) -> None:
-    """Raise the ValueError of the first invalid edge, in ``edges``' order."""
-    for (u, w), m in edges.items():
+def _check_edges(n: int, edges: Iterable[tuple[int, int, int]]) -> None:
+    """Raise the ValueError of the first invalid ``(u, w, m)`` edge."""
+    for u, w, m in edges:
         if not (0 <= u < n and 0 <= w < n):
             raise ValueError(f"edge ({u}, {w}) out of node range")
         if m < 1:
             raise ValueError(f"edge ({u}, {w}) has multiplicity {m} < 1")
+
+
+def _edge_arrays(
+    edges: dict[tuple[int, int], int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An ``{(u, w): mult}`` dict as int64 ``(src, dst, mult)`` arrays."""
+    ends = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
+    mult = np.fromiter(edges.values(), dtype=np.int64, count=len(edges))
+    return ends[0::2], ends[1::2], mult
+
+
+def dedup_sum(
+    n: int, src: np.ndarray, dst: np.ndarray, mult: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sum the multiplicities of repeated ``(src, dst)`` pairs.
+
+    Returns unique int64 ``(src, dst, mult)`` arrays in ``(src, dst)`` order.
+    The sums are int64: callers whose totals may pass ``MAX_MULT`` check
+    that before calling.
+    """
+    key = np.asarray(src, dtype=np.int64) * n + np.asarray(dst, dtype=np.int64)
+    order = np.argsort(key)
+    key = key[order]
+    starts = np.ones(len(key), dtype=bool)
+    starts[1:] = key[1:] != key[:-1]
+    first = np.flatnonzero(starts)
+    sums = np.add.reduceat(np.asarray(mult, dtype=np.int64)[order], first)
+    key = key[first]
+    return key // n, key % n, sums
 
 
 class LabeledMultiGraph:
@@ -42,6 +83,36 @@ class LabeledMultiGraph:
         label_names: Sequence[str] | None = None,
         node_names: Sequence[str] | None = None,
     ):
+        """Build from an ``{(u, w): mult}`` dict; see :meth:`from_arrays`."""
+        try:
+            src, dst, mult = _edge_arrays(edges)
+        except OverflowError:
+            _check_edges(n, ((u, w, m) for (u, w), m in edges.items()))
+            raise
+        self._build(n, src, dst, mult, labels, label_names, node_names)
+
+    @classmethod
+    def from_arrays(
+        cls,
+        n: int,
+        src,
+        dst,
+        mult,
+        labels: Sequence[int] | None = None,
+        label_names: Sequence[str] | None = None,
+        node_names: Sequence[str] | None = None,
+    ) -> "LabeledMultiGraph":
+        """Build from parallel edge arrays, one entry per distinct edge.
+
+        Repeated ``(src, dst)`` pairs are rejected; :func:`dedup_sum` merges
+        them first.  An invalid edge raises the ValueError that names the
+        first one in array order.
+        """
+        g = cls.__new__(cls)
+        g._build(n, src, dst, mult, labels, label_names, node_names)
+        return g
+
+    def _build(self, n, src, dst, mult, labels, label_names, node_names) -> None:
         if n < 1:
             raise ValueError("graph needs at least one node")
         self.n = n
@@ -61,27 +132,28 @@ class LabeledMultiGraph:
         if len(self.node_names) != n:
             raise ValueError("node_names must cover every node")
 
-        m_edges = len(edges)
-        try:
-            ends = np.fromiter(
-                chain.from_iterable(edges), dtype=np.int64, count=2 * m_edges
-            )
-            mult = np.fromiter(edges.values(), dtype=np.int64, count=m_edges)
-        except OverflowError:
-            _check_edges(n, edges)
-            raise
-        src, dst = ends[0::2], ends[1::2]
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        mult = np.asarray(mult, dtype=np.int64)
+        if not (src.shape == dst.shape == mult.shape and src.ndim == 1):
+            raise ValueError("src, dst and mult must be 1-d arrays of one length")
         if not ((src >= 0) & (src < n) & (dst >= 0) & (dst < n) & (mult >= 1)).all():
-            _check_edges(n, edges)
+            _check_edges(n, zip(src.tolist(), dst.tolist(), mult.tolist()))
 
-        order = np.lexsort((dst, src))
+        key = src * n + dst
+        order = np.argsort(key)
+        key = key[order]
+        repeated = np.flatnonzero(key[1:] == key[:-1])
+        if len(repeated):
+            k = int(key[repeated[0]])
+            raise ValueError(f"edge ({k // n}, {k % n}) given twice")
         self.out_src = src[order]
         self.out_dst = dst[order]
         self.out_mult = mult[order]
         self.out_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=self.out_indptr[1:])
 
-        order = np.lexsort((src, dst))
+        order = np.argsort(dst * n + src)
         self.in_src = src[order]
         self.in_dst = dst[order]
         self.in_mult = mult[order]
@@ -291,21 +363,75 @@ def _parse_edge_file(path: str) -> Iterator[tuple[int, str, str, int]]:
             yield line_num, src, dst, mult
 
 
-def load_graph(
-    path: str,
-    labels_path: str | None = None,
-    undirected: bool = False,
-) -> LabeledMultiGraph:
-    """Load a graph from a TSV edge list, optionally with a node-label file.
+#: whitespace other than the tab and newline separators
+_STRAY_SPACE = re.compile(r"[^\S\t\n]")
 
-    Edge lines are ``src<TAB>dst[<TAB>mult]`` (mult defaults to 1); duplicate
-    lines sum their multiplicities; ``#`` starts a comment line.  With
-    ``undirected`` every line materializes both directions (a self-loop line
-    stays a single loop).  Label lines are ``node<TAB>label`` and must cover
-    exactly the nodes of the edge file; without a label file all nodes share
-    one default label.  Node ids are arbitrary strings, remapped to dense
-    integers in order of first appearance and kept in ``node_names``.
+_Edges = tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray]
+
+
+def _bulk_edges(path: str, undirected: bool) -> _Edges | None:
+    """Parse a clean edge file with whole-file operations, or return None.
+
+    Clean means valid UTF-8 with at least one line; every line has the same
+    number, 2 or 3, of non-empty tab-separated fields and does not start
+    with ``#``; the only whitespace is tabs and newlines (so no ``\\r``);
+    every multiplicity parses with ``int`` and is >= 1; and the largest
+    multiplicity times the line count is at most ``MAX_MULT``, so no sum
+    can overflow.  Anything else returns None, and the caller falls back
+    to the per-line scan, which words the error if there is one.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if not text or text.startswith("#") or "\n#" in text or _STRAY_SPACE.search(text):
+        return None
+    # the separators, line by line, must read (TAB, NL) or (TAB, TAB, NL)
+    raw = np.frombuffer(data, dtype=np.uint8)
+    seps = raw[(raw == 9) | (raw == 10)]
+    if not text.endswith("\n"):
+        seps = np.append(seps, np.uint8(10))
+    width = int(np.argmax(seps == 10)) + 1
+    if width not in (2, 3) or len(seps) % width:
+        return None
+    rows = seps.reshape(-1, width)
+    if not ((rows[:, -1] == 10).all() and (rows[:, :-1] == 9).all()):
+        return None
+    lines = len(rows)
+    tokens = text.split()
+    if len(tokens) != lines * width:  # some field is empty
+        return None
+    if width == 2:
+        ends = tokens
+        mult = np.ones(lines, dtype=np.int64)
+    else:
+        ends = [""] * (2 * lines)
+        ends[0::2] = tokens[0::3]
+        ends[1::2] = tokens[1::3]
+        try:
+            mult = np.fromiter(map(int, tokens[2::3]), dtype=np.int64, count=lines)
+        except (ValueError, OverflowError):
+            return None
+        if mult.min() < 1 or int(mult.max()) > MAX_MULT // lines:
+            return None
+    # ids in order of first appearance, as the per-line scan assigns them
+    name_to_id = dict(zip(dict.fromkeys(ends), count()))
+    ids = np.fromiter(map(name_to_id.__getitem__, ends), dtype=np.int64, count=2 * lines)
+    src, dst = ids[0::2], ids[1::2]
+    if undirected:
+        cross = src != dst
+        src, dst, mult = (
+            np.concatenate((src, dst[cross])),
+            np.concatenate((dst, src[cross])),
+            np.concatenate((mult, mult[cross])),
+        )
+    return (name_to_id, *dedup_sum(len(name_to_id), src, dst, mult))
+
+
+def _scan_edges(path: str, undirected: bool) -> _Edges:
+    """The per-line parse: accepts every valid file and names bad lines."""
     name_to_id: dict[str, int] = {}
     edges: dict[tuple[int, int], int] = {}
 
@@ -331,10 +457,38 @@ def load_graph(
 
     if not name_to_id:
         raise GraphFormatError(f"{path}: no edges found")
-    n = len(name_to_id)
-    node_names = [""] * n
-    for name, i in name_to_id.items():
-        node_names[i] = name
+    return (name_to_id, *_edge_arrays(edges))
+
+
+def load_graph(
+    path: str,
+    labels_path: str | None = None,
+    undirected: bool = False,
+) -> LabeledMultiGraph:
+    """Load a graph from a TSV edge list, optionally with a node-label file.
+
+    Edge lines are ``src<TAB>dst[<TAB>mult]`` (mult defaults to 1); duplicate
+    lines sum their multiplicities; ``#`` starts a comment line.  With
+    ``undirected`` every line materializes both directions (a self-loop line
+    stays a single loop).  Label lines are ``node<TAB>label`` and must cover
+    exactly the nodes of the edge file; without a label file all nodes share
+    one default label.  Node ids are arbitrary strings, remapped to dense
+    integers in order of first appearance and kept in ``node_names``.
+
+    A clean edge file (see ``_bulk_edges``: uniform 2- or 3-field lines, no
+    comment, blank line, ``\\r`` or padding) is read whole: one ``split``,
+    ids via ``dict.fromkeys``, multiplicities via ``map(int, ...)`` and
+    :func:`dedup_sum`; ``undirected`` mirrors the arrays and stays on this
+    path.  Any other file is read line by line, and that scan alone raises
+    the ``file:line`` errors, so both paths accept the same files with the
+    same messages and build the same graph.
+    """
+    parsed = _bulk_edges(path, undirected)
+    if parsed is None:
+        parsed = _scan_edges(path, undirected)
+    name_to_id, src, dst, mult = parsed
+    node_names = list(name_to_id)
+    n = len(node_names)
 
     labels = [0] * n
     label_names = [DEFAULT_LABEL]
@@ -377,6 +531,6 @@ def load_graph(
         for label, i in label_to_id.items():
             label_names[i] = label
 
-    return LabeledMultiGraph(
-        n, edges, labels=labels, label_names=label_names, node_names=node_names
+    return LabeledMultiGraph.from_arrays(
+        n, src, dst, mult, labels=labels, label_names=label_names, node_names=node_names
     )

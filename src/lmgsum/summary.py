@@ -28,6 +28,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, product
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -614,6 +615,19 @@ def summary_to_dict(
     }
 
 
+def _require(value, kind: type, what: str, *where) -> None:
+    """Raise TypeError unless ``value``'s type is exactly ``kind``.
+
+    JSON readers hand back ``1.0``, ``"1"`` and ``true`` where an integer
+    belongs, and numpy would quietly turn each into 1; ``bool`` is an
+    ``int`` subclass, so ``isinstance`` would let ``true`` through too.
+    """
+    if type(value) is not kind:
+        noun = "an integer" if kind is int else "a boolean"
+        at = repr(where[0]) if len(where) == 1 else repr(where)
+        raise TypeError(f"{what} {at}: {value!r} is not {noun}")
+
+
 def summary_from_dict(data: dict) -> SummaryGraph:
     """Inverse of summary_to_dict (ids are re-derived from node_names)."""
     names = list(data["node_names"])
@@ -627,6 +641,8 @@ def summary_from_dict(data: dict) -> SummaryGraph:
         node_names=tuple(names),
     )
     for rec in data["super_nodes"]:
+        _require(rec["rep_mult"], int, "rep_mult of super-node", rec["id"])
+        _require(rec["self_loop"], bool, "self_loop of super-node", rec["id"])
         s.super_nodes[rec["id"]] = SuperNode(
             id=rec["id"],
             label=label_to_id[rec["label"]],
@@ -637,6 +653,7 @@ def summary_from_dict(data: dict) -> SummaryGraph:
             self_loop=rec["self_loop"],
         )
     for rec in data["super_edges"]:
+        _require(rec["rep_mult"], int, "rep_mult of super-edge", rec["src"], rec["dst"])
         s.super_edges[(rec["src"], rec["dst"])] = rec["rep_mult"]
     return s
 
@@ -656,13 +673,22 @@ def corrections_to_dict(summary: SummaryGraph, cor: CorrectionSet) -> dict:
 
 def corrections_from_dict(summary: SummaryGraph, data: dict) -> CorrectionSet:
     name_to_id = {name: i for i, name in enumerate(summary.node_names)}
-    return CorrectionSet(
+    cor = CorrectionSet(
         positive=[(name_to_id[u], name_to_id[w], m) for u, w, m in data["positive"]],
         negative=[(name_to_id[u], name_to_id[w]) for u, w in data["negative"]],
         mult_deltas=[
             (name_to_id[u], name_to_id[w], d) for u, w, d in data["mult_deltas"]
         ],
     )
+    names = summary.node_names
+    for what, rows in (
+        ("positive correction", cor.positive),
+        ("multiplicity delta", cor.mult_deltas),
+    ):
+        if not set(map(type, map(itemgetter(2), rows))) <= {int}:
+            u, w, m = next(row for row in rows if type(row[2]) is not int)
+            _require(m, int, what, names[u], names[w])
+    return cor
 
 
 def export_json(

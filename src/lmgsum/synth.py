@@ -16,21 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DEFAULT_LABEL, LabeledMultiGraph
+from .graph import DEFAULT_LABEL, LabeledMultiGraph, dedup_sum
 from .summary import Glyph
-
-
-def _dedup_sum(
-    n: int, src: np.ndarray, dst: np.ndarray, mult: np.ndarray
-) -> dict[tuple[int, int], int]:
-    key = src.astype(np.int64) * n + dst.astype(np.int64)
-    order = np.argsort(key, kind="stable")
-    key, mult = key[order], mult[order]
-    uniq, start = np.unique(key, return_index=True)
-    sums = np.add.reduceat(mult.astype(np.int64), start)
-    return {
-        (int(k // n), int(k % n)): int(m) for k, m in zip(uniq, sums)
-    }
 
 
 def random_graph(
@@ -59,22 +46,16 @@ def random_graph(
     src = rng.integers(0, n, m)
     dst = rng.integers(0, n, m)
     mult = rng.integers(1, max_mult + 1, m)
-    edges = _dedup_sum(n, src, dst, mult)
+    src, dst, mult = dedup_sum(n, src, dst, mult)
     if symmetric:
-        sym: dict[tuple[int, int], int] = {}
-        for (u, w), mm in edges.items():
-            if u == w:
-                sym[(u, w)] = sym.get((u, w), 0) + mm
-            else:
-                a, b = (u, w) if u < w else (w, u)
-                sym[(a, b)] = sym.get((a, b), 0) + mm
-        edges = {}
-        for (a, b), mm in sym.items():
-            edges[(a, b)] = mm
-            if a != b:
-                edges[(b, a)] = mm
+        # fold each pair onto (min, max), then mirror the non-loops
+        lo, hi, mult = dedup_sum(n, np.minimum(src, dst), np.maximum(src, dst), mult)
+        cross = lo != hi
+        src = np.concatenate((lo, hi[cross]))
+        dst = np.concatenate((hi, lo[cross]))
+        mult = np.concatenate((mult, mult[cross]))
     label_names = [f"label{i}" for i in range(label_count)]
-    return LabeledMultiGraph(n, edges, labels.tolist(), label_names=label_names)
+    return LabeledMultiGraph.from_arrays(n, src, dst, mult, labels, label_names)
 
 
 def perfect_edges(
@@ -131,7 +112,7 @@ def planted_graph(
         + [Glyph.OUT_STAR] * out_stars
     )
     groups: list[PlantedGroup] = []
-    edges: dict[tuple[int, int], int] = {}
+    pairs: list[tuple[int, int]] = []
     next_node = 0
     for glyph in kinds:
         size = int(rng.integers(size_range[0], size_range[1] + 1))
@@ -140,19 +121,22 @@ def planted_graph(
         hub = None
         if glyph in (Glyph.IN_STAR, Glyph.OUT_STAR):
             hub = int(members[int(rng.integers(0, size))])
-        edges.update(perfect_edges(glyph, members, hub))
+        # the structures are disjoint, so their edges never repeat
+        pairs.extend(perfect_edges(glyph, members, hub))
         groups.append(PlantedGroup(members, glyph, hub))
     n = next_node
-    n_noise = int(round(noise * len(edges)))
+    n_noise = int(round(noise * len(pairs)))
     added = 0
     while added < n_noise:
         u = int(rng.integers(0, n))
         w = int(rng.integers(0, n))
         if u == w:
             continue
-        edges[(u, w)] = edges.get((u, w), 0) + 1
+        pairs.append((u, w))
         added += 1
-    g = LabeledMultiGraph(n, edges, [0] * n, label_names=[DEFAULT_LABEL])
+    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    src, dst, mult = dedup_sum(n, ends[:, 0], ends[:, 1], np.ones(len(ends), dtype=np.int64))
+    g = LabeledMultiGraph.from_arrays(n, src, dst, mult, [0] * n, [DEFAULT_LABEL])
     return g, groups
 
 
@@ -168,6 +152,5 @@ def kout_graph(seed: int, n: int, k: int = 10) -> LabeledMultiGraph:
     src = np.repeat(np.arange(1, n, dtype=np.int64), k)
     bound = np.repeat(np.arange(1, n, dtype=np.int64), k)
     dst = np.floor(rng.random(len(src)) * bound).astype(np.int64)
-    mult = np.ones(len(src), dtype=np.int64)
-    edges = _dedup_sum(n, src, dst, mult)
-    return LabeledMultiGraph(n, edges, [0] * n, label_names=[DEFAULT_LABEL])
+    src, dst, mult = dedup_sum(n, src, dst, np.ones(len(src), dtype=np.int64))
+    return LabeledMultiGraph.from_arrays(n, src, dst, mult, [0] * n, [DEFAULT_LABEL])

@@ -10,6 +10,10 @@ correction-cost functions) are the exception: they group edges with plain
 dicts, one edge at a time, but call the production per-context cost
 functions, so the array grouping in :mod:`lmgsum.summary` must match them
 bit for bit, not just within a tolerance.
+
+``oracle_load_graph`` is the per-line edge-file parser that the whole-file
+path of ``load_graph`` must agree with: the same graph, names and error
+messages.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import math
 from itertools import combinations
 
 from lmgsum.encoding import CostBreakdown, cost_node_map, cost_summary
+from lmgsum.graph import MAX_MULT, GraphFormatError, LabeledMultiGraph
 from lmgsum.summary import (
     STAR_GLYPHS,
     CorrectionSet,
@@ -380,3 +385,59 @@ def oracle_total_cost_exact(g, summary) -> CostBreakdown:
     """Per-edge reference for ``total_cost``, equal to it bit for bit."""
     corr, _ = oracle_correction_cost(g, summary)
     return CostBreakdown(summary_bits=cost_summary(summary), correction_bits=corr)
+
+
+def oracle_load_graph(path: str, undirected: bool = False):
+    """The per-line edge-file loader, kept as the reference for the bulk parse.
+
+    One line at a time into a per-edge dict, as ``load_graph`` read every
+    file before it grew a whole-file path; no label file.
+    """
+    name_to_id: dict[str, int] = {}
+    edges: dict[tuple[int, int], int] = {}
+
+    def node_id(name: str) -> int:
+        if name not in name_to_id:
+            name_to_id[name] = len(name_to_id)
+        return name_to_id[name]
+
+    with open(path, encoding="utf-8") as fh:
+        for line_num, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            parts = [p.strip() for p in line.split("\t")]
+            if len(parts) == 2:
+                src, dst, mult_s = parts[0], parts[1], "1"
+            elif len(parts) == 3:
+                src, dst, mult_s = parts
+            else:
+                raise GraphFormatError(
+                    f"{path}:{line_num}: expected 'src<TAB>dst[<TAB>mult]', "
+                    f"got {len(parts)} fields"
+                )
+            if not src or not dst:
+                raise GraphFormatError(f"{path}:{line_num}: empty node id")
+            try:
+                mult = int(mult_s)
+            except ValueError:
+                raise GraphFormatError(
+                    f"{path}:{line_num}: multiplicity {mult_s!r} is not an integer"
+                ) from None
+            if mult < 1:
+                raise GraphFormatError(
+                    f"{path}:{line_num}: multiplicity must be >= 1, got {mult}"
+                )
+            u, w = node_id(src), node_id(dst)
+            total = edges.get((u, w), 0) + mult
+            if total > MAX_MULT:
+                raise GraphFormatError(
+                    f"{path}:{line_num}: multiplicity {total} of {src!r} -> {dst!r} "
+                    f"exceeds 2^63-1"
+                )
+            edges[(u, w)] = total
+            if undirected and u != w:
+                edges[(w, u)] = total
+    if not name_to_id:
+        raise GraphFormatError(f"{path}: no edges found")
+    return LabeledMultiGraph(len(name_to_id), edges, node_names=list(name_to_id))

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from lmgsum.cli import main
+from lmgsum.graph import LabeledMultiGraph
 from lmgsum.synth import planted_graph
 
 
@@ -312,6 +313,104 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "report.json:" in err
         assert needle in err
+
+    @pytest.mark.parametrize(
+        "section, value, needle",
+        [
+            ("positive", "1", "positive correction ('2', '5'): '1' is not an integer"),
+            ("positive", 1.5, "positive correction ('2', '5'): 1.5 is not an integer"),
+            ("positive", True, "positive correction ('2', '5'): True is not an integer"),
+            ("positive", None, "positive correction ('2', '5'): None is not an integer"),
+            ("mult_deltas", "2", "multiplicity delta ('2', '5'): '2' is not an integer"),
+            ("rep_mult", 1.0, "rep_mult of super-node {id}: 1.0 is not an integer"),
+            ("self_loop", 0, "self_loop of super-node {id}: 0 is not a boolean"),
+            ("super_edges", "1", "rep_mult of super-edge {id}: '1' is not an integer"),
+        ],
+        ids=["string", "float", "bool", "null", "string-delta", "float-rep-mult",
+             "int-self-loop", "string-super-edge-mult"],
+    )
+    def test_report_values_of_the_wrong_json_type_are_io_error(
+        self, planted_files, tmp_path, capsys, section, value, needle
+    ):
+        edges, labels, _g = planted_files
+        out_json = self._report(tmp_path, edges, labels)
+        payload = json.loads(out_json.read_text())
+        first = payload["corrections"]["positive"][0]
+        assert first[:2] == ["2", "5"]
+        if section == "positive":
+            first[2] = value
+        elif section == "mult_deltas":
+            payload["corrections"]["mult_deltas"].append([*first[:2], value])
+        elif section == "super_edges":
+            se = payload["summary"]["super_edges"][0]
+            se["rep_mult"] = value
+            needle = needle.format(id=(se["src"], se["dst"]))
+        else:
+            sn = next(
+                sn for sn in payload["summary"]["super_nodes"]
+                if sn["rep_mult"] == 1 and sn["self_loop"] is False
+            )
+            sn[section] = value
+            needle = needle.format(id=sn["id"])
+        out_json.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main(["verify", "-i", edges, "-l", labels, "--json", str(out_json)])
+        assert code == 3
+        assert f"{out_json}: malformed report: {needle}" in capsys.readouterr().err
+
+    def test_match_is_decided_without_text_dumps(
+        self, planted_files, tmp_path, capsys, monkeypatch
+    ):
+        edges, labels, _g = planted_files
+        out_json = self._report(tmp_path, edges, labels)
+
+        def no_dump(self):
+            raise AssertionError("canonical_dump called")
+
+        monkeypatch.setattr(LabeledMultiGraph, "canonical_dump", no_dump)
+        capsys.readouterr()
+        code = main(["verify", "-i", edges, "-l", labels, "--json", str(out_json)])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("OK:")
+
+    def test_renamed_ids_fall_back_to_text_dumps(
+        self, planted_files, tmp_path, capsys, monkeypatch
+    ):
+        edges, labels, _g = planted_files
+        out_json = self._report(tmp_path, edges, labels)
+        payload = json.loads(out_json.read_text())
+        # members and corrections name nodes, so reversing the name list
+        # only renumbers the reconstruction's ids
+        payload["summary"]["node_names"].reverse()
+        out_json.write_text(json.dumps(payload))
+        dumps = []
+        real_dump = LabeledMultiGraph.canonical_dump
+
+        def counted_dump(self):
+            dumps.append(self)
+            return real_dump(self)
+
+        monkeypatch.setattr(LabeledMultiGraph, "canonical_dump", counted_dump)
+        capsys.readouterr()
+        code = main(["verify", "-i", edges, "-l", labels, "--json", str(out_json)])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("OK:")
+        assert len(dumps) == 2
+
+    def test_tampered_multiplicity_names_the_first_differing_line(
+        self, planted_files, tmp_path, capsys
+    ):
+        edges, labels, _g = planted_files
+        out_json = self._report(tmp_path, edges, labels)
+        payload = json.loads(out_json.read_text())
+        payload["corrections"]["positive"][0][2] += 1
+        out_json.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main(["verify", "-i", edges, "-l", labels, "--json", str(out_json)])
+        assert code == 1
+        assert capsys.readouterr().out == (
+            "MISMATCH at line 70: original='2\\t5\\t1' reconstructed='2\\t5\\t2'\n"
+        )
 
     @pytest.mark.parametrize("text", ["3", "[]", '"x"'], ids=["number", "list", "string"])
     def test_report_not_a_json_object_is_io_error(

@@ -2,15 +2,18 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from lmgsum import graph
 from lmgsum.graph import (
     DEFAULT_LABEL,
     GraphFormatError,
     LabeledMultiGraph,
+    dedup_sum,
     induced_edge_stats,
     load_graph,
 )
+from oracle import oracle_load_graph
 
 
 def small_graph():
@@ -258,3 +261,154 @@ class TestLoader:
         g2 = load_graph(str(p), str(lp))
         # node ids may be permuted by first appearance; compare canonically
         assert g2.canonical_dump() == dump
+
+
+class TestArrayConstructor:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_key_sort_csr_matches_lexsort(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        pairs = rng.integers(0, n, (int(rng.integers(0, 120)), 2))
+        loops = rng.integers(0, n, 5)
+        pairs = np.concatenate((pairs, np.stack((loops, loops), axis=1)))
+        edges = {(int(u), int(w)): int(rng.integers(1, 9)) for u, w in pairs}
+        g = LabeledMultiGraph(n, edges)
+
+        src, dst = (np.array([e[i] for e in edges], dtype=np.int64) for i in (0, 1))
+        mult = np.array(list(edges.values()), dtype=np.int64)
+        out = np.lexsort((dst, src))
+        inn = np.lexsort((src, dst))
+        for name, want in [
+            ("out_src", src[out]), ("out_dst", dst[out]), ("out_mult", mult[out]),
+            ("in_src", src[inn]), ("in_dst", dst[inn]), ("in_mult", mult[inn]),
+        ]:
+            assert np.array_equal(getattr(g, name), want), name
+        assert np.array_equal(g.out_indptr[1:], np.cumsum(np.bincount(src, minlength=n)))
+        assert np.array_equal(g.in_indptr[1:], np.cumsum(np.bincount(dst, minlength=n)))
+
+        # the same edges in another dict order give the same arrays
+        items = list(edges.items())
+        rng.shuffle(items)
+        shuffled = LabeledMultiGraph(n, dict(items))
+        for name in ("out_src", "out_dst", "out_mult", "out_indptr",
+                     "in_src", "in_dst", "in_mult", "in_indptr"):
+            assert np.array_equal(getattr(shuffled, name), getattr(g, name)), name
+
+    def test_from_arrays_equals_dict_constructor(self):
+        g = small_graph()
+        h = LabeledMultiGraph.from_arrays(
+            3, [2, 0, 1, 0, 1], [2, 1, 0, 2, 2], [4, 2, 1, 1, 3], [0, 1, 0], ["a", "b"]
+        )
+        assert h == g and h.node_names == g.node_names and h.label_names == g.label_names
+
+    def test_from_arrays_rejects_bad_edges(self):
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) given twice"):
+            LabeledMultiGraph.from_arrays(2, [0, 1, 0], [1, 1, 1], [1, 1, 2])
+        with pytest.raises(ValueError, match=r"^edge \(1, 0\) has multiplicity 0 < 1$"):
+            LabeledMultiGraph.from_arrays(2, [0, 1, 0], [1, 0, 5], [1, 0, 1])
+        with pytest.raises(ValueError, match="one length"):
+            LabeledMultiGraph.from_arrays(2, [0, 1], [1], [1, 1])
+
+    def test_dedup_sum(self):
+        src, dst, mult = dedup_sum(
+            3, np.array([2, 0, 2, 0, 1]), np.array([1, 1, 1, 1, 1]), np.array([1, 2, 3, 4, 5])
+        )
+        assert src.tolist() == [0, 1, 2]
+        assert dst.tolist() == [1, 1, 1]
+        assert mult.tolist() == [6, 5, 4]
+        empty = dedup_sum(3, np.zeros(0), np.zeros(0), np.zeros(0))
+        assert [len(a) for a in empty] == [0, 0, 0]
+
+
+_NAMES = ["a", "b", "c", "ü", "名", "x#y", "#h", " a", "b ", "c\x1c", "d\xa0", "e\x85"]
+_CLEAN_NAMES = ["a", "b", "c", "ü", "名", "x#y", "v#"]
+_BAD_MULTS = ["0", "-1", "x", " 3", "1.0", "٣", str(2**63), str(-(2**63))]
+_CLEAN_MULTS = ["1", "2", "3", "+1", "1_0", str(2**62), str(2**63 - 1)]
+#: one oddity per file, so that each reaches the check meant to catch it
+_ODDITIES = ["mixed-widths", "blank", "spaces", "comment", "indented-comment",
+             "one-field", "four-fields", "empty-field", "padded-names",
+             "bad-mult", "crlf"]
+
+
+@st.composite
+def edge_files(draw):
+    """TSV text: clean files, which the whole-file path takes, and files
+    with one kind of oddity, which it declines or must parse the same."""
+    odd = draw(st.sampled_from([None] * 5 + _ODDITIES))
+    width = 3 if odd == "bad-mult" else draw(st.sampled_from([2, 3]))
+    names = st.sampled_from(_NAMES if odd == "padded-names" else _CLEAN_NAMES)
+
+    def edge(fields, mults=_CLEAN_MULTS):
+        parts = [draw(names), draw(names), draw(st.sampled_from(mults))]
+        return "\t".join(parts[:fields])
+
+    def odd_line():
+        if odd == "mixed-widths":
+            return edge(5 - width)
+        if odd == "empty-field":
+            parts = edge(width).split("\t")
+            parts[draw(st.integers(0, width - 1))] = ""
+            return "\t".join(parts)
+        if odd == "bad-mult":
+            return edge(3, _BAD_MULTS)
+        return {"blank": "", "spaces": "   ", "comment": "#" + edge(width),
+                "indented-comment": " \t# c", "one-field": draw(names),
+                "four-fields": edge(3) + "\t1"}[odd]
+
+    lines = [edge(width) for _ in range(draw(st.integers(0, 12)))]
+    if odd not in (None, "padded-names", "crlf"):
+        for _ in range(draw(st.integers(1, 3))):
+            lines.insert(draw(st.integers(0, len(lines))), odd_line())
+    newline = "\r\n" if odd == "crlf" else "\n"
+    text = newline.join(lines)
+    if draw(st.booleans()):  # else no final newline
+        text += newline
+    return text
+
+
+class TestBulkParse:
+    @given(text=edge_files(), undirected=st.booleans())
+    @example(text="#a\tb\n", undirected=False)
+    @example(text="a\tb\n#c\td\n", undirected=False)
+    @example(text=" \t# c\na\tb", undirected=False)
+    @example(text="a \tb\n", undirected=True)
+    @example(text="a\tb\r\nb\tc\r\n", undirected=False)
+    @example(text="a\tb\t1\na\t\t1\n", undirected=False)
+    @example(text="a\tb\t1\nb\ta\n", undirected=True)
+    @example(text="a\ta\t0", undirected=False)
+    @example(text="a\tb\t2\nb\tc\t-1\n", undirected=True)
+    @example(text=f"a\tb\t{2**62}\nb\ta\t1\nb\ta\t{2**62}\n", undirected=True)
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bulk_parse_equals_per_line_parse(self, tmp_path, text, undirected):
+        p = tmp_path / "g.tsv"
+        p.write_bytes(text.encode("utf-8"))
+        try:
+            want = oracle_load_graph(str(p), undirected)
+        except GraphFormatError as e:
+            with pytest.raises(GraphFormatError) as exc:
+                load_graph(str(p), undirected=undirected)
+            assert str(exc.value) == str(e)
+            return
+        g = load_graph(str(p), undirected=undirected)
+        assert g == want
+        assert g.node_names == want.node_names
+        assert g.label_names == want.label_names
+
+    @pytest.mark.parametrize("undirected", [False, True])
+    def test_clean_file_skips_the_per_line_scan(self, tmp_path, monkeypatch, undirected):
+        p = tmp_path / "g.tsv"
+        p.write_text("alice\tbob\t3\nbob\tcarol\t1\nalice\tbob\t2\ncarol\tcarol\t5")
+        want = oracle_load_graph(str(p), undirected)
+
+        def per_line_scan(path):
+            raise AssertionError("per-line scan used")
+
+        monkeypatch.setattr(graph, "_parse_edge_file", per_line_scan)
+        g = load_graph(str(p), undirected=undirected)
+        assert g == want and g.node_names == ["alice", "bob", "carol"]
+        assert g.multiplicity(0, 1) == 5
+        assert g.multiplicity(1, 0) == (5 if undirected else 0)
+        # a comment line sends the file down the per-line scan
+        p.write_text("# header\nalice\tbob\t3\n")
+        with pytest.raises(AssertionError, match="per-line scan used"):
+            load_graph(str(p), undirected=undirected)
