@@ -14,11 +14,16 @@ into clusters with union-find.  Newly coalesced pairs within a degree window
 are verified exactly: pairs at or above the current threshold become edges
 of the similarity graph, pairs between the final threshold and the current
 one wait in a max-heap cache and are promoted when the threshold drops to
-them.  Candidates are the maximal cliques of the similarity graph that
-contain at least one new edge; their quality is the minimum pairwise
-similarity inside the clique.  A harvest enumerates the maximal cliques
-through each endpoint of a new edge once, by Bron-Kerbosch with Tomita
-pivoting on integer bitsets, and keeps those that contain a new edge.
+them.  Which pairs a band verifies never depends on a similarity value, so
+the band collects them first, computes their similarities with array
+operations (:func:`pair_similarities`, bit for bit
+:func:`directed_jaccard`; one pass unless the band gathers more than
+``_PASS_TOKENS`` tokens), then admits or caches them in visit order.
+Candidates are the maximal cliques of the similarity graph that contain at
+least one new edge; their quality is the minimum pairwise similarity inside
+the clique.  A harvest enumerates the maximal cliques through each endpoint
+of a new edge once, by Bron-Kerbosch with Tomita pivoting on integer
+bitsets, and keeps those that contain a new edge.
 """
 
 from __future__ import annotations
@@ -85,6 +90,57 @@ def directed_jaccard(g: LabeledMultiGraph, v: int, w: int) -> float:
     if union == 0:
         return 0.0
     return (ii + oo) / union
+
+
+#: tokens gathered per array pass of :func:`pair_similarities`, which bounds
+#: its memory whatever the band's pair count and degrees
+_PASS_TOKENS = 1 << 15
+
+
+def pair_similarities(
+    g: LabeledMultiGraph, pairs: list[tuple[int, int]]
+) -> list[float]:
+    """:func:`directed_jaccard` of every ``(v, w)`` in ``pairs``, bit for
+    bit, in array passes of about ``_PASS_TOKENS`` gathered tokens each.
+
+    A node's direction-tagged tokens are unique, so |T_v & T_w| is the
+    number of tokens the two slices of ``g.token_array()`` share, which is
+    ii + oo.  Each pair's tokens are keyed ``pair * (2n + 2) + token`` and
+    sorted; equal neighbors are the shared tokens.  The quotient is the
+    same int-by-int division as in :func:`directed_jaccard`.
+    """
+    if not pairs:
+        return []
+    tokens, indptr = g.token_array()
+    ends = np.array(pairs, dtype=np.int64)
+    starts = indptr[ends]
+    lengths = indptr[ends + 1] - starts
+    cuts = np.flatnonzero(np.diff(np.cumsum(lengths.sum(axis=1)) // _PASS_TOKENS)) + 1
+    span = 2 * g.n + 2
+    out: list[float] = []
+    for part_starts, part_lengths in zip(np.split(starts, cuts), np.split(lengths, cuts)):
+        out += _similarity_pass(tokens, part_starts, part_lengths, span)
+    return out
+
+
+def _similarity_pass(
+    tokens: np.ndarray, starts: np.ndarray, lengths: np.ndarray, span: int
+) -> list[float]:
+    """Similarities of the pairs whose token slices start at ``starts`` and
+    have ``lengths``, both ``(pairs, 2)`` arrays."""
+    count = len(starts)
+    first, size = starts.T.ravel(), lengths.T.ravel()  # every v, then every w
+    # position of each gathered token in ``tokens``, built in place
+    at = np.repeat(first - (np.cumsum(size) - size), size)
+    at += np.arange(len(at))
+    keys = tokens.view(np.int64)[at]  # token values are below 2n
+    del at
+    keys += np.repeat(np.tile(np.arange(count, dtype=np.int64) * span, 2), size)
+    keys.sort()
+    shared = np.bincount(keys[1:][keys[1:] == keys[:-1]] // span, minlength=count)
+    union = lengths[:, 0] + lengths[:, 1] - shared
+    # a pair without tokens shares none: 0 / 1 is directed_jaccard's 0.0
+    return (shared / np.maximum(union, 1)).tolist()
 
 
 def minhash_band(
@@ -308,18 +364,10 @@ class LshState:
         j = bisect_left(arr, (hi + 1,))
         return arr[i:j]
 
-    def _verify(self, u: int, v: int, t: float) -> None:
-        key = (u, v) if u < v else (v, u)
-        if key in self.verified:
-            return
-        self.verified.add(key)
-        j = directed_jaccard(self.g, u, v)
-        if j >= t:
-            self.gsim.add_edge(u, v, j)
-        elif j >= self.t_min:
-            self.cache.push(j, u, v)
-
-    def _union(self, a: int, b: int, t: float) -> None:
+    def _union(self, a: int, b: int, pairs: list[tuple[int, int]]) -> None:
+        """Coalesce the clusters of ``a`` and ``b``, appending the pairs
+        across them that fall in the degree window, are within the budget
+        and were never verified, in visit order."""
         ra, rb = self._find(a), self._find(b)
         if ra == rb:
             return
@@ -327,13 +375,17 @@ class LshState:
         if len(small) > len(large):
             ra, rb = rb, ra
             small, large = large, small
+        verified = self.verified
         checks = 0
         for deg, u in small:
             if checks >= self.merge_budget:
                 break
             for _dw, w in self._window(large, deg):
                 checks += 1
-                self._verify(u, w, t)
+                key = (u, w) if u < w else (w, u)
+                if key not in verified:
+                    verified.add(key)
+                    pairs.append((u, w))
                 if checks >= self.merge_budget:
                     break
         self.parent[ra] = rb
@@ -348,7 +400,13 @@ class LshState:
     # -- band pipeline -------------------------------------------------------
 
     def add_band(self) -> None:
-        """Hash the next band, bucket nodes, coalesce clusters, verify pairs."""
+        """Hash the next band, bucket nodes, coalesce clusters, verify pairs.
+
+        The pairs to verify depend on cluster membership, the degree window
+        and the budget only, so the band collects them first, computes all
+        their similarities with :func:`pair_similarities`, then admits or
+        caches each in visit order.
+        """
         self.bands_added += 1
         t = threshold(self.bands_added, self.r)
         sig = minhash_band(self.g, self.bands_added, self.seed, self.r)
@@ -359,16 +417,22 @@ class LshState:
         keys = _band_keys(sig[active])
         order = np.argsort(keys, kind="stable")
         sorted_keys = keys[order]
-        sorted_nodes = active[order]
-        start = 0
-        for end in range(1, len(sorted_keys) + 1):
-            if end == len(sorted_keys) or sorted_keys[end] != sorted_keys[start]:
-                if end - start >= 2:
-                    group = sorted_nodes[start:end]
-                    first = int(group[0])
-                    for other in group[1:]:
-                        self._union(first, int(other), t)
-                start = end
+        sorted_nodes = active[order].tolist()
+        # buckets are runs of equal keys; only those of two or more coalesce
+        bounds = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+        starts = np.concatenate(([0], bounds))
+        ends = np.concatenate((bounds, [len(sorted_nodes)]))
+        shared = ends - starts >= 2
+        pairs: list[tuple[int, int]] = []
+        for lo, hi in zip(starts[shared].tolist(), ends[shared].tolist()):
+            first = sorted_nodes[lo]
+            for other in sorted_nodes[lo + 1 : hi]:
+                self._union(first, other, pairs)
+        for (u, v), j in zip(pairs, pair_similarities(self.g, pairs)):
+            if j >= t:
+                self.gsim.add_edge(u, v, j)
+            elif j >= self.t_min:
+                self.cache.push(j, u, v)
         for j, u, v in self.cache.pop_at_least(t):
             self.gsim.add_edge(u, v, j)
 

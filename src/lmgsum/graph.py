@@ -13,9 +13,10 @@ wrapper over it.  The out-CSR is one ``argsort`` of the int64 key
 is the one routine that turns repeated edges into unique ones; the file
 loader and the generators in :mod:`lmgsum.synth` all go through it.
 
-:func:`load_graph` reads a clean edge file with whole-file array operations
-and falls back to a per-line scan, which alone words the ``file:line``
-errors, whenever the file has anything the bulk path does not handle.
+:func:`load_graph` reads a clean edge file, and a clean label file, with
+whole-file array operations and falls back to a per-line scan, which alone
+words the ``file:line`` errors, whenever a file has anything the bulk path
+does not handle.
 """
 
 from __future__ import annotations
@@ -369,16 +370,13 @@ _STRAY_SPACE = re.compile(r"[^\S\t\n]")
 _Edges = tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray]
 
 
-def _bulk_edges(path: str, undirected: bool) -> _Edges | None:
-    """Parse a clean edge file with whole-file operations, or return None.
+def _whole_file_fields(path: str, widths: tuple[int, ...]) -> tuple[list[str], int] | None:
+    """The fields of a clean TSV file and its line width, or None.
 
     Clean means valid UTF-8 with at least one line; every line has the same
-    number, 2 or 3, of non-empty tab-separated fields and does not start
-    with ``#``; the only whitespace is tabs and newlines (so no ``\\r``);
-    every multiplicity parses with ``int`` and is >= 1; and the largest
-    multiplicity times the line count is at most ``MAX_MULT``, so no sum
-    can overflow.  Anything else returns None, and the caller falls back
-    to the per-line scan, which words the error if there is one.
+    number of non-empty tab-separated fields, one of ``widths``, and does
+    not start with ``#``; and the only whitespace is tabs and newlines (so
+    no ``\\r`` and no padding).  Returns the fields in file order.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -388,21 +386,37 @@ def _bulk_edges(path: str, undirected: bool) -> _Edges | None:
         return None
     if not text or text.startswith("#") or "\n#" in text or _STRAY_SPACE.search(text):
         return None
-    # the separators, line by line, must read (TAB, NL) or (TAB, TAB, NL)
+    # the separators, line by line, must read (TAB, NL), (TAB, TAB, NL), ...
     raw = np.frombuffer(data, dtype=np.uint8)
     seps = raw[(raw == 9) | (raw == 10)]
     if not text.endswith("\n"):
         seps = np.append(seps, np.uint8(10))
     width = int(np.argmax(seps == 10)) + 1
-    if width not in (2, 3) or len(seps) % width:
+    if width not in widths or len(seps) % width:
         return None
     rows = seps.reshape(-1, width)
     if not ((rows[:, -1] == 10).all() and (rows[:, :-1] == 9).all()):
         return None
-    lines = len(rows)
-    tokens = text.split()
-    if len(tokens) != lines * width:  # some field is empty
+    fields = text.split()
+    if len(fields) != len(rows) * width:  # some field is empty
         return None
+    return fields, width
+
+
+def _bulk_edges(path: str, undirected: bool) -> _Edges | None:
+    """Parse a clean edge file with whole-file operations, or return None.
+
+    Clean means what :func:`_whole_file_fields` takes, with 2 or 3 fields
+    per line; every multiplicity parses with ``int`` and is >= 1; and the
+    largest multiplicity times the line count is at most ``MAX_MULT``, so
+    no sum can overflow.  Anything else returns None, and the caller falls
+    back to the per-line scan, which words the error if there is one.
+    """
+    parsed = _whole_file_fields(path, (2, 3))
+    if parsed is None:
+        return None
+    tokens, width = parsed
+    lines = len(tokens) // width
     if width == 2:
         ends = tokens
         mult = np.ones(lines, dtype=np.int64)
@@ -460,6 +474,71 @@ def _scan_edges(path: str, undirected: bool) -> _Edges:
     return (name_to_id, *_edge_arrays(edges))
 
 
+def _bulk_labels(
+    path: str, name_to_id: dict[str, int]
+) -> tuple[np.ndarray, list[str]] | None:
+    """Read a clean label file with whole-file operations, or return None.
+
+    Clean means what :func:`_whole_file_fields` takes, with 2 fields per
+    line, and every line names a node of the edge file, no node gets two
+    different labels and every node gets one.  Label ids follow first
+    appearance, as in the per-line scan, which words every error.
+    """
+    parsed = _whole_file_fields(path, (2,))
+    if parsed is None:
+        return None
+    fields, _ = parsed
+    names, label_of = fields[0::2], fields[1::2]
+    try:
+        ids = np.fromiter(map(name_to_id.__getitem__, names), dtype=np.int64, count=len(names))
+    except KeyError:
+        return None
+    label_to_id = dict(zip(dict.fromkeys(label_of), count()))
+    line_labels = np.fromiter(
+        map(label_to_id.__getitem__, label_of), dtype=np.int64, count=len(label_of)
+    )
+    labels = np.full(len(name_to_id), -1, dtype=np.int64)
+    labels[ids] = line_labels
+    # a conflicting line disagrees with what was stored; a missing node is -1
+    if (labels[ids] != line_labels).any() or (labels < 0).any():
+        return None
+    return labels, list(label_to_id)
+
+
+def _scan_labels(path: str, name_to_id: dict[str, int]) -> tuple[list[int], list[str]]:
+    """The per-line label parse: accepts every valid file and names bad lines."""
+    n = len(name_to_id)
+    labels = [0] * n
+    label_to_id: dict[str, int] = {}
+    seen: dict[int, str] = {}
+    with open(path, encoding="utf-8") as fh:
+        for line_num, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            parts = [p.strip() for p in line.split("\t")]
+            if len(parts) != 2 or not parts[0] or not parts[1]:
+                raise GraphFormatError(f"{path}:{line_num}: expected 'node<TAB>label'")
+            name, label = parts
+            if name not in name_to_id:
+                raise GraphFormatError(f"{path}:{line_num}: unknown node {name!r}")
+            v = name_to_id[name]
+            if v in seen and seen[v] != label:
+                raise GraphFormatError(
+                    f"{path}:{line_num}: conflicting label for {name!r}"
+                )
+            seen[v] = label
+            if label not in label_to_id:
+                label_to_id[label] = len(label_to_id)
+            labels[v] = label_to_id[label]
+    if len(seen) < n:
+        missing = next(name for name, v in name_to_id.items() if v not in seen)
+        raise GraphFormatError(
+            f"{path}: {n - len(seen)} nodes without a label (first: {missing!r})"
+        )
+    return labels, list(label_to_id)
+
+
 def load_graph(
     path: str,
     labels_path: str | None = None,
@@ -479,9 +558,11 @@ def load_graph(
     comment, blank line, ``\\r`` or padding) is read whole: one ``split``,
     ids via ``dict.fromkeys``, multiplicities via ``map(int, ...)`` and
     :func:`dedup_sum`; ``undirected`` mirrors the arrays and stays on this
-    path.  Any other file is read line by line, and that scan alone raises
-    the ``file:line`` errors, so both paths accept the same files with the
-    same messages and build the same graph.
+    path.  A clean label file (see ``_bulk_labels``: uniform 2-field lines
+    that give every node exactly one label) is read whole too.  Any
+    other file is read line by line, and that scan alone raises the
+    ``file:line`` errors, so both paths accept the same files with the same
+    messages and build the same graph.
     """
     parsed = _bulk_edges(path, undirected)
     if parsed is None:
@@ -490,46 +571,12 @@ def load_graph(
     node_names = list(name_to_id)
     n = len(node_names)
 
-    labels = [0] * n
-    label_names = [DEFAULT_LABEL]
+    labels, label_names = [0] * n, [DEFAULT_LABEL]
     if labels_path is not None:
-        label_to_id: dict[str, int] = {}
-        seen: dict[int, str] = {}
-        with open(labels_path, encoding="utf-8") as fh:
-            for line_num, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n")
-                if not line.strip() or line.lstrip().startswith("#"):
-                    continue
-                parts = [p.strip() for p in line.split("\t")]
-                if len(parts) != 2 or not parts[0] or not parts[1]:
-                    raise GraphFormatError(
-                        f"{labels_path}:{line_num}: expected 'node<TAB>label'"
-                    )
-                name, label = parts
-                if name not in name_to_id:
-                    raise GraphFormatError(
-                        f"{labels_path}:{line_num}: unknown node {name!r}"
-                    )
-                v = name_to_id[name]
-                if v in seen and seen[v] != label:
-                    raise GraphFormatError(
-                        f"{labels_path}:{line_num}: conflicting label for {name!r}"
-                    )
-                seen[v] = label
-                if label not in label_to_id:
-                    label_to_id[label] = len(label_to_id)
-                labels[v] = label_to_id[label]
-        if len(seen) < n:
-            missing = next(
-                node_names[v] for v in range(n) if v not in seen
-            )
-            raise GraphFormatError(
-                f"{labels_path}: {n - len(seen)} nodes without a label "
-                f"(first: {missing!r})"
-            )
-        label_names = [""] * len(label_to_id)
-        for label, i in label_to_id.items():
-            label_names[i] = label
+        parsed_labels = _bulk_labels(labels_path, name_to_id)
+        if parsed_labels is None:
+            parsed_labels = _scan_labels(labels_path, name_to_id)
+        labels, label_names = parsed_labels
 
     return LabeledMultiGraph.from_arrays(
         n, src, dst, mult, labels=labels, label_names=label_names, node_names=node_names

@@ -17,10 +17,15 @@ change to a formula reaches the greedy objective and the reported cost
 together.
 
 A proposal reads the member edges once: ``_gather_cross`` collects every
-edge that touches a member (``decide_glyph`` counts the induced ones), and
-every old context the merge removes — the absorbed singletons' node
-contexts and each pair context with an absorbed endpoint — is priced from
-those edges, grouped by the current super-nodes of their endpoints.  That
+edge that touches a member, the glyph is decided from the internal ones
+(by the routine :func:`decide_glyph` also uses), and every old context the
+merge removes — the absorbed singletons' node contexts and each pair
+context with an absorbed endpoint — is priced from those edges, grouped by
+the current super-nodes of their endpoints.  Contexts whose price depends
+on a small class key only, such as a one-edge pair context without a
+super-edge, come from the state's :class:`~lmgsum.summary.ContextPrices`
+memo; the width bits of the current summary are kept on the state and
+refreshed at each commit.  That
 finds every super-edge the merge dissolves because of one invariant: each
 super-edge has at least one edge of the graph under it.  A super-edge is
 only created over a non-empty list of covered edges, graphs are immutable,
@@ -50,10 +55,11 @@ from .encoding import (
     supernode_own_bits,
     supernode_width_bits,
 )
-from .graph import LabeledMultiGraph, induced_edge_stats
+from .graph import LabeledMultiGraph
 from .summary import (
     Glyph,
     STAR_GLYPHS,
+    ContextPrices,
     SummaryGraph,
     SuperNode,
     all_singleton_summary,
@@ -98,25 +104,45 @@ def decide_glyph(g: LabeledMultiGraph, nodes) -> tuple[Glyph, int | None]:
     orientations go to the in-star, and the hub is the member with maximum
     in- (or out-) degree, smallest id on ties.  Two-node sets need both
     directed edges to count as a clique — a single edge is the degenerate
-    star, whose expansion matches either orientation exactly.
+    star, whose expansion matches either orientation exactly.  Self-loops
+    count toward none of this.
     """
     members = sorted(set(int(u) for u in nodes))
-    k = len(members)
-    if k < 2:
+    if len(members) < 2:
         raise ValueError("glyph decision needs at least two nodes")
-    stats = induced_edge_stats(g, members)
-    e_c = stats.edge_count
+    member_set = set(members)
+    internal = [
+        (u, w, 1) for u in members for w in g.out_neighbors(u).tolist() if w in member_set
+    ]
+    return _glyph_of(members, internal)
+
+
+def _glyph_of(members: list[int], internal) -> tuple[Glyph, int | None]:
+    """:func:`decide_glyph` of the sorted ``members`` from ``internal``,
+    their induced edges ``(u, w, m)``, self-loops included."""
+    k = len(members)
+    in_deg = dict.fromkeys(members, 0)
+    out_deg = dict.fromkeys(members, 0)
+    e_c = 0
+    for u, w, _m in internal:
+        if u != w:
+            e_c += 1
+            out_deg[u] += 1
+            in_deg[w] += 1
     clique_threshold = k * (k - 1) / 2 if k > 2 else 2
     if e_c >= clique_threshold:
         return Glyph.CLIQUE, None
-    cost_in = (k - 1 - stats.max_in_degree) + (e_c - stats.max_in_degree)
-    cost_out = (k - 1 - stats.max_out_degree) + (e_c - stats.max_out_degree)
+    # argmax with ties resolved toward the smallest node id
+    in_hub = min(members, key=lambda v: (-in_deg[v], v))
+    out_hub = min(members, key=lambda v: (-out_deg[v], v))
+    cost_in = (k - 1 - in_deg[in_hub]) + (e_c - in_deg[in_hub])
+    cost_out = (k - 1 - out_deg[out_hub]) + (e_c - out_deg[out_hub])
     in_wins = cost_in < e_c
     out_wins = cost_out < e_c
     if in_wins and (not out_wins or cost_in <= cost_out):
-        return Glyph.IN_STAR, stats.max_in_node
+        return Glyph.IN_STAR, in_hub
     if out_wins:
-        return Glyph.OUT_STAR, stats.max_out_node
+        return Glyph.OUT_STAR, out_hub
     return Glyph.DISCONNECTED, None
 
 
@@ -182,7 +208,13 @@ def decide_super_edge(
     on the summary side, which is included in the comparison here but
     charged to the source super-node by the caller.
     """
-    without_bits = pair_context_bits(src, dst, None, edges)
+    return _super_edge_choice(src, dst, edges, pair_context_bits)
+
+
+def _super_edge_choice(src, dst, edges, price) -> tuple[int | None, float]:
+    """:func:`decide_super_edge`, pricing each option with ``price``, which
+    computes :func:`pair_context_bits` (or serves it from a memo)."""
+    without_bits = price(src, dst, None, edges)
     if not edges:
         return None, without_bits
     port_src = set(src.ports())
@@ -191,7 +223,7 @@ def decide_super_edge(
     if not covered:
         return None, without_bits
     rep, _ = representative_multiplicity(covered)
-    with_bits = pair_context_bits(src, dst, rep, edges)
+    with_bits = price(src, dst, rep, edges)
     if with_bits + super_edge_bits(rep) < without_bits:
         return rep, with_bits
     return None, without_bits
@@ -238,24 +270,28 @@ class SummaryState:
         self.out_se: dict[int, dict[int, int]] = {}
         self.odeg_hist: dict[int, int] = {0: g.n}
 
+        #: context bits by class, shared by the baseline and every proposal
+        self._prices = prices = ContextPrices()
+        #: the map bits of any singleton
+        self._singleton_map = cost_node_map(1, g.n, False)
+
         # Baseline: every node is a singleton and every other edge a positive
         # correction in its own 1x1 pair context.  Those costs depend only on
         # a node's loop multiplicity and an edge's multiplicity, so each
         # distinct value is costed once and multiplied by its count.
         own = 0.0
-        corr = g.n * cost_node_map(1, g.n, False)
+        corr = g.n * self._singleton_map
         for m, v, count in zip(*_distinct(g.self_loop_mults())):
             sn = self.snodes[v]
-            internal = [(v, v, m)] if m else []
             own += count * supernode_own_bits(sn.size, sn.rep_mult, ())
-            corr += count * node_context_bits(sn, internal)
+            corr += count * prices.singleton(sn, m)
         plain = np.nonzero(g.out_src != g.out_dst)[0]
-        for m, i, count in zip(*_distinct(g.out_mult[plain])):
-            u, w = int(g.out_src[plain[i]]), int(g.out_dst[plain[i]])
-            edge = [(u, w, m)]
-            corr += count * pair_context_bits(self.snodes[u], self.snodes[w], None, edge)
+        for m, count in zip(*_distinct(g.out_mult[plain])[::2]):
+            corr += count * prices.one_edge(1, m)
         self.correction_bits = corr
-        self.summary_bits = self._width_bits() + own
+        #: the width bits of the current summary, refreshed at every commit
+        self._width = self._width_bits()
+        self.summary_bits = self._width + own
 
     # -- cost helpers ------------------------------------------------------
 
@@ -304,27 +340,26 @@ class SummaryState:
         internal: list[tuple[int, int, int]] = []
         out_b: dict[int, list[tuple[int, int, int]]] = {}
         in_b: dict[int, list[tuple[int, int, int]]] = {}
+        g, assign = self.g, self.assign
         for u in sorted(member_set):
-            targets, mults = self.g.out_edges(u)
-            for w, m in zip(targets, mults):
-                w = int(w)
+            targets, mults = g.out_edges(u)
+            for w, m in zip(targets.tolist(), mults.tolist()):
                 if w in member_set:
-                    internal.append((u, w, int(m)))
+                    internal.append((u, w, m))
                 else:
-                    out_b.setdefault(self.assign[w], []).append((u, w, int(m)))
-            sources, mults = self.g.in_edges(u)
-            for w, m in zip(sources, mults):
-                w = int(w)
+                    out_b.setdefault(assign[w], []).append((u, w, m))
+            sources, mults = g.in_edges(u)
+            for w, m in zip(sources.tolist(), mults.tolist()):
                 if w not in member_set:
-                    in_b.setdefault(self.assign[w], []).append((w, u, int(m)))
+                    in_b.setdefault(assign[w], []).append((w, u, m))
         return internal, out_b, in_b
 
     def _score(self, members: list[int]) -> MergeProposal:
         """Score merging ``members`` (label-homogeneous, unmarked, >= 2)."""
-        g, assign = self.g, self.assign
+        g, assign, prices = self.g, self.assign, self._prices
         k = len(members)
-        glyph, hub = decide_glyph(g, members)
         internal, out_b, in_b = self._gather_cross(set(members))
+        glyph, hub = _glyph_of(members, internal)
         loops = {u: m for u, w, m in internal if u == w}
         new_node = SuperNode(
             id=self.next_id,
@@ -350,8 +385,8 @@ class SummaryState:
             sn = self.snodes[sid]
             out = self.out_se.get(sid, {})
             (u,) = sn.members
-            old_corr += cost_node_map(sn.size, g.n, False)
-            old_corr += node_context_bits(sn, [(u, u, loops[u])] if u in loops else [])
+            old_corr += self._singleton_map
+            old_corr += prices.singleton(sn, loops.get(u, 0))
             old_own += supernode_own_bits(sn.size, sn.rep_mult, out.values())
             odeg_delta[len(out)] = odeg_delta.get(len(out), 0) - 1
 
@@ -369,9 +404,7 @@ class SummaryState:
         dissolved: list[tuple[int, int]] = []
         for a, b in sorted(old_pairs):
             rep_ab = self.out_se.get(a, {}).get(b)
-            old_corr += pair_context_bits(
-                self.snodes[a], self.snodes[b], rep_ab, old_pairs[(a, b)]
-            )
+            old_corr += prices.pair(self.snodes[a], self.snodes[b], rep_ab, old_pairs[(a, b)])
             if rep_ab is not None:
                 dissolved.append((a, b))
                 # the source side loses this super-edge from its own cost
@@ -385,12 +418,16 @@ class SummaryState:
         out_edges: dict[int, int] = {}
         in_edges: dict[int, int] = {}
         for other in sorted(out_b):
-            se_rep, ctx_bits = decide_super_edge(new_node, self.snodes[other], out_b[other])
+            se_rep, ctx_bits = _super_edge_choice(
+                new_node, self.snodes[other], out_b[other], prices.pair
+            )
             new_corr += ctx_bits
             if se_rep is not None:
                 out_edges[other] = se_rep
         for other in sorted(in_b):
-            se_rep, ctx_bits = decide_super_edge(self.snodes[other], new_node, in_b[other])
+            se_rep, ctx_bits = _super_edge_choice(
+                self.snodes[other], new_node, in_b[other], prices.pair
+            )
             new_corr += ctx_bits
             if se_rep is not None:
                 in_edges[other] = se_rep
@@ -408,7 +445,7 @@ class SummaryState:
         new_own += sum(map(super_edge_bits, in_edges.values()))
 
         # ---- assemble exact deltas, including the summary-size-wide terms
-        old_width = self._width_bits()
+        old_width = self._width
         new_hist = dict(self.odeg_hist)
         for d, c in odeg_delta.items():
             new_hist[d] = new_hist.get(d, 0) + c
@@ -456,8 +493,7 @@ class SummaryState:
             counts: dict[int, int] = {}
             for u in members:
                 nbrs = g.out_neighbors(u) if direction == "out" else g.in_neighbors(u)
-                for w in nbrs:
-                    w = int(w)
+                for w in nbrs.tolist():
                     if eligible(w):
                         counts[w] = counts.get(w, 0) + 1
             if not counts:
@@ -467,7 +503,7 @@ class SummaryState:
                 continue
             variants.append(sorted(members + [h]))
             spoke_pool = g.in_neighbors(h) if direction == "out" else g.out_neighbors(h)
-            completion = {int(w) for w in spoke_pool if eligible(int(w)) and int(w) != h}
+            completion = {w for w in spoke_pool.tolist() if eligible(w) and w != h}
             if completion:
                 variants.append(sorted(member_set | completion | {h}))
         dedup = []
@@ -527,6 +563,7 @@ class SummaryState:
             if self.odeg_hist[d] == 0:
                 del self.odeg_hist[d]
         self.next_id += 1
+        self._width = self._width_bits()
         self.summary_bits += proposal.d_summary
         self.correction_bits += proposal.d_correction
 

@@ -8,11 +8,13 @@ Checkpoints snapshot the summary at requested band counts, realizing
 multi-resolution output within a single run: a later checkpoint differs
 from an earlier one only by further commits.
 
-The shuffled-label evaluation reruns the pipeline on seeded random
+The shuffled-label evaluation reruns the merge loop on seeded random
 permutations of the label multiset and reports the normalized gain
 (actual - shuffled_mean) / (1 - shuffled_mean): how much of the remaining
 compressible structure the true labeling captures beyond label-blind
-chance.
+chance.  The candidate sweep reads the edges and never the labels, so it
+runs once and every labeling, the true one included, merges the same
+batches; only :func:`run` computes corrections.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .candidates import LshState, candidate_batches, threshold
+from .candidates import Candidate, LshState, candidate_batches, threshold
 from .graph import LabeledMultiGraph
 from .merge import SummaryState
 from .summary import CorrectionSet, SummaryGraph, compute_corrections
@@ -132,8 +135,17 @@ def run(
     are computed once, here, and handed back as ``report.corrections``.
     """
     t0 = time.perf_counter()
-    state = SummaryState(g)
-    bits_before = state.total_bits
+    summary, report = _merge(g, _sweep(g, config), config, audit, keep_checkpoint_summaries)
+    corrections = compute_corrections(g, summary)
+    report.correction_counts = corrections.counts()
+    report.corrections = corrections
+    report.wall_time_s = time.perf_counter() - t0
+    return summary, report
+
+
+def _sweep(g: LabeledMultiGraph, config: RunConfig) -> Iterator[tuple[int, list[Candidate]]]:
+    """The run's candidate sweep, lazily: ``(band, batch)`` at each
+    checkpoint band and at the last band."""
     lsh = LshState(
         g,
         r=config.r,
@@ -141,10 +153,29 @@ def run(
         seed=config.seed,
         cluster_cap=config.cluster_cap,
     )
+    return candidate_batches(lsh, config.checkpoints)
+
+
+def _merge(
+    g: LabeledMultiGraph,
+    batches: Iterable[tuple[int, list[Candidate]]],
+    config: RunConfig,
+    audit=None,
+    keep_checkpoint_summaries: bool = False,
+) -> tuple[SummaryGraph, RunReport]:
+    """The merge loop: process each ``(band, batch)`` best first from the
+    all-singleton summary, with a checkpoint at each of
+    ``config.checkpoints``.  The report has no corrections or timing yet.
+
+    ``batches`` is read once and left as it is, so one list of batches can
+    serve several labelings of the same edges.
+    """
+    state = SummaryState(g)
+    bits_before = state.total_bits
     checkpoints: list[Checkpoint] = []
     n_candidates = 0
     n_commits = 0
-    for b, batch in candidate_batches(lsh, config.checkpoints):
+    for b, batch in batches:
         n_candidates += len(batch)
         for cand in batch:
             n_commits += len(state.process_candidate(cand.nodes, audit=audit))
@@ -165,22 +196,17 @@ def run(
             )
     summary = state.to_summary_graph()
     bits_after = state.total_bits
-    corrections = compute_corrections(g, summary)
-    report = RunReport(
+    return summary, RunReport(
         bits_before=bits_before,
         bits_after=bits_after,
         compression_ratio=compression_ratio(bits_before, bits_after),
         checkpoints=checkpoints,
-        wall_time_s=time.perf_counter() - t0,
         candidate_count=n_candidates,
         commit_count=n_commits,
         super_node_count=len(summary.super_nodes),
         super_edge_count=len(summary.super_edges),
         glyph_counts=summary.glyph_counts(),
-        correction_counts=corrections.counts(),
-        corrections=corrections,
     )
-    return summary, report
 
 
 def normalized_gain(actual: float, shuffled_mean: float) -> float:
@@ -213,8 +239,13 @@ def shuffled_label_eval(
         n_shuffles = config.shuffles
     if n_shuffles < 1:
         raise ValueError("n_shuffles must be >= 1")
-    _, report = run(g, config)
-    actual = report.compression_ratio
+    # the candidate sweep reads the edges only, so every labeling shares it
+    batches = list(_sweep(g, config))
+
+    def ratio(graph: LabeledMultiGraph) -> float:
+        return _merge(graph, batches, config)[1].compression_ratio
+
+    actual = ratio(g)
     if g.label_count <= 1:
         return {
             "actual": actual,
@@ -227,9 +258,7 @@ def shuffled_label_eval(
     base = np.asarray(g.labels)
     permuted = [base[rng.permutation(g.n)] for _ in range(n_shuffles)]
 
-    ratios = [
-        run(_with_labels(g, labels), config)[1].compression_ratio for labels in permuted
-    ]
+    ratios = [ratio(_with_labels(g, labels)) for labels in permuted]
     mean = float(np.mean(ratios))
     return {
         "actual": actual,

@@ -313,6 +313,7 @@ class _EdgeGroups:
             g.out_src[idx], g.out_dst[idx], g.out_mult[idx]
         )
 
+        self.prices = ContextPrices()
         self.linked = sorted(summary.super_edges.items())
         self.linked_keys = np.array(
             [self.rank[a] * s_count + self.rank[b] for (a, b), _ in self.linked],
@@ -346,7 +347,6 @@ class _EdgeGroups:
         summary = self.summary
         n = summary.graph_size
         map_memo: dict[tuple[int, bool], float] = {}
-        one_memo: dict[tuple[bool, int, int], float] = {}
         ptr, rank, mults = self.int_ptr, self.rank, self.int_mult
         out: list[float] = []
         for vid, sn in summary.super_nodes.items():
@@ -358,10 +358,7 @@ class _EdgeGroups:
             if k == 1:
                 # one member's only internal pair is its self-loop
                 lo, hi = ptr[rank[vid]], ptr[rank[vid] + 1]
-                key = (sn.self_loop, sn.rep_mult, int(mults[lo]) if hi > lo else 0)
-                bits = one_memo.get(key)
-                if bits is None:
-                    bits = one_memo[key] = node_context_bits(sn, self.internal(vid))
+                bits = self.prices.singleton(sn, int(mults[lo]) if hi > lo else 0)
             else:
                 bits = node_context_bits(sn, self.internal(vid))
             out.append(bits)
@@ -386,17 +383,19 @@ class _EdgeGroups:
         at = np.searchsorted(keys, group_keys)
         free = ~np.isin(group_keys, self.linked_keys)
         single = np.flatnonzero(free & (ends - starts == 1))
-        # a one-edge context's bits depend on its region and multiplicity only
+        # a one-edge context's bits depend on its region and multiplicity
+        # only: price each class once, through the shared memo
         region = self.sizes[group_keys[single] // s_count] * self.sizes[
             group_keys[single] % s_count
         ]
+        mults = self.x_mult[starts[single]]
         _, inv_r = np.unique(region, return_inverse=True)
-        uniq_m, inv_m = np.unique(self.x_mult[starts[single]], return_inverse=True)
+        uniq_m, inv_m = np.unique(mults, return_inverse=True)
         _, first, inverse = np.unique(
             inv_r * len(uniq_m) + inv_m, return_index=True, return_inverse=True
         )
-        values = np.array([unlinked(i) for i in single[first].tolist()])
-        bits[at[single]] = values[inverse]
+        values = map(self.prices.one_edge, region[first].tolist(), mults[first].tolist())
+        bits[at[single]] = np.fromiter(values, dtype=np.float64, count=len(first))[inverse]
         for i in np.flatnonzero(free & (ends - starts > 1)).tolist():
             bits[at[i]] = unlinked(i)
         linked_at = np.searchsorted(keys, self.linked_keys).tolist()
@@ -538,11 +537,60 @@ def pair_context_bits(
     if rep is None:
         if not edges:
             return 0.0
-        return cost_correction_set(len(edges), region) + sum(
-            len_natural(m) for _, _, m in edges
-        )
+        return _unlinked_bits(region, [m for _, _, m in edges])
     x_size = len(sa.ports()) * len(sb.ports())
     return _context_bits(region, x_size, rep, edges, _port_cover(sa, sb))
+
+
+def _unlinked_bits(region: int, mults: list[int]) -> float:
+    """Bits of a pair context without a super-edge over ``region`` node
+    pairs: every edge, of multiplicity ``mults[i]``, is a positive one."""
+    return cost_correction_set(len(mults), region) + sum(map(len_natural, mults))
+
+
+class ContextPrices:
+    """Context bits, each class of cheap context priced once.
+
+    A one-edge pair context without a super-edge costs the same for every
+    ``(region, m)``, and a one-member node context, whose only possible
+    edge is the member's self-loop, the same for every ``(self_loop,
+    rep_mult, loop multiplicity)``.  Those two classes are served from one
+    memo (2-tuple and 3-tuple keys); every other context is priced by
+    :func:`pair_context_bits` or :func:`node_context_bits` on each call.
+
+    Each owner (a merge state, one from-scratch cost) keeps its own
+    instance: a process-wide memo would go on serving bits from a formula
+    that has since changed.
+    """
+
+    def __init__(self):
+        self._memo: dict[tuple, float] = {}
+
+    def one_edge(self, region: int, m: int) -> float:
+        """Bits of an unlinked pair context over ``region`` node pairs
+        holding one edge of multiplicity ``m``."""
+        bits = self._memo.get((region, m))
+        if bits is None:
+            bits = self._memo[(region, m)] = _unlinked_bits(region, [m])
+        return bits
+
+    def singleton(self, sn: SuperNode, loop: int) -> float:
+        """Bits of the one-member ``sn``'s node context when its member's
+        self-loop has multiplicity ``loop`` (0 for none)."""
+        key = (sn.self_loop, sn.rep_mult, loop)
+        bits = self._memo.get(key)
+        if bits is None:
+            (u,) = sn.members
+            bits = self._memo[key] = node_context_bits(sn, [(u, u, loop)] if loop else [])
+        return bits
+
+    def pair(
+        self, sa: SuperNode, sb: SuperNode, rep: int | None, edges: list[tuple[int, int, int]]
+    ) -> float:
+        """:func:`pair_context_bits`, from the memo for one unlinked edge."""
+        if rep is None and len(edges) == 1:
+            return self.one_edge(sa.size * sb.size, edges[0][2])
+        return pair_context_bits(sa, sb, rep, edges)
 
 
 def correction_cost(

@@ -11,9 +11,13 @@ dicts, one edge at a time, but call the production per-context cost
 functions, so the array grouping in :mod:`lmgsum.summary` must match them
 bit for bit, not just within a tolerance.
 
-``oracle_load_graph`` is the per-line edge-file parser that the whole-file
-path of ``load_graph`` must agree with: the same graph, names and error
-messages.
+``oracle_load_graph`` is the per-line edge- and label-file parser that the
+whole-file paths of ``load_graph`` must agree with: the same graph, names
+and error messages.
+
+``oracle_add_band`` is ``LshState.add_band`` as it was before the batched
+verification: one ``directed_jaccard`` call per pair, admitted or cached
+as soon as it is computed.
 """
 
 from __future__ import annotations
@@ -21,8 +25,11 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
+import numpy as np
+
+from lmgsum.candidates import _band_keys, directed_jaccard, minhash_band, threshold
 from lmgsum.encoding import CostBreakdown, cost_node_map, cost_summary
-from lmgsum.graph import MAX_MULT, GraphFormatError, LabeledMultiGraph
+from lmgsum.graph import MAX_MULT, GraphFormatError, LabeledMultiGraph, induced_edge_stats
 from lmgsum.summary import (
     STAR_GLYPHS,
     CorrectionSet,
@@ -240,6 +247,27 @@ def oracle_best_glyph(g, members) -> tuple[Glyph, int | None]:
     return best[1], best[2]
 
 
+def oracle_decide_glyph(g, nodes) -> tuple[Glyph, int | None]:
+    """``decide_glyph`` as it was before it shared the scoring scan: the
+    same rules, read off ``induced_edge_stats``' second scan of the set."""
+    members = sorted(set(int(u) for u in nodes))
+    k = len(members)
+    stats = induced_edge_stats(g, members)
+    e_c = stats.edge_count
+    clique_threshold = k * (k - 1) / 2 if k > 2 else 2
+    if e_c >= clique_threshold:
+        return Glyph.CLIQUE, None
+    cost_in = (k - 1 - stats.max_in_degree) + (e_c - stats.max_in_degree)
+    cost_out = (k - 1 - stats.max_out_degree) + (e_c - stats.max_out_degree)
+    in_wins = cost_in < e_c
+    out_wins = cost_out < e_c
+    if in_wins and (not out_wins or cost_in <= cost_out):
+        return Glyph.IN_STAR, stats.max_in_node
+    if out_wins:
+        return Glyph.OUT_STAR, stats.max_out_node
+    return Glyph.DISCONNECTED, None
+
+
 def oracle_harvest(gsim, new_edges, max_clique_size, emitted):
     """Per-edge clique harvest: the reference for ``LshState.harvest_cliques``.
 
@@ -387,11 +415,12 @@ def oracle_total_cost_exact(g, summary) -> CostBreakdown:
     return CostBreakdown(summary_bits=cost_summary(summary), correction_bits=corr)
 
 
-def oracle_load_graph(path: str, undirected: bool = False):
-    """The per-line edge-file loader, kept as the reference for the bulk parse.
+def oracle_load_graph(path: str, undirected: bool = False, labels_path: str | None = None):
+    """The per-line loader, kept as the reference for the bulk parses.
 
-    One line at a time into a per-edge dict, as ``load_graph`` read every
-    file before it grew a whole-file path; no label file.
+    One line at a time into a per-edge dict, then the label file one line
+    at a time, as ``load_graph`` read every file before it grew its
+    whole-file paths.
     """
     name_to_id: dict[str, int] = {}
     edges: dict[tuple[int, int], int] = {}
@@ -440,4 +469,101 @@ def oracle_load_graph(path: str, undirected: bool = False):
                 edges[(w, u)] = total
     if not name_to_id:
         raise GraphFormatError(f"{path}: no edges found")
-    return LabeledMultiGraph(len(name_to_id), edges, node_names=list(name_to_id))
+    n = len(name_to_id)
+    node_names = list(name_to_id)
+    if labels_path is None:
+        return LabeledMultiGraph(n, edges, node_names=node_names)
+
+    labels = [0] * n
+    label_to_id: dict[str, int] = {}
+    seen: dict[int, str] = {}
+    with open(labels_path, encoding="utf-8") as fh:
+        for line_num, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            parts = [p.strip() for p in line.split("\t")]
+            if len(parts) != 2 or not parts[0] or not parts[1]:
+                raise GraphFormatError(
+                    f"{labels_path}:{line_num}: expected 'node<TAB>label'"
+                )
+            name, label = parts
+            if name not in name_to_id:
+                raise GraphFormatError(
+                    f"{labels_path}:{line_num}: unknown node {name!r}"
+                )
+            v = name_to_id[name]
+            if v in seen and seen[v] != label:
+                raise GraphFormatError(
+                    f"{labels_path}:{line_num}: conflicting label for {name!r}"
+                )
+            seen[v] = label
+            if label not in label_to_id:
+                label_to_id[label] = len(label_to_id)
+            labels[v] = label_to_id[label]
+    if len(seen) < n:
+        missing = next(node_names[v] for v in range(n) if v not in seen)
+        raise GraphFormatError(
+            f"{labels_path}: {n - len(seen)} nodes without a label "
+            f"(first: {missing!r})"
+        )
+    label_names = [""] * len(label_to_id)
+    for label, i in label_to_id.items():
+        label_names[i] = label
+    return LabeledMultiGraph(
+        n, edges, labels, label_names=label_names, node_names=node_names
+    )
+
+
+def _oracle_union(state, a: int, b: int, t: float) -> None:
+    """Coalesce two clusters, verifying each windowed pair as it is visited."""
+    ra, rb = state._find(a), state._find(b)
+    if ra == rb:
+        return
+    small, large = state.members[ra], state.members[rb]
+    if len(small) > len(large):
+        ra, rb = rb, ra
+        small, large = large, small
+    checks = 0
+    for deg, u in small:
+        if checks >= state.merge_budget:
+            break
+        for _dw, w in state._window(large, deg):
+            checks += 1
+            key = (u, w) if u < w else (w, u)
+            if key not in state.verified:
+                state.verified.add(key)
+                j = directed_jaccard(state.g, u, w)
+                if j >= t:
+                    state.gsim.add_edge(u, w, j)
+                elif j >= state.t_min:
+                    state.cache.push(j, u, w)
+            if checks >= state.merge_budget:
+                break
+    state.parent[ra] = rb
+    del state.members[ra]
+    large.extend(small)
+    large.sort()
+
+
+def oracle_add_band(state) -> None:
+    """The per-pair ``LshState.add_band``: hash, bucket, coalesce, and
+    verify every pair on its own, then promote cached pairs."""
+    state.bands_added += 1
+    t = threshold(state.bands_added, state.r)
+    sig = minhash_band(state.g, state.bands_added, state.seed, state.r)
+    lengths = np.diff(state.g.token_array()[1])
+    active = np.nonzero(lengths > 0)[0]
+    if len(active) == 0:
+        return
+    keys = _band_keys(sig[active])
+    order = np.argsort(keys, kind="stable")
+    buckets: dict[int, list[int]] = {}
+    for key, v in zip(keys[order].tolist(), active[order].tolist()):
+        buckets.setdefault(key, []).append(v)
+    for key in sorted(buckets):
+        first, *others = buckets[key]
+        for other in others:
+            _oracle_union(state, first, other, t)
+    for j, u, v in state.cache.pop_at_least(t):
+        state.gsim.add_edge(u, v, j)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lmgsum import candidates
 from lmgsum.candidates import (
     SENTINEL,
     Candidate,
@@ -18,13 +19,14 @@ from lmgsum.candidates import (
     directed_jaccard,
     generate_candidates,
     minhash_band,
+    pair_similarities,
     prune_redundant,
     threshold,
 )
 from lmgsum.graph import LabeledMultiGraph
 from lmgsum.synth import planted_graph
 
-from oracle import oracle_harvest, oracle_maximal_cliques
+from oracle import oracle_add_band, oracle_harvest, oracle_maximal_cliques
 
 
 def edge_sets(n):
@@ -111,6 +113,74 @@ class TestDirectedJaccard:
         v = data.draw(st.integers(0, g.n - 1))
         w = data.draw(st.integers(0, g.n - 1))
         assert directed_jaccard(g, v, w) == pytest.approx(brute_jaccard(g, v, w))
+
+
+@st.composite
+def graph_and_pairs(draw):
+    """A small graph (self-loops, reciprocal edges and isolated nodes all
+    possible) and a batch of node pairs, possibly empty; optionally every
+    pair from node 0, so one node is shared by many pairs."""
+    g = draw(small_graph())
+    node = st.integers(0, g.n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=25))
+    if draw(st.booleans()):
+        pairs += [(0, w) for w in range(1, g.n)]
+    return g, pairs
+
+
+class TestPairSimilarities:
+    @given(graph_and_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_batch_equals_directed_jaccard(self, case):
+        g, pairs = case
+        got = pair_similarities(g, pairs)
+        assert got == [directed_jaccard(g, v, w) for v, w in pairs]
+        assert all(type(j) is float for j in got)
+
+    def test_edge_cases(self):
+        # 0 and 1 reciprocal, 0 with a self-loop, 3 and 4 isolated
+        g = LabeledMultiGraph(5, {(0, 1): 2, (1, 0): 1, (0, 0): 3, (2, 1): 1})
+        pairs = [(3, 4), (0, 0), (0, 1), (1, 0), (0, 2), (0, 3), (2, 0)]
+        assert pair_similarities(g, pairs) == [
+            directed_jaccard(g, v, w) for v, w in pairs
+        ]
+        assert pair_similarities(g, [(3, 4), (0, 0)]) == [0.0, 1.0]
+        assert pair_similarities(g, []) == []
+
+    @given(graph_and_pairs(), st.integers(1, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_small_passes_give_the_same_floats(self, case, pass_tokens):
+        # a tiny pass size splits the batch into many passes, some holding
+        # a single pair with more tokens than the pass size
+        g, pairs = case
+        whole = pair_similarities(g, pairs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(candidates, "_PASS_TOKENS", pass_tokens)
+            assert pair_similarities(g, pairs) == whole
+
+
+class TestBatchedVerification:
+    def test_every_band_equals_the_per_pair_path(self):
+        # planted_graph's defaults on seeds 0-3, then planted-merge's small size
+        cases = [(s, 5, (10, 20)) for s in range(4)] + [(s, 6, (4, 6)) for s in (0, 1)]
+        cached = rejected = 0
+        for seed, groups, size_range in cases:
+            g, _ = planted_graph(seed, groups, groups, groups, size_range=size_range)
+            prod = LshState(g, r=8, b_max=10, seed=seed)
+            ref = LshState(g, r=8, b_max=10, seed=seed)
+            for _band in range(10):
+                prod.add_band()
+                oracle_add_band(ref)
+                assert prod.verified == ref.verified
+                assert list(prod.gsim.jaccard.items()) == list(ref.gsim.jaccard.items())
+                assert prod.gsim.new_edges == ref.gsim.new_edges
+                assert sorted(prod.cache._heap) == sorted(ref.cache._heap)
+                assert prod.members == ref.members
+                cached += len(prod.cache)
+            assert prod.gsim.edge_count
+            rejected += len(prod.verified) - prod.gsim.edge_count - len(prod.cache)
+        # some pairs waited in the cache and some were never admitted
+        assert cached and rejected
 
 
 class TestMinhashBand:

@@ -412,3 +412,89 @@ class TestBulkParse:
         p.write_text("# header\nalice\tbob\t3\n")
         with pytest.raises(AssertionError, match="per-line scan used"):
             load_graph(str(p), undirected=undirected)
+
+
+_EDGE_TEXT = "a\tb\nb\tü\nü\t名\n名\tx#y\n"
+_LABEL_NODES = ["a", "b", "ü", "名", "x#y"]
+_LABEL_NAMES = ["red", "blue", "名", "v#", "g"]
+#: one oddity per file, as for edge files
+_LABEL_ODDITIES = ["blank", "comment", "padded", "one-field", "three-fields",
+                   "unknown", "conflict", "repeat", "missing", "crlf"]
+
+
+@st.composite
+def label_files(draw):
+    """Label files for ``_EDGE_TEXT``'s nodes: clean ones, which the
+    whole-file path takes, and ones with one oddity, which it declines or
+    must read the same."""
+    odd = draw(st.sampled_from([None] * 4 + _LABEL_ODDITIES))
+    label_of = {v: draw(st.sampled_from(_LABEL_NAMES)) for v in _LABEL_NODES}
+    lines = [f"{v}\t{label_of[v]}" for v in draw(st.permutations(_LABEL_NODES))]
+    node = draw(st.sampled_from(_LABEL_NODES))
+    extra = {
+        "blank": draw(st.sampled_from(["", "  ", "\t"])),
+        "comment": draw(st.sampled_from(["#", " # c", "#a\tred"])),
+        "one-field": node,
+        "three-fields": f"{node}\t{label_of[node]}\tx",
+        "unknown": f"zz\t{label_of[node]}",
+        "conflict": f"{node}\t{label_of[node]}!",
+        "repeat": f"{node}\t{label_of[node]}",
+    }.get(odd)
+    if extra is not None:
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    elif odd == "padded":
+        i = draw(st.integers(0, len(lines) - 1))
+        name, label = lines[i].split("\t")
+        lines[i] = draw(st.sampled_from([f" {name}\t{label}", f"{name} \t{label}",
+                                         f"{name}\t {label}", f"{name}\t{label}\xa0"]))
+    elif odd == "missing":
+        lines.pop(draw(st.integers(0, len(lines) - 1)))
+    newline = "\r\n" if odd == "crlf" else "\n"
+    text = newline.join(lines)
+    if draw(st.booleans()):  # else no final newline
+        text += newline
+    return text
+
+
+class TestBulkLabels:
+    @given(text=label_files())
+    @example(text="")
+    @example(text="a\tred\nb\tred\nü\tred\n名\tred\nx#y\tred\na\tred\n")
+    @example(text="a\tred\nb\tred\nü\tred\n名\tred\nx#y\tred\na\tblue\n")
+    @example(text="a\tred\nb\tred\nü\tred\n名\tred\n")
+    @example(text="a\tred\nb\tred\nü\tred\n名\tred\nx#y\tred\nq\tred\n")
+    @example(text="a\tred\r\nb\tred\r\nü\tred\r\n名\tred\r\nx#y\tred\r\n")
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bulk_labels_equal_per_line_labels(self, tmp_path, text):
+        p, lp = tmp_path / "g.tsv", tmp_path / "l.tsv"
+        p.write_text(_EDGE_TEXT)
+        lp.write_bytes(text.encode("utf-8"))
+        try:
+            want = oracle_load_graph(str(p), labels_path=str(lp))
+        except GraphFormatError as e:
+            with pytest.raises(GraphFormatError) as exc:
+                load_graph(str(p), str(lp))
+            assert str(exc.value) == str(e)
+            return
+        g = load_graph(str(p), str(lp))
+        assert g == want
+        assert g.label_names == want.label_names
+        assert g.node_names == want.node_names
+
+    def test_clean_file_skips_the_per_line_scan(self, tmp_path, monkeypatch):
+        p, lp = tmp_path / "g.tsv", tmp_path / "l.tsv"
+        p.write_text(_EDGE_TEXT)
+        lp.write_text("b\tblue\na\tred\nü\tred\n名\tblue\nx#y\tgreen\nb\tblue\n")
+        want = oracle_load_graph(str(p), labels_path=str(lp))
+
+        def per_line_scan(path, name_to_id):
+            raise AssertionError("per-line scan used")
+
+        monkeypatch.setattr(graph, "_scan_labels", per_line_scan)
+        g = load_graph(str(p), str(lp))
+        assert g == want and g.label_names == ["blue", "red", "green"]
+        assert g.labels.tolist() == [1, 0, 1, 0, 2]
+        # a blank line sends the file down the per-line scan
+        lp.write_text("a\tred\n\nb\tred\nü\tred\n名\tred\nx#y\tred\n")
+        with pytest.raises(AssertionError, match="per-line scan used"):
+            load_graph(str(p), str(lp))

@@ -25,6 +25,7 @@ from lmgsum.synth import perfect_edges
 
 from oracle import (
     oracle_best_glyph,
+    oracle_decide_glyph,
     oracle_group_edges,
     oracle_rep_mult,
     oracle_total_cost,
@@ -109,6 +110,49 @@ class TestDecideGlyph:
         g = LabeledMultiGraph(2, {(0, 1): 1})
         with pytest.raises(ValueError):
             decide_glyph(g, (0,))
+
+
+@st.composite
+def graph_and_members(draw):
+    """A small one-label graph, self-loops and reciprocal edges allowed, and
+    a member set of two or more of its nodes."""
+    n = draw(st.integers(2, 9))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=40))
+    loops = draw(st.lists(node, max_size=n))
+    edges = {(u, w): 1 + (u * 3 + w) % 4 for u, w in pairs + [(v, v) for v in loops]}
+    members = draw(st.lists(node, min_size=2, max_size=n, unique=True))
+    return LabeledMultiGraph(n, edges), sorted(members)
+
+
+class TestGlyphFromGatheredEdges:
+    @given(graph_and_members())
+    @settings(max_examples=300, deadline=None)
+    def test_scored_glyph_equals_decide_glyph(self, case):
+        # _score decides the glyph and hub from the edges it gathered, with
+        # self-loops among them; decide_glyph scans on its own
+        g, members = case
+        proposal = SummaryState(g)._score(members)
+        want = decide_glyph(g, members)
+        assert (proposal.node.glyph, proposal.node.hub) == want
+        assert want == oracle_decide_glyph(g, members)
+
+    def test_ties_and_self_loops(self):
+        # a 4-cycle with a self-loop on every node: all degrees tie at 1 and
+        # no star pays; then two in-hubs tie at in-degree 2 and two out-hubs
+        # at out-degree 2, and the in-star on the smaller hub wins both ties
+        cycle = {(0, 1): 1, (1, 2): 1, (2, 3): 1, (3, 0): 1}
+        cycle.update({(v, v): 2 for v in range(4)})
+        two_hubs = {(1, 0): 1, (2, 0): 1, (1, 3): 1, (2, 3): 1, (0, 0): 1}
+        wants = []
+        for edges in (cycle, two_hubs):
+            g = LabeledMultiGraph(4, edges)
+            members = [0, 1, 2, 3]
+            p = SummaryState(g)._score(members)
+            want = oracle_decide_glyph(g, members)
+            assert decide_glyph(g, members) == want == (p.node.glyph, p.node.hub)
+            wants.append(want)
+        assert wants == [(Glyph.DISCONNECTED, None), (Glyph.IN_STAR, 0)]
 
 
 class TestRepresentativeMultiplicity:

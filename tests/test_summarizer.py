@@ -5,7 +5,7 @@ compression metrics, determinism, and the shuffled-label evaluation."""
 import numpy as np
 import pytest
 
-from lmgsum.candidates import threshold
+from lmgsum.candidates import LshState, threshold
 from lmgsum.graph import LabeledMultiGraph
 from lmgsum.summarize import (
     RunConfig,
@@ -226,6 +226,37 @@ class TestShuffledLabelEval:
         b = shuffled_label_eval(g, RunConfig(seed=3, shuffles=3))
         c = shuffled_label_eval(g, RunConfig(seed=3, shuffles=3, threads=2))
         assert a == b == c
+
+    def test_one_candidate_sweep_for_every_labeling(self, monkeypatch, planted_multigraph):
+        # the sweep reads no labels: the true labeling and both shuffles
+        # merge one list of batches, and none of them computes corrections
+        import lmgsum.summarize
+
+        g = planted_multigraph(1)
+        config = RunConfig(seed=1, shuffles=2)
+        want_actual = run(g, config)[1].compression_ratio
+        rng = np.random.default_rng(config.seed)
+        want_shuffled = [
+            run(_with_labels(g, g.labels[rng.permutation(g.n)]), config)[1].compression_ratio
+            for _ in range(2)
+        ]
+        bands = []
+        real_add_band = LshState.add_band
+
+        def counting_add_band(state):
+            bands.append(state.bands_added + 1)
+            real_add_band(state)
+
+        def no_corrections(*_args):
+            raise AssertionError("eval-labels computed corrections")
+
+        monkeypatch.setattr(LshState, "add_band", counting_add_band)
+        monkeypatch.setattr(lmgsum.summarize, "compute_corrections", no_corrections)
+        out = shuffled_label_eval(g, config)
+        assert bands == list(range(1, config.b_max + 1))
+        assert out["actual"] == want_actual
+        assert out["shuffled"] == want_shuffled
+        assert len(set(want_shuffled + [want_actual])) > 1
 
     def test_rejects_zero_shuffles(self):
         g = _two_label_graph()
