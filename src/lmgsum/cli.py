@@ -19,6 +19,7 @@ import time
 import numpy as np
 
 from .graph import GraphFormatError, LabeledMultiGraph, load_graph
+from .jsontext import write_json
 from .summarize import RunConfig, run, shuffled_label_eval
 from .summary import (
     corrections_from_dict,
@@ -188,10 +189,9 @@ def cmd_summarize(args) -> int:
                     f.write(export_dot(cp.summary, f"summary_b{cp.band}"))
         with open(os.path.join(args.dot, "summary_final.dot"), "w") as f:
             f.write(export_dot(summary, "summary_final"))
-    # json.dump streams the same text json.dumps would build whole in memory
     if args.json:
         with open(args.json, "w") as f:
-            json.dump(payload, f, indent=2)
+            write_json(payload, f.write)
             f.write("\n")
         print(
             f"bits_before={report.bits_before:.3f} bits_after={report.bits_after:.3f} "
@@ -199,7 +199,7 @@ def cmd_summarize(args) -> int:
             f"super_edges={report.super_edge_count} -> {args.json}"
         )
     else:
-        json.dump(payload, sys.stdout, indent=2)
+        write_json(payload, sys.stdout.write)
         print()
     return EXIT_OK
 
@@ -214,7 +214,7 @@ def cmd_eval_labels(args) -> int:
     result = shuffled_label_eval(g, config)
     if args.json:
         with open(args.json, "w") as f:
-            json.dump(result, f, indent=2)
+            write_json(result, f.write)
             f.write("\n")
     print(f"actual_ratio={result['actual']:.4f}")
     if result.get("normalized_gain") is None:
@@ -288,7 +288,7 @@ def cmd_bench(args) -> int:
     sys.stdout.write(out.getvalue())
     if args.json:
         with open(args.json, "w") as f:
-            json.dump(rows, f, indent=2)
+            write_json(rows, f.write)
             f.write("\n")
     return EXIT_OK
 
@@ -296,10 +296,14 @@ def cmd_bench(args) -> int:
 def cmd_verify(args) -> int:
     g = _load(args)
     try:
-        with open(args.json) as f:
+        with open(args.json, encoding="utf-8") as f:
             payload = json.load(f)
     except json.JSONDecodeError as e:
         raise GraphFormatError(f"{args.json}: invalid JSON: {e}")
+    except UnicodeDecodeError as e:
+        raise GraphFormatError(f"{args.json}: not valid UTF-8: {e}") from None
+    except RecursionError:
+        raise GraphFormatError(f"{args.json}: JSON nested too deeply") from None
     if not isinstance(payload, dict):
         raise GraphFormatError(f"{args.json}: report is not a JSON object")
     if "summary" not in payload:

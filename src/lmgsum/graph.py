@@ -333,35 +333,53 @@ def induced_edge_stats(g: LabeledMultiGraph, nodes: Iterable[int]) -> InducedSta
 # -- file loading -----------------------------------------------------------
 
 
+def _numbered_lines(path: str) -> Iterator[tuple[int, str]]:
+    """The lines of a text file, numbered from 1, as text mode splits them.
+
+    A line that is not valid UTF-8 raises a GraphFormatError naming it.
+    """
+    # undecodable bytes become lone surrogates, which valid UTF-8 never
+    # decodes to, so the line that holds one is the line to name
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_num, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise GraphFormatError(
+                        f"{path}:{line_num}: not valid UTF-8"
+                    ) from None
+            yield line_num, line
+
+
 def _parse_edge_file(path: str) -> Iterator[tuple[int, str, str, int]]:
-    with open(path, encoding="utf-8") as fh:
-        for line_num, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split("\t")]
-            if len(parts) == 2:
-                src, dst, mult_s = parts[0], parts[1], "1"
-            elif len(parts) == 3:
-                src, dst, mult_s = parts
-            else:
-                raise GraphFormatError(
-                    f"{path}:{line_num}: expected 'src<TAB>dst[<TAB>mult]', "
-                    f"got {len(parts)} fields"
-                )
-            if not src or not dst:
-                raise GraphFormatError(f"{path}:{line_num}: empty node id")
-            try:
-                mult = int(mult_s)
-            except ValueError:
-                raise GraphFormatError(
-                    f"{path}:{line_num}: multiplicity {mult_s!r} is not an integer"
-                ) from None
-            if mult < 1:
-                raise GraphFormatError(
-                    f"{path}:{line_num}: multiplicity must be >= 1, got {mult}"
-                )
-            yield line_num, src, dst, mult
+    for line_num, raw in _numbered_lines(path):
+        line = raw.rstrip("\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split("\t")]
+        if len(parts) == 2:
+            src, dst, mult_s = parts[0], parts[1], "1"
+        elif len(parts) == 3:
+            src, dst, mult_s = parts
+        else:
+            raise GraphFormatError(
+                f"{path}:{line_num}: expected 'src<TAB>dst[<TAB>mult]', "
+                f"got {len(parts)} fields"
+            )
+        if not src or not dst:
+            raise GraphFormatError(f"{path}:{line_num}: empty node id")
+        try:
+            mult = int(mult_s)
+        except ValueError:
+            raise GraphFormatError(
+                f"{path}:{line_num}: multiplicity {mult_s!r} is not an integer"
+            ) from None
+        if mult < 1:
+            raise GraphFormatError(
+                f"{path}:{line_num}: multiplicity must be >= 1, got {mult}"
+            )
+        yield line_num, src, dst, mult
 
 
 #: whitespace other than the tab and newline separators
@@ -511,26 +529,25 @@ def _scan_labels(path: str, name_to_id: dict[str, int]) -> tuple[list[int], list
     labels = [0] * n
     label_to_id: dict[str, int] = {}
     seen: dict[int, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_num, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split("\t")]
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise GraphFormatError(f"{path}:{line_num}: expected 'node<TAB>label'")
-            name, label = parts
-            if name not in name_to_id:
-                raise GraphFormatError(f"{path}:{line_num}: unknown node {name!r}")
-            v = name_to_id[name]
-            if v in seen and seen[v] != label:
-                raise GraphFormatError(
-                    f"{path}:{line_num}: conflicting label for {name!r}"
-                )
-            seen[v] = label
-            if label not in label_to_id:
-                label_to_id[label] = len(label_to_id)
-            labels[v] = label_to_id[label]
+    for line_num, raw in _numbered_lines(path):
+        line = raw.rstrip("\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split("\t")]
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise GraphFormatError(f"{path}:{line_num}: expected 'node<TAB>label'")
+        name, label = parts
+        if name not in name_to_id:
+            raise GraphFormatError(f"{path}:{line_num}: unknown node {name!r}")
+        v = name_to_id[name]
+        if v in seen and seen[v] != label:
+            raise GraphFormatError(
+                f"{path}:{line_num}: conflicting label for {name!r}"
+            )
+        seen[v] = label
+        if label not in label_to_id:
+            label_to_id[label] = len(label_to_id)
+        labels[v] = label_to_id[label]
     if len(seen) < n:
         missing = next(name for name, v in name_to_id.items() if v not in seen)
         raise GraphFormatError(

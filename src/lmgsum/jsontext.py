@@ -1,0 +1,92 @@
+"""Indented JSON text written in pieces, at the C encoder's speed.
+
+``write_json(obj, write)`` passes ``write`` the text of
+``json.dumps(obj, indent=2)``, byte for byte, in pieces of at most about
+``CHUNK`` list elements, so no whole-report string is ever built.  The
+standard library uses its C encoder only when ``indent`` is None; with an
+indent it walks every value in Python, which made the report's encoding the
+slowest layer of a sparse ``summarize``.
+
+Two list shapes, the long ones in a report, are encoded by the C encoder with
+a NUL item separator and then indented by ``str.replace``:
+
+- a list of scalars (node names, label names);
+- a list of non-empty lists of scalars (the correction triples and pairs).
+
+``ensure_ascii`` escapes every control character, so a raw NUL in that
+output is always an item separator, and ``]`` NUL ``[`` always marks the
+seam between two inner lists.  Scalars here are values whose type is exactly
+``str``, ``int``, ``float``, ``bool`` or ``None``; subclasses take the
+general path.  Dicts are walked key by key.  Every other list is written in
+chunks by ``json.dumps(chunk, indent=2)``, re-indented by replacing each
+newline, which is exact because that text holds no raw newline inside a
+string.
+"""
+
+from __future__ import annotations
+
+import json
+from itertools import chain
+from typing import Callable
+
+#: most list elements encoded by one call, and so held as text at once
+CHUNK = 1024
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_encode_nul = json.JSONEncoder(separators=("\x00", ": ")).encode
+
+
+def write_json(obj, write: Callable[[str], object]) -> None:
+    """Write ``json.dumps(obj, indent=2)`` through ``write``, piece by piece.
+
+    A value or key JSON cannot hold raises the ``TypeError`` ``json.dumps``
+    raises, possibly after some pieces have been written.
+    """
+    _write(obj, write, 0)
+
+
+def _write(obj, write, level: int) -> None:
+    if isinstance(obj, dict) and obj:
+        inner = "\n" + "  " * (level + 1)
+        sep = "{" + inner
+        for key, value in obj.items():
+            # the stdlib's own key conversion: '{"1": 0}' for the key 1
+            write(sep + json.dumps({key: 0})[1:-4] + ": ")
+            _write(value, write, level + 1)
+            sep = "," + inner
+        write("\n" + "  " * level + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        _write_list(obj, write, level)
+    else:
+        # a scalar or an empty container: one line
+        write(json.dumps(obj, indent=2))
+
+
+def _write_list(obj, write, level: int) -> None:
+    outer = "\n" + "  " * level
+    inner = outer + "  "
+    write("[" + inner)
+    for start in range(0, len(obj), CHUNK):
+        if start:
+            write("," + inner)
+        write(_chunk_text(obj[start : start + CHUNK], outer, inner))
+    write(outer + "]")
+
+
+def _chunk_text(chunk, outer: str, inner: str) -> str:
+    """Items of a non-empty list chunk, each at ``inner``'s indent, joined."""
+    types = set(map(type, chunk))
+    if types <= _SCALARS:
+        return _encode_nul(chunk)[1:-1].replace("\x00", "," + inner)
+    if (
+        types == {list}
+        and all(chunk)
+        and set(map(type, chain.from_iterable(chunk))) <= _SCALARS
+    ):
+        deeper = inner + "  "
+        body = _encode_nul(chunk)[2:-2]
+        body = body.replace("]\x00[", inner + "]," + inner + "[" + deeper)
+        return "[" + deeper + body.replace("\x00", "," + deeper) + inner + "]"
+    text = json.dumps(chunk, indent=2).replace("\n", outer)
+    # drop the chunk's own "[" + inner and outer + "]"
+    return text[len(inner) + 1 : -len(outer) - 1]

@@ -24,7 +24,6 @@ are positive.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, product
@@ -42,6 +41,7 @@ from .encoding import (
     len_natural,
 )
 from .graph import LabeledMultiGraph
+from .jsontext import write_json
 
 
 class Glyph(Enum):
@@ -708,14 +708,10 @@ def summary_from_dict(data: dict) -> SummaryGraph:
 
 def corrections_to_dict(summary: SummaryGraph, cor: CorrectionSet) -> dict:
     names = summary.node_names
-
-    def nm(u):
-        return names[u]
-
     return {
-        "positive": [[nm(u), nm(w), m] for u, w, m in cor.positive],
-        "negative": [[nm(u), nm(w)] for u, w in cor.negative],
-        "mult_deltas": [[nm(u), nm(w), d] for u, w, d in cor.mult_deltas],
+        "positive": [[names[u], names[w], m] for u, w, m in cor.positive],
+        "negative": [[names[u], names[w]] for u, w in cor.negative],
+        "mult_deltas": [[names[u], names[w], d] for u, w, d in cor.mult_deltas],
     }
 
 
@@ -742,7 +738,9 @@ def corrections_from_dict(summary: SummaryGraph, data: dict) -> CorrectionSet:
 def export_json(
     g: LabeledMultiGraph, summary: SummaryGraph, costs: CostBreakdown | None = None
 ) -> str:
-    return json.dumps(summary_to_dict(g, summary, costs), indent=2)
+    parts: list[str] = []
+    write_json(summary_to_dict(g, summary, costs), parts.append)
+    return "".join(parts)
 
 
 def export_dot(summary: SummaryGraph, graph_name: str = "summary") -> str:

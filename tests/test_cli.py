@@ -9,7 +9,8 @@ import pytest
 
 from lmgsum.cli import main
 from lmgsum.graph import LabeledMultiGraph
-from lmgsum.synth import planted_graph
+from lmgsum.jsontext import CHUNK
+from lmgsum.synth import kout_graph, planted_graph
 
 
 def write_graph(tmp_path, g, name="graph"):
@@ -34,6 +35,31 @@ def planted_files(tmp_path):
     g, _ = planted_graph(2, cliques=2, in_stars=1, out_stars=1,
                          size_range=(6, 10), noise=0.05)
     return write_graph(tmp_path, g) + (g,)
+
+
+@pytest.mark.parametrize("command", ["summarize", "verify", "eval-labels"])
+@pytest.mark.parametrize(
+    "bad_file, edge_bytes, label_bytes",
+    [
+        ("edges", b"a\tb\t1\n\xff\tc\t2\n", b"a\tx\nb\ty\nc\tx\n"),
+        ("labels", b"a\tb\t1\nb\tc\t2\n", b"a\tx\n\xff\ty\nc\tx\n"),
+    ],
+    ids=["edge-file", "label-file"],
+)
+def test_input_not_utf8_is_io_error(
+    tmp_path, capsys, command, bad_file, edge_bytes, label_bytes
+):
+    edges, labels = tmp_path / "edges.tsv", tmp_path / "labels.tsv"
+    edges.write_bytes(edge_bytes)
+    labels.write_bytes(label_bytes)
+    args = [command, "-i", str(edges), "-l", str(labels)]
+    if command == "verify":
+        args += ["--json", str(tmp_path / "report.json")]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    bad = edges if bad_file == "edges" else labels
+    assert f"{bad}:2: not valid UTF-8" in err
+    assert "Traceback" not in err
 
 
 class TestSummarize:
@@ -422,6 +448,25 @@ class TestVerify:
         assert main(["verify", "-i", edges, "-l", labels, "--json", str(report)]) == 3
         assert f"{report}: report is not a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content, needle",
+        [
+            (b'{"summary": "\xff"}', "not valid UTF-8"),
+            (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+        ],
+        ids=["not-utf8", "too-deep"],
+    )
+    def test_unreadable_report_is_io_error(
+        self, planted_files, tmp_path, capsys, content, needle
+    ):
+        edges, labels, _g = planted_files
+        report = tmp_path / "report.json"
+        report.write_bytes(content)
+        assert main(["verify", "-i", edges, "-l", labels, "--json", str(report)]) == 3
+        err = capsys.readouterr().err
+        assert f"{report}: " in err and needle in err
+        assert "Traceback" not in err
+
     def test_undirected_round_trip(self, tmp_path, capsys):
         edge_path = tmp_path / "undirected.tsv"
         edge_path.write_text("a\tb\t2\nb\tc\t1\nc\ta\t1\nd\td\t3\n")
@@ -505,6 +550,61 @@ class TestBench:
         assert main(["bench", "--fractions", "0.5"]) == 2
         assert main(["bench", "-i", edges, "--fractions", "1.5"]) == 2
         capsys.readouterr()
+
+
+def _indent2_text(text):
+    """The text ``json.dump(..., indent=2)`` and a newline make of ``text``'s value."""
+    return json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.fixture(params=["planted-multigraph", "kout"])
+def output_files(request, tmp_path, planted_multigraph):
+    # the k-out graph has no merges, so its report holds more positive
+    # corrections than one chunk of the JSON writer
+    if request.param == "kout":
+        g = kout_graph(0, 600, 4)
+    else:
+        g = planted_multigraph(0)
+    return write_graph(tmp_path, g) + (request.param,)
+
+
+class TestOutputBytes:
+    """Every JSON output holds exactly the bytes of ``json.dump(indent=2)``."""
+
+    def test_summarize_json_file_and_stdout(self, output_files, tmp_path, capsys):
+        edges, labels, kind = output_files
+        out_json = tmp_path / "report.json"
+        args = ["summarize", "-i", edges, "-l", labels, "--seed", "1"]
+        assert main(args + ["--json", str(out_json)]) == 0
+        text = out_json.read_text()
+        assert text == _indent2_text(text)
+        if kind == "kout":
+            assert len(json.loads(text)["corrections"]["positive"]) > CHUNK
+        capsys.readouterr()
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert out == _indent2_text(out)
+
+    def test_eval_labels_json(self, output_files, tmp_path, capsys):
+        edges, labels, _kind = output_files
+        out_json = tmp_path / "eval.json"
+        assert main([
+            "eval-labels", "-i", edges, "-l", labels, "--shuffles", "2",
+            "--json", str(out_json),
+        ]) == 0
+        text = out_json.read_text()
+        assert text == _indent2_text(text)
+
+    def test_bench_json(self, output_files, tmp_path, capsys):
+        edges, labels, _kind = output_files
+        for i, mode in enumerate(
+            (["--sizes", "60,120", "--k", "3"], ["-i", edges, "-l", labels,
+                                                  "--fractions", "0.5,1.0"])
+        ):
+            out_json = tmp_path / f"bench{i}.json"
+            assert main(["bench", *mode, "--json", str(out_json)]) == 0
+            text = out_json.read_text()
+            assert text == _indent2_text(text)
 
 
 class TestArgparseContract:
