@@ -12,7 +12,6 @@ from .candidates import (
     Candidate,
     LshState,
     directed_jaccard,
-    generate_candidates,
     minhash_band,
     threshold,
 )
@@ -30,7 +29,6 @@ from .encoding import (
 from .graph import (
     GraphFormatError,
     LabeledMultiGraph,
-    induced_edge_stats,
     load_graph,
 )
 from .merge import (
@@ -97,8 +95,6 @@ __all__ = [
     "ell_diff",
     "export_dot",
     "export_json",
-    "generate_candidates",
-    "induced_edge_stats",
     "kout_graph",
     "len_natural",
     "load_graph",

@@ -520,15 +520,3 @@ def candidate_batches(
             yield b, sorted(prune_redundant(pending), key=candidate_sort_key)
             pending = []
 
-
-def generate_candidates(
-    g: LabeledMultiGraph,
-    r: int = 8,
-    b_max: int = 10,
-    seed: int = 0,
-    cluster_cap: int = 5000,
-) -> list[Candidate]:
-    """Run all bands and return the merged candidate list, best first."""
-    state = LshState(g, r=r, b_max=b_max, seed=seed, cluster_cap=cluster_cap)
-    [(_band, cands)] = candidate_batches(state)
-    return cands

@@ -1,4 +1,4 @@
-"""Command-line front end: summarize, eval-labels, bench, verify.
+"""Command-line front end: summarize, eval-labels, verify.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O or
 input-format error.  The seed falls back to the LMGSUM_SEED environment
@@ -9,14 +9,9 @@ and seed.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
-import time
-
-import numpy as np
 
 from .graph import GraphFormatError, LabeledMultiGraph, load_graph
 from .jsontext import write_json
@@ -29,7 +24,6 @@ from .summary import (
     summary_from_dict,
     summary_to_dict,
 )
-from .synth import kout_graph
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -44,22 +38,14 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
-
-
-def _add_common(p: argparse.ArgumentParser, need_input: bool = True) -> None:
-    if need_input:
-        p.add_argument("-i", "--input", required=True, help="edge list file (TSV)")
-        p.add_argument("-l", "--labels", help="node label file (TSV)")
-        p.add_argument(
-            "--undirected",
-            action="store_true",
-            help="materialize each listed edge in both directions",
-        )
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("-i", "--input", required=True, help="edge list file (TSV)")
+    p.add_argument("-l", "--labels", help="node label file (TSV)")
+    p.add_argument(
+        "--undirected",
+        action="store_true",
+        help="materialize each listed edge in both directions",
+    )
     p.add_argument("-r", type=int, default=8, help="minhash rows per band")
     p.add_argument("-b", "--bands", type=int, default=10, help="number of bands")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default: $LMGSUM_SEED or 0)")
@@ -96,26 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shuffles", type=int, default=20, help="number of label permutations")
     p.add_argument("--json", metavar="PATH", help="write the evaluation JSON to PATH")
 
-    p = sub.add_parser("bench", help="timing benchmark; CSV of |V|,|E|,seconds,ratio")
-    _add_common(p, need_input=False)
-    p.add_argument("-i", "--input", help="edge list to subsample (fractions mode)")
-    p.add_argument("-l", "--labels", help="node label file for fractions mode")
-    p.add_argument("--undirected", action="store_true")
-    p.add_argument(
-        "--sizes",
-        type=_parse_int_list,
-        default=(),
-        help="k-out generator node counts, e.g. 1000,3000,10000",
-    )
-    p.add_argument("--k", type=int, default=10, help="out-edges per new node")
-    p.add_argument(
-        "--fractions",
-        type=_parse_float_list,
-        default=(),
-        help="edge fractions of the input graph, e.g. 0.25,0.5,1.0",
-    )
-    p.add_argument("--json", metavar="PATH", help="also write rows as JSON to PATH")
-
     p = sub.add_parser("verify", help="reconstruct from a report and compare")
     _add_common(p)
     p.add_argument(
@@ -143,17 +109,17 @@ class UsageError(Exception):
     pass
 
 
-def _config(args, checkpoints=(), shuffles: int | None = None) -> RunConfig:
+def _config(args, **fields) -> RunConfig:
+    """The run configuration of the common flags plus the command's ``fields``."""
     try:
         return RunConfig(
             r=args.r,
             b_max=args.bands,
             seed=_seed_of(args),
             cluster_cap=args.cluster_cap,
-            undirected=getattr(args, "undirected", False),
-            checkpoints=tuple(checkpoints),
+            undirected=args.undirected,
             threads=args.threads,
-            shuffles=shuffles if shuffles is not None else 20,
+            **fields,
         )
     except ValueError as e:
         raise UsageError(str(e))
@@ -225,74 +191,6 @@ def cmd_eval_labels(args) -> int:
     return EXIT_OK
 
 
-def _bench_rows(args) -> list[dict]:
-    rows = []
-    seed = _seed_of(args)
-    if args.sizes and args.fractions:
-        raise UsageError("bench takes either --sizes or --fractions, not both")
-    if args.sizes:
-        graphs = [(f"kout_{n}", kout_graph(seed, n, args.k)) for n in args.sizes]
-    elif args.fractions:
-        if not args.input:
-            raise UsageError("--fractions needs an input graph (-i)")
-        base = _load(args)
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(base.edge_count)
-        graphs = []
-        for frac in args.fractions:
-            if not (0 < frac <= 1):
-                raise UsageError(f"fraction out of range: {frac}")
-            take = order[: max(1, int(round(frac * base.edge_count)))]
-            graphs.append(
-                (
-                    f"frac_{frac:g}",
-                    LabeledMultiGraph.from_arrays(
-                        base.n,
-                        base.out_src[take],
-                        base.out_dst[take],
-                        base.out_mult[take],
-                        base.labels,
-                        base.label_names,
-                        base.node_names,
-                    ),
-                )
-            )
-    else:
-        raise UsageError("bench needs --sizes or --fractions")
-    config = _config(args)
-    for name, g in graphs:
-        t0 = time.perf_counter()
-        _, report = run(g, config)
-        seconds = time.perf_counter() - t0
-        rows.append(
-            {
-                "name": name,
-                "nodes": g.n,
-                "edges": g.edge_count,
-                "seconds": seconds,
-                "ratio": report.compression_ratio,
-            }
-        )
-    return rows
-
-
-def cmd_bench(args) -> int:
-    rows = _bench_rows(args)
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["nodes", "edges", "seconds", "ratio"])
-    for row in rows:
-        writer.writerow(
-            [row["nodes"], row["edges"], f"{row['seconds']:.4f}", f"{row['ratio']:.4f}"]
-        )
-    sys.stdout.write(out.getvalue())
-    if args.json:
-        with open(args.json, "w") as f:
-            write_json(rows, f.write)
-            f.write("\n")
-    return EXIT_OK
-
-
 def cmd_verify(args) -> int:
     g = _load(args)
     try:
@@ -356,7 +254,6 @@ def main(argv=None) -> int:
     handlers = {
         "summarize": cmd_summarize,
         "eval-labels": cmd_eval_labels,
-        "bench": cmd_bench,
         "verify": cmd_verify,
     }
     try:

@@ -71,9 +71,7 @@ def summary_header_bits(summary_size: int, label_count: int) -> float:
     return len_natural(summary_size) + len_natural(label_count)
 
 
-def supernode_width_bits(
-    summary_size: int, label_count: int, n_out: int, glyph_count: int = GLYPH_COUNT
-) -> float:
+def supernode_width_bits(summary_size: int, label_count: int, n_out: int) -> float:
     """The part of a super-node's bits that depends on the summary size.
 
     Covers its label, glyph, out-super-edge count (over an alphabet of
@@ -81,7 +79,7 @@ def supernode_width_bits(
     which n_out super-nodes it points to.
     """
     bits = math.log2(label_count)
-    bits += math.log2(glyph_count)
+    bits += math.log2(GLYPH_COUNT)
     bits += math.log2(summary_size + 1)
     bits += log2_binomial(summary_size, n_out)
     return bits
@@ -107,7 +105,6 @@ def cost_supernode(
     out_edge_mults: Sequence[int],
     summary_size: int,
     label_count: int,
-    glyph_count: int = GLYPH_COUNT,
 ) -> float:
     """Bits to encode one super-node in the summary graph.
 
@@ -120,9 +117,9 @@ def cost_supernode(
     n_out = len(out_edge_mults)
     if n_out > summary_size:
         raise ValueError("more out-super-edges than super-nodes")
-    return supernode_width_bits(
-        summary_size, label_count, n_out, glyph_count
-    ) + supernode_own_bits(member_count, rep_mult, out_edge_mults)
+    return supernode_width_bits(summary_size, label_count, n_out) + supernode_own_bits(
+        member_count, rep_mult, out_edge_mults
+    )
 
 
 def cost_summary(summary) -> float:

@@ -22,7 +22,6 @@ does not handle.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import chain, count
 from typing import Iterable, Iterator, Sequence
 
@@ -205,12 +204,6 @@ class LabeledMultiGraph:
             return int(mults[i])
         return 0
 
-    def has_edge(self, u: int, w: int) -> bool:
-        return self.multiplicity(u, w) > 0
-
-    def self_loop_mult(self, v: int) -> int:
-        return self.multiplicity(v, v)
-
     def self_loop_mults(self) -> np.ndarray:
         """Every node's self-loop multiplicity, 0 where it has none."""
         loops = np.zeros(self.n, dtype=np.int64)
@@ -279,55 +272,6 @@ class LabeledMultiGraph:
             for v in range(self.n)
         )
         return "\n".join(lines + label_lines) + "\n"
-
-
-@dataclass(frozen=True)
-class InducedStats:
-    """Edge statistics of the subgraph induced by a node set.
-
-    ``edge_count`` counts distinct directed non-self-loop edges inside the
-    set; the degree maxima also exclude self-loops; ``self_loop_count`` is
-    the number of members carrying a self-loop.
-    """
-
-    edge_count: int
-    max_in_degree: int
-    max_in_node: int
-    max_out_degree: int
-    max_out_node: int
-    self_loop_count: int
-
-
-def induced_edge_stats(g: LabeledMultiGraph, nodes: Iterable[int]) -> InducedStats:
-    members = sorted(set(int(v) for v in nodes))
-    if not members:
-        raise ValueError("induced_edge_stats needs a non-empty node set")
-    member_set = set(members)
-    in_deg = {v: 0 for v in members}
-    out_deg = {v: 0 for v in members}
-    edge_count = 0
-    self_loops = 0
-    for u in members:
-        targets, _ = g.out_edges(u)
-        for w in targets:
-            w = int(w)
-            if w == u:
-                self_loops += 1
-            elif w in member_set:
-                edge_count += 1
-                out_deg[u] += 1
-                in_deg[w] += 1
-    # argmax with ties resolved toward the smallest node id
-    max_in_node = min(members, key=lambda v: (-in_deg[v], v))
-    max_out_node = min(members, key=lambda v: (-out_deg[v], v))
-    return InducedStats(
-        edge_count=edge_count,
-        max_in_degree=in_deg[max_in_node],
-        max_in_node=max_in_node,
-        max_out_degree=out_deg[max_out_node],
-        max_out_node=max_out_node,
-        self_loop_count=self_loops,
-    )
 
 
 # -- file loading -----------------------------------------------------------

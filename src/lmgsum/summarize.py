@@ -47,6 +47,10 @@ class RunConfig:
     def __post_init__(self):
         if self.r < 1 or self.b_max < 1:
             raise ValueError("r and b_max must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.cluster_cap < 1:
+            raise ValueError("cluster_cap must be >= 1")
         if any(b < 1 or b > self.b_max for b in self.checkpoints):
             raise ValueError("checkpoints must lie in [1, b_max]")
         if self.threads < 1 or self.shuffles < 1:
@@ -226,19 +230,14 @@ def _with_labels(g: LabeledMultiGraph, labels: np.ndarray) -> LabeledMultiGraph:
     return relabeled
 
 
-def shuffled_label_eval(
-    g: LabeledMultiGraph, config: RunConfig = RunConfig(), n_shuffles: int | None = None
-) -> dict:
+def shuffled_label_eval(g: LabeledMultiGraph, config: RunConfig = RunConfig()) -> dict:
     """Compression with true labels vs. seeded label permutations.
 
     Returns actual ratio, per-shuffle ratios, their mean, and the normalized
-    gain.  A single-label graph has no alternative labelings: the result
-    carries the actual ratio and a warning instead of a gain.
+    gain over ``config.shuffles`` permutations.  A single-label graph has no
+    alternative labelings: the result carries the actual ratio and a warning
+    instead of a gain.
     """
-    if n_shuffles is None:
-        n_shuffles = config.shuffles
-    if n_shuffles < 1:
-        raise ValueError("n_shuffles must be >= 1")
     # the candidate sweep reads the edges only, so every labeling shares it
     batches = list(_sweep(g, config))
 
@@ -256,7 +255,7 @@ def shuffled_label_eval(
         }
     rng = np.random.default_rng(config.seed)
     base = np.asarray(g.labels)
-    permuted = [base[rng.permutation(g.n)] for _ in range(n_shuffles)]
+    permuted = [base[rng.permutation(g.n)] for _ in range(config.shuffles)]
 
     ratios = [ratio(_with_labels(g, labels)) for labels in permuted]
     mean = float(np.mean(ratios))

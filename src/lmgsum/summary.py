@@ -228,8 +228,9 @@ def all_singleton_summary(g: LabeledMultiGraph) -> SummaryGraph:
 # -- decompression and corrections -------------------------------------------
 
 
-def decompress(summary: SummaryGraph) -> LabeledMultiGraph:
-    """Expand a summary into a plain graph (no corrections applied)."""
+def _expand(summary: SummaryGraph) -> tuple[dict[tuple[int, int], int], list[int]]:
+    """The summary's expansion as an ``{(u, w): mult}`` dict, and each
+    node's label."""
     edges: dict[tuple[int, int], int] = {}
     labels = [0] * summary.graph_size
     for sn in summary.super_nodes.values():
@@ -241,6 +242,12 @@ def decompress(summary: SummaryGraph) -> LabeledMultiGraph:
         sa, sb = summary.super_nodes[a], summary.super_nodes[b]
         for pair in product(sa.ports(), sb.ports()):
             edges[pair] = m
+    return edges, labels
+
+
+def decompress(summary: SummaryGraph) -> LabeledMultiGraph:
+    """Expand a summary into a plain graph (no corrections applied)."""
+    edges, labels = _expand(summary)
     return LabeledMultiGraph(
         summary.graph_size,
         edges,
@@ -451,8 +458,7 @@ def reconstruct(summary: SummaryGraph, corrections: CorrectionSet) -> LabeledMul
 
     compute_corrections for the graph the corrections were derived from.
     """
-    base = decompress(summary)
-    edges = {(u, w): m for u, w, m in base.edges()}
+    edges, labels = _expand(summary)
     for u, w, m in corrections.positive:
         if (u, w) in edges:
             raise ValueError(f"positive correction for existing edge ({u}, {w})")
@@ -470,7 +476,7 @@ def reconstruct(summary: SummaryGraph, corrections: CorrectionSet) -> LabeledMul
     return LabeledMultiGraph(
         summary.graph_size,
         edges,
-        labels=[int(x) for x in base.labels],
+        labels=labels,
         label_names=summary.label_names or None,
         node_names=summary.node_names or None,
     )

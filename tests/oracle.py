@@ -29,7 +29,7 @@ import numpy as np
 
 from lmgsum.candidates import _band_keys, directed_jaccard, minhash_band, threshold
 from lmgsum.encoding import CostBreakdown, cost_node_map, cost_summary
-from lmgsum.graph import MAX_MULT, GraphFormatError, LabeledMultiGraph, induced_edge_stats
+from lmgsum.graph import MAX_MULT, GraphFormatError, LabeledMultiGraph
 from lmgsum.summary import (
     STAR_GLYPHS,
     CorrectionSet,
@@ -249,22 +249,34 @@ def oracle_best_glyph(g, members) -> tuple[Glyph, int | None]:
 
 def oracle_decide_glyph(g, nodes) -> tuple[Glyph, int | None]:
     """``decide_glyph`` as it was before it shared the scoring scan: the
-    same rules, read off ``induced_edge_stats``' second scan of the set."""
+    same rules, read off a brute-force count of the set's induced edges."""
     members = sorted(set(int(u) for u in nodes))
     k = len(members)
-    stats = induced_edge_stats(g, members)
-    e_c = stats.edge_count
+    member_set = set(members)
+    in_deg = dict.fromkeys(members, 0)
+    out_deg = dict.fromkeys(members, 0)
+    e_c = 0
+    # distinct non-loop edges inside the set
+    for u, w, _m in g.edges():
+        if u != w and u in member_set and w in member_set:
+            e_c += 1
+            out_deg[u] += 1
+            in_deg[w] += 1
+    # argmax with ties resolved toward the smallest node id
+    max_in_node = min(members, key=lambda v: (-in_deg[v], v))
+    max_out_node = min(members, key=lambda v: (-out_deg[v], v))
+    max_in, max_out = in_deg[max_in_node], out_deg[max_out_node]
     clique_threshold = k * (k - 1) / 2 if k > 2 else 2
     if e_c >= clique_threshold:
         return Glyph.CLIQUE, None
-    cost_in = (k - 1 - stats.max_in_degree) + (e_c - stats.max_in_degree)
-    cost_out = (k - 1 - stats.max_out_degree) + (e_c - stats.max_out_degree)
+    cost_in = (k - 1 - max_in) + (e_c - max_in)
+    cost_out = (k - 1 - max_out) + (e_c - max_out)
     in_wins = cost_in < e_c
     out_wins = cost_out < e_c
     if in_wins and (not out_wins or cost_in <= cost_out):
-        return Glyph.IN_STAR, stats.max_in_node
+        return Glyph.IN_STAR, max_in_node
     if out_wins:
-        return Glyph.OUT_STAR, stats.max_out_node
+        return Glyph.OUT_STAR, max_out_node
     return Glyph.DISCONNECTED, None
 
 

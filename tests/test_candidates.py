@@ -15,9 +15,9 @@ from lmgsum.candidates import (
     LshState,
     PairCache,
     SimilarityGraph,
+    candidate_batches,
     candidate_sort_key,
     directed_jaccard,
-    generate_candidates,
     minhash_band,
     pair_similarities,
     prune_redundant,
@@ -416,18 +416,24 @@ class TestCliqueEnumeration:
         assert total > 0
 
 
+def all_candidates(g, **kwargs):
+    """Every band's candidates in one batch, best first."""
+    [(_band, cands)] = candidate_batches(LshState(g, **kwargs))
+    return cands
+
+
 class TestGenerateCandidates:
     def test_deterministic_for_seed(self):
         g, _ = planted_graph(2, cliques=1, in_stars=1, out_stars=1,
                              size_range=(6, 9), noise=0.05)
-        a = generate_candidates(g, seed=4)
-        b = generate_candidates(g, seed=4)
+        a = all_candidates(g, seed=4)
+        b = all_candidates(g, seed=4)
         assert a == b
 
     def test_candidates_are_verified_cliques(self):
         g, _ = planted_graph(5, cliques=2, in_stars=1, out_stars=1,
                              size_range=(6, 10), noise=0.1)
-        cands = generate_candidates(g, r=8, b_max=10, seed=1)
+        cands = all_candidates(g, r=8, b_max=10, seed=1)
         assert cands
         assert cands == sorted(cands, key=candidate_sort_key)
         t_min = threshold(10, 8)
@@ -444,7 +450,7 @@ class TestGenerateCandidates:
     def test_planted_groups_appear_as_candidates(self):
         g, groups = planted_graph(3, cliques=2, in_stars=2, out_stars=2,
                                   size_range=(8, 12), noise=0.0)
-        found = {frozenset(c.nodes) for c in generate_candidates(g, seed=0)}
+        found = {frozenset(c.nodes) for c in all_candidates(g, seed=0)}
         for grp in groups:
             if grp.hub is None:
                 expected = frozenset(grp.members)

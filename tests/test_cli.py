@@ -1,4 +1,4 @@
-"""In-process tests of the command-line interface: the four subcommands,
+"""In-process tests of the command-line interface: the three subcommands,
 
 their outputs, and the exit-code contract (0 ok, 1 verify mismatch, 2 usage,
 3 I/O or format error)."""
@@ -120,6 +120,25 @@ class TestSummarize:
         monkeypatch.setenv("LMGSUM_SEED", "not-a-number")
         assert main(["summarize", "-i", edges]) == 2
         assert "LMGSUM_SEED" in capsys.readouterr().err
+
+    def test_negative_seed_and_nonpositive_cluster_cap_are_usage_errors(
+        self, planted_files, monkeypatch, capsys
+    ):
+        edges, labels, _g = planted_files
+        eval_args = ["eval-labels", "-i", edges, "-l", labels, "--shuffles", "1"]
+        cases = [
+            ({}, eval_args + ["--seed", "-1"], "seed"),
+            ({"LMGSUM_SEED": "-1"}, eval_args, "seed"),
+            ({}, ["summarize", "-i", edges, "--cluster-cap", "0"], "cluster_cap"),
+        ]
+        for env, args, needle in cases:
+            monkeypatch.delenv("LMGSUM_SEED", raising=False)
+            for name, value in env.items():
+                monkeypatch.setenv(name, value)
+            assert main(args) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert needle in captured.err and "Traceback" not in captured.err
 
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         assert main(["summarize", "-i", str(tmp_path / "absent.tsv")]) == 3
@@ -518,40 +537,6 @@ class TestEvalLabels:
         assert result["normalized_gain"] is not None
 
 
-class TestBench:
-    def test_kout_sizes_csv(self, tmp_path, capsys):
-        out_json = tmp_path / "bench.json"
-        code = main([
-            "bench", "--sizes", "60,120", "--k", "3", "--seed", "0",
-            "--json", str(out_json),
-        ])
-        assert code == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "nodes,edges,seconds,ratio"
-        assert len(lines) == 3
-        assert lines[1].startswith("60,") and lines[2].startswith("120,")
-        rows = json.loads(out_json.read_text())
-        assert [r["name"] for r in rows] == ["kout_60", "kout_120"]
-
-    def test_fraction_subsampling(self, planted_files, capsys):
-        edges, _labels, g = planted_files
-        code = main(["bench", "-i", edges, "--fractions", "0.5,1.0", "--seed", "0"])
-        assert code == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 3
-        full = lines[2].split(",")
-        assert int(full[1]) == g.edge_count
-
-    def test_mode_conflicts_are_usage_errors(self, planted_files, capsys):
-        edges, _labels, _g = planted_files
-        assert main(["bench", "--sizes", "50", "--fractions", "0.5",
-                     "-i", edges]) == 2
-        assert main(["bench"]) == 2
-        assert main(["bench", "--fractions", "0.5"]) == 2
-        assert main(["bench", "-i", edges, "--fractions", "1.5"]) == 2
-        capsys.readouterr()
-
-
 def _indent2_text(text):
     """The text ``json.dump(..., indent=2)`` and a newline make of ``text``'s value."""
     return json.dumps(json.loads(text), indent=2) + "\n"
@@ -594,17 +579,6 @@ class TestOutputBytes:
         ]) == 0
         text = out_json.read_text()
         assert text == _indent2_text(text)
-
-    def test_bench_json(self, output_files, tmp_path, capsys):
-        edges, labels, _kind = output_files
-        for i, mode in enumerate(
-            (["--sizes", "60,120", "--k", "3"], ["-i", edges, "-l", labels,
-                                                  "--fractions", "0.5,1.0"])
-        ):
-            out_json = tmp_path / f"bench{i}.json"
-            assert main(["bench", *mode, "--json", str(out_json)]) == 0
-            text = out_json.read_text()
-            assert text == _indent2_text(text)
 
 
 class TestArgparseContract:

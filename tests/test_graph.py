@@ -1,4 +1,4 @@
-"""Tests for the multi-graph container, file loader, and induced stats."""
+"""Tests for the multi-graph container and the file loader."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from lmgsum.graph import (
     GraphFormatError,
     LabeledMultiGraph,
     dedup_sum,
-    induced_edge_stats,
     load_graph,
 )
 from oracle import oracle_load_graph
@@ -88,9 +87,9 @@ class TestContainer:
         assert g.multiplicity(0, 1) == 2
         assert g.multiplicity(1, 2) == 3
         assert g.multiplicity(2, 0) == 0
-        assert g.has_edge(0, 2) and not g.has_edge(2, 1)
-        assert g.self_loop_mult(2) == 4
-        assert g.self_loop_mult(0) == 0
+        assert g.multiplicity(0, 2) == 1 and g.multiplicity(2, 1) == 0
+        assert g.multiplicity(2, 2) == 4
+        assert g.multiplicity(0, 0) == 0
         assert list(g.out_neighbors(0)) == [1, 2]
         assert list(g.in_neighbors(2)) == [0, 1, 2]
         # self-loop counts twice in the token degree
@@ -137,51 +136,6 @@ class TestContainer:
         assert g1 != g3
 
 
-class TestInducedStats:
-    def test_small_case(self):
-        g = small_graph()
-        stats = induced_edge_stats(g, [0, 1, 2])
-        assert stats.edge_count == 4  # loop (2,2) excluded
-        assert stats.self_loop_count == 1
-        assert stats.max_in_degree == 2 and stats.max_in_node == 2
-        assert stats.max_out_degree == 2 and stats.max_out_node == 0
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            induced_edge_stats(small_graph(), [])
-
-    @given(graphs(), st.data())
-    @settings(max_examples=60)
-    def test_matches_brute_force(self, g, data):
-        nodes = data.draw(
-            st.lists(
-                st.integers(0, g.n - 1), min_size=1, max_size=g.n, unique=True
-            )
-        )
-        node_set = set(nodes)
-        inside = [
-            (u, w)
-            for u, w, _ in g.edges()
-            if u in node_set and w in node_set and u != w
-        ]
-        loops = sum(1 for u, w, _ in g.edges() if u == w and u in node_set)
-        indeg = {v: 0 for v in nodes}
-        outdeg = {v: 0 for v in nodes}
-        for u, w in inside:
-            outdeg[u] += 1
-            indeg[w] += 1
-        stats = induced_edge_stats(g, nodes)
-        assert stats.edge_count == len(inside)
-        assert stats.self_loop_count == loops
-        assert stats.max_in_degree == max(indeg.values())
-        assert stats.max_out_degree == max(outdeg.values())
-        # argmax ties break toward the smallest node id
-        best_in = min(v for v in nodes if indeg[v] == stats.max_in_degree)
-        best_out = min(v for v in nodes if outdeg[v] == stats.max_out_degree)
-        assert stats.max_in_node == best_in
-        assert stats.max_out_node == best_out
-
-
 class TestLoader:
     def test_basic_load(self, tmp_path):
         p = tmp_path / "g.tsv"
@@ -198,7 +152,7 @@ class TestLoader:
         assert g.node_names == ["alice", "bob", "carol"]
         assert g.multiplicity(0, 1) == 5  # duplicates sum
         assert g.multiplicity(1, 2) == 1  # default multiplicity
-        assert g.self_loop_mult(2) == 5
+        assert g.multiplicity(2, 2) == 5
         assert g.label_names == [DEFAULT_LABEL]
 
     def test_undirected_mirrors_except_loops(self, tmp_path):
@@ -207,7 +161,7 @@ class TestLoader:
         g = load_graph(str(p), undirected=True)
         assert g.multiplicity(0, 1) == 2
         assert g.multiplicity(1, 0) == 2
-        assert g.self_loop_mult(2) == 3
+        assert g.multiplicity(2, 2) == 3
 
     def test_labels(self, tmp_path):
         p = tmp_path / "g.tsv"

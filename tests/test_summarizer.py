@@ -43,6 +43,10 @@ class TestRunConfig:
             RunConfig(threads=0)
         with pytest.raises(ValueError):
             RunConfig(shuffles=0)
+        with pytest.raises(ValueError):
+            RunConfig(seed=-1)
+        with pytest.raises(ValueError):
+            RunConfig(cluster_cap=0)
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
@@ -261,7 +265,7 @@ class TestShuffledLabelEval:
     def test_rejects_zero_shuffles(self):
         g = _two_label_graph()
         with pytest.raises(ValueError):
-            shuffled_label_eval(g, RunConfig(), n_shuffles=0)
+            shuffled_label_eval(g, RunConfig(shuffles=0))
 
     def test_relabeled_graph_equals_rebuilt_one(self, planted_multigraph):
         g = planted_multigraph(0)
