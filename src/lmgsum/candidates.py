@@ -237,16 +237,22 @@ class SimilarityGraph:
         bits 0..deg-1 so every set is a Python int as wide as u's degree.
         Excluded neighbors start in X: a clique they could extend is not
         maximal here, and one they belong to is left to their own call.
+        The mask of N(w) & N(u) is built the first time the pivot scan or a
+        branch reads it, so a call whose first pivot covers P builds few.
         """
-        nbr_set = self.adj[u]
+        adj = self.adj
+        nbr_set = adj[u]
         nbrs = sorted(nbr_set)
         bit = {w: 1 << i for i, w in enumerate(nbrs)}
-        nb = []
-        for w in nbrs:
+        nb: list[int | None] = [None] * len(nbrs)
+
+        def build(i: int) -> int:
             m = 0
-            for x in self.adj[w] & nbr_set:
-                m |= bit[x]
-            nb.append(m)
+            for y in adj[nbrs[i]] & nbr_set:
+                m |= bit[y]
+            nb[i] = m
+            return m
+
         p = x = 0
         for w, b in bit.items():
             if w in excluded:
@@ -267,17 +273,24 @@ class SimilarityGraph:
             while scan:
                 low = scan & -scan
                 scan ^= low
-                covered = (p & nb[low.bit_length() - 1]).bit_count()
+                i = low.bit_length() - 1
+                m = nb[i]
+                if m is None:
+                    m = build(i)
+                covered = (p & m).bit_count()
                 if covered > best:
-                    best, pivot = covered, low.bit_length() - 1
+                    best, pivot_mask = covered, m
                     if covered == size_p:
                         break
-            rest = p & ~nb[pivot]
+            rest = p & ~pivot_mask
             while rest:
                 low = rest & -rest
                 rest ^= low
                 i = low.bit_length() - 1
-                expand(r | low, p & nb[i], x & nb[i])
+                m = nb[i]
+                if m is None:
+                    m = build(i)
+                expand(r | low, p & m, x & m)
                 p ^= low
                 x |= low
 
@@ -417,16 +430,25 @@ class LshState:
         keys = _band_keys(sig[active])
         order = np.argsort(keys, kind="stable")
         sorted_keys = keys[order]
-        sorted_nodes = active[order].tolist()
         # buckets are runs of equal keys; only those of two or more coalesce
         bounds = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
         starts = np.concatenate(([0], bounds))
-        ends = np.concatenate((bounds, [len(sorted_nodes)]))
-        shared = ends - starts >= 2
+        ends = np.concatenate((bounds, [len(order)]))
         pairs: list[tuple[int, int]] = []
-        for lo, hi in zip(starts[shared].tolist(), ends[shared].tolist()):
-            first = sorted_nodes[lo]
-            for other in sorted_nodes[lo + 1 : hi]:
+        if (ends - starts >= 2).any():
+            # nodes with one root at the band's start stay in one cluster,
+            # so only a node whose root differs from its bucket's first
+            # node's can coalesce anything
+            roots = np.array(self.parent)
+            while True:
+                up = roots[roots]
+                if np.array_equal(up, roots):
+                    break
+                roots = up
+            nodes = active[order]
+            firsts = np.repeat(nodes[starts], ends - starts)
+            apart = roots[nodes] != roots[firsts]
+            for first, other in zip(firsts[apart].tolist(), nodes[apart].tolist()):
                 self._union(first, other, pairs)
         for (u, v), j in zip(pairs, pair_similarities(self.g, pairs)):
             if j >= t:

@@ -192,6 +192,9 @@ def cmd_eval_labels(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # verify reads none of the shared run flags, but rejects what the
+    # other commands reject
+    _config(args)
     g = _load(args)
     try:
         with open(args.json, encoding="utf-8") as f:

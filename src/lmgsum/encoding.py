@@ -71,6 +71,12 @@ def summary_header_bits(summary_size: int, label_count: int) -> float:
     return len_natural(summary_size) + len_natural(label_count)
 
 
+def _width_base(summary_size: int, label_count: int) -> float:
+    """The part of :func:`supernode_width_bits` every super-node of a
+    summary shares: its label, glyph and out-super-edge count."""
+    return math.log2(label_count) + math.log2(GLYPH_COUNT) + math.log2(summary_size + 1)
+
+
 def supernode_width_bits(summary_size: int, label_count: int, n_out: int) -> float:
     """The part of a super-node's bits that depends on the summary size.
 
@@ -78,10 +84,20 @@ def supernode_width_bits(summary_size: int, label_count: int, n_out: int) -> flo
     summary_size + 1 so that zero neighbors is encodable) and the choice of
     which n_out super-nodes it points to.
     """
-    bits = math.log2(label_count)
-    bits += math.log2(GLYPH_COUNT)
-    bits += math.log2(summary_size + 1)
-    bits += log2_binomial(summary_size, n_out)
+    return _width_base(summary_size, label_count) + log2_binomial(summary_size, n_out)
+
+
+def summary_width_bits(
+    summary_size: int, label_count: int, out_degrees: dict[int, int]
+) -> float:
+    """The summary header plus :func:`supernode_width_bits` of every
+    super-node, where ``out_degrees`` maps an out-super-edge count to the
+    number of super-nodes that have it.  The shared part is computed once;
+    each term is the same float as :func:`supernode_width_bits`'s."""
+    base = _width_base(summary_size, label_count)
+    bits = summary_header_bits(summary_size, label_count)
+    for n_out, count in out_degrees.items():
+        bits += count * (base + log2_binomial(summary_size, n_out))
     return bits
 
 

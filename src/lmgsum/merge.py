@@ -24,13 +24,15 @@ context with an absorbed endpoint — is priced from those edges, grouped by
 the current super-nodes of their endpoints.  Contexts whose price depends
 on a small class key only, such as a one-edge pair context without a
 super-edge, come from the state's :class:`~lmgsum.summary.ContextPrices`
-memo; the width bits of the current summary are kept on the state and
-refreshed at each commit.  That
-finds every super-edge the merge dissolves because of one invariant: each
-super-edge has at least one edge of the graph under it.  A super-edge is
-only created over a non-empty list of covered edges, graphs are immutable,
-and a multi-member super-node never changes, so the invariant holds from
-commit to commit.
+memo, and so does each bundle's super-edge decision, which depends on a
+class key of the bundle only (see :func:`_bundle_choice`).  The width bits
+are computed once per proposal, and a commit takes the proposal's value.
+The old contexts, found from the gathered edges, include every
+super-edge the merge dissolves because of one invariant: each super-edge
+has at least one edge of the graph under it.  A super-edge is only created
+over a non-empty list of covered edges, graphs are immutable, and a
+multi-member super-node never changes, so the invariant holds from commit
+to commit.
 
 Only current singletons can be merged; once a node is absorbed into a
 multi-member super-node it is marked and never regrouped.  Candidate sets
@@ -42,7 +44,7 @@ which is the typical case — remain reachable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -50,10 +52,9 @@ import numpy as np
 from .encoding import (
     cost_node_map,
     ell_diff_array,
-    summary_header_bits,
+    summary_width_bits,
     super_edge_bits,
     supernode_own_bits,
-    supernode_width_bits,
 )
 from .graph import LabeledMultiGraph
 from .summary import (
@@ -208,13 +209,7 @@ def decide_super_edge(
     on the summary side, which is included in the comparison here but
     charged to the source super-node by the caller.
     """
-    return _super_edge_choice(src, dst, edges, pair_context_bits)
-
-
-def _super_edge_choice(src, dst, edges, price) -> tuple[int | None, float]:
-    """:func:`decide_super_edge`, pricing each option with ``price``, which
-    computes :func:`pair_context_bits` (or serves it from a memo)."""
-    without_bits = price(src, dst, None, edges)
+    without_bits = pair_context_bits(src, dst, None, edges)
     if not edges:
         return None, without_bits
     port_src = set(src.ports())
@@ -223,10 +218,30 @@ def _super_edge_choice(src, dst, edges, price) -> tuple[int | None, float]:
     if not covered:
         return None, without_bits
     rep, _ = representative_multiplicity(covered)
-    with_bits = price(src, dst, rep, edges)
+    with_bits = pair_context_bits(src, dst, rep, edges)
     if with_bits + super_edge_bits(rep) < without_bits:
         return rep, with_bits
     return None, without_bits
+
+
+def _bundle_choice(
+    prices: ContextPrices, src: SuperNode, dst: SuperNode, src_ports, dst_ports, edges
+) -> tuple[int | None, float]:
+    """:func:`decide_super_edge` of a non-empty bundle, computed once per
+    class through ``prices.choice``.
+
+    ``src_ports`` and ``dst_ports`` hold the two sides' ports.  The result
+    depends only on the region, the expansion size, each edge's cover flag
+    and the multiplicities, the last two in order because the bits are
+    summed left to right; together they are the key.
+    """
+    key = (
+        src.size * dst.size,
+        len(src_ports) * len(dst_ports),
+        tuple([u in src_ports and w in dst_ports for u, w, _m in edges]),
+        tuple([m for _u, _w, m in edges]),
+    )
+    return prices.choice(key, decide_super_edge, src, dst, edges)
 
 
 @dataclass
@@ -241,7 +256,8 @@ class MergeProposal:
     dcost: float
     d_summary: float
     d_correction: float
-    odeg_delta: dict[int, int] = field(default_factory=dict)
+    odeg_delta: dict[int, int]  # out-super-edge count -> change in its tally
+    width: float  # the summary's width bits after the merge
 
 
 class SummaryState:
@@ -289,24 +305,11 @@ class SummaryState:
         for m, count in zip(*_distinct(g.out_mult[plain])[::2]):
             corr += count * prices.one_edge(1, m)
         self.correction_bits = corr
-        #: the width bits of the current summary, refreshed at every commit
-        self._width = self._width_bits()
+        #: the summary header plus every super-node's width bits, which
+        #: depend on the number of super-nodes and the out-degree histogram;
+        #: a commit takes its proposal's value
+        self._width = summary_width_bits(g.n, g.label_count, self.odeg_hist)
         self.summary_bits = self._width + own
-
-    # -- cost helpers ------------------------------------------------------
-
-    def _width_bits(
-        self, n_s: int | None = None, hist: dict[int, int] | None = None
-    ) -> float:
-        """The summary header plus every super-node's width bits, which
-        depend on the number of super-nodes and the out-degree histogram."""
-        n_s = len(self.snodes) if n_s is None else n_s
-        hist = self.odeg_hist if hist is None else hist
-        label_count = self.g.label_count
-        bits = summary_header_bits(n_s, label_count)
-        for d, cnt in hist.items():
-            bits += cnt * supernode_width_bits(n_s, label_count, d)
-        return bits
 
     @property
     def total_bits(self) -> float:
@@ -370,8 +373,8 @@ class SummaryState:
             rep_mult=1,
             self_loop=2 * len(loops) >= k,
         )
-        covered = [m for u, w, m in internal if new_node.covers_pair(u, w)]
-        rep = representative_multiplicity(covered)[0] if covered else 1
+        covered = tuple([m for u, w, m in internal if new_node.covers_pair(u, w)])
+        rep = prices.choice((covered,), representative_multiplicity, covered)[0] if covered else 1
         new_node.rep_mult = rep
 
         absorbed = tuple(sorted(assign[u] for u in members))
@@ -417,16 +420,19 @@ class SummaryState:
         new_corr += node_context_bits(new_node, internal)
         out_edges: dict[int, int] = {}
         in_edges: dict[int, int] = {}
+        ports = set(new_node.ports())
         for other in sorted(out_b):
-            se_rep, ctx_bits = _super_edge_choice(
-                new_node, self.snodes[other], out_b[other], prices.pair
+            sn = self.snodes[other]
+            se_rep, ctx_bits = _bundle_choice(
+                prices, new_node, sn, ports, sn.ports(), out_b[other]
             )
             new_corr += ctx_bits
             if se_rep is not None:
                 out_edges[other] = se_rep
         for other in sorted(in_b):
-            se_rep, ctx_bits = _super_edge_choice(
-                self.snodes[other], new_node, in_b[other], prices.pair
+            sn = self.snodes[other]
+            se_rep, ctx_bits = _bundle_choice(
+                prices, sn, new_node, sn.ports(), ports, in_b[other]
             )
             new_corr += ctx_bits
             if se_rep is not None:
@@ -451,7 +457,9 @@ class SummaryState:
             new_hist[d] = new_hist.get(d, 0) + c
             if new_hist[d] == 0:
                 del new_hist[d]
-        new_width = self._width_bits(len(self.snodes) - len(absorbed) + 1, new_hist)
+        new_width = summary_width_bits(
+            len(self.snodes) - len(absorbed) + 1, g.label_count, new_hist
+        )
 
         d_summary = (new_width - old_width) + (new_own - old_own)
         d_correction = new_corr - old_corr
@@ -465,6 +473,7 @@ class SummaryState:
             d_summary=d_summary,
             d_correction=d_correction,
             odeg_delta=odeg_delta,
+            width=new_width,
         )
 
     def _hub_variants(self, members: list[int]) -> list[list[int]]:
@@ -563,7 +572,8 @@ class SummaryState:
             if self.odeg_hist[d] == 0:
                 del self.odeg_hist[d]
         self.next_id += 1
-        self._width = self._width_bits()
+        # the histogram now equals the one the proposal was scored with
+        self._width = proposal.width
         self.summary_bits += proposal.d_summary
         self.correction_bits += proposal.d_correction
 

@@ -564,6 +564,11 @@ class ContextPrices:
     memo (2-tuple and 3-tuple keys); every other context is priced by
     :func:`pair_context_bits` or :func:`node_context_bits` on each call.
 
+    :meth:`choice` keeps ``(rep, bits)`` results its owner derives from
+    such prices: the merge engine's bundle decisions under 4-tuple class
+    keys, and its representative multiplicities under the 1-tuple of the
+    multiplicities.
+
     Each owner (a merge state, one from-scratch cost) keeps its own
     instance: a process-wide memo would go on serving bits from a formula
     that has since changed.
@@ -571,6 +576,15 @@ class ContextPrices:
 
     def __init__(self):
         self._memo: dict[tuple, float] = {}
+        self._choices: dict[tuple, tuple[int | None, float]] = {}
+
+    def choice(self, key: tuple, decide, *args) -> tuple[int | None, float]:
+        """``decide(*args)``, computed once per ``key``: the caller's key
+        must determine the result."""
+        value = self._choices.get(key)
+        if value is None:
+            value = self._choices[key] = decide(*args)
+        return value
 
     def one_edge(self, region: int, m: int) -> float:
         """Bits of an unlinked pair context over ``region`` node pairs
@@ -694,7 +708,8 @@ def summary_from_dict(data: dict) -> SummaryGraph:
         label_names=tuple(label_names),
         node_names=tuple(names),
     )
-    for rec in data["super_nodes"]:
+    for i, rec in enumerate(data["super_nodes"]):
+        _require(rec["id"], int, "id of super-node record", i)
         _require(rec["rep_mult"], int, "rep_mult of super-node", rec["id"])
         _require(rec["self_loop"], bool, "self_loop of super-node", rec["id"])
         s.super_nodes[rec["id"]] = SuperNode(
@@ -707,6 +722,8 @@ def summary_from_dict(data: dict) -> SummaryGraph:
             self_loop=rec["self_loop"],
         )
     for rec in data["super_edges"]:
+        for end in ("src", "dst"):
+            _require(rec[end], int, f"{end} of super-edge", rec["src"], rec["dst"])
         _require(rec["rep_mult"], int, "rep_mult of super-edge", rec["src"], rec["dst"])
         s.super_edges[(rec["src"], rec["dst"])] = rec["rep_mult"]
     return s

@@ -26,6 +26,7 @@ from lmgsum.candidates import (
 from lmgsum.graph import LabeledMultiGraph
 from lmgsum.synth import planted_graph
 
+import oracle
 from oracle import oracle_add_band, oracle_harvest, oracle_maximal_cliques
 
 
@@ -160,13 +161,29 @@ class TestPairSimilarities:
 
 
 class TestBatchedVerification:
-    def test_every_band_equals_the_per_pair_path(self):
-        # planted_graph's defaults on seeds 0-3, then planted-merge's small size
-        cases = [(s, 5, (10, 20)) for s in range(4)] + [(s, 6, (4, 6)) for s in (0, 1)]
+    def test_every_band_equals_the_per_pair_path(self, monkeypatch):
+        # planted_graph's defaults on seeds 0-3, then planted-merge's and
+        # planted-clique's small sizes; the oracle unions every bucket pair,
+        # production only those whose roots differed at the band's start
+        cases = (
+            [(s, 5, (10, 20)) for s in range(4)]
+            + [(s, 6, (4, 6)) for s in (0, 1)]
+            + [(s, 2, (8, 8)) for s in (0, 1)]
+        )
+        unions = {"prod": 0, "ref": 0}
+
+        def counting(side, union):
+            def wrapper(*args):
+                unions[side] += 1
+                return union(*args)
+            return wrapper
+
+        monkeypatch.setattr(oracle, "_oracle_union", counting("ref", oracle._oracle_union))
         cached = rejected = 0
         for seed, groups, size_range in cases:
             g, _ = planted_graph(seed, groups, groups, groups, size_range=size_range)
             prod = LshState(g, r=8, b_max=10, seed=seed)
+            prod._union = counting("prod", prod._union)
             ref = LshState(g, r=8, b_max=10, seed=seed)
             for _band in range(10):
                 prod.add_band()
@@ -181,6 +198,7 @@ class TestBatchedVerification:
             rejected += len(prod.verified) - prod.gsim.edge_count - len(prod.cache)
         # some pairs waited in the cache and some were never admitted
         assert cached and rejected
+        assert 0 < unions["prod"] < unions["ref"]
 
 
 class TestMinhashBand:

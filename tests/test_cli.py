@@ -251,6 +251,34 @@ class TestVerify:
         assert code == 0
         assert capsys.readouterr().out.startswith("OK:")
 
+    @pytest.mark.parametrize(
+        "flags, env, needle",
+        [
+            (["--seed", "-1"], None, "seed"),
+            ([], "-1", "seed"),
+            ([], "abc", "LMGSUM_SEED"),
+            (["-r", "0"], None, "r and b_max"),
+            (["--bands", "0"], None, "r and b_max"),
+            (["--cluster-cap", "0"], None, "cluster_cap"),
+            (["--threads", "0"], None, "threads"),
+        ],
+        ids=["seed", "env-seed", "env-not-int", "rows", "bands", "cluster-cap", "threads"],
+    )
+    def test_shared_flags_are_validated_like_the_other_commands(
+        self, planted_files, tmp_path, capsys, monkeypatch, flags, env, needle
+    ):
+        edges, labels, _g = planted_files
+        out_json = self._report(tmp_path, edges, labels)
+        monkeypatch.delenv("LMGSUM_SEED", raising=False)
+        if env is not None:
+            monkeypatch.setenv("LMGSUM_SEED", env)
+        capsys.readouterr()
+        args = ["verify", "-i", edges, "-l", labels, "--json", str(out_json), *flags]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert needle in captured.err and "Traceback" not in captured.err
+
     def test_tampered_summary_fails(self, planted_files, tmp_path, capsys):
         edges, labels, _g = planted_files
         out_json = self._report(tmp_path, edges, labels)
@@ -370,9 +398,14 @@ class TestVerify:
             ("rep_mult", 1.0, "rep_mult of super-node {id}: 1.0 is not an integer"),
             ("self_loop", 0, "self_loop of super-node {id}: 0 is not a boolean"),
             ("super_edges", "1", "rep_mult of super-edge {id}: '1' is not an integer"),
+            ("id", "x", "id of super-node record {at}: 'x' is not an integer"),
+            ("id", True, "id of super-node record {at}: True is not an integer"),
+            ("src", "x", "src of super-edge {id}: 'x' is not an integer"),
+            ("dst", 1.0, "dst of super-edge {id}: 1.0 is not an integer"),
         ],
         ids=["string", "float", "bool", "null", "string-delta", "float-rep-mult",
-             "int-self-loop", "string-super-edge-mult"],
+             "int-self-loop", "string-super-edge-mult", "string-id", "bool-id",
+             "string-super-edge-src", "float-super-edge-dst"],
     )
     def test_report_values_of_the_wrong_json_type_are_io_error(
         self, planted_files, tmp_path, capsys, section, value, needle
@@ -386,17 +419,17 @@ class TestVerify:
             first[2] = value
         elif section == "mult_deltas":
             payload["corrections"]["mult_deltas"].append([*first[:2], value])
-        elif section == "super_edges":
+        elif section in ("super_edges", "src", "dst"):
             se = payload["summary"]["super_edges"][0]
-            se["rep_mult"] = value
+            se["rep_mult" if section == "super_edges" else section] = value
             needle = needle.format(id=(se["src"], se["dst"]))
         else:
-            sn = next(
-                sn for sn in payload["summary"]["super_nodes"]
+            at, sn = next(
+                (i, sn) for i, sn in enumerate(payload["summary"]["super_nodes"])
                 if sn["rep_mult"] == 1 and sn["self_loop"] is False
             )
+            needle = needle.format(id=sn["id"], at=at)
             sn[section] = value
-            needle = needle.format(id=sn["id"])
         out_json.write_text(json.dumps(payload))
         capsys.readouterr()
         code = main(["verify", "-i", edges, "-l", labels, "--json", str(out_json)])

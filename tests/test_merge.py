@@ -15,12 +15,13 @@ from lmgsum.graph import LabeledMultiGraph
 from lmgsum.merge import (
     MergeError,
     SummaryState,
+    _bundle_choice,
     decide_glyph,
     decide_super_edge,
     representative_multiplicity,
     split_by_label,
 )
-from lmgsum.summary import Glyph, SuperNode, total_cost
+from lmgsum.summary import ContextPrices, Glyph, SuperNode, total_cost
 from lmgsum.synth import perfect_edges
 
 from oracle import (
@@ -201,7 +202,61 @@ def _bundle(src_members, dst_members, edges, src_glyph=Glyph.DISCONNECTED,
     return src, dst, edges
 
 
+@st.composite
+def super_node(draw, first: int, sid: int):
+    """A star, clique, disconnected or singleton super-node whose members
+    are consecutive ids from ``first``."""
+    members = tuple(range(first, first + draw(st.integers(1, 4))))
+    if len(members) == 1:
+        return SuperNode(id=sid, label=0, glyph=Glyph.SINGLETON, members=members)
+    glyph = draw(st.sampled_from(
+        [Glyph.CLIQUE, Glyph.IN_STAR, Glyph.OUT_STAR, Glyph.DISCONNECTED]
+    ))
+    hub = draw(st.sampled_from(members)) if glyph in (Glyph.IN_STAR, Glyph.OUT_STAR) else None
+    return SuperNode(id=sid, label=0, glyph=glyph, members=members, hub=hub)
+
+
+@st.composite
+def bundles(draw):
+    """Random super-nodes and a non-empty bundle of edges between them, with
+    multiplicities narrow enough to repeat or wide enough to need the
+    bisection of representative_multiplicity."""
+    src = draw(super_node(0, 0))
+    dst = draw(super_node(10, 1))
+    pairs = [(u, w) for u in src.members for w in dst.members]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs), unique=True))
+    mult = st.one_of(st.integers(1, 2), st.integers(1, 3000))
+    return src, dst, [(u, w, draw(mult)) for u, w in chosen]
+
+
+def near_variants(src, dst, edges):
+    """The bundle; the same multiplicities on the same super-nodes' pairs in
+    reverse order; and the bundle between the two member sets re-typed as
+    disconnected, whose ports are all members.  So the memo sees bundles
+    that share a region and multiplicities but differ in their cover flags
+    or their expansion size."""
+    pairs = [(u, w) for u in src.members for w in dst.members][::-1][: len(edges)]
+    moved = [(u, w, m) for (u, w), (_u, _w, m) in zip(pairs, edges)]
+    open_src, open_dst = (
+        sn if sn.size == 1 else replace(sn, glyph=Glyph.DISCONNECTED, hub=None)
+        for sn in (src, dst)
+    )
+    return [(src, dst, edges), (src, dst, moved), (open_src, open_dst, edges)]
+
+
 class TestDecideSuperEdge:
+    @given(st.lists(bundles(), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_memoized_decision_equals_decide_super_edge(self, cases):
+        # one memo for every bundle, so a later bundle of an earlier one's
+        # class is served from it; the second round is served entirely
+        prices = ContextPrices()
+        cases = [variant for case in cases for variant in near_variants(*case)]
+        for _round in range(2):
+            for src, dst, edges in cases:
+                got = _bundle_choice(prices, src, dst, set(src.ports()), dst.ports(), edges)
+                assert got == decide_super_edge(src, dst, edges)
+
     def test_complete_uniform_bundle_gets_super_edge(self):
         edges = [(u, w, 2) for u in (0, 1) for w in (2, 3, 4)]
         rep, _bits = decide_super_edge(*_bundle((0, 1), (2, 3, 4), edges))
