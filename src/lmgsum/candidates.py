@@ -433,22 +433,28 @@ class LshState:
         # buckets are runs of equal keys; only those of two or more coalesce
         bounds = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
         starts = np.concatenate(([0], bounds))
-        ends = np.concatenate((bounds, [len(order)]))
+        sizes = np.concatenate((bounds, [len(order)])) - starts
+        shared = sizes >= 2
         pairs: list[tuple[int, int]] = []
-        if (ends - starts >= 2).any():
+        if shared.any():
+            # the members of shared buckets, bucket by bucket; heads[i] is
+            # the position of member i's bucket's first member
+            members = active[order][np.repeat(shared, sizes)]
+            sizes = sizes[shared]
+            heads = np.repeat(np.cumsum(sizes) - sizes, sizes)
             # nodes with one root at the band's start stay in one cluster,
-            # so only a node whose root differs from its bucket's first
-            # node's can coalesce anything
-            roots = np.array(self.parent)
+            # so only a member whose root then differs from its first's can
+            # coalesce anything
+            parent = self.parent
+            roots = members.tolist()
             while True:
-                up = roots[roots]
-                if np.array_equal(up, roots):
+                up = [parent[x] for x in roots]
+                if up == roots:
                     break
                 roots = up
-            nodes = active[order]
-            firsts = np.repeat(nodes[starts], ends - starts)
-            apart = roots[nodes] != roots[firsts]
-            for first, other in zip(firsts[apart].tolist(), nodes[apart].tolist()):
+            roots = np.array(roots)
+            apart = roots != roots[heads]
+            for first, other in zip(members[heads[apart]].tolist(), members[apart].tolist()):
                 self._union(first, other, pairs)
         for (u, v), j in zip(pairs, pair_similarities(self.g, pairs)):
             if j >= t:

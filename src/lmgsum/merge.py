@@ -24,15 +24,15 @@ context with an absorbed endpoint — is priced from those edges, grouped by
 the current super-nodes of their endpoints.  Contexts whose price depends
 on a small class key only, such as a one-edge pair context without a
 super-edge, come from the state's :class:`~lmgsum.summary.ContextPrices`
-memo, and so does each bundle's super-edge decision, which depends on a
-class key of the bundle only (see :func:`_bundle_choice`).  The width bits
-are computed once per proposal, and a commit takes the proposal's value.
-The old contexts, found from the gathered edges, include every
-super-edge the merge dissolves because of one invariant: each super-edge
-has at least one edge of the graph under it.  A super-edge is only created
-over a non-empty list of covered edges, graphs are immutable, and a
-multi-member super-node never changes, so the invariant holds from commit
-to commit.
+memo, and each bundle's super-edge decision, which depends on a class key
+of the bundle only, from the state's bundle memo (see
+:func:`_bundle_choice`).  The width bits are computed once per proposal,
+and a commit takes the proposal's value.  The old contexts, found from the
+gathered edges, include every super-edge the merge dissolves because of
+one invariant: each super-edge has at least one edge of the graph under
+it.  A super-edge is only created over a non-empty list of covered edges,
+graphs are immutable, and a multi-member super-node never changes, so the
+invariant holds from commit to commit.
 
 Only current singletons can be merged; once a node is absorbed into a
 multi-member super-node it is marked and never regrouped.  Candidate sets
@@ -225,10 +225,10 @@ def decide_super_edge(
 
 
 def _bundle_choice(
-    prices: ContextPrices, src: SuperNode, dst: SuperNode, src_ports, dst_ports, edges
+    memo: dict, src: SuperNode, dst: SuperNode, src_ports, dst_ports, edges
 ) -> tuple[int | None, float]:
     """:func:`decide_super_edge` of a non-empty bundle, computed once per
-    class through ``prices.choice``.
+    class and kept in ``memo``.
 
     ``src_ports`` and ``dst_ports`` hold the two sides' ports.  The result
     depends only on the region, the expansion size, each edge's cover flag
@@ -241,7 +241,10 @@ def _bundle_choice(
         tuple([u in src_ports and w in dst_ports for u, w, _m in edges]),
         tuple([m for _u, _w, m in edges]),
     )
-    return prices.choice(key, decide_super_edge, src, dst, edges)
+    choice = memo.get(key)
+    if choice is None:
+        choice = memo[key] = decide_super_edge(src, dst, edges)
+    return choice
 
 
 @dataclass
@@ -288,6 +291,8 @@ class SummaryState:
 
         #: context bits by class, shared by the baseline and every proposal
         self._prices = prices = ContextPrices()
+        #: super-edge decisions by bundle class (see :func:`_bundle_choice`)
+        self._bundles: dict[tuple, tuple[int | None, float]] = {}
         #: the map bits of any singleton
         self._singleton_map = cost_node_map(1, g.n, False)
 
@@ -373,8 +378,8 @@ class SummaryState:
             rep_mult=1,
             self_loop=2 * len(loops) >= k,
         )
-        covered = tuple([m for u, w, m in internal if new_node.covers_pair(u, w)])
-        rep = prices.choice((covered,), representative_multiplicity, covered)[0] if covered else 1
+        covered = [m for u, w, m in internal if new_node.covers_pair(u, w)]
+        rep = representative_multiplicity(covered)[0] if covered else 1
         new_node.rep_mult = rep
 
         absorbed = tuple(sorted(assign[u] for u in members))
@@ -424,7 +429,7 @@ class SummaryState:
         for other in sorted(out_b):
             sn = self.snodes[other]
             se_rep, ctx_bits = _bundle_choice(
-                prices, new_node, sn, ports, sn.ports(), out_b[other]
+                self._bundles, new_node, sn, ports, sn.ports(), out_b[other]
             )
             new_corr += ctx_bits
             if se_rep is not None:
@@ -432,7 +437,7 @@ class SummaryState:
         for other in sorted(in_b):
             sn = self.snodes[other]
             se_rep, ctx_bits = _bundle_choice(
-                prices, sn, new_node, sn.ports(), ports, in_b[other]
+                self._bundles, sn, new_node, sn.ports(), ports, in_b[other]
             )
             new_corr += ctx_bits
             if se_rep is not None:
@@ -572,7 +577,9 @@ class SummaryState:
             if self.odeg_hist[d] == 0:
                 del self.odeg_hist[d]
         self.next_id += 1
-        # the histogram now equals the one the proposal was scored with
+        # next_id rules out stale proposals, and odeg_delta is applied here
+        # in the same order as in _score, so proposal.width is the
+        # from-scratch float
         self._width = proposal.width
         self.summary_bits += proposal.d_summary
         self.correction_bits += proposal.d_correction

@@ -564,11 +564,6 @@ class ContextPrices:
     memo (2-tuple and 3-tuple keys); every other context is priced by
     :func:`pair_context_bits` or :func:`node_context_bits` on each call.
 
-    :meth:`choice` keeps ``(rep, bits)`` results its owner derives from
-    such prices: the merge engine's bundle decisions under 4-tuple class
-    keys, and its representative multiplicities under the 1-tuple of the
-    multiplicities.
-
     Each owner (a merge state, one from-scratch cost) keeps its own
     instance: a process-wide memo would go on serving bits from a formula
     that has since changed.
@@ -576,15 +571,6 @@ class ContextPrices:
 
     def __init__(self):
         self._memo: dict[tuple, float] = {}
-        self._choices: dict[tuple, tuple[int | None, float]] = {}
-
-    def choice(self, key: tuple, decide, *args) -> tuple[int | None, float]:
-        """``decide(*args)``, computed once per ``key``: the caller's key
-        must determine the result."""
-        value = self._choices.get(key)
-        if value is None:
-            value = self._choices[key] = decide(*args)
-        return value
 
     def one_edge(self, region: int, m: int) -> float:
         """Bits of an unlinked pair context over ``region`` node pairs

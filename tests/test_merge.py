@@ -21,7 +21,7 @@ from lmgsum.merge import (
     representative_multiplicity,
     split_by_label,
 )
-from lmgsum.summary import ContextPrices, Glyph, SuperNode, total_cost
+from lmgsum.summary import Glyph, SuperNode, total_cost
 from lmgsum.synth import perfect_edges
 
 from oracle import (
@@ -250,11 +250,11 @@ class TestDecideSuperEdge:
     def test_memoized_decision_equals_decide_super_edge(self, cases):
         # one memo for every bundle, so a later bundle of an earlier one's
         # class is served from it; the second round is served entirely
-        prices = ContextPrices()
+        memo = {}
         cases = [variant for case in cases for variant in near_variants(*case)]
         for _round in range(2):
             for src, dst, edges in cases:
-                got = _bundle_choice(prices, src, dst, set(src.ports()), dst.ports(), edges)
+                got = _bundle_choice(memo, src, dst, set(src.ports()), dst.ports(), edges)
                 assert got == decide_super_edge(src, dst, edges)
 
     def test_complete_uniform_bundle_gets_super_edge(self):
