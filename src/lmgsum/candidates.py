@@ -152,6 +152,11 @@ def minhash_band(
     neighbor tokens.  Nodes without any token get the sentinel value in
     every row; the sentinel never collides because such nodes are excluded
     from bucketing altogether.
+
+    A token's keyed hash depends on its value only, so each row hashes the
+    graph's distinct token values (:meth:`LabeledMultiGraph.token_values`)
+    into a table indexed by value, and every occurrence reads its hash from
+    there.
     """
     tokens, indptr = g.token_array()
     sig = np.full((g.n, r), SENTINEL, dtype=np.uint64)
@@ -160,10 +165,14 @@ def minhash_band(
     if len(nonempty) == 0:
         return sig
     starts = indptr[:-1][nonempty]
+    values = g.token_values()
+    # token values are below 2n, so they index the table directly
+    at, slots = tokens.view(np.int64), values.view(np.int64)
+    table = np.empty(2 * g.n, dtype=np.uint64)
     for j in range(r):
         key = np.uint64(_row_key(seed, band_index, j))
-        hashed = _mix64(tokens ^ key)
-        sig[nonempty, j] = np.minimum.reduceat(hashed, starts)
+        table[slots] = _mix64(values ^ key)
+        sig[nonempty, j] = np.minimum.reduceat(table[at], starts)
     return sig
 
 

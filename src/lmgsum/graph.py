@@ -161,6 +161,7 @@ class LabeledMultiGraph:
         np.cumsum(np.bincount(dst, minlength=n), out=self.in_indptr[1:])
 
         self._token_cache: tuple[np.ndarray, np.ndarray] | None = None
+        self._token_values: np.ndarray | None = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -246,6 +247,15 @@ class LabeledMultiGraph:
             )
             self._token_cache = (tokens, indptr)
         return self._token_cache
+
+    def token_values(self) -> np.ndarray:
+        """The distinct values in :meth:`token_array`'s tokens, sorted, as
+        uint64; at most ``min(2n, token count)`` of them.  Cached after the
+        first call."""
+        if self._token_values is None:
+            tokens = self.token_array()[0].view(np.int64)  # values are below 2n
+            self._token_values = np.flatnonzero(np.bincount(tokens)).astype(np.uint64)
+        return self._token_values
 
     # -- comparison and export ----------------------------------------------
 

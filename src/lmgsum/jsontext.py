@@ -7,20 +7,24 @@ standard library uses its C encoder only when ``indent`` is None; with an
 indent it walks every value in Python, which made the report's encoding the
 slowest layer of a sparse ``summarize``.
 
-Two list shapes, the long ones in a report, are encoded by the C encoder with
-a NUL item separator and then indented by ``str.replace``:
+Three list shapes, the long ones in a report, are encoded by the C encoder
+with a NUL item separator and then indented by ``str.replace``:
 
 - a list of scalars (node names, label names);
-- a list of non-empty lists of scalars (the correction triples and pairs).
+- a list of non-empty lists of scalars (the correction triples and pairs);
+- a list of records: non-empty dicts that share one order of ``str`` keys,
+  whose values are scalars or non-empty lists of scalars (the super-node
+  and super-edge records).  Each key's values are encoded as one column,
+  split into items, and the items fill a ``%`` template of the record.
 
 ``ensure_ascii`` escapes every control character, so a raw NUL in that
 output is always an item separator, and ``]`` NUL ``[`` always marks the
 seam between two inner lists.  Scalars here are values whose type is exactly
 ``str``, ``int``, ``float``, ``bool`` or ``None``; subclasses take the
-general path.  Dicts are walked key by key.  Every other list is written in
-chunks by ``json.dumps(chunk, indent=2)``, re-indented by replacing each
-newline, which is exact because that text holds no raw newline inside a
-string.
+general path.  Other dicts are walked key by key.  Every other list is
+written in chunks by ``json.dumps(chunk, indent=2)``, re-indented by
+replacing each newline, which is exact because that text holds no raw
+newline inside a string.
 """
 
 from __future__ import annotations
@@ -78,15 +82,51 @@ def _chunk_text(chunk, outer: str, inner: str) -> str:
     types = set(map(type, chunk))
     if types <= _SCALARS:
         return _encode_nul(chunk)[1:-1].replace("\x00", "," + inner)
-    if (
-        types == {list}
-        and all(chunk)
-        and set(map(type, chain.from_iterable(chunk))) <= _SCALARS
-    ):
+    if _scalar_rows(chunk):
         deeper = inner + "  "
         body = _encode_nul(chunk)[2:-2]
         body = body.replace("]\x00[", inner + "]," + inner + "[" + deeper)
         return "[" + deeper + body.replace("\x00", "," + deeper) + inner + "]"
+    if types == {dict}:
+        text = _records_text(chunk, inner)
+        if text is not None:
+            return text
     text = json.dumps(chunk, indent=2).replace("\n", outer)
     # drop the chunk's own "[" + inner and outer + "]"
     return text[len(inner) + 1 : -len(outer) - 1]
+
+
+def _scalar_rows(items) -> bool:
+    """Whether every one of ``items`` is a non-empty list of scalars."""
+    return (
+        set(map(type, items)) == {list}
+        and all(items)
+        and set(map(type, chain.from_iterable(items))) <= _SCALARS
+    )
+
+
+def _records_text(chunk, inner: str) -> str | None:
+    """Records of a list chunk of dicts, each at ``inner``'s indent, joined,
+    or None unless the chunk is a list of records (see the module
+    docstring)."""
+    keys = tuple(chunk[0])
+    if not keys or set(map(type, keys)) != {str} or set(map(tuple, chunk)) != {keys}:
+        return None
+    field = inner + "  "
+    deeper = field + "  "
+    template, columns = [], []
+    # every dict has the same key order, so values() lines up the columns
+    for key, column in zip(keys, zip(*map(dict.values, chunk))):
+        name = field + json.dumps(key).replace("%", "%%") + ": "
+        if set(map(type, column)) <= _SCALARS:
+            template.append(name + "%s")
+            columns.append(_encode_nul(column)[1:-1].split("\x00"))
+        elif _scalar_rows(column):
+            # a raw \x01, like a raw NUL, never occurs in the encoder's text
+            body = _encode_nul(column)[2:-2].replace("]\x00[", "\x01")
+            template.append(name + "[" + deeper + "%s" + field + "]")
+            columns.append(body.replace("\x00", "," + deeper).split("\x01"))
+        else:
+            return None
+    record = "{" + ",".join(template) + inner + "}"
+    return ("," + inner).join(map(record.__mod__, zip(*columns)))

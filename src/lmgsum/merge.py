@@ -96,12 +96,14 @@ def split_by_label(g: LabeledMultiGraph, nodes) -> list[list[int]]:
 
 
 def decide_glyph(g: LabeledMultiGraph, nodes) -> tuple[Glyph, int | None]:
-    """Choose the cheapest structural glyph for a node set.
+    """A node set's glyph by a density and correction-count rule.
 
-    A set with at least half of all possible directed edges is a clique.
-    Otherwise the star costs count the corrections a star explanation needs
-    (missing spokes plus unexplained edges); a star wins only when strictly
-    cheaper than leaving all edges as corrections, ties between the two star
+    The rule is a proxy: it prices no bits, so its glyph need not be the
+    one the objective would pick.  A set with at least half of all possible
+    directed edges is a clique.  Otherwise each star orientation counts the
+    corrections its explanation needs (missing spokes plus unexplained
+    edges); a star wins only when that count is strictly below the count of
+    leaving all edges as corrections, ties between the two star
     orientations go to the in-star, and the hub is the member with maximum
     in- (or out-) degree, smallest id on ties.  Two-node sets need both
     directed edges to count as a clique — a single edge is the degenerate

@@ -157,13 +157,6 @@ class SummaryGraph:
     label_names: tuple[str, ...] = ()
     node_names: tuple[str, ...] = ()
 
-    def node_to_super(self) -> dict[int, int]:
-        assign = {}
-        for vid, sn in self.super_nodes.items():
-            for u in sn.members:
-                assign[u] = vid
-        return assign
-
     def validate(self, g: LabeledMultiGraph | None = None) -> None:
         """Check structural invariants; raises ValueError on violation."""
         seen: set[int] = set()
@@ -378,7 +371,11 @@ class _EdgeGroups:
         bounds = np.append(np.flatnonzero(np.diff(x_key, prepend=-1)), len(x_key))
         starts, ends = bounds[:-1], bounds[1:]
         group_keys = x_key[starts]
-        keys = np.union1d(group_keys, self.linked_keys)
+        # two sorted runs of keys >= 0: a stable sort merges them, and a
+        # neighbor test drops the keys both hold
+        keys = np.concatenate([group_keys, self.linked_keys])
+        keys.sort(kind="stable")
+        keys = keys[np.diff(keys, prepend=-1) != 0]
         bits = np.empty(len(keys))
         nodes, ids = self.summary.super_nodes, self.ids
 

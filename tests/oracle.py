@@ -336,9 +336,14 @@ def oracle_harvest(gsim, new_edges, max_clique_size, emitted):
 # -- exact references for the edge grouping ----------------------------------
 
 
+def node_to_super(summary) -> dict[int, int]:
+    """Every member node's super-node id."""
+    return {u: vid for vid, sn in summary.super_nodes.items() for u in sn.members}
+
+
 def oracle_group_edges(g, summary):
     """Split g's edges into per-super-node internal and per-pair cross lists."""
-    assign = summary.node_to_super()
+    assign = node_to_super(summary)
     internal: dict[int, list[tuple[int, int, int]]] = {}
     cross: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     for u, w, m in g.edges():

@@ -286,6 +286,30 @@ def test_criterion_10_runtime_scales_linearly_in_edges():
     )
 
 
+def test_criterion_12_runtime_scales_linearly_with_merges():
+    # criterion 10's graphs make no merge; these planted ones merge most of
+    # their nodes, so scoring and commits are timed too
+    t0 = time.perf_counter()
+    points = []
+    for groups in (200, 400, 800, 1600):
+        g, _ = planted_graph(0, groups, groups, groups, size_range=(5, 10), noise=0.05)
+        start = time.perf_counter()
+        run(g, RunConfig(seed=0))
+        seconds = time.perf_counter() - start
+        points.append((g.edge_count, seconds))
+    elapsed = time.perf_counter() - t0
+    log_e = np.log([e for e, _ in points])
+    log_t = np.log([t for _, t in points])
+    slope = float(np.polyfit(log_e, log_t, 1)[0])
+    report(
+        12,
+        "planted-merge log-log time/edges slope",
+        slope <= 1.3 and elapsed < 120.0,
+        f"slope={slope:.3f} (limit 1.3), points={[(e, round(t, 2)) for e, t in points]}, "
+        f"elapsed={elapsed:.1f}s (budget 120s)",
+    )
+
+
 def test_criterion_11_minhash_collision_rate_matches_similarity():
     # out-neighbor sets sharing 2/8, 4/8, and 6/8 elements
     designs = {

@@ -201,7 +201,59 @@ class TestBatchedVerification:
         assert 0 < unions["prod"] < unions["ref"]
 
 
+@st.composite
+def banded_graphs(draw):
+    """Graphs for the row hashing: matching-like ones, whose 2n token
+    values outnumber their tokens, and dense ones with repeated values and
+    self-loops; tokenless nodes in both."""
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        k = draw(st.integers(0, n // 2))
+        edges = {(order[2 * i], order[2 * i + 1]): 1 for i in range(k)}
+    else:
+        pairs = draw(
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=80)
+        )
+        edges = {(u, w): 1 for u, w in pairs}
+    return LabeledMultiGraph(n, edges)
+
+
+def per_occurrence_band(g, band_index, seed, r):
+    """``minhash_band`` as it is defined: every token occurrence hashed
+    with the row key, then each node's minimum."""
+    tokens, indptr = g.token_array()
+    sig = np.full((g.n, r), SENTINEL, dtype=np.uint64)
+    nonempty = np.flatnonzero(np.diff(indptr) > 0)
+    for j in range(r):
+        key = np.uint64(candidates._row_key(seed, band_index, j))
+        hashed = candidates._mix64(tokens ^ key)
+        if len(nonempty):
+            sig[nonempty, j] = np.minimum.reduceat(hashed, indptr[:-1][nonempty])
+    return sig
+
+
 class TestMinhashBand:
+    @given(
+        banded_graphs(),
+        st.integers(0, 2**64 - 1),
+        st.integers(0, 10**6),
+        st.integers(1, 9),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_per_occurrence_hashing(self, g, seed, band, r):
+        got = minhash_band(g, band, seed, r)
+        want = per_occurrence_band(g, band, seed, r)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_matching_has_fewer_tokens_than_values(self):
+        # a perfect matching on 40 nodes plus 60 isolated ones: 40 tokens
+        # for 200 possible values
+        g = LabeledMultiGraph(100, {(2 * i, 2 * i + 1): 1 for i in range(20)})
+        assert len(g.token_array()[0]) < 2 * g.n
+        assert np.array_equal(minhash_band(g, 3, 5, 8), per_occurrence_band(g, 3, 5, 8))
+
     def test_shape_dtype_and_determinism(self):
         g = LabeledMultiGraph(6, {(0, 1): 1, (2, 3): 2, (3, 0): 1})
         sig = minhash_band(g, 1, seed=7, r=8)

@@ -122,6 +122,13 @@ class TestContainer:
             ]
             assert list(tokens[indptr[v] : indptr[v + 1]]) == want
 
+    @given(st.one_of(graphs(), graphs_with_loop_and_isolated_node()))
+    @settings(max_examples=80)
+    def test_token_values_are_the_distinct_tokens(self, g):
+        values = g.token_values()
+        assert values.dtype == np.uint64
+        assert np.array_equal(values, np.unique(g.token_array()[0]))
+
     def test_equality_ignores_names(self):
         g1 = small_graph()
         g2 = LabeledMultiGraph(

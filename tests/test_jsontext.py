@@ -89,6 +89,11 @@ def test_lists_longer_than_a_chunk(depth):
         "rows": rows,
         "mixed": rows[:n - 3] + [[]] + [[[1]]] + [{"x": 1}],
         "records": [{"id": i, "members": [f"v{i}"]} for i in range(n)],
+        "full-records": [
+            {"id": i, "label": "%s", "members": [f"v{i}", "]\x00["], "hub": None,
+             "rep_mult": i / 3, "self_loop": i % 2 == 0}
+            for i in range(n)
+        ],
     }
     for _ in range(depth):
         value = {"nested": value, "empty": [[], {}]}
@@ -106,6 +111,33 @@ def test_pieces_hold_one_chunk_at_most():
     # each list is ten chunks long, so a piece holding a tenth of the text
     # would hold more than one chunk
     assert max(map(len, parts)) < len("".join(parts)) / 10
+
+
+# text that could break the record template or the column split: the
+# template's own "%", the inner-list seam, escapes and non-ASCII
+_RECORD_TEXT = _TEXT | st.sampled_from(
+    ["%", "%s", "%%", "%(x)s", "]", "[", '"]\u0000["', r'"]\u0000["', "]\x00[", "\\", "é", "\x01", "\x1f"]
+)
+_RECORD_SCALARS = _SCALARS | _RECORD_TEXT
+_RECORD_ROWS = st.lists(_RECORD_SCALARS, min_size=1, max_size=4)
+
+
+@st.composite
+def record_lists(draw, max_size=12):
+    """Lists of dicts sharing one order of ``str`` keys; under each key
+    either every value is a scalar or every value a non-empty list of
+    scalars."""
+    keys = draw(st.lists(_RECORD_TEXT, min_size=1, max_size=5, unique=True))
+    kinds = [draw(st.sampled_from([_RECORD_SCALARS, _RECORD_ROWS])) for _ in keys]
+    count = draw(st.integers(1, max_size))
+    return [{key: draw(kind) for key, kind in zip(keys, kinds)} for _ in range(count)]
+
+
+def stdlib_items(chunk, inner: str) -> str:
+    """The items of ``json.dumps(chunk, indent=2)``, re-indented to ``inner``."""
+    outer = inner[:-2]
+    text = json.dumps(chunk, indent=2).replace("\n", outer)
+    return text[len(inner) + 1 : -len(outer) - 1]
 
 
 class Colour(enum.IntEnum):
@@ -160,3 +192,41 @@ def test_unencodable_values_raise_the_stdlib_exception(value):
 def test_export_json_matches_stdlib(toy):
     g, s = toy
     assert_stdlib_text(export_json(g, s), summary_to_dict(g, s))
+
+
+class TestRecords:
+    @pytest.mark.parametrize("chunk", [3, jsontext.CHUNK])
+    @settings(max_examples=200, deadline=None)
+    @given(records=record_lists(), depth=st.integers(0, 2))
+    def test_record_path_equals_stdlib(self, chunk, records, depth):
+        inner = "\n" + "  " * (depth + 1)
+        assert jsontext._records_text(records, inner) == stdlib_items(records, inner)
+        value = records
+        for _ in range(depth):
+            value = {"records": value}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(jsontext, "CHUNK", chunk)
+            assert_stdlib_text(written(value), value)
+
+    @pytest.mark.parametrize(
+        "chunk",
+        [
+            [{"id": 1, "members": ["a"]}, {"id": 2, "members": []}],
+            [{"id": 1, "hub": None}, {"id": 2, "hub": {"name": "a"}}],
+            [{"id": 1, "rows": [[1]]}],
+            [{"id": 1, "hub": None}, {"hub": None, "id": 2}],
+            [{"id": 1}, {"id": 2, "hub": None}],
+            [{1: "a"}, {1: "b"}],
+            [{"id": 1, None: "a"}],
+            [{}, {}],
+            [{"id": 1, "members": ("a",)}],
+            [{"id": Colour.RED}],
+            [{"hub": None}, {"hub": ["a"]}],
+        ],
+        ids=["empty-inner-list", "nested-dict", "nested-list", "mixed-key-order",
+             "other-keys", "int-keys", "null-key", "empty-dicts", "tuple-value",
+             "subclass-value", "scalars-and-lists-under-one-key"],
+    )
+    def test_other_dict_lists_decline_to_the_stdlib(self, chunk):
+        assert jsontext._records_text(chunk, "\n  ") is None
+        assert_stdlib_text(written(chunk), chunk)

@@ -257,6 +257,18 @@ class TestDecideSuperEdge:
                 got = _bundle_choice(memo, src, dst, set(src.ports()), dst.ports(), edges)
                 assert got == decide_super_edge(src, dst, edges)
 
+    def test_memo_keeps_the_multiplicities_in_order(self):
+        # the bits of 5, 5, 3 and of 3, 5, 5, summed left to right, round
+        # differently, so a key holding the multiplicities as a sorted
+        # tuple or a multiset would serve the second order the first's bits
+        src, dst, _ = _bundle(tuple(range(10)), tuple(range(10, 20)), [])
+        bundles = [[(i, 10 + i, m) for i, m in enumerate(ms)] for ms in [(5, 5, 3), (3, 5, 5)]]
+        want = [decide_super_edge(src, dst, edges) for edges in bundles]
+        assert want[0] != want[1]
+        memo = {}
+        for edges, expected in zip(bundles, want):
+            assert _bundle_choice(memo, src, dst, set(src.ports()), dst.ports(), edges) == expected
+
     def test_complete_uniform_bundle_gets_super_edge(self):
         edges = [(u, w, 2) for u in (0, 1) for w in (2, 3, 4)]
         rep, _bits = decide_super_edge(*_bundle((0, 1), (2, 3, 4), edges))

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +10,7 @@ import lmgsum as L
 from lmgsum.graph import LabeledMultiGraph
 from lmgsum.summary import (
     STAR_GLYPHS,
+    _EdgeGroups,
     CorrectionSet,
     Glyph,
     SummaryGraph,
@@ -28,6 +30,7 @@ from lmgsum.summary import (
 from lmgsum.synth import planted_graph
 
 from oracle import (
+    node_to_super,
     oracle_compute_corrections,
     oracle_correction_cost,
     oracle_total_cost,
@@ -203,7 +206,7 @@ def grouping_cases(draw):
             rep_mult=draw(st.integers(1, 4)),
             self_loop=draw(st.booleans()),
         )
-    assign = s.node_to_super()
+    assign = node_to_super(s)
     carrying = sorted({(assign[u], assign[w]) for u, w, _ in g.edges()
                        if assign[u] != assign[w]})
     for pair in carrying:
@@ -239,6 +242,29 @@ class TestEdgeGrouping:
         assert bits == want_bits
         assert list(breakdown) == list(want)
         assert list(breakdown.values()) == list(want.values())
+
+    @pytest.mark.parametrize(
+        "super_edges, cross",
+        [({}, True), ({(4, 2): 1}, False), ({}, False), ({(4, 2): 1, (3, 4): 3}, True)],
+        ids=["no-super-edges", "no-cross-edges", "neither", "both"],
+    )
+    def test_pair_keys_when_a_side_is_empty(self, super_edges, cross):
+        # nodes 0 and 1 form super-node 4; 2 and 3 are singletons
+        edges = {(0, 1): 1, (1, 0): 2}
+        if cross:
+            edges.update({(0, 2): 1, (3, 1): 2})
+        g = LabeledMultiGraph(4, edges)
+        s = all_singleton_summary(g)
+        del s.super_nodes[0], s.super_nodes[1]
+        s.super_nodes[4] = SuperNode(id=4, label=0, glyph=Glyph.CLIQUE, members=(0, 1))
+        s.super_edges = dict(super_edges)
+        groups = _EdgeGroups(g, s)
+        keys, bits = groups.pair_bits()
+        want = np.union1d(np.unique(groups.x_key), groups.linked_keys)
+        assert keys.dtype == want.dtype == np.int64
+        assert np.array_equal(keys, want)
+        assert len(bits) == len(keys)
+        assert (len(groups.x_key) > 0) == cross and len(groups.linked_keys) == len(super_edges)
 
 
 class TestRoundTrip:
