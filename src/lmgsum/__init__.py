@@ -20,8 +20,6 @@ from .encoding import (
     cost_correction_set,
     cost_entropy_code,
     cost_node_map,
-    cost_summary,
-    cost_supernode,
     ell_diff,
     len_natural,
     log2_binomial,
@@ -86,8 +84,6 @@ __all__ = [
     "cost_correction_set",
     "cost_entropy_code",
     "cost_node_map",
-    "cost_summary",
-    "cost_supernode",
     "decide_glyph",
     "decide_super_edge",
     "decompress",

@@ -143,7 +143,7 @@ def cmd_summarize(args) -> int:
             "checkpoints": list(config.checkpoints),
         },
         "report": report.to_dict(),
-        "summary": summary_to_dict(g, summary),
+        "summary": summary_to_dict(g, summary, report.cost),
         "corrections": corrections_to_dict(summary, report.corrections),
     }
     if args.dot:

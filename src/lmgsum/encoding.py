@@ -3,15 +3,17 @@
 Every function returns a cost in bits as a float.  Costs are model-selection
 scores: nothing is ever serialized to an actual bitstream, so fractional bits
 are fine.  The total description length of a graph ``g`` under a summary ``s``
-is ``cost_summary(s) + correction_cost(g, s)`` (the latter lives in
-:mod:`lmgsum.summary`); the summarizer greedily minimizes that total.
+is a sum of atomic terms: the summary's width (:func:`summary_width_bits`),
+each super-node's own bits (:func:`supernode_own_bits`), each super-edge's
+(:func:`super_edge_bits`), and the per-context correction bits of
+:mod:`lmgsum.summary`.  Sums of terms are taken with :func:`math.fsum`, which
+rounds the exact sum once, so no cost depends on the order of its terms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -61,106 +63,38 @@ def ell_diff_array(m_prime: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.where(diffs == 0, 1.0, 2.0 * np.log2(np.maximum(diffs, 1.0)) + 3.0)
 
 
-def cost_multiplicity_diff(mults: Iterable[int], m: int) -> float:
-    """Total multiplicity-correction bits for edges summarized by m."""
-    return sum(ell_diff(m_prime, m) for m_prime in mults)
-
-
-def summary_header_bits(summary_size: int, label_count: int) -> float:
-    """Bits for the summary's super-node count and label alphabet size."""
-    return len_natural(summary_size) + len_natural(label_count)
-
-
-def _width_base(summary_size: int, label_count: int) -> float:
-    """The part of :func:`supernode_width_bits` every super-node of a
-    summary shares: its label, glyph and out-super-edge count."""
-    return math.log2(label_count) + math.log2(GLYPH_COUNT) + math.log2(summary_size + 1)
-
-
-def supernode_width_bits(summary_size: int, label_count: int, n_out: int) -> float:
-    """The part of a super-node's bits that depends on the summary size.
-
-    Covers its label, glyph, out-super-edge count (over an alphabet of
-    summary_size + 1 so that zero neighbors is encodable) and the choice of
-    which n_out super-nodes it points to.
-    """
-    return _width_base(summary_size, label_count) + log2_binomial(summary_size, n_out)
-
-
 def summary_width_bits(
     summary_size: int, label_count: int, out_degrees: dict[int, int]
 ) -> float:
-    """The summary header plus :func:`supernode_width_bits` of every
-    super-node, where ``out_degrees`` maps an out-super-edge count to the
-    number of super-nodes that have it.  The shared part is computed once;
-    each term is the same float as :func:`supernode_width_bits`'s."""
-    base = _width_base(summary_size, label_count)
-    bits = summary_header_bits(summary_size, label_count)
-    for n_out, count in out_degrees.items():
-        bits += count * (base + log2_binomial(summary_size, n_out))
-    return bits
+    """The summary header (super-node count and label alphabet size) plus
+    the bits of every super-node that depend on the summary size, where
+    ``out_degrees`` maps an out-super-edge count to the number of
+    super-nodes that have it.
 
-
-def super_edge_bits(rep_mult: int) -> float:
-    """Bits for one out-super-edge's representative multiplicity."""
-    return len_natural(rep_mult)
-
-
-def supernode_own_bits(
-    member_count: int, rep_mult: int, out_edge_mults: Iterable[int]
-) -> float:
-    """The part of a super-node's bits that is its own: member count,
-    representative multiplicity and each out-super-edge's multiplicity."""
-    bits = len_natural(member_count) + len_natural(rep_mult)
-    return bits + sum(map(super_edge_bits, out_edge_mults))
-
-
-def cost_supernode(
-    member_count: int,
-    rep_mult: int,
-    out_edge_mults: Sequence[int],
-    summary_size: int,
-    label_count: int,
-) -> float:
-    """Bits to encode one super-node in the summary graph.
-
-    The sum of :func:`supernode_width_bits` and :func:`supernode_own_bits`.
+    A super-node with n_out out-super-edges pays for its label, its glyph,
+    n_out (over an alphabet of summary_size + 1, so that zero is encodable)
+    and the choice of which n_out super-nodes it points to.
     """
-    if member_count < 1:
-        raise ValueError("super-node needs at least one member")
-    if rep_mult < 1:
-        raise ValueError("representative multiplicity must be >= 1")
-    n_out = len(out_edge_mults)
-    if n_out > summary_size:
-        raise ValueError("more out-super-edges than super-nodes")
-    return supernode_width_bits(summary_size, label_count, n_out) + supernode_own_bits(
-        member_count, rep_mult, out_edge_mults
+    base = math.log2(label_count) + math.log2(GLYPH_COUNT) + math.log2(summary_size + 1)
+    return math.fsum(
+        [len_natural(summary_size) + len_natural(label_count)]
+        + [
+            count * (base + log2_binomial(summary_size, n_out))
+            for n_out, count in out_degrees.items()
+        ]
     )
 
 
-def cost_summary(summary) -> float:
-    """Bits for the whole summary graph: sizes plus every super-node.
+def super_edge_bits(rep_mult: int) -> float:
+    """Bits for one out-super-edge's representative multiplicity, charged
+    to its source super-node."""
+    return len_natural(rep_mult)
 
-    ``summary`` must expose ``super_nodes`` (mapping id -> super-node with
-    ``members`` and ``rep_mult``), ``super_edges`` (mapping (src, dst) ->
-    rep_mult) and ``label_count``.
-    """
-    n_s = len(summary.super_nodes)
-    if n_s < 1:
-        raise ValueError("summary must contain at least one super-node")
-    out_mults: dict[int, list[int]] = {vid: [] for vid in summary.super_nodes}
-    for (src, _dst), m in summary.super_edges.items():
-        out_mults[src].append(m)
-    bits = summary_header_bits(n_s, summary.label_count)
-    for vid, sn in summary.super_nodes.items():
-        bits += cost_supernode(
-            len(sn.members),
-            sn.rep_mult,
-            out_mults[vid],
-            n_s,
-            summary.label_count,
-        )
-    return bits
+
+def supernode_own_bits(member_count: int, rep_mult: int) -> float:
+    """The part of a super-node's bits that is its own: member count and
+    representative multiplicity."""
+    return len_natural(member_count) + len_natural(rep_mult)
 
 
 def cost_node_map(member_count: int, graph_size: int, is_star: bool) -> float:

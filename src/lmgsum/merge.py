@@ -7,14 +7,15 @@ representative multiplicity, and a super-edge-or-corrections decision for
 every bundle of crossing edges), and committed only when they strictly
 reduce the total cost.  Scoring never mutates the state, so rejecting a
 proposal is free, and committed deltas are exact: after every commit the
-running total equals a from-scratch recomputation.
+running total equals a from-scratch recomputation, float for float.
 
 This module only keeps books.  Every bit it counts, the all-singleton
 baseline included, comes from the functions that
 :func:`lmgsum.summary.total_cost` uses (the super-node parts in
 :mod:`lmgsum.encoding`, the context costs in :mod:`lmgsum.summary`), so a
 change to a formula reaches the greedy objective and the reported cost
-together.
+together.  A proposal's ``dcost`` is the :func:`math.fsum` of the terms a
+merge adds and, negated, of those it removes: its sign is the exact sign.
 
 A proposal reads the member edges once: ``_gather_cross`` collects every
 edge that touches a member, the glyph is decided from the internal ones
@@ -44,12 +45,14 @@ which is the typical case — remain reachable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from .encoding import (
+    CostBreakdown,
     cost_node_map,
     ell_diff_array,
     summary_width_bits,
@@ -73,8 +76,32 @@ SCAN_LIMIT = 1024
 PROBE_LIMIT = 256
 
 
+#: the smallest subnormal's inverse: every float is a whole number of 1/_UNIT
+_UNIT = 1 << 1074
+
+
 class MergeError(RuntimeError):
     pass
+
+
+def _units(x: float) -> int:
+    """``x`` exactly, in units of 2^-1074."""
+    num, den = x.as_integer_ratio()
+    # den is a power of two, 2^(bit_length - 1), and at most 2^1074
+    return num << (1075 - den.bit_length())
+
+
+def _exact_units(terms: list[float]) -> int:
+    """The exact sum of ``terms``, in units of 2^-1074: each round's
+    :func:`math.fsum` rounds what the partials found so far leave over."""
+    total = 0
+    partials: list[float] = []
+    s = math.fsum(terms)
+    while s:
+        total += _units(s)
+        partials.append(-s)
+        s = math.fsum(chain(terms, partials))
+    return total
 
 
 def _distinct(values: np.ndarray) -> tuple[list[int], list[int], list[int]]:
@@ -234,8 +261,7 @@ def _bundle_choice(
 
     ``src_ports`` and ``dst_ports`` hold the two sides' ports.  The result
     depends only on the region, the expansion size, each edge's cover flag
-    and the multiplicities, the last two in order because the bits are
-    summed left to right; together they are the key.
+    and the multiplicities; together they are the key.
     """
     key = (
         src.size * dst.size,
@@ -258,9 +284,9 @@ class MergeProposal:
     in_edges: dict[int, int]  # source super-node id -> rep mult
     absorbed: tuple[int, ...]  # singleton super-node ids that disappear
     dissolved: list[tuple[int, int]]  # super-edge keys removed by absorption
-    dcost: float
-    d_summary: float
-    d_correction: float
+    dcost: float  # the correctly rounded sum of both term lists
+    d_summary: list[float]  # summary terms added, and removed ones negated
+    d_correction: list[float]  # the same for the correction side
     odeg_delta: dict[int, int]  # out-super-edge count -> change in its tally
     width: float  # the summary's width bits after the merge
 
@@ -276,11 +302,13 @@ class SummaryState:
     docstring), which is what lets a proposal find the super-edges it
     dissolves among its gathered edges.
 
-    ``summary_bits`` and ``correction_bits`` always equal the from-scratch
-    costs of the current summary; commits adjust them by the proposal's
-    deltas, including the global terms that depend on the number of
-    super-nodes (those are recomputed exactly through a histogram of
-    out-super-edge counts, so no approximation is involved).
+    Each part of the cost is kept as the exact sum of its terms, an
+    integer in units of 2^-1074, and a commit adds its proposal's terms
+    exactly.  ``summary_bits`` and ``correction_bits`` round those sums
+    once, so they are the floats :func:`~lmgsum.summary.total_cost` returns
+    for the current summary.  The width term depends on the number of
+    super-nodes and on the histogram of out-super-edge counts; each
+    proposal computes it from its histogram, and a commit swaps it in.
     """
 
     def __init__(self, g: LabeledMultiGraph):
@@ -301,22 +329,33 @@ class SummaryState:
         # Baseline: every node is a singleton and every other edge a positive
         # correction in its own 1x1 pair context.  Those costs depend only on
         # a node's loop multiplicity and an edge's multiplicity, so each
-        # distinct value is costed once and multiplied by its count.
-        own = 0.0
-        corr = g.n * self._singleton_map
+        # distinct value is costed once and counted exactly.
+        own = 0
+        corr = g.n * _units(self._singleton_map)
         for m, v, count in zip(*_distinct(g.self_loop_mults())):
             sn = self.snodes[v]
-            own += count * supernode_own_bits(sn.size, sn.rep_mult, ())
-            corr += count * prices.singleton(sn, m)
+            own += count * _units(supernode_own_bits(sn.size, sn.rep_mult))
+            corr += count * _units(prices.singleton(sn, m))
         plain = np.nonzero(g.out_src != g.out_dst)[0]
         for m, count in zip(*_distinct(g.out_mult[plain])[::2]):
-            corr += count * prices.one_edge(1, m)
-        self.correction_bits = corr
-        #: the summary header plus every super-node's width bits, which
-        #: depend on the number of super-nodes and the out-degree histogram;
-        #: a commit takes its proposal's value
+            corr += count * _units(prices.one_edge(1, m))
+        #: the summary header plus every super-node's width bits
         self._width = summary_width_bits(g.n, g.label_count, self.odeg_hist)
-        self.summary_bits = self._width + own
+        #: the exact parts of the cost, in units of 2^-1074
+        self._summary = _units(self._width) + own
+        self._correction = corr
+
+    @property
+    def summary_bits(self) -> float:
+        return self._summary / _UNIT
+
+    @property
+    def correction_bits(self) -> float:
+        return self._correction / _UNIT
+
+    @property
+    def cost(self) -> CostBreakdown:
+        return CostBreakdown(self.summary_bits, self.correction_bits)
 
     @property
     def total_bits(self) -> float:
@@ -387,22 +426,23 @@ class SummaryState:
         absorbed = tuple(sorted(assign[u] for u in members))
         absorbed_set = set(absorbed)
 
-        # ---- old terms being removed
-        old_corr = 0.0
-        old_own = 0.0
+        # ---- terms the merge removes, negated
+        d_summary: list[float] = [-self._width]
+        d_correction: list[float] = []
         odeg_delta: dict[int, int] = {}
         for sid in absorbed:
             sn = self.snodes[sid]
             out = self.out_se.get(sid, {})
             (u,) = sn.members
-            old_corr += self._singleton_map
-            old_corr += prices.singleton(sn, loops.get(u, 0))
-            old_own += supernode_own_bits(sn.size, sn.rep_mult, out.values())
+            d_correction.append(-self._singleton_map)
+            d_correction.append(-prices.singleton(sn, loops.get(u, 0)))
+            d_summary.append(-supernode_own_bits(1, sn.rep_mult))
+            for m in out.values():
+                d_summary.append(-super_edge_bits(m))
             odeg_delta[len(out)] = odeg_delta.get(len(out), 0) - 1
 
         # old pair contexts touching any absorbed singleton: every super-edge
-        # has an edge of g under it, so the gathered edges name them all, and
-        # each pair's edges come from one member's scan in (u, w) order
+        # has an edge of g under it, so the gathered edges name them all
         old_pairs: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
         for u, w, m in chain(internal, *out_b.values(), *in_b.values()):
             a, b = assign[u], assign[w]
@@ -414,17 +454,19 @@ class SummaryState:
         dissolved: list[tuple[int, int]] = []
         for a, b in sorted(old_pairs):
             rep_ab = self.out_se.get(a, {}).get(b)
-            old_corr += prices.pair(self.snodes[a], self.snodes[b], rep_ab, old_pairs[(a, b)])
+            d_correction.append(
+                -prices.pair(self.snodes[a], self.snodes[b], rep_ab, old_pairs[(a, b)])
+            )
             if rep_ab is not None:
                 dissolved.append((a, b))
                 # the source side loses this super-edge from its own cost
                 if a not in absorbed_set:
-                    old_own += super_edge_bits(rep_ab)
+                    d_summary.append(-super_edge_bits(rep_ab))
                     se_change[a] = se_change.get(a, 0) - 1
 
-        # ---- new terms
-        new_corr = cost_node_map(k, g.n, glyph in STAR_GLYPHS)
-        new_corr += node_context_bits(new_node, internal)
+        # ---- terms the merge adds
+        d_correction.append(cost_node_map(k, g.n, glyph in STAR_GLYPHS))
+        d_correction.append(node_context_bits(new_node, internal))
         out_edges: dict[int, int] = {}
         in_edges: dict[int, int] = {}
         ports = set(new_node.ports())
@@ -433,7 +475,7 @@ class SummaryState:
             se_rep, ctx_bits = _bundle_choice(
                 self._bundles, new_node, sn, ports, sn.ports(), out_b[other]
             )
-            new_corr += ctx_bits
+            d_correction.append(ctx_bits)
             if se_rep is not None:
                 out_edges[other] = se_rep
         for other in sorted(in_b):
@@ -441,7 +483,7 @@ class SummaryState:
             se_rep, ctx_bits = _bundle_choice(
                 self._bundles, sn, new_node, sn.ports(), ports, in_b[other]
             )
-            new_corr += ctx_bits
+            d_correction.append(ctx_bits)
             if se_rep is not None:
                 in_edges[other] = se_rep
                 se_change[other] = se_change.get(other, 0) + 1
@@ -454,11 +496,12 @@ class SummaryState:
             odeg_delta[d_old] = odeg_delta.get(d_old, 0) - 1
             odeg_delta[d_old + change] = odeg_delta.get(d_old + change, 0) + 1
         # the sources of in-super-edges pay for them in their own bits
-        new_own = supernode_own_bits(k, rep, out_edges.values())
-        new_own += sum(map(super_edge_bits, in_edges.values()))
+        d_summary.append(supernode_own_bits(k, rep))
+        for m in chain(out_edges.values(), in_edges.values()):
+            d_summary.append(super_edge_bits(m))
 
-        # ---- assemble exact deltas, including the summary-size-wide terms
-        old_width = self._width
+        # the width, which depends on the super-node count and every
+        # super-node's out-super-edge count
         new_hist = dict(self.odeg_hist)
         for d, c in odeg_delta.items():
             new_hist[d] = new_hist.get(d, 0) + c
@@ -467,16 +510,14 @@ class SummaryState:
         new_width = summary_width_bits(
             len(self.snodes) - len(absorbed) + 1, g.label_count, new_hist
         )
-
-        d_summary = (new_width - old_width) + (new_own - old_own)
-        d_correction = new_corr - old_corr
+        d_summary.append(new_width)
         return MergeProposal(
             node=new_node,
             out_edges=out_edges,
             in_edges=in_edges,
             absorbed=absorbed,
             dissolved=dissolved,
-            dcost=d_summary + d_correction,
+            dcost=math.fsum(chain(d_summary, d_correction)),
             d_summary=d_summary,
             d_correction=d_correction,
             odeg_delta=odeg_delta,
@@ -546,7 +587,7 @@ class SummaryState:
         if best.node.glyph is Glyph.DISCONNECTED:
             for variant in self._hub_variants(members):
                 p = self._score(variant)
-                if p.dcost < best.dcost - 1e-12:
+                if p.dcost < best.dcost:
                     best = p
         return best
 
@@ -579,12 +620,9 @@ class SummaryState:
             if self.odeg_hist[d] == 0:
                 del self.odeg_hist[d]
         self.next_id += 1
-        # next_id rules out stale proposals, and odeg_delta is applied here
-        # in the same order as in _score, so proposal.width is the
-        # from-scratch float
         self._width = proposal.width
-        self.summary_bits += proposal.d_summary
-        self.correction_bits += proposal.d_correction
+        self._summary += _exact_units(proposal.d_summary)
+        self._correction += _exact_units(proposal.d_correction)
 
     def process_candidate(self, nodes, audit=None) -> list[MergeProposal]:
         """Split a raw candidate by label, then evaluate and commit each

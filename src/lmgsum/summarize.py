@@ -27,6 +27,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .candidates import Candidate, LshState, candidate_batches, threshold
+from .encoding import CostBreakdown
 from .graph import LabeledMultiGraph
 from .merge import SummaryState
 from .summary import CorrectionSet, SummaryGraph, compute_corrections
@@ -74,8 +75,10 @@ class RunReport:
     """What a run did and what it cost, plus the final summary's corrections.
 
     ``corrections`` is the :class:`CorrectionSet` that rebuilds the input
-    from the final summary, computed once by :func:`run`; it stays out of
-    :meth:`to_dict`, and a report built elsewhere may leave it ``None``.
+    from the final summary, computed once by :func:`run`, and ``cost`` is
+    the final summary's :class:`CostBreakdown`, read off the merge state,
+    so ``cost.total_bits == bits_after``.  Both stay out of :meth:`to_dict`,
+    and a report built elsewhere may leave them ``None``.
     """
 
     bits_before: float
@@ -90,6 +93,7 @@ class RunReport:
     glyph_counts: dict[str, int] = field(default_factory=dict)
     correction_counts: dict[str, int] = field(default_factory=dict)
     corrections: CorrectionSet | None = None
+    cost: CostBreakdown | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -199,7 +203,8 @@ def _merge(
                 )
             )
     summary = state.to_summary_graph()
-    bits_after = state.total_bits
+    cost = state.cost
+    bits_after = cost.total_bits
     return summary, RunReport(
         bits_before=bits_before,
         bits_after=bits_after,
@@ -210,6 +215,7 @@ def _merge(
         super_node_count=len(summary.super_nodes),
         super_edge_count=len(summary.super_edges),
         glyph_counts=summary.glyph_counts(),
+        cost=cost,
     )
 
 

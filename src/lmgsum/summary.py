@@ -24,6 +24,8 @@ are positive.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, product
@@ -35,10 +37,12 @@ import numpy as np
 from .encoding import (
     CostBreakdown,
     cost_correction_set,
-    cost_multiplicity_diff,
     cost_node_map,
-    cost_summary,
+    ell_diff,
     len_natural,
+    summary_width_bits,
+    super_edge_bits,
+    supernode_own_bits,
 )
 from .graph import LabeledMultiGraph
 from .jsontext import write_json
@@ -489,21 +493,20 @@ def _context_bits(region: int, x_size: int, rep: int, edges, covers) -> float:
     Edges inside X are corrected against ``rep``, edges outside X are
     positive corrections, and pairs of X without an edge are negative ones.
     """
-    covered_mults: list[int] = []
-    pos_mults: list[int] = []
+    terms: list[float] = []
+    covered = 0
     for u, w, m in edges:
         if covers(u, w):
-            covered_mults.append(m)
+            terms.append(ell_diff(m, rep))
+            covered += 1
         else:
-            pos_mults.append(m)
-    bits = 0.0
+            terms.append(len_natural(m))
+    positive = len(terms) - covered
     if x_size >= 1:
-        bits += cost_correction_set(x_size - len(covered_mults), x_size)
+        terms.append(cost_correction_set(x_size - covered, x_size))
     if region - x_size >= 1:
-        bits += cost_correction_set(len(pos_mults), region - x_size)
-    bits += cost_multiplicity_diff(covered_mults, rep)
-    bits += sum(len_natural(m) for m in pos_mults)
-    return bits
+        terms.append(cost_correction_set(positive, region - x_size))
+    return math.fsum(terms)
 
 
 def _port_cover(sa: SuperNode, sb: SuperNode):
@@ -548,7 +551,7 @@ def pair_context_bits(
 def _unlinked_bits(region: int, mults: list[int]) -> float:
     """Bits of a pair context without a super-edge over ``region`` node
     pairs: every edge, of multiplicity ``mults[i]``, is a positive one."""
-    return cost_correction_set(len(mults), region) + sum(map(len_natural, mults))
+    return math.fsum(chain((cost_correction_set(len(mults), region),), map(len_natural, mults)))
 
 
 class ContextPrices:
@@ -615,15 +618,23 @@ def correction_cost(
     for key, bits in zip(keys.tolist(), pair_bits):
         a, b = divmod(key, s_count)
         breakdown[("pair", ids[a], ids[b])] = bits
-    return sum(breakdown.values()), breakdown
+    return math.fsum(breakdown.values()), breakdown
 
 
 def total_cost(g: LabeledMultiGraph, summary: SummaryGraph) -> CostBreakdown:
-    """Two-part description length of g under the given summary."""
+    """Two-part description length of g under the given summary, each
+    part the correctly rounded sum of its terms: the width and each
+    super-node's and super-edge's own bits; each map's and context's bits."""
+    nodes, edges = summary.super_nodes, summary.super_edges
+    out_degree = Counter(a for a, _b in edges)
+    width = summary_width_bits(
+        len(nodes), summary.label_count, Counter(out_degree[v] for v in nodes)
+    )
+    own = [supernode_own_bits(sn.size, sn.rep_mult) for sn in nodes.values()]
+    summary_bits = math.fsum(chain((width,), own, map(super_edge_bits, edges.values())))
     groups = _EdgeGroups(g, summary)
-    # summed in correction_cost's breakdown order, so the float is the same
-    corr = sum(chain(groups.node_bits(), groups.pair_bits()[1]))
-    return CostBreakdown(summary_bits=cost_summary(summary), correction_bits=corr)
+    corr = math.fsum(chain(groups.node_bits(), groups.pair_bits()[1]))
+    return CostBreakdown(summary_bits=summary_bits, correction_bits=corr)
 
 
 # -- exports ------------------------------------------------------------------

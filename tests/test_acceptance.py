@@ -16,7 +16,7 @@ from lmgsum.encoding import cost_entropy_code, ell_diff, len_natural, log2_binom
 from lmgsum.graph import LabeledMultiGraph
 from lmgsum.merge import SummaryState, decide_glyph, representative_multiplicity
 from lmgsum.summarize import RunConfig, normalized_gain, run
-from lmgsum.summary import Glyph, SuperNode, compute_corrections, reconstruct
+from lmgsum.summary import Glyph, SuperNode, compute_corrections, reconstruct, total_cost
 from lmgsum.synth import kout_graph, perfect_edges, planted_graph, random_graph
 
 from oracle import oell_diff, oracle_rep_mult, oracle_total_cost
@@ -130,18 +130,23 @@ def test_criterion_06_incremental_cost_tracks_oracle():
     g, _ = planted_graph(1, cliques=5, in_stars=5, out_stars=5,
                          size_range=(10, 20), noise=0.05)
     deviations = []
+    unequal = 0
 
     def audit(state: SummaryState, _proposal):
-        expected = oracle_total_cost(state.g, state.to_summary_graph())
+        nonlocal unequal
+        summary = state.to_summary_graph()
+        expected = oracle_total_cost(state.g, summary)
         deviations.append(abs(state.total_bits - expected))
+        unequal += state.cost != total_cost(state.g, summary)
 
     run(g, RunConfig(seed=1), audit=audit)
     worst = max(deviations) if deviations else float("inf")
     report(
         6,
-        "running total equals oracle after every commit",
-        bool(deviations) and worst <= 1e-6,
-        f"commits={len(deviations)}, worst_deviation={worst:.3e} bits",
+        "running total equals oracle after every commit, and total_cost exactly",
+        bool(deviations) and worst <= 1e-6 and not unequal,
+        f"commits={len(deviations)}, worst_deviation={worst:.3e} bits, "
+        f"unequal_to_total_cost={unequal}",
     )
 
 

@@ -71,6 +71,16 @@ class TestSummarize:
         assert payload["report"]["bits_after"] < payload["report"]["bits_before"]
         assert payload["config"]["seed"] == 1
 
+    def test_report_states_one_total(self, planted_files, tmp_path, capsys):
+        # the report block and the summary's cost block are one number,
+        # both read off the merge state's exact ledger
+        edges, labels, _g = planted_files
+        out_json = tmp_path / "report.json"
+        assert main(["summarize", "-i", edges, "-l", labels, "--seed", "1",
+                     "--json", str(out_json)]) == 0
+        payload = json.loads(out_json.read_text())
+        assert payload["report"]["bits_after"] == payload["summary"]["cost"]["total_bits"]
+
     def test_json_and_dot_outputs(self, planted_files, tmp_path, capsys):
         edges, labels, _g = planted_files
         out_json = tmp_path / "report.json"
@@ -190,7 +200,7 @@ class TestSummarize:
         out_json = tmp_path / "report.json"
         assert main(["summarize", "-i", edges, "-l", labels, "--seed", "1",
                      "--json", str(out_json)]) == 0
-        assert calls == {"compute_corrections": 1, "total_cost": 1}
+        assert calls == {"compute_corrections": 1, "total_cost": 0}
 
     def test_bad_checkpoints_are_usage_error(self, planted_files, capsys):
         edges, _labels, _g = planted_files

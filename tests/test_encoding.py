@@ -10,13 +10,15 @@ from lmgsum.encoding import (
     cost_correction_set,
     cost_entropy_code,
     cost_node_map,
-    cost_summary,
-    cost_supernode,
     ell_diff,
     len_natural,
     log2_binomial,
+    summary_width_bits,
+    super_edge_bits,
+    supernode_own_bits,
 )
-from lmgsum.summary import Glyph, SummaryGraph, SuperNode
+from lmgsum.graph import LabeledMultiGraph
+from lmgsum.summary import Glyph, SummaryGraph, SuperNode, total_cost
 
 from oracle import obundle, oell_diff, olen_natural, olog2_binomial
 
@@ -126,57 +128,73 @@ class TestEntropyCode:
                 assert cost_entropy_code(c, n) >= log2_binomial(n, c) - 1e-9
 
 
+def singletons(n: int) -> SummaryGraph:
+    s = SummaryGraph(graph_size=n, label_count=1)
+    for v in range(n):
+        s.super_nodes[v] = SuperNode(id=v, label=0, glyph=Glyph.SINGLETON, members=(v,))
+    return s
+
+
 class TestSupernodeCost:
+    """A super-node's bits: its width terms and its own bits."""
+
     def test_singleton_value(self):
-        # log2(1 label) + log2(5 glyphs) + L(1 member) + L(rep 1)
-        # + log2(summary size 1 + 1) + C(1, 0 out-edges)
-        expected = 0 + math.log2(5) + 1 + 1 + 1 + 0
-        assert cost_supernode(1, 1, [], 1, 1) == pytest.approx(expected, abs=1e-9)
+        # width: log2(1 label) + log2(5 glyphs) + log2(summary size 1 + 1)
+        # + C(1, 0 out-edges), after the header L(1 super-node) + L(1 label);
+        # own: L(1 member) + L(rep 1)
+        width = summary_width_bits(1, 1, {0: 1})
+        assert width == pytest.approx(1 + 1 + math.log2(5) + 1, abs=1e-9)
+        assert supernode_own_bits(1, 1) == 2.0
 
     def test_out_edges_add_their_terms(self):
-        base = cost_supernode(3, 2, [], 10, 4)
-        with_edges = cost_supernode(3, 2, [1, 5], 10, 4)
-        expected_delta = (
-            log2_binomial(10, 2) - log2_binomial(10, 0)
-            + len_natural(1) + len_natural(5)
-        )
+        # a super-node of a 10-node summary with out-super-edges of
+        # multiplicities 1 and 5 instead of none
+        base = summary_width_bits(10, 4, {0: 10})
+        with_edges = summary_width_bits(10, 4, {0: 9, 2: 1})
+        expected_delta = log2_binomial(10, 2) - log2_binomial(10, 0)
         assert with_edges - base == pytest.approx(expected_delta, abs=1e-9)
+        assert super_edge_bits(1) + super_edge_bits(5) == len_natural(1) + len_natural(5)
+
+    def test_width_ignores_histogram_order(self):
+        hist = {0: 7, 3: 2, 1: 40, 2: 5}
+        assert summary_width_bits(50, 3, hist) == summary_width_bits(
+            50, 3, dict(reversed(hist.items()))
+        )
 
     def test_rejects_invalid(self):
         with pytest.raises(ValueError):
-            cost_supernode(0, 1, [], 1, 1)
+            supernode_own_bits(0, 1)
         with pytest.raises(ValueError):
-            cost_supernode(1, 0, [], 1, 1)
+            supernode_own_bits(1, 0)
         with pytest.raises(ValueError):
-            cost_supernode(1, 1, [1, 1], 1, 1)
+            super_edge_bits(0)
+        # more out-super-edges than super-nodes
+        with pytest.raises(ValueError):
+            summary_width_bits(1, 1, {2: 1})
 
 
 class TestSummaryCost:
+    """The summary part of :func:`total_cost`."""
+
     def test_single_singleton_summary(self):
-        s = SummaryGraph(graph_size=1, label_count=1)
-        s.super_nodes[0] = SuperNode(
-            id=0, label=0, glyph=Glyph.SINGLETON, members=(0,)
-        )
         # L(1 super-node) + L(1 label) + singleton super-node cost
         expected = 1 + 1 + (math.log2(5) + 1 + 1 + 1)
-        assert cost_summary(s) == pytest.approx(expected, abs=1e-9)
+        got = total_cost(LabeledMultiGraph(1, {}), singletons(1)).summary_bits
+        assert got == pytest.approx(expected, abs=1e-9)
 
     def test_super_edge_mult_charged_to_source(self):
-        s = SummaryGraph(graph_size=2, label_count=1)
-        s.super_nodes[0] = SuperNode(id=0, label=0, glyph=Glyph.SINGLETON, members=(0,))
-        s.super_nodes[1] = SuperNode(id=1, label=0, glyph=Glyph.SINGLETON, members=(1,))
-        base = cost_summary(s)
+        g = LabeledMultiGraph(2, {(0, 1): 7})
+        s = singletons(2)
+        base = total_cost(g, s).summary_bits
         s.super_edges[(0, 1)] = 7
-        linked = cost_summary(s)
-        expected_delta = (
-            log2_binomial(2, 1) - log2_binomial(2, 0) + len_natural(7)
-        )
+        linked = total_cost(g, s).summary_bits
+        expected_delta = log2_binomial(2, 1) - log2_binomial(2, 0) + len_natural(7)
         assert linked - base == pytest.approx(expected_delta, abs=1e-9)
 
     def test_empty_summary_rejected(self):
         s = SummaryGraph(graph_size=1, label_count=1)
         with pytest.raises(ValueError):
-            cost_summary(s)
+            total_cost(LabeledMultiGraph(1, {}), s)
 
 
 class TestNodeMap:

@@ -21,7 +21,13 @@ from lmgsum.merge import (
     representative_multiplicity,
     split_by_label,
 )
-from lmgsum.summary import Glyph, SuperNode, total_cost
+from lmgsum.summary import (
+    Glyph,
+    SuperNode,
+    node_context_bits,
+    pair_context_bits,
+    total_cost,
+)
 from lmgsum.synth import perfect_edges
 
 from oracle import (
@@ -257,17 +263,25 @@ class TestDecideSuperEdge:
                 got = _bundle_choice(memo, src, dst, set(src.ports()), dst.ports(), edges)
                 assert got == decide_super_edge(src, dst, edges)
 
-    def test_memo_keeps_the_multiplicities_in_order(self):
-        # the bits of 5, 5, 3 and of 3, 5, 5, summed left to right, round
-        # differently, so a key holding the multiplicities as a sorted
-        # tuple or a multiset would serve the second order the first's bits
-        src, dst, _ = _bundle(tuple(range(10)), tuple(range(10, 20)), [])
-        bundles = [[(i, 10 + i, m) for i, m in enumerate(ms)] for ms in [(5, 5, 3), (3, 5, 5)]]
-        want = [decide_super_edge(src, dst, edges) for edges in bundles]
-        assert want[0] != want[1]
-        memo = {}
-        for edges, expected in zip(bundles, want):
-            assert _bundle_choice(memo, src, dst, set(src.ports()), dst.ports(), edges) == expected
+    @given(bundles(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bits_ignore_the_edge_order(self, case, data):
+        # a context's bits are the correctly rounded sum of per-edge terms,
+        # so they depend on its edge multiset, not on the order of the list
+        src, dst, edges = case
+        shuffled = data.draw(st.permutations(edges))
+        rep = data.draw(st.integers(1, 3000))
+        for r in (None, rep):
+            assert pair_context_bits(src, dst, r, shuffled) == pair_context_bits(
+                src, dst, r, edges
+            )
+        assert decide_super_edge(src, dst, shuffled) == decide_super_edge(src, dst, edges)
+        sn = replace(src, self_loop=data.draw(st.booleans()), rep_mult=rep)
+        pairs = [(u, w) for u in sn.members for w in sn.members]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), max_size=len(pairs), unique=True))
+        internal = [(u, w, data.draw(st.integers(1, 3000))) for u, w in chosen]
+        reordered = data.draw(st.permutations(internal))
+        assert node_context_bits(sn, reordered) == node_context_bits(sn, internal)
 
     def test_complete_uniform_bundle_gets_super_edge(self):
         edges = [(u, w, 2) for u in (0, 1) for w in (2, 3, 4)]
@@ -361,8 +375,10 @@ class TestSummaryState:
         g, _ = L.planted_graph(seed=3, cliques=2, in_stars=2, out_stars=2)
 
         def audit(state, _p):
-            want = oracle_total_cost(state.g, state.to_summary_graph())
+            summary = state.to_summary_graph()
+            want = oracle_total_cost(state.g, summary)
             assert state.total_bits == pytest.approx(want, abs=1e-6)
+            assert state.cost == total_cost(state.g, summary)
 
         summary, report = L.run(g, L.RunConfig(seed=3), audit=audit)
         assert report.commit_count > 0
@@ -379,8 +395,9 @@ class TestSummaryState:
         g, _ = L.planted_graph(seed=3, cliques=2, in_stars=2, out_stars=2)
 
         def audit(state, _p):
-            want = total_cost(state.g, state.to_summary_graph()).total_bits
-            assert state.total_bits == pytest.approx(want, abs=1e-6)
+            want = total_cost(state.g, state.to_summary_graph())
+            assert state.total_bits == pytest.approx(want.total_bits, abs=1e-6)
+            assert state.cost == want
 
         audit(SummaryState(g), None)
         _, report = L.run(g, L.RunConfig(seed=3), audit=audit)

@@ -154,6 +154,8 @@ class TestRun:
         assert report.bits_after == pytest.approx(
             total_cost(g, summary).total_bits, abs=1e-6
         )
+        assert report.cost == total_cost(g, summary)
+        assert report.bits_after == report.cost.total_bits
 
     def test_same_seed_is_bit_identical(self):
         g = random_graph(17)
