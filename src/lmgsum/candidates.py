@@ -54,12 +54,18 @@ def _mix64_scalar(x: int) -> int:
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
-    x = x.copy()
-    x ^= x >> np.uint64(30)
+    """Replace every element of ``x`` by its :func:`_mix64_scalar`, in
+    place, and return ``x``."""
+    # the one temporary: each step's shifted copy
+    shifted = np.empty_like(x)
+    np.right_shift(x, np.uint64(30), out=shifted)
+    x ^= shifted
     x *= np.uint64(_C1)
-    x ^= x >> np.uint64(27)
+    np.right_shift(x, np.uint64(27), out=shifted)
+    x ^= shifted
     x *= np.uint64(_C2)
-    x ^= x >> np.uint64(31)
+    np.right_shift(x, np.uint64(31), out=shifted)
+    x ^= shifted
     return x
 
 
@@ -169,9 +175,11 @@ def minhash_band(
     # token values are below 2n, so they index the table directly
     at, slots = tokens.view(np.int64), values.view(np.int64)
     table = np.empty(2 * g.n, dtype=np.uint64)
+    hashed = np.empty_like(values)
     for j in range(r):
         key = np.uint64(_row_key(seed, band_index, j))
-        table[slots] = _mix64(values ^ key)
+        np.bitwise_xor(values, key, out=hashed)
+        table[slots] = _mix64(hashed)
         sig[nonempty, j] = np.minimum.reduceat(table[at], starts)
     return sig
 
@@ -179,8 +187,11 @@ def minhash_band(
 def _band_keys(sig: np.ndarray) -> np.ndarray:
     """Collapse the r row-minima of each node into one bucket key."""
     key = sig[:, 0].copy()
+    column = np.empty_like(key)
     for j in range(1, sig.shape[1]):
-        key = _mix64(key ^ (sig[:, j] + np.uint64(0x9E3779B97F4A7C15)))
+        np.add(sig[:, j], np.uint64(0x9E3779B97F4A7C15), out=column)
+        key ^= column
+        _mix64(key)
     return key
 
 
@@ -303,7 +314,13 @@ class SimilarityGraph:
                 p ^= low
                 x |= low
 
-        expand(0, p, x)
+        try:
+            expand(0, p, x)
+        finally:
+            # expand's closure cell holds expand itself; clearing it frees
+            # the function by reference counting alone, so a run leaves no
+            # cycle for the collector, which the CLI keeps paused
+            del expand
         cliques = []
         for r in masks:
             nodes = [u]
@@ -360,8 +377,9 @@ class LshState:
         self.bands_added = 0
         self.parent = list(range(g.n))
         # degree-sorted member lists, keyed by cluster root
+        degrees = (np.diff(g.out_indptr) + np.diff(g.in_indptr)).tolist()
         self.members: dict[int, list[tuple[int, int]]] = {
-            v: [(g.degree(v), v)] for v in range(g.n)
+            v: [(d, v)] for v, d in enumerate(degrees)
         }
         self.verified: set[tuple[int, int]] = set()
         self.gsim = SimilarityGraph()

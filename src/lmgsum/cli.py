@@ -9,6 +9,7 @@ and seed.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -130,8 +131,8 @@ def _load(args) -> LabeledMultiGraph:
 
 
 def cmd_summarize(args) -> int:
-    g = _load(args)
     config = _config(args, checkpoints=args.checkpoints)
+    g = _load(args)
     summary, report = run(g, config, keep_checkpoint_summaries=bool(args.dot))
     payload = {
         "config": {
@@ -173,10 +174,10 @@ def cmd_summarize(args) -> int:
 def cmd_eval_labels(args) -> int:
     if not args.labels:
         raise UsageError("eval-labels requires a label file (-l/--labels)")
-    g = _load(args)
     if args.shuffles < 1:
         raise UsageError("--shuffles must be >= 1")
     config = _config(args, shuffles=args.shuffles)
+    g = _load(args)
     result = shuffled_label_eval(g, config)
     if args.json:
         with open(args.json, "w") as f:
@@ -252,6 +253,23 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command with the cyclic garbage collector paused.
+
+    The commands create no reference cycles (``tests/test_cli.py`` pins
+    that), so reference counting frees all they drop, and the collector
+    would only re-walk their live containers.  Its state is restored on
+    every way out, so in-process callers keep their own policy.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run_command(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run_command(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {

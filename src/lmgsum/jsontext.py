@@ -25,6 +25,11 @@ general path.  Other dicts are walked key by key.  Every other list is
 written in chunks by ``json.dumps(chunk, indent=2)``, re-indented by
 replacing each newline, which is exact because that text holds no raw
 newline inside a string.
+
+A scalar or an empty container met on that walk (a dict value, say) goes
+through the C encoder too: its text is one line with or without an indent,
+and the pure-Python encoder an indent selects leaves a reference cycle of
+closures behind on every call.
 """
 
 from __future__ import annotations
@@ -62,8 +67,9 @@ def _write(obj, write, level: int) -> None:
     elif isinstance(obj, (list, tuple)) and obj:
         _write_list(obj, write, level)
     else:
-        # a scalar or an empty container: one line
-        write(json.dumps(obj, indent=2))
+        # a scalar or an empty container: one line, the same with or
+        # without an indent, so the C encoder writes it
+        write(json.dumps(obj))
 
 
 def _write_list(obj, write, level: int) -> None:

@@ -234,6 +234,12 @@ def per_occurrence_band(g, band_index, seed, r):
 
 
 class TestMinhashBand:
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=50))
+    def test_array_mix_is_the_scalar_mix_in_place(self, values):
+        x = np.array(values, dtype=np.uint64)
+        assert candidates._mix64(x) is x
+        assert x.tolist() == [candidates._mix64_scalar(v) for v in values]
+
     @given(
         banded_graphs(),
         st.integers(0, 2**64 - 1),

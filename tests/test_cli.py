@@ -3,10 +3,18 @@
 their outputs, and the exit-code contract (0 ok, 1 verify mismatch, 2 usage,
 3 I/O or format error)."""
 
+import contextlib
+import gc
+import io
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from lmgsum import cli
 from lmgsum.cli import main
 from lmgsum.graph import LabeledMultiGraph
 from lmgsum.jsontext import CHUNK
@@ -153,6 +161,13 @@ class TestSummarize:
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         assert main(["summarize", "-i", str(tmp_path / "absent.tsv")]) == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_flags_are_checked_before_the_input_is_read(self, tmp_path, capsys):
+        absent = str(tmp_path / "absent.tsv")
+        assert main(["summarize", "-i", absent, "-r", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "r and b_max" in captured.err and "Traceback" not in captured.err
 
     def test_malformed_edge_file_is_io_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
@@ -546,6 +561,14 @@ class TestEvalLabels:
         assert main(["eval-labels", "-i", edges]) == 2
         assert "label" in capsys.readouterr().err
 
+    def test_flags_are_checked_before_the_inputs_are_read(self, tmp_path, capsys):
+        absent = str(tmp_path / "absent.tsv")
+        args = ["eval-labels", "-i", absent, "-l", absent, "--shuffles", "0"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--shuffles" in captured.err and "Traceback" not in captured.err
+
     def test_single_label_warns(self, planted_files, capsys):
         edges, labels, _g = planted_files
         code = main(["eval-labels", "-i", edges, "-l", labels, "--shuffles", "2"])
@@ -634,3 +657,247 @@ class TestArgparseContract:
         with pytest.raises(SystemExit) as exc:
             main(["summarize"])
         assert exc.value.code == 2
+
+
+def _two_label_planted(groups: int) -> LabeledMultiGraph:
+    """``planted_graph`` with ``groups`` groups per glyph, labeled by group,
+    alternating between two labels."""
+    g, planted = planted_graph(1, groups, groups, groups, size_range=(5, 10), noise=0.05)
+    labels = [0] * g.n
+    for i, grp in enumerate(planted):
+        for v in grp.members:
+            labels[v] = i % 2
+    edges = {(u, w): m for u, w, m in g.edges()}
+    return LabeledMultiGraph(g.n, edges, labels, label_names=["red", "blue"])
+
+
+class TestCyclicCollector:
+    """``main`` runs every command with the cyclic garbage collector paused.
+    That frees everything only while the commands make no reference cycles,
+    which these tests pin."""
+
+    @staticmethod
+    def _cyclic_garbage(argv) -> int:
+        """Objects in unreachable cycles that one ``main(argv)``, run with
+        the collector off after a warm-up call, leaves behind."""
+        enabled = gc.isenabled()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+            gc.collect()
+            gc.disable()
+            try:
+                assert main(argv) == 0
+                return gc.collect()
+            finally:
+                if enabled:
+                    gc.enable()
+
+    def test_cyclic_garbage_does_not_grow_with_the_input(self, tmp_path):
+        # a cycle made per clique search, proposal or record would leave
+        # ~50 times as much garbage on the large input; what remains is a
+        # fixed amount per call (argparse's parser, the checkpoint list)
+        sizes = {}
+        garbage = {}
+        for name, groups in (("small", 2), ("large", 100)):
+            g = _two_label_planted(groups)
+            sizes[name] = len(list(g.edges()))
+            edges, labels = write_graph(tmp_path, g, name)
+            report = str(tmp_path / f"{name}.json")
+            common = ["-i", edges, "-l", labels, "--seed", "1"]
+            commands = {
+                "summarize": [
+                    "summarize", *common, "--checkpoints", "2,5",
+                    "--dot", str(tmp_path / f"{name}_dot"), "--json", report,
+                ],
+                "verify": ["verify", *common, "--json", report],
+                "eval-labels": ["eval-labels", *common, "--shuffles", "2"],
+            }
+            garbage[name] = {
+                command: self._cyclic_garbage(argv) for command, argv in commands.items()
+            }
+        assert sizes["large"] >= 40 * sizes["small"]
+        assert garbage["small"] == garbage["large"]
+
+    def test_main_restores_the_collector_state(self, planted_files, tmp_path, capsys):
+        edges, labels, _g = planted_files
+        report = tmp_path / "report.json"
+        assert main(["summarize", "-i", edges, "-l", labels, "--json", str(report)]) == 0
+        # one multiplicity more than the report encodes: a well-formed mismatch
+        lines = Path(edges).read_text().splitlines(keepends=True)
+        a, b, m = lines[0].split("\t")
+        other = tmp_path / "other.tsv"
+        other.write_text(f"{a}\t{b}\t{int(m) + 1}\n" + "".join(lines[1:]))
+        calls = [
+            (0, ["summarize", "-i", edges, "-l", labels]),
+            (1, ["verify", "-i", str(other), "-l", labels, "--json", str(report)]),
+            (2, ["summarize", "-i", edges, "-r", "0"]),
+            (3, ["summarize", "-i", str(tmp_path / "absent.tsv")]),
+            (SystemExit, ["no-such-command"]),
+        ]
+        enabled = gc.isenabled()
+        try:
+            for state in (True, False):
+                for expected, argv in calls:
+                    (gc.enable if state else gc.disable)()
+                    if expected is SystemExit:
+                        with pytest.raises(SystemExit):
+                            main(argv)
+                    else:
+                        assert main(argv) == expected
+                    assert gc.isenabled() is state, (argv, state)
+        finally:
+            (gc.enable if enabled else gc.disable)()
+        capsys.readouterr()
+
+    def test_commands_run_with_the_collector_paused(self, monkeypatch, tmp_path):
+        seen = []
+
+        def handler(args):
+            seen.append(gc.isenabled())
+            if len(seen) == 2:
+                raise RuntimeError("unexpected")
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_summarize", handler)
+        argv = ["summarize", "-i", str(tmp_path / "unread.tsv")]
+        assert gc.isenabled()
+        assert main(argv) == 0
+        with pytest.raises(RuntimeError):
+            main(argv)
+        assert seen == [False, False]
+        assert gc.isenabled()
+
+
+# -- metamorphic tests: rewritings of an input that change no output ----------
+
+
+def _rows(g: LabeledMultiGraph) -> list[tuple[str, str, int]]:
+    return [(g.node_names[u], g.node_names[w], m) for u, w, m in g.edges()]
+
+
+def _label_rows(g: LabeledMultiGraph) -> list[tuple[str, str]]:
+    return [(g.node_names[v], g.label_names[g.labels[v]]) for v in range(g.n)]
+
+
+def _write_tsv(path: Path, rows) -> str:
+    path.write_text("".join("\t".join(map(str, row)) + "\n" for row in rows))
+    return str(path)
+
+
+_WALL_TIME = re.compile(r'"wall_time_s": [^,\n]*')
+
+
+def _outputs(directory: Path, edge_rows, label_rows, *flags) -> dict:
+    """Exit codes, stdout, report text (``wall_time_s`` nulled), DOT files and
+    ``eval-labels`` JSON of both commands on one input.  The output paths
+    depend only on ``directory``, so two inputs run there print the same
+    paths."""
+    edges = _write_tsv(directory / "edges.tsv", edge_rows)
+    labels = _write_tsv(directory / "labels.tsv", label_rows)
+    report, dot, evaluation = (directory / name for name in ("report.json", "dot", "eval.json"))
+    common = ["-i", edges, "-l", labels, "--seed", "3", *flags]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        codes = (
+            main(["summarize", *common, "--checkpoints", "2,5", "--dot", str(dot),
+                  "--json", str(report)]),
+            main(["eval-labels", *common, "--shuffles", "2", "--json", str(evaluation)]),
+        )
+    outputs = {
+        "codes": codes,
+        "stdout": stdout.getvalue(),
+        "report": _WALL_TIME.sub('"wall_time_s": null', report.read_text()),
+        "dot": {p.name: p.read_text() for p in sorted(dot.iterdir())},
+        "eval": evaluation.read_text(),
+    }
+    for p in dot.iterdir():
+        p.unlink()
+    return outputs
+
+
+def _split_line(rows, index: int, parts) -> list:
+    """``rows`` with line ``index`` split into consecutive lines of the
+    multiplicities ``parts``, which sum to its own."""
+    a, b, m = rows[index]
+    assert sum(parts) == m and min(parts) >= 1
+    return rows[:index] + [(a, b, part) for part in parts] + rows[index + 1 :]
+
+
+def _mirrored(rows) -> list:
+    """Every line followed by its reverse; a self-loop is listed once."""
+    return [row for a, b, m in rows for row in ([(a, b, m)] if a == b else [(a, b, m), (b, a, m)])]
+
+
+def _undirected_report(text: str, undirected: bool) -> dict:
+    payload = json.loads(text)
+    assert payload["config"]["undirected"] is undirected
+    del payload["config"]["undirected"]
+    return payload
+
+
+#: small graphs over nodes n0..n7: distinct (src, dst) lines with
+#: multiplicities, and one of two labels per node
+_small_graphs = st.tuples(
+    st.dictionaries(
+        st.tuples(st.integers(0, 7), st.integers(0, 7)), st.integers(1, 4),
+        min_size=1, max_size=24,
+    ),
+    st.lists(st.sampled_from("xy"), min_size=8, max_size=8),
+)
+
+
+def _small_graph_rows(graph):
+    lines, labels = graph
+    rows = [(f"n{u}", f"n{w}", m) for (u, w), m in lines.items()]
+    names = dict.fromkeys(name for a, b, _m in rows for name in (a, b))
+    return rows, [(name, labels[int(name[1:])]) for name in names]
+
+
+class TestMetamorphic:
+    def test_split_lines_change_no_output_planted(self, planted_multigraph, tmp_path):
+        g = planted_multigraph(0)
+        rows, label_rows = _rows(g), _label_rows(g)
+        split = rows
+        # every line of multiplicity m >= 2 becomes a line of 1 and one of m - 1
+        for i in reversed(range(len(rows))):
+            if rows[i][2] >= 2:
+                split = _split_line(split, i, (1, rows[i][2] - 1))
+        assert len(split) > len(rows)
+        expected = _outputs(tmp_path, rows, label_rows)
+        assert expected["codes"] == (0, 0)
+        assert _outputs(tmp_path, split, label_rows) == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(graph=_small_graphs, data=st.data())
+    def test_split_lines_change_no_output(self, graph, data):
+        rows, label_rows = _small_graph_rows(graph)
+        splittable = [i for i, (_a, _b, m) in enumerate(rows) if m >= 2]
+        assume(splittable)
+        index = data.draw(st.sampled_from(splittable))
+        m = rows[index][2]
+        cuts = sorted(data.draw(st.sets(st.integers(1, m - 1), min_size=1)))
+        parts = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, m])]
+        with tempfile.TemporaryDirectory() as d:
+            expected = _outputs(Path(d), rows, label_rows)
+            assert expected["codes"] == (0, 0)
+            assert _outputs(Path(d), _split_line(rows, index, parts), label_rows) == expected
+
+    @staticmethod
+    def _check_undirected(directory: Path, rows, label_rows) -> None:
+        undirected = _outputs(directory, rows, label_rows, "--undirected")
+        mirrored = _outputs(directory, _mirrored(rows), label_rows)
+        assert undirected["codes"] == mirrored["codes"] == (0, 0)
+        assert _undirected_report(undirected["report"], True) == _undirected_report(
+            mirrored["report"], False
+        )
+        assert undirected["dot"] == mirrored["dot"]
+
+    def test_undirected_is_the_mirrored_file_planted(self, planted_multigraph, tmp_path):
+        g = planted_multigraph(0)
+        self._check_undirected(tmp_path, _rows(g), _label_rows(g))
+
+    @settings(max_examples=30, deadline=None)
+    @given(graph=_small_graphs)
+    def test_undirected_is_the_mirrored_file(self, graph):
+        with tempfile.TemporaryDirectory() as d:
+            self._check_undirected(Path(d), *_small_graph_rows(graph))
