@@ -52,10 +52,7 @@ from .summary import (
     SuperNode,
     all_singleton_summary,
     compute_corrections,
-    correction_cost,
-    decompress,
     export_dot,
-    export_json,
     reconstruct,
     total_cost,
 )
@@ -80,17 +77,14 @@ __all__ = [
     "all_singleton_summary",
     "compression_ratio",
     "compute_corrections",
-    "correction_cost",
     "cost_correction_set",
     "cost_entropy_code",
     "cost_node_map",
     "decide_glyph",
     "decide_super_edge",
-    "decompress",
     "directed_jaccard",
     "ell_diff",
     "export_dot",
-    "export_json",
     "kout_graph",
     "len_natural",
     "load_graph",

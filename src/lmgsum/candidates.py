@@ -234,13 +234,6 @@ class SimilarityGraph:
         self.adj.setdefault(v, set()).add(u)
         self.new_edges.append((u, v))
 
-    def neighbors(self, u: int) -> set[int]:
-        return self.adj.get(u, set())
-
-    def similarity(self, u: int, v: int) -> float:
-        u, v = (u, v) if u < v else (v, u)
-        return self.jaccard[(u, v)]
-
     def quality(self, nodes) -> float:
         nodes = sorted(nodes)
         return min(

@@ -190,13 +190,6 @@ class LabeledMultiGraph:
     def in_neighbors(self, v: int) -> np.ndarray:
         return self.in_edges(v)[0]
 
-    def degree(self, v: int) -> int:
-        """Token degree: in-degree plus out-degree, self-loop counted twice."""
-        return int(
-            (self.out_indptr[v + 1] - self.out_indptr[v])
-            + (self.in_indptr[v + 1] - self.in_indptr[v])
-        )
-
     def multiplicity(self, u: int, w: int) -> int:
         """Multiplicity of edge (u, w), 0 if absent."""
         targets, mults = self.out_edges(u)

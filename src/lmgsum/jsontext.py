@@ -21,15 +21,13 @@ with a NUL item separator and then indented by ``str.replace``:
 output is always an item separator, and ``]`` NUL ``[`` always marks the
 seam between two inner lists.  Scalars here are values whose type is exactly
 ``str``, ``int``, ``float``, ``bool`` or ``None``; subclasses take the
-general path.  Other dicts are walked key by key.  Every other list is
-written in chunks by ``json.dumps(chunk, indent=2)``, re-indented by
-replacing each newline, which is exact because that text holds no raw
-newline inside a string.
+general path.  Other dicts are walked key by key, and the items of a list
+chunk of any other shape one at a time.
 
 A scalar or an empty container met on that walk (a dict value, say) goes
-through the C encoder too: its text is one line with or without an indent,
-and the pure-Python encoder an indent selects leaves a reference cycle of
-closures behind on every call.
+through the C encoder too: its text is one line with or without an indent.
+Nothing is left to the pure-Python encoder an indent selects, which leaves
+a reference cycle of closures behind on every call.
 """
 
 from __future__ import annotations
@@ -79,12 +77,22 @@ def _write_list(obj, write, level: int) -> None:
     for start in range(0, len(obj), CHUNK):
         if start:
             write("," + inner)
-        write(_chunk_text(obj[start : start + CHUNK], outer, inner))
+        chunk = obj[start : start + CHUNK]
+        text = _chunk_text(chunk, inner)
+        if text is not None:
+            write(text)
+            continue
+        for i, item in enumerate(chunk):
+            if i:
+                write("," + inner)
+            _write(item, write, level + 1)
     write(outer + "]")
 
 
-def _chunk_text(chunk, outer: str, inner: str) -> str:
-    """Items of a non-empty list chunk, each at ``inner``'s indent, joined."""
+def _chunk_text(chunk, inner: str) -> str | None:
+    """Items of a non-empty list chunk, each at ``inner``'s indent, joined,
+    or None unless the chunk has one of the three shapes of the module
+    docstring."""
     types = set(map(type, chunk))
     if types <= _SCALARS:
         return _encode_nul(chunk)[1:-1].replace("\x00", "," + inner)
@@ -94,12 +102,8 @@ def _chunk_text(chunk, outer: str, inner: str) -> str:
         body = body.replace("]\x00[", inner + "]," + inner + "[" + deeper)
         return "[" + deeper + body.replace("\x00", "," + deeper) + inner + "]"
     if types == {dict}:
-        text = _records_text(chunk, inner)
-        if text is not None:
-            return text
-    text = json.dumps(chunk, indent=2).replace("\n", outer)
-    # drop the chunk's own "[" + inner and outer + "]"
-    return text[len(inner) + 1 : -len(outer) - 1]
+        return _records_text(chunk, inner)
+    return None
 
 
 def _scalar_rows(items) -> bool:

@@ -45,7 +45,6 @@ from .encoding import (
     supernode_own_bits,
 )
 from .graph import LabeledMultiGraph
-from .jsontext import write_json
 
 
 class Glyph(Enum):
@@ -242,18 +241,6 @@ def _expand(summary: SummaryGraph) -> tuple[dict[tuple[int, int], int], list[int
     return edges, labels
 
 
-def decompress(summary: SummaryGraph) -> LabeledMultiGraph:
-    """Expand a summary into a plain graph (no corrections applied)."""
-    edges, labels = _expand(summary)
-    return LabeledMultiGraph(
-        summary.graph_size,
-        edges,
-        labels=labels,
-        label_names=summary.label_names or None,
-        node_names=summary.node_names or None,
-    )
-
-
 @dataclass
 class CorrectionSet:
     """Exact patch from a decompressed summary back to the original graph."""
@@ -286,15 +273,14 @@ class _EdgeGroups:
     """
 
     def __init__(self, g: LabeledMultiGraph, summary: SummaryGraph):
-        self.summary = summary
         self.ids = sorted(summary.super_nodes)
         self.rank = {vid: r for r, vid in enumerate(self.ids)}
         s_count = len(self.ids)
         members = [summary.super_nodes[vid].members for vid in self.ids]
-        self.sizes = np.fromiter(map(len, members), dtype=np.int64, count=s_count)
+        sizes = np.fromiter(map(len, members), dtype=np.int64, count=s_count)
         assign = np.full(g.n, -1, dtype=np.int64)
         assign[np.fromiter(chain.from_iterable(members), dtype=np.int64)] = np.repeat(
-            np.arange(s_count, dtype=np.int64), self.sizes
+            np.arange(s_count, dtype=np.int64), sizes
         )
         if (assign < 0).any():
             raise ValueError(f"node {int(np.argmax(assign < 0))} is in no super-node")
@@ -317,10 +303,9 @@ class _EdgeGroups:
             g.out_src[idx], g.out_dst[idx], g.out_mult[idx]
         )
 
-        self.prices = ContextPrices()
-        self.linked = sorted(summary.super_edges.items())
+        #: sorted keys of the pairs with a super-edge
         self.linked_keys = np.array(
-            [self.rank[a] * s_count + self.rank[b] for (a, b), _ in self.linked],
+            sorted(self.rank[a] * s_count + self.rank[b] for a, b in summary.super_edges),
             dtype=np.int64,
         )
 
@@ -330,86 +315,21 @@ class _EdgeGroups:
         lo, hi = self.int_ptr[r], self.int_ptr[r + 1]
         return _triples(self.int_src[lo:hi], self.int_dst[lo:hi], self.int_mult[lo:hi])
 
-    def cross(self, lo: int, hi: int) -> list[tuple[int, int, int]]:
-        return _triples(self.x_src[lo:hi], self.x_dst[lo:hi], self.x_mult[lo:hi])
-
-    def linked_contexts(self):
-        """((a, b), rep, edges) per super-edge, in (a, b) order."""
-        lo = np.searchsorted(self.x_key, self.linked_keys, "left").tolist()
-        hi = np.searchsorted(self.x_key, self.linked_keys, "right").tolist()
-        for (pair, rep), l, h in zip(self.linked, lo, hi):
-            yield pair, rep, self.cross(l, h)
+    def contexts(self, keys: np.ndarray) -> Iterator[tuple[tuple[int, int], list]]:
+        """((a, b), edges) for each of the sorted pair keys ``keys``: the
+        pair's super-node ids and its cross edges."""
+        ids, s_count = self.ids, len(self.ids)
+        src, dst, mult = self.x_src, self.x_dst, self.x_mult
+        lo = np.searchsorted(self.x_key, keys, "left").tolist()
+        hi = np.searchsorted(self.x_key, keys, "right").tolist()
+        for key, l, h in zip(keys.tolist(), lo, hi):
+            a, b = divmod(key, s_count)
+            yield (ids[a], ids[b]), _triples(src[l:h], dst[l:h], mult[l:h])
 
     def unlinked_positives(self) -> list[tuple[int, int, int]]:
         """The cross edges of pairs without a super-edge, in (a, b) order."""
         free = ~np.isin(self.x_key, self.linked_keys)
         return _triples(self.x_src[free], self.x_dst[free], self.x_mult[free])
-
-    def node_bits(self) -> list[float]:
-        """Map bits then node-context bits of every super-node, in the
-        summary's order."""
-        summary = self.summary
-        n = summary.graph_size
-        map_memo: dict[tuple[int, bool], float] = {}
-        ptr, rank, mults = self.int_ptr, self.rank, self.int_mult
-        out: list[float] = []
-        for vid, sn in summary.super_nodes.items():
-            k, is_star = sn.size, sn.glyph in STAR_GLYPHS
-            bits = map_memo.get((k, is_star))
-            if bits is None:
-                bits = map_memo[(k, is_star)] = cost_node_map(k, n, is_star)
-            out.append(bits)
-            if k == 1:
-                # one member's only internal pair is its self-loop
-                lo, hi = ptr[rank[vid]], ptr[rank[vid] + 1]
-                bits = self.prices.singleton(sn, int(mults[lo]) if hi > lo else 0)
-            else:
-                bits = node_context_bits(sn, self.internal(vid))
-            out.append(bits)
-        return out
-
-    def pair_bits(self) -> tuple[np.ndarray, list[float]]:
-        """Sorted keys of the pairs with a cross edge or a super-edge, and
-        each pair context's bits."""
-        x_key, s_count = self.x_key, len(self.ids)
-        bounds = np.append(np.flatnonzero(np.diff(x_key, prepend=-1)), len(x_key))
-        starts, ends = bounds[:-1], bounds[1:]
-        group_keys = x_key[starts]
-        # two sorted runs of keys >= 0: a stable sort merges them, and a
-        # neighbor test drops the keys both hold
-        keys = np.concatenate([group_keys, self.linked_keys])
-        keys.sort(kind="stable")
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        bits = np.empty(len(keys))
-        nodes, ids = self.summary.super_nodes, self.ids
-
-        def unlinked(i: int) -> float:
-            a, b = divmod(int(group_keys[i]), s_count)
-            edges = self.cross(starts[i], ends[i])
-            return pair_context_bits(nodes[ids[a]], nodes[ids[b]], None, edges)
-
-        at = np.searchsorted(keys, group_keys)
-        free = ~np.isin(group_keys, self.linked_keys)
-        single = np.flatnonzero(free & (ends - starts == 1))
-        # a one-edge context's bits depend on its region and multiplicity
-        # only: price each class once, through the shared memo
-        region = self.sizes[group_keys[single] // s_count] * self.sizes[
-            group_keys[single] % s_count
-        ]
-        mults = self.x_mult[starts[single]]
-        _, inv_r = np.unique(region, return_inverse=True)
-        uniq_m, inv_m = np.unique(mults, return_inverse=True)
-        _, first, inverse = np.unique(
-            inv_r * len(uniq_m) + inv_m, return_index=True, return_inverse=True
-        )
-        values = map(self.prices.one_edge, region[first].tolist(), mults[first].tolist())
-        bits[at[single]] = np.fromiter(values, dtype=np.float64, count=len(first))[inverse]
-        for i in np.flatnonzero(free & (ends - starts > 1)).tolist():
-            bits[at[i]] = unlinked(i)
-        linked_at = np.searchsorted(keys, self.linked_keys).tolist()
-        for i, ((a, b), rep, edges) in zip(linked_at, self.linked_contexts()):
-            bits[i] = pair_context_bits(nodes[a], nodes[b], rep, edges)
-        return keys, bits.tolist()
 
 
 def _correct_context(cor: CorrectionSet, expansion, rep: int, edges, covers) -> None:
@@ -446,8 +366,9 @@ def compute_corrections(g: LabeledMultiGraph, summary: SummaryGraph) -> Correcti
 
     cor.positive.extend(groups.unlinked_positives())
 
-    for (a, b), rep, edges in groups.linked_contexts():
+    for (a, b), edges in groups.contexts(groups.linked_keys):
         sa, sb = summary.super_nodes[a], summary.super_nodes[b]
+        rep = summary.super_edges[(a, b)]
         _correct_context(
             cor, product(sa.ports(), sb.ports()), rep, edges, _port_cover(sa, sb)
         )
@@ -564,9 +485,9 @@ class ContextPrices:
     memo (2-tuple and 3-tuple keys); every other context is priced by
     :func:`pair_context_bits` or :func:`node_context_bits` on each call.
 
-    Each owner (a merge state, one from-scratch cost) keeps its own
-    instance: a process-wide memo would go on serving bits from a formula
-    that has since changed.
+    Its one owner is the merge state (:class:`lmgsum.merge.SummaryState`),
+    which keeps its own instance: a process-wide memo would go on serving
+    bits from a formula that has since changed.
     """
 
     def __init__(self):
@@ -599,41 +520,37 @@ class ContextPrices:
         return pair_context_bits(sa, sb, rep, edges)
 
 
-def correction_cost(
-    g: LabeledMultiGraph, summary: SummaryGraph
-) -> tuple[float, dict]:
-    """Bits to repair the decompressed summary into g, with a breakdown.
-
-    Returns (total_bits, breakdown) where breakdown maps context keys —
-    ("map", v), ("node", v), ("pair", a, b) — to their bit costs.
-    """
-    groups = _EdgeGroups(g, summary)
-    node_bits = iter(groups.node_bits())
-    breakdown: dict[tuple, float] = {}
-    for vid in summary.super_nodes:
-        breakdown[("map", vid)] = next(node_bits)
-        breakdown[("node", vid)] = next(node_bits)
-    keys, pair_bits = groups.pair_bits()
-    ids, s_count = groups.ids, len(groups.ids)
-    for key, bits in zip(keys.tolist(), pair_bits):
-        a, b = divmod(key, s_count)
-        breakdown[("pair", ids[a], ids[b])] = bits
-    return math.fsum(breakdown.values()), breakdown
-
-
 def total_cost(g: LabeledMultiGraph, summary: SummaryGraph) -> CostBreakdown:
     """Two-part description length of g under the given summary, each
     part the correctly rounded sum of its terms: the width and each
-    super-node's and super-edge's own bits; each map's and context's bits."""
-    nodes, edges = summary.super_nodes, summary.super_edges
-    out_degree = Counter(a for a, _b in edges)
+    super-node's and super-edge's own bits; each map's and context's bits.
+
+    Every context is priced once, by :func:`node_context_bits` or
+    :func:`pair_context_bits`: a node context per super-node, and a pair
+    context per pair with a cross edge or a super-edge.
+    """
+    nodes, super_edges = summary.super_nodes, summary.super_edges
+    out_degree = Counter(a for a, _b in super_edges)
     width = summary_width_bits(
         len(nodes), summary.label_count, Counter(out_degree[v] for v in nodes)
     )
     own = [supernode_own_bits(sn.size, sn.rep_mult) for sn in nodes.values()]
-    summary_bits = math.fsum(chain((width,), own, map(super_edge_bits, edges.values())))
+    summary_bits = math.fsum(chain((width,), own, map(super_edge_bits, super_edges.values())))
     groups = _EdgeGroups(g, summary)
-    corr = math.fsum(chain(groups.node_bits(), groups.pair_bits()[1]))
+    n = summary.graph_size
+    node_terms = (
+        bits
+        for vid, sn in nodes.items()
+        for bits in (
+            cost_node_map(sn.size, n, sn.glyph in STAR_GLYPHS),
+            node_context_bits(sn, groups.internal(vid)),
+        )
+    )
+    pair_terms = (
+        pair_context_bits(nodes[a], nodes[b], super_edges.get((a, b)), edges)
+        for (a, b), edges in groups.contexts(np.union1d(groups.x_key, groups.linked_keys))
+    )
+    corr = math.fsum(chain(node_terms, pair_terms))
     return CostBreakdown(summary_bits=summary_bits, correction_bits=corr)
 
 
@@ -750,14 +667,6 @@ def corrections_from_dict(summary: SummaryGraph, data: dict) -> CorrectionSet:
             u, w, m = next(row for row in rows if type(row[2]) is not int)
             _require(m, int, what, names[u], names[w])
     return cor
-
-
-def export_json(
-    g: LabeledMultiGraph, summary: SummaryGraph, costs: CostBreakdown | None = None
-) -> str:
-    parts: list[str] = []
-    write_json(summary_to_dict(g, summary, costs), parts.append)
-    return "".join(parts)
 
 
 def export_dot(summary: SummaryGraph, graph_name: str = "summary") -> str:

@@ -413,8 +413,9 @@ def oracle_compute_corrections(g, summary) -> CorrectionSet:
 
 
 def oracle_correction_cost(g, summary) -> tuple[float, dict]:
-    """Per-edge reference for ``correction_cost``: the same context keys,
-    in the same order, priced by the same context functions."""
+    """Per-edge reference for the correction side of ``total_cost``: the
+    bits of every map and context, keyed ("map", v), ("node", v) and
+    ("pair", a, b), priced by the same context functions."""
     internal, cross = oracle_group_edges(g, summary)
     breakdown: dict[tuple, float] = {}
     for vid, sn in summary.super_nodes.items():

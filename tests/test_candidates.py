@@ -326,9 +326,8 @@ class TestSimilarityGraph:
         gs.add_edge(5, 2, 0.9)
         gs.add_edge(2, 5, 0.4)  # duplicate: first similarity wins
         assert gs.edge_count == 1
-        assert gs.similarity(5, 2) == 0.9
-        assert gs.neighbors(2) == {5}
-        assert gs.neighbors(5) == {2}
+        assert gs.jaccard == {(2, 5): 0.9}
+        assert gs.adj == {2: {5}, 5: {2}}
         assert gs.new_edges == [(2, 5)]
 
     def test_quality_is_min_pairwise(self):
@@ -409,8 +408,8 @@ class TestLshState:
             state.add_band()
             assert ((2, 3) in state.gsim.jaccard) == (band >= 4)
             assert ((1, 2) in state.gsim.jaccard) == (band >= 6)
-        assert state.gsim.similarity(2, 3) == between
-        assert state.gsim.similarity(1, 2) == threshold(6, 8)
+        assert state.gsim.jaccard[(2, 3)] == between
+        assert state.gsim.jaccard[(1, 2)] == threshold(6, 8)
         assert len(state.cache) == 0
 
 

@@ -213,9 +213,20 @@ class TestSummarize:
                     monkeypatch.setattr(module, name, wrapper)
         edges, labels, _g = planted_files
         out_json = tmp_path / "report.json"
-        assert main(["summarize", "-i", edges, "-l", labels, "--seed", "1",
-                     "--json", str(out_json)]) == 0
+        common = ["-i", edges, "-l", labels, "--seed", "1"]
+        assert main(["summarize", *common, "--json", str(out_json)]) == 0
         assert calls == {"compute_corrections": 1, "total_cost": 0}
+        # no command prices a summary from scratch: the cost comes from the
+        # merge state, and verify and eval-labels print no cost
+        for argv in (
+            ["summarize", *common, "--checkpoints", "2,5,10",
+             "--dot", str(tmp_path / "dot"), "--json", str(tmp_path / "cp.json")],
+            ["verify", *common, "--json", str(out_json)],
+            ["eval-labels", *common, "--shuffles", "2"],
+        ):
+            assert main(argv) == 0
+            assert calls["total_cost"] == 0, argv
+        capsys.readouterr()
 
     def test_bad_checkpoints_are_usage_error(self, planted_files, capsys):
         edges, _labels, _g = planted_files
@@ -695,7 +706,7 @@ class TestCyclicCollector:
     def test_cyclic_garbage_does_not_grow_with_the_input(self, tmp_path):
         # a cycle made per clique search, proposal or record would leave
         # ~50 times as much garbage on the large input; what remains is a
-        # fixed amount per call (argparse's parser, the checkpoint list)
+        # fixed amount per call (argparse's parser)
         sizes = {}
         garbage = {}
         for name, groups in (("small", 2), ("large", 100)):
@@ -717,6 +728,15 @@ class TestCyclicCollector:
             }
         assert sizes["large"] >= 40 * sizes["small"]
         assert garbage["small"] == garbage["large"]
+
+    def test_checkpoints_leave_no_cyclic_garbage(self, planted_files, tmp_path):
+        # the checkpoint records hold a nested dict: a list shape the JSON
+        # writer walks item by item, with no pure-Python encoder call
+        edges, labels, _g = planted_files
+        argv = ["summarize", "-i", edges, "-l", labels, "--seed", "1",
+                "--json", str(tmp_path / "report.json")]
+        plain = self._cyclic_garbage(argv)
+        assert self._cyclic_garbage([*argv, "--checkpoints", "2,5,10"]) == plain
 
     def test_main_restores_the_collector_state(self, planted_files, tmp_path, capsys):
         edges, labels, _g = planted_files

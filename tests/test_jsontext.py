@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from lmgsum import jsontext
 from lmgsum.jsontext import write_json
-from lmgsum.summary import export_json, summary_to_dict
+from lmgsum.summary import summary_to_dict
 
 
 def written(value) -> str:
@@ -189,9 +189,10 @@ def test_unencodable_values_raise_the_stdlib_exception(value):
         written(value)
 
 
-def test_export_json_matches_stdlib(toy):
+def test_summary_dict_matches_stdlib(toy):
     g, s = toy
-    assert_stdlib_text(export_json(g, s), summary_to_dict(g, s))
+    data = summary_to_dict(g, s)
+    assert_stdlib_text(written(data), data)
 
 
 class TestRecords:

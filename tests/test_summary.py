@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,8 +18,6 @@ from lmgsum.summary import (
     compute_corrections,
     corrections_from_dict,
     corrections_to_dict,
-    correction_cost,
-    decompress,
     export_dot,
     reconstruct,
     summary_from_dict,
@@ -32,7 +29,6 @@ from lmgsum.synth import planted_graph
 from oracle import (
     node_to_super,
     oracle_compute_corrections,
-    oracle_correction_cost,
     oracle_total_cost,
     oracle_total_cost_exact,
 )
@@ -237,11 +233,6 @@ class TestEdgeGrouping:
     def test_cost_matches_reference_bit_for_bit(self, case):
         g, s = case
         assert total_cost(g, s) == oracle_total_cost_exact(g, s)
-        bits, breakdown = correction_cost(g, s)
-        want_bits, want = oracle_correction_cost(g, s)
-        assert bits == want_bits
-        assert list(breakdown) == list(want)
-        assert list(breakdown.values()) == list(want.values())
 
     @pytest.mark.parametrize(
         "super_edges, cross",
@@ -259,12 +250,8 @@ class TestEdgeGrouping:
         s.super_nodes[4] = SuperNode(id=4, label=0, glyph=Glyph.CLIQUE, members=(0, 1))
         s.super_edges = dict(super_edges)
         groups = _EdgeGroups(g, s)
-        keys, bits = groups.pair_bits()
-        want = np.union1d(np.unique(groups.x_key), groups.linked_keys)
-        assert keys.dtype == want.dtype == np.int64
-        assert np.array_equal(keys, want)
-        assert len(bits) == len(keys)
         assert (len(groups.x_key) > 0) == cross and len(groups.linked_keys) == len(super_edges)
+        assert total_cost(g, s) == oracle_total_cost_exact(g, s)
 
 
 class TestRoundTrip:
@@ -274,7 +261,7 @@ class TestRoundTrip:
         s.validate(g)
         cor = compute_corrections(g, s)
         assert reconstruct(s, cor) == g
-        base = decompress(s)
+        base = reconstruct(s, CorrectionSet())
         # baseline expands to self-loops only
         assert all(u == w for u, w, _ in base.edges())
 
@@ -319,14 +306,6 @@ class TestGolden:
         cor = compute_corrections(g, s)
         assert cor.counts() == toy_golden["correction_counts"]
         assert reconstruct(s, cor) == g
-
-    def test_toy_breakdown_contexts(self, toy):
-        g, s = toy
-        _, breakdown = correction_cost(g, s)
-        assert ("node", 0) in breakdown and ("map", 0) in breakdown
-        assert ("pair", 0, 1) in breakdown  # the super-edge context
-        assert ("pair", 3, 1) in breakdown  # unlinked positive context
-        assert all(v >= 0 for v in breakdown.values())
 
     def test_planted_benchmark_baseline_matches_frozen_oracle_value(
         self, planted_golden
