@@ -52,7 +52,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default: $LMGSUM_SEED or 0)")
     p.add_argument(
         "--threads", type=int, default=1,
-        help="accepted for compatibility (must be >= 1); has no effect",
+        help="most worker processes eval-labels merges labelings in, capped by "
+        "the usable CPUs (must be >= 1); other commands ignore it",
     )
     p.add_argument(
         "--cluster-cap", type=int, default=5000,

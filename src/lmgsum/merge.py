@@ -381,33 +381,47 @@ class SummaryState:
     # -- proposal scoring ----------------------------------------------------
 
     def _gather_cross(self, member_set: set[int]):
-        """Internal edges and crossing bundles of a prospective member set.
+        """Internal edges, crossing bundles and old pair contexts of a
+        prospective member set.
 
-        Returns (internal, out_bundles, in_bundles) where bundles group the
-        crossing edges by the other endpoint's current super-node id.
+        Returns (internal, out_bundles, in_bundles, old_pairs).  Bundles
+        group the crossing edges by the other endpoint's current super-node
+        id; ``old_pairs`` groups every gathered edge between two different
+        current super-nodes by that ordered pair, which names each old pair
+        context touching an absorbed singleton: every super-edge has an
+        edge of g under it.
         """
         internal: list[tuple[int, int, int]] = []
         out_b: dict[int, list[tuple[int, int, int]]] = {}
         in_b: dict[int, list[tuple[int, int, int]]] = {}
+        old_pairs: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
         g, assign = self.g, self.assign
         for u in sorted(member_set):
+            a = assign[u]
             targets, mults = g.out_edges(u)
             for w, m in zip(targets.tolist(), mults.tolist()):
+                edge = (u, w, m)
+                b = assign[w]
                 if w in member_set:
-                    internal.append((u, w, m))
+                    internal.append(edge)
                 else:
-                    out_b.setdefault(assign[w], []).append((u, w, m))
+                    out_b.setdefault(b, []).append(edge)
+                if a != b:
+                    old_pairs.setdefault((a, b), []).append(edge)
             sources, mults = g.in_edges(u)
             for w, m in zip(sources.tolist(), mults.tolist()):
                 if w not in member_set:
-                    in_b.setdefault(assign[w], []).append((w, u, m))
-        return internal, out_b, in_b
+                    edge = (w, u, m)
+                    b = assign[w]
+                    in_b.setdefault(b, []).append(edge)
+                    old_pairs.setdefault((b, a), []).append(edge)
+        return internal, out_b, in_b, old_pairs
 
     def _score(self, members: list[int]) -> MergeProposal:
         """Score merging ``members`` (label-homogeneous, unmarked, >= 2)."""
         g, assign, prices = self.g, self.assign, self._prices
         k = len(members)
-        internal, out_b, in_b = self._gather_cross(set(members))
+        internal, out_b, in_b, old_pairs = self._gather_cross(set(members))
         glyph, hub = _glyph_of(members, internal)
         loops = {u: m for u, w, m in internal if u == w}
         new_node = SuperNode(
@@ -440,14 +454,6 @@ class SummaryState:
             for m in out.values():
                 d_summary.append(-super_edge_bits(m))
             odeg_delta[len(out)] = odeg_delta.get(len(out), 0) - 1
-
-        # old pair contexts touching any absorbed singleton: every super-edge
-        # has an edge of g under it, so the gathered edges name them all
-        old_pairs: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-        for u, w, m in chain(internal, *out_b.values(), *in_b.values()):
-            a, b = assign[u], assign[w]
-            if a != b:
-                old_pairs.setdefault((a, b), []).append((u, w, m))
 
         # net out-super-edge count change of surviving super-nodes
         se_change: dict[int, int] = {}

@@ -7,6 +7,7 @@ import contextlib
 import gc
 import io
 import json
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -612,6 +613,51 @@ class TestEvalLabels:
         result = json.loads(out_json.read_text())
         assert len(result["shuffled"]) == 3
         assert result["normalized_gain"] is not None
+
+    def test_threads_give_identical_outputs(
+        self, tmp_path, planted_multigraph, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
+        edges, labels = write_graph(tmp_path, planted_multigraph(0))
+        runs = []
+        for threads in ("1", "2"):
+            out_json = tmp_path / f"eval{threads}.json"
+            code = main([
+                "eval-labels", "-i", edges, "-l", labels, "--shuffles", "4",
+                "--threads", threads, "--json", str(out_json),
+            ])
+            runs.append((code, capsys.readouterr(), out_json.read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and "normalized_gain=" in runs[0][1].out
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_failure_exits_3(self, tmp_path, planted_multigraph, capsys, monkeypatch):
+        import lmgsum.summarize
+
+        parent = os.getpid()
+        real_merge = lmgsum.summarize._merge
+
+        def merge(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("merge failed")
+            return real_merge(*args)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
+        monkeypatch.setattr(lmgsum.summarize, "_merge", merge)
+        edges, labels = write_graph(tmp_path, planted_multigraph(0))
+        out_json = tmp_path / "eval.json"
+        code = main([
+            "eval-labels", "-i", edges, "-l", labels, "--shuffles", "4",
+            "--threads", "2", "--json", str(out_json),
+        ])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == "" and not out_json.exists()
+        assert captured.err.startswith("error: eval-labels worker ")
+        assert "Traceback" not in captured.err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def _indent2_text(text):

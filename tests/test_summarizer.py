@@ -2,6 +2,9 @@
 
 compression metrics, determinism, and the shuffled-label evaluation."""
 
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -226,20 +229,63 @@ class TestShuffledLabelEval:
             normalized_gain(out["actual"], out["shuffled_mean"])
         )
 
-    def test_deterministic_and_thread_invariant(self):
+    def test_deterministic_and_thread_invariant(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1, 2}, raising=False)
         g = _two_label_graph()
-        a = shuffled_label_eval(g, RunConfig(seed=3, shuffles=3))
-        b = shuffled_label_eval(g, RunConfig(seed=3, shuffles=3))
-        c = shuffled_label_eval(g, RunConfig(seed=3, shuffles=3, threads=2))
-        assert a == b == c
 
-    def test_one_candidate_sweep_for_every_labeling(self, monkeypatch, planted_multigraph):
+        def evaluate(shuffles, threads=1):
+            out = shuffled_label_eval(g, RunConfig(seed=3, shuffles=shuffles, threads=threads))
+            _assert_no_child()
+            return out
+
+        assert evaluate(3) == evaluate(3) == evaluate(3, threads=2)
+        # 5 labelings over 3 processes: shares of 2, 2 and 1
+        assert evaluate(4) == evaluate(4, threads=3)
+
+    @pytest.mark.parametrize("failing", ["child", "parent"])
+    def test_a_failing_share_raises_and_leaves_no_child(self, monkeypatch, failing):
+        import lmgsum.summarize
+
+        parent = os.getpid()
+        real_merge = lmgsum.summarize._merge
+
+        def merge(*args):
+            in_child = os.getpid() != parent
+            if in_child == (failing == "child"):
+                raise RuntimeError("merge failed")
+            if in_child:
+                # a child the parent waited for instead of killing it
+                time.sleep(60)
+            return real_merge(*args)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
+        monkeypatch.setattr(lmgsum.summarize, "_merge", merge)
+        want = OSError if failing == "child" else RuntimeError
+        t0 = time.monotonic()
+        with pytest.raises(want, match="worker .* exited" if failing == "child" else "merge"):
+            shuffled_label_eval(_two_label_graph(), RunConfig(seed=3, shuffles=3, threads=2))
+        assert time.monotonic() - t0 < 30
+        _assert_no_child()
+
+    def test_one_usable_cpu_forks_nothing(self, monkeypatch):
+        def no_fork():
+            pytest.fail("forked with one usable CPU")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0}, raising=False)
+        monkeypatch.setattr(os, "fork", no_fork)
+        out = shuffled_label_eval(_two_label_graph(), RunConfig(seed=3, shuffles=3, threads=8))
+        assert len(out["shuffled"]) == 3
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_candidate_sweep_for_every_labeling(
+        self, monkeypatch, planted_multigraph, threads
+    ):
         # the sweep reads no labels: the true labeling and both shuffles
         # merge one list of batches, and none of them computes corrections
         import lmgsum.summarize
 
         g = planted_multigraph(1)
-        config = RunConfig(seed=1, shuffles=2)
+        config = RunConfig(seed=1, shuffles=2, threads=threads)
         want_actual = run(g, config)[1].compression_ratio
         rng = np.random.default_rng(config.seed)
         want_shuffled = [
@@ -256,6 +302,7 @@ class TestShuffledLabelEval:
         def no_corrections(*_args):
             raise AssertionError("eval-labels computed corrections")
 
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
         monkeypatch.setattr(LshState, "add_band", counting_add_band)
         monkeypatch.setattr(lmgsum.summarize, "compute_corrections", no_corrections)
         out = shuffled_label_eval(g, config)
@@ -286,6 +333,12 @@ class TestShuffledLabelEval:
         assert relabeled.node_names == rebuilt.node_names
         assert np.array_equal(g.labels, source_labels)
         assert not np.array_equal(g.labels, relabeled.labels)
+
+
+def _assert_no_child():
+    """No child of this process is left running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _two_label_graph() -> LabeledMultiGraph:
