@@ -252,6 +252,9 @@ class SimilarityGraph:
         maximal here, and one they belong to is left to their own call.
         The mask of N(w) & N(u) is built the first time the pivot scan or a
         branch reads it, so a call whose first pivot covers P builds few.
+        The search runs depth-first on an explicit stack, in the order of
+        the recursive form (``tests/oracle.py``), so the clique size is not
+        bounded by Python's recursion limit.
         """
         adj = self.adj
         nbr_set = adj[u]
@@ -273,47 +276,46 @@ class SimilarityGraph:
             else:
                 p |= b
         masks: list[int] = []
-
-        def expand(r: int, p: int, x: int) -> None:
-            if not p:
-                if not x:
-                    masks.append(r)
-                return
-            # pivot: the vertex of P | X with the most neighbors in P
-            size_p = p.bit_count()
-            best = -1
-            scan = p | x
-            while scan:
-                low = scan & -scan
-                scan ^= low
-                i = low.bit_length() - 1
-                m = nb[i]
-                if m is None:
-                    m = build(i)
-                covered = (p & m).bit_count()
-                if covered > best:
-                    best, pivot_mask = covered, m
-                    if covered == size_p:
-                        break
-            rest = p & ~pivot_mask
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                i = low.bit_length() - 1
-                m = nb[i]
-                if m is None:
-                    m = build(i)
-                expand(r | low, p & m, x & m)
-                p ^= low
-                x |= low
-
-        try:
-            expand(0, p, x)
-        finally:
-            # expand's closure cell holds expand itself; clearing it frees
-            # the function by reference counting alone, so a run leaves no
-            # cycle for the collector, which the CLI keeps paused
-            del expand
+        # depth-first on an explicit stack of (r, p, x, rest) frames, rest
+        # being the branch vertices a node has yet to visit; a node's frame
+        # goes back under its child's, so siblings follow the child's subtree
+        stack: list[tuple[int, int, int, int]] = []
+        r = 0
+        while True:
+            if p:
+                # pivot: the vertex of P | X with the most neighbors in P
+                size_p = p.bit_count()
+                best = -1
+                scan = p | x
+                while scan:
+                    low = scan & -scan
+                    scan ^= low
+                    i = low.bit_length() - 1
+                    m = nb[i]
+                    if m is None:
+                        m = build(i)
+                    covered = (p & m).bit_count()
+                    if covered > best:
+                        best, pivot_mask = covered, m
+                        if covered == size_p:
+                            break
+                rest = p & ~pivot_mask
+                if rest:
+                    stack.append((r, p, x, rest))
+            elif not x:
+                masks.append(r)
+            if not stack:
+                break
+            r, p, x, rest = stack.pop()
+            low = rest & -rest
+            rest ^= low
+            if rest:
+                stack.append((r, p ^ low, x | low, rest))
+            i = low.bit_length() - 1
+            m = nb[i]
+            if m is None:
+                m = build(i)
+            r, p, x = r | low, p & m, x & m
         cliques = []
         for r in masks:
             nodes = [u]

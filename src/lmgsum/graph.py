@@ -13,19 +13,23 @@ wrapper over it.  The out-CSR is one ``argsort`` of the int64 key
 is the one routine that turns repeated edges into unique ones; the file
 loader and the generators in :mod:`lmgsum.synth` all go through it.
 
-:func:`load_graph` reads a clean edge file, and a clean label file, with
-whole-file array operations and falls back to a per-line scan, which alone
-words the ``file:line`` errors, whenever a file has anything the bulk path
-does not handle.
+:func:`load_graph` reads a clean edge file, and a clean label file, from
+their bytes with array operations (the field bounds here, the keys and the
+numbering in :mod:`lmgsum.bytekeys`) and falls back to a per-line scan,
+which alone words the ``file:line`` errors, whenever a file has anything
+the byte path does not handle.
 """
 
 from __future__ import annotations
 
+import os
 import re
 from itertools import chain, count
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+from .bytekeys import NameIndex, digits, number
 
 DEFAULT_LABEL = "node"
 #: largest multiplicity the int64 edge arrays hold
@@ -331,73 +335,98 @@ def _parse_edge_file(path: str) -> Iterator[tuple[int, str, str, int]]:
 
 #: whitespace other than the tab and newline separators
 _STRAY_SPACE = re.compile(r"[^\S\t\n]")
+#: NUL and the ASCII whitespace other than tab and newline: an ASCII file
+#: without these bytes has no stray whitespace
+_ASCII_ODD = tuple(bytes([b]) for b in b"\0\v\f\r\x1c\x1d\x1e\x1f ")
 
 _Edges = tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray]
+_Fields = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _whole_file_fields(path: str, widths: tuple[int, ...]) -> tuple[list[str], int] | None:
-    """The fields of a clean TSV file and its line width, or None.
+def _whole_file_fields(path: str, widths: tuple[int, ...]) -> _Fields | None:
+    """The field bounds of a clean TSV file, or None.
 
-    Clean means valid UTF-8 with at least one line; every line has the same
-    number of non-empty tab-separated fields, one of ``widths``, and does
-    not start with ``#``; and the only whitespace is tabs and newlines (so
-    no ``\\r`` and no padding).  Returns the fields in file order.
+    Clean means valid UTF-8 with at least one line and no NUL byte; every
+    line has the same number of non-empty tab-separated fields, one of
+    ``widths``, and does not start with ``#``; and the only whitespace is
+    tabs and newlines (so no ``\\r`` and no padding).  Returns ``(buf,
+    starts, lens)``: the file's bytes as a uint8 array followed by eight
+    zero bytes, and the offset and byte length of every field (int32 below
+    2 GiB), one row per line.  One array scan finds the tabs and newlines;
+    no Python object is made per field.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError:
+        # a bytearray, which the padding below extends in place
+        data = bytearray(os.fstat(fh.fileno()).st_size)
+        size = fh.readinto(data)
+        data[size:] = fh.read()  # what the size missed: a file that grew, a pipe
+    if not data or data.startswith(b"#") or b"\n#" in data:
         return None
-    if not text or text.startswith("#") or "\n#" in text or _STRAY_SPACE.search(text):
-        return None
-    # the separators, line by line, must read (TAB, NL), (TAB, TAB, NL), ...
-    raw = np.frombuffer(data, dtype=np.uint8)
-    seps = raw[(raw == 9) | (raw == 10)]
-    if not text.endswith("\n"):
+    if data.isascii():
+        if any(b in data for b in _ASCII_ODD):
+            return None
+    else:
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+        if "\0" in text or _STRAY_SPACE.search(text):
+            return None
+        del text
+    data += bytes(8)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    raw = buf[:-8]
+    # the tabs (9) and newlines (10); a byte below 9 wraps round to >= 247
+    pos = np.flatnonzero(raw - np.uint8(9) < 2)
+    pos = pos.astype(np.int32 if len(buf) < 2**31 else np.int64)
+    seps = raw[pos]
+    if raw[-1] != 10:  # the last line ends where the file does
+        pos = np.append(pos, len(raw))
         seps = np.append(seps, np.uint8(10))
+    # the separators, line by line, must read (TAB, NL), (TAB, TAB, NL), ...
     width = int(np.argmax(seps == 10)) + 1
     if width not in widths or len(seps) % width:
         return None
     rows = seps.reshape(-1, width)
     if not ((rows[:, -1] == 10).all() and (rows[:, :-1] == 9).all()):
         return None
-    fields = text.split()
-    if len(fields) != len(rows) * width:  # some field is empty
+    starts = np.empty_like(pos)
+    starts[0] = 0
+    np.add(pos[:-1], 1, out=starts[1:])
+    lens = np.subtract(pos, starts, out=pos)
+    if not lens.all():  # an empty field
         return None
-    return fields, width
+    return buf, starts.reshape(-1, width), lens.reshape(-1, width)
 
 
-def _bulk_edges(path: str, undirected: bool) -> _Edges | None:
-    """Parse a clean edge file with whole-file operations, or return None.
+def _bulk_edges(
+    path: str, undirected: bool
+) -> tuple[list[str], NameIndex, np.ndarray, np.ndarray, np.ndarray] | None:
+    """Parse a clean edge file with whole-array operations, or return None.
 
     Clean means what :func:`_whole_file_fields` takes, with 2 or 3 fields
-    per line; every multiplicity parses with ``int`` and is >= 1; and the
-    largest multiplicity times the line count is at most ``MAX_MULT``, so
-    no sum can overflow.  Anything else returns None, and the caller falls
-    back to the per-line scan, which words the error if there is one.
+    per line; every multiplicity is 1 to 18 plain ASCII digits and >= 1;
+    and the largest multiplicity times the line count is at most
+    ``MAX_MULT``, so no sum can overflow.  Anything else returns None, and
+    the caller falls back to the per-line scan, which also reads the other
+    spellings ``int`` takes (``+1``, ``1_0``) and words the error if there
+    is one.  Returns the node names in id order, their index, and the
+    unique ``(src, dst, mult)`` arrays.
     """
     parsed = _whole_file_fields(path, (2, 3))
     if parsed is None:
         return None
-    tokens, width = parsed
-    lines = len(tokens) // width
+    buf, starts, lens = parsed
+    lines, width = starts.shape
+    # ids in order of first appearance, as the per-line scan assigns them
+    ids, names, index = number(buf, starts[:, :2], lens[:, :2])
     if width == 2:
-        ends = tokens
         mult = np.ones(lines, dtype=np.int64)
     else:
-        ends = [""] * (2 * lines)
-        ends[0::2] = tokens[0::3]
-        ends[1::2] = tokens[1::3]
-        try:
-            mult = np.fromiter(map(int, tokens[2::3]), dtype=np.int64, count=lines)
-        except (ValueError, OverflowError):
+        mult = digits(buf, starts[:, 2], lens[:, 2])
+        if mult is None or mult.min() < 1 or int(mult.max()) > MAX_MULT // lines:
             return None
-        if mult.min() < 1 or int(mult.max()) > MAX_MULT // lines:
-            return None
-    # ids in order of first appearance, as the per-line scan assigns them
-    name_to_id = dict(zip(dict.fromkeys(ends), count()))
-    ids = np.fromiter(map(name_to_id.__getitem__, ends), dtype=np.int64, count=2 * lines)
+    del parsed, buf, starts, lens  # freed before dedup_sum's arrays exist
     src, dst = ids[0::2], ids[1::2]
     if undirected:
         cross = src != dst
@@ -406,7 +435,7 @@ def _bulk_edges(path: str, undirected: bool) -> _Edges | None:
             np.concatenate((dst, src[cross])),
             np.concatenate((mult, mult[cross])),
         )
-    return (name_to_id, *dedup_sum(len(name_to_id), src, dst, mult))
+    return (names, index, *dedup_sum(len(names), src, dst, mult))
 
 
 def _scan_edges(path: str, undirected: bool) -> _Edges:
@@ -440,34 +469,35 @@ def _scan_edges(path: str, undirected: bool) -> _Edges:
 
 
 def _bulk_labels(
-    path: str, name_to_id: dict[str, int]
+    path: str, node_names: list[str], index: NameIndex | None
 ) -> tuple[np.ndarray, list[str]] | None:
-    """Read a clean label file with whole-file operations, or return None.
+    """Read a clean label file with whole-array operations, or return None.
 
     Clean means what :func:`_whole_file_fields` takes, with 2 fields per
     line, and every line names a node of the edge file, no node gets two
-    different labels and every node gets one.  Label ids follow first
-    appearance, as in the per-line scan, which words every error.
+    different labels and every node gets one.  The node names are looked
+    up in ``index``, which is built from ``node_names`` when the edge file
+    came through the per-line scan.  Label ids follow first appearance, as
+    in the per-line scan, which words every error.
     """
     parsed = _whole_file_fields(path, (2,))
     if parsed is None:
         return None
-    fields, _ = parsed
-    names, label_of = fields[0::2], fields[1::2]
-    try:
-        ids = np.fromiter(map(name_to_id.__getitem__, names), dtype=np.int64, count=len(names))
-    except KeyError:
+    if index is None:
+        index = NameIndex.of(node_names)
+        if index is None:
+            return None
+    buf, starts, lens = parsed
+    ids = index.lookup(buf, starts[:, 0], lens[:, 0])
+    if (ids < 0).any():
         return None
-    label_to_id = dict(zip(dict.fromkeys(label_of), count()))
-    line_labels = np.fromiter(
-        map(label_to_id.__getitem__, label_of), dtype=np.int64, count=len(label_of)
-    )
-    labels = np.full(len(name_to_id), -1, dtype=np.int64)
+    line_labels, label_names, _ = number(buf, starts[:, 1], lens[:, 1])
+    labels = np.full(len(node_names), -1, dtype=np.int64)
     labels[ids] = line_labels
     # a conflicting line disagrees with what was stored; a missing node is -1
     if (labels[ids] != line_labels).any() or (labels < 0).any():
         return None
-    return labels, list(label_to_id)
+    return labels, label_names
 
 
 def _scan_labels(path: str, name_to_id: dict[str, int]) -> tuple[list[int], list[str]]:
@@ -519,27 +549,32 @@ def load_graph(
     integers in order of first appearance and kept in ``node_names``.
 
     A clean edge file (see ``_bulk_edges``: uniform 2- or 3-field lines, no
-    comment, blank line, ``\\r`` or padding) is read whole: one ``split``,
-    ids via ``dict.fromkeys``, multiplicities via ``map(int, ...)`` and
-    :func:`dedup_sum`; ``undirected`` mirrors the arrays and stays on this
-    path.  A clean label file (see ``_bulk_labels``: uniform 2-field lines
-    that give every node exactly one label) is read whole too.  Any
-    other file is read line by line, and that scan alone raises the
-    ``file:line`` errors, so both paths accept the same files with the same
-    messages and build the same graph.
+    comment, blank line, ``\\r``, padding or NUL, plain-digit
+    multiplicities) is parsed from its bytes with NumPy, without a Python
+    object per field: the tabs and newlines give the field bounds, the
+    names become fixed-width keys numbered by one sort-based unique, the
+    multiplicities come from digit arithmetic, only the distinct names are
+    decoded, and :func:`dedup_sum` merges repeated edges; ``undirected``
+    mirrors the arrays and stays on this path.  A clean label file (see
+    ``_bulk_labels``: uniform 2-field lines that give every node exactly
+    one label) is read the same way, its names looked up among the edge
+    file's sorted keys.  Any other file is read line by line, and that scan
+    alone raises the ``file:line`` errors, so both paths accept the same
+    files with the same messages and build the same graph.
     """
     parsed = _bulk_edges(path, undirected)
     if parsed is None:
-        parsed = _scan_edges(path, undirected)
-    name_to_id, src, dst, mult = parsed
-    node_names = list(name_to_id)
+        name_to_id, src, dst, mult = _scan_edges(path, undirected)
+        node_names, index = list(name_to_id), None
+    else:
+        node_names, index, src, dst, mult = parsed
     n = len(node_names)
 
     labels, label_names = [0] * n, [DEFAULT_LABEL]
     if labels_path is not None:
-        parsed_labels = _bulk_labels(labels_path, name_to_id)
+        parsed_labels = _bulk_labels(labels_path, node_names, index)
         if parsed_labels is None:
-            parsed_labels = _scan_labels(labels_path, name_to_id)
+            parsed_labels = _scan_labels(labels_path, dict(zip(node_names, count())))
         labels, label_names = parsed_labels
 
     return LabeledMultiGraph.from_arrays(

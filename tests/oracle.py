@@ -286,6 +286,68 @@ def oracle_decide_glyph(g, nodes) -> tuple[Glyph, int | None]:
     return Glyph.DISCONNECTED, None
 
 
+def oracle_cliques_through(gsim, u, excluded):
+    """The recursive form of ``SimilarityGraph.cliques_through``: the
+    reference for the order in which its explicit stack visits branches.
+
+    Its depth is the clique size, so it stops at Python's recursion limit.
+    """
+    adj = gsim.adj
+    nbr_set = adj[u]
+    nbrs = sorted(nbr_set)
+    bit = {w: 1 << i for i, w in enumerate(nbrs)}
+    nb = [None] * len(nbrs)
+
+    def build(i):
+        m = 0
+        for y in adj[nbrs[i]] & nbr_set:
+            m |= bit[y]
+        nb[i] = m
+        return m
+
+    p = x = 0
+    for w, b in bit.items():
+        if w in excluded:
+            x |= b
+        else:
+            p |= b
+    masks = []
+
+    def expand(r, p, x):
+        if not p:
+            if not x:
+                masks.append(r)
+            return
+        size_p = p.bit_count()
+        best = -1
+        scan = p | x
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            i = low.bit_length() - 1
+            m = nb[i] if nb[i] is not None else build(i)
+            covered = (p & m).bit_count()
+            if covered > best:
+                best, pivot_mask = covered, m
+                if covered == size_p:
+                    break
+        rest = p & ~pivot_mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            m = nb[i] if nb[i] is not None else build(i)
+            expand(r | low, p & m, x & m)
+            p ^= low
+            x |= low
+
+    expand(0, p, x)
+    return [
+        tuple(sorted([u] + [nbrs[i] for i in range(len(nbrs)) if r >> i & 1]))
+        for r in masks
+    ]
+
+
 def oracle_harvest(gsim, new_edges, max_clique_size, emitted):
     """Per-edge clique harvest: the reference for ``LshState.harvest_cliques``.
 
@@ -459,6 +521,16 @@ def oracle_total_cost_exact(g, summary) -> CostBreakdown:
     )
 
 
+def _utf8_lines(path, fh):
+    """The numbered lines of a text file opened with ``surrogateescape``;
+    the first line that is not valid UTF-8 (it decodes to a lone
+    surrogate) raises the loader's error naming it."""
+    for line_num, line in enumerate(fh, start=1):
+        if any("\udc80" <= c <= "\udcff" for c in line):
+            raise GraphFormatError(f"{path}:{line_num}: not valid UTF-8")
+        yield line_num, line
+
+
 def oracle_load_graph(path: str, undirected: bool = False, labels_path: str | None = None):
     """The per-line loader, kept as the reference for the bulk parses.
 
@@ -474,8 +546,8 @@ def oracle_load_graph(path: str, undirected: bool = False, labels_path: str | No
             name_to_id[name] = len(name_to_id)
         return name_to_id[name]
 
-    with open(path, encoding="utf-8") as fh:
-        for line_num, raw in enumerate(fh, start=1):
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_num, raw in _utf8_lines(path, fh):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
@@ -521,8 +593,8 @@ def oracle_load_graph(path: str, undirected: bool = False, labels_path: str | No
     labels = [0] * n
     label_to_id: dict[str, int] = {}
     seen: dict[int, str] = {}
-    with open(labels_path, encoding="utf-8") as fh:
-        for line_num, raw in enumerate(fh, start=1):
+    with open(labels_path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_num, raw in _utf8_lines(labels_path, fh):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue

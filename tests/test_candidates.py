@@ -27,7 +27,12 @@ from lmgsum.graph import LabeledMultiGraph
 from lmgsum.synth import planted_graph
 
 import oracle
-from oracle import oracle_add_band, oracle_harvest, oracle_maximal_cliques
+from oracle import (
+    oracle_add_band,
+    oracle_cliques_through,
+    oracle_harvest,
+    oracle_maximal_cliques,
+)
 
 
 def edge_sets(n):
@@ -468,6 +473,34 @@ class TestCliqueEnumeration:
         got = [c.nodes for c in state.harvest_cliques()]
         assert len(got) == len(set(got))
         assert set(got) == expected
+
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                edge_sets(n),
+                st.integers(0, n - 1),
+                st.sets(st.integers(0, n - 1), max_size=4),
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_stack_search_visits_cliques_in_recursive_order(self, case):
+        n, pairs, u, excluded = case
+        gsim = SimilarityGraph()
+        for a, b in pairs | {(min(u, w), max(u, w)) for w in range(n) if w != u and w % 3}:
+            gsim.add_edge(a, b, 1.0)
+        if u not in gsim.adj:
+            return
+        excluded.discard(u)
+        assert gsim.cliques_through(u, excluded) == oracle_cliques_through(gsim, u, excluded)
+
+    def test_clique_larger_than_the_recursion_limit(self):
+        n = 1_100
+        gsim = SimilarityGraph()
+        gsim.adj = {v: set(range(n)) - {v} for v in range(n)}
+        assert gsim.cliques_through(0, set()) == [tuple(range(n))]
+        assert gsim.cliques_through(5, {0}) == []
 
     @pytest.mark.parametrize(
         "seed, groups, size_range",

@@ -9,6 +9,7 @@ import io
 import json
 import os
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -967,3 +968,54 @@ class TestMetamorphic:
     def test_undirected_is_the_mirrored_file(self, graph):
         with tempfile.TemporaryDirectory() as d:
             self._check_undirected(Path(d), *_small_graph_rows(graph))
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_star_clique_deeper_than_the_recursion_allowance(tmp_path, capsys):
+    """A hub with 300 identical leaves makes a 300-node similarity clique;
+    the search for it needs no recursion as deep as the clique."""
+    edges = tmp_path / "star.tsv"
+    edges.write_text("".join(f"hub\tleaf{i}\n" for i in range(300)))
+    report = tmp_path / "report.json"
+    args = ["-i", str(edges), "--json", str(report)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 150)
+    try:
+        assert main(["summarize", *args]) == 0
+        capsys.readouterr()
+        assert main(["verify", *args]) == 0
+    finally:
+        sys.setrecursionlimit(limit)
+    assert capsys.readouterr().out.startswith("OK:")
+
+
+#: byte pieces for loader fuzzing: separators, line ends, NUL, comment marks,
+#: digits, signs, stray spaces, invalid UTF-8 and multibyte characters
+_FUZZ_PIECES = [b"\t", b"\t", b"\n", b"\n", b"\r", b"\x00", b"#", b"0", b"1", b"7",
+                b"9" * 19, b"-", b"+", b"_", b"a", b"b", b"c", b" ", b"\x0b",
+                "\xa0".encode(), "名".encode(), "ü".encode(), b"\xff", b"\xc3", b"\x80"]
+_fuzz_bytes = st.lists(st.sampled_from(_FUZZ_PIECES), max_size=40).map(b"".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_bytes=_fuzz_bytes, label_bytes=st.none() | _fuzz_bytes)
+def test_arbitrary_input_bytes_exit_0_or_3(edge_bytes, label_bytes):
+    with tempfile.TemporaryDirectory() as d:
+        edges = Path(d) / "edges.tsv"
+        edges.write_bytes(edge_bytes)
+        args = ["summarize", "-i", str(edges), "--json", str(Path(d) / "report.json")]
+        if label_bytes is not None:
+            labels = Path(d) / "labels.tsv"
+            labels.write_bytes(label_bytes)
+            args += ["-l", str(labels)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(args)
+    assert code in (0, 3)
+    assert "Traceback" not in err.getvalue()

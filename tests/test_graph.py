@@ -282,10 +282,22 @@ class TestArrayConstructor:
         assert [len(a) for a in empty] == [0, 0, 0]
 
 
-_NAMES = ["a", "b", "c", "ü", "名", "x#y", "#h", " a", "b ", "c\x1c", "d\xa0", "e\x85"]
-_CLEAN_NAMES = ["a", "b", "c", "ü", "名", "x#y", "v#"]
-_BAD_MULTS = ["0", "-1", "x", " 3", "1.0", "٣", str(2**63), str(-(2**63))]
-_CLEAN_MULTS = ["1", "2", "3", "+1", "1_0", str(2**62), str(2**63 - 1)]
+#: a name far wider than the others, which must not send a file to the scan
+_LONG_NAME = "L" * 4096
+#: stray whitespace before, inside and after names, and bytes that are not
+#: UTF-8 (written through ``surrogateescape``)
+_NAMES = ["a", "b", "c", "ü", "名", "x#y", "#h", " a", "b ", "c\x1c", "d\xa0", "e\x85",
+          "\x0bv", "w\x0c", "x\x1cy", "\x1dz", "q\x1e", "\x1fr", "s\x85t", "\xa0u",
+          "v\u2028", "\u3000w", "\udcff", "ab\udc80"]
+#: short, multibyte and long names, names that share their first 8 bytes,
+#: one 4 KB name and a NUL, which is a name byte for the per-line scan
+_CLEAN_NAMES = ["a", "b", "c", "ü", "名", "x#y", "v#", "abcdefgh", "abcdefghi",
+                "abcdefghij", "abcdefgz", "üüüüü", "名前の長いノード", _LONG_NAME, "n\x00ul"]
+_BAD_MULTS = ["0", "-1", "x", " 3", "1.0", "٣", str(2**63), str(-(2**63)),
+              "00", "9" * 19, "1" * 25, "3\x00"]
+#: 18 digits always fit in int64; 19 may not, and go to the per-line scan
+_CLEAN_MULTS = ["1", "2", "3", "+1", "1_0", str(2**62), str(2**63 - 1),
+                "007", "9" * 18, "0" * 17 + "5", "1" + "0" * 18, "0" * 18 + "4"]
 #: one oddity per file, so that each reaches the check meant to catch it
 _ODDITIES = ["mixed-widths", "blank", "spaces", "comment", "indented-comment",
              "one-field", "four-fields", "empty-field", "padded-names",
@@ -298,7 +310,9 @@ def edge_files(draw):
     with one kind of oddity, which it declines or must parse the same."""
     odd = draw(st.sampled_from([None] * 5 + _ODDITIES))
     width = 3 if odd == "bad-mult" else draw(st.sampled_from([2, 3]))
-    names = st.sampled_from(_NAMES if odd == "padded-names" else _CLEAN_NAMES)
+    # a few names per file, so that most files hold none of the rare ones
+    pool = _NAMES if odd == "padded-names" else _CLEAN_NAMES
+    names = st.sampled_from(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5)))
 
     def edge(fields, mults=_CLEAN_MULTS):
         parts = [draw(names), draw(names), draw(st.sampled_from(mults))]
@@ -340,10 +354,18 @@ class TestBulkParse:
     @example(text="a\ta\t0", undirected=False)
     @example(text="a\tb\t2\nb\tc\t-1\n", undirected=True)
     @example(text=f"a\tb\t{2**62}\nb\ta\t1\nb\ta\t{2**62}\n", undirected=True)
+    @example(text="a\x00b\tc\nc\ta\x00b\n", undirected=False)
+    @example(text="abcdefgh\tabcdefghi\t1\nabcdefghi\tabcdefgh\t007\n", undirected=True)
+    @example(text=f"a\tb\nb\t{_LONG_NAME}\n{_LONG_NAME}\tc\nc\ta\n", undirected=False)
+    @example(text="a\tb\t1000000000000000000\nb\ta\t999999999999999999\n", undirected=False)
+    @example(text="a\tb\t99999999999999999999\n", undirected=False)
+    @example(text="a\tb\n\udcff\tc\n", undirected=False)
+    @example(text="a\tb\x0b\nb\ta\n", undirected=False)
+    @example(text="a\tb\u3000\nb\ta\n", undirected=False)
     @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_bulk_parse_equals_per_line_parse(self, tmp_path, text, undirected):
         p = tmp_path / "g.tsv"
-        p.write_bytes(text.encode("utf-8"))
+        p.write_bytes(text.encode("utf-8", "surrogateescape"))
         try:
             want = oracle_load_graph(str(p), undirected)
         except GraphFormatError as e:
@@ -370,29 +392,53 @@ class TestBulkParse:
         assert g == want and g.node_names == ["alice", "bob", "carol"]
         assert g.multiplicity(0, 1) == 5
         assert g.multiplicity(1, 0) == (5 if undirected else 0)
+        # long and multibyte names, and one 4 KB name among short ones
+        for names in (["alexandria", "名前の長いノード", "bo", "alexandrina"],
+                      ["a", "b", _LONG_NAME, "c", "d", "e", "f", "g"]):
+            text = "".join(f"{u}\t{w}\t{i + 1:03}\n" for i, (u, w) in
+                           enumerate(zip(names, names[1:] + names[:1])))
+            p.write_bytes(text.encode("utf-8"))
+            g = load_graph(str(p), undirected=undirected)
+            assert g == oracle_load_graph(str(p), undirected) and g.node_names == names
         # a comment line sends the file down the per-line scan
         p.write_text("# header\nalice\tbob\t3\n")
         with pytest.raises(AssertionError, match="per-line scan used"):
             load_graph(str(p), undirected=undirected)
 
 
-_EDGE_TEXT = "a\tb\nb\tü\nü\t名\n名\tx#y\n"
-_LABEL_NODES = ["a", "b", "ü", "名", "x#y"]
-_LABEL_NAMES = ["red", "blue", "名", "v#", "g"]
+#: the edge files' node names: short ones, long ones that share their first
+#: 8 bytes, one 4 KB name, and a NUL, which no key holds
+_LABEL_NODE_SETS = [
+    ["a", "b", "ü", "名", "x#y"],
+    ["abcdefgh", "abcdefghi", "abcdefghij", "abcdefgz", "名前の長いノード"],
+    ["a", "b", _LONG_NAME, "c", "d"],
+    ["a", "n\x00ul", "b", "c", "d"],
+]
+_LABEL_NAMES = ["red", "blue", "名", "v#", "g", "colour-red", "colour-redd", "r\x00d",
+                _LONG_NAME]
 #: one oddity per file, as for edge files
 _LABEL_ODDITIES = ["blank", "comment", "padded", "one-field", "three-fields",
-                   "unknown", "conflict", "repeat", "missing", "crlf"]
+                   "unknown", "conflict", "repeat", "missing", "crlf", "not-utf8"]
+
+
+def _edge_text(nodes, header=False):
+    """An edge file over ``nodes``, listed in first-appearance order; a
+    header comment sends it down the per-line scan."""
+    return "# edges\n" * header + "".join(f"{u}\t{w}\n" for u, w in zip(nodes, nodes[1:]))
 
 
 @st.composite
 def label_files(draw):
-    """Label files for ``_EDGE_TEXT``'s nodes: clean ones, which the
-    whole-file path takes, and ones with one oddity, which it declines or
-    must read the same."""
+    """An edge file and a label file for its nodes: clean label files,
+    which the whole-file path takes, and ones with one oddity, which it
+    declines or must read the same."""
+    nodes = draw(st.sampled_from(_LABEL_NODE_SETS))
+    edges = _edge_text(nodes, header=draw(st.booleans()))
     odd = draw(st.sampled_from([None] * 4 + _LABEL_ODDITIES))
-    label_of = {v: draw(st.sampled_from(_LABEL_NAMES)) for v in _LABEL_NODES}
-    lines = [f"{v}\t{label_of[v]}" for v in draw(st.permutations(_LABEL_NODES))]
-    node = draw(st.sampled_from(_LABEL_NODES))
+    pool = draw(st.lists(st.sampled_from(_LABEL_NAMES), min_size=1, max_size=3))
+    label_of = {v: draw(st.sampled_from(pool)) for v in nodes}
+    lines = [f"{v}\t{label_of[v]}" for v in draw(st.permutations(nodes))]
+    node = draw(st.sampled_from(nodes))
     extra = {
         "blank": draw(st.sampled_from(["", "  ", "\t"])),
         "comment": draw(st.sampled_from(["#", " # c", "#a\tred"])),
@@ -401,6 +447,7 @@ def label_files(draw):
         "unknown": f"zz\t{label_of[node]}",
         "conflict": f"{node}\t{label_of[node]}!",
         "repeat": f"{node}\t{label_of[node]}",
+        "not-utf8": f"{node}\t{label_of[node]}\udcff",
     }.get(odd)
     if extra is not None:
         lines.insert(draw(st.integers(0, len(lines))), extra)
@@ -408,29 +455,40 @@ def label_files(draw):
         i = draw(st.integers(0, len(lines) - 1))
         name, label = lines[i].split("\t")
         lines[i] = draw(st.sampled_from([f" {name}\t{label}", f"{name} \t{label}",
-                                         f"{name}\t {label}", f"{name}\t{label}\xa0"]))
+                                         f"{name}\t {label}", f"{name}\t{label}\xa0",
+                                         f"{name}\t{label}\u2028"]))
     elif odd == "missing":
         lines.pop(draw(st.integers(0, len(lines) - 1)))
     newline = "\r\n" if odd == "crlf" else "\n"
     text = newline.join(lines)
     if draw(st.booleans()):  # else no final newline
         text += newline
-    return text
+    return edges, text
+
+
+_EDGE_TEXT = _edge_text(_LABEL_NODE_SETS[0])
 
 
 class TestBulkLabels:
-    @given(text=label_files())
-    @example(text="")
-    @example(text="a\tred\nb\tred\nü\tred\n名\tred\nx#y\tred\na\tred\n")
-    @example(text="a\tred\nb\tred\nü\tred\n名\tred\nx#y\tred\na\tblue\n")
-    @example(text="a\tred\nb\tred\nü\tred\n名\tred\n")
-    @example(text="a\tred\nb\tred\nü\tred\n名\tred\nx#y\tred\nq\tred\n")
-    @example(text="a\tred\r\nb\tred\r\nü\tred\r\n名\tred\r\nx#y\tred\r\n")
+    @given(files=label_files())
+    @example(files=(_EDGE_TEXT, ""))
+    @example(files=(_EDGE_TEXT, "a\tred\nb\tred\nü\tred\n名\tred\nx#y\tred\na\tred\n"))
+    @example(files=(_EDGE_TEXT, "a\tred\nb\tred\nü\tred\n名\tred\nx#y\tred\na\tblue\n"))
+    @example(files=(_EDGE_TEXT, "a\tred\nb\tred\nü\tred\n名\tred\n"))
+    @example(files=(_EDGE_TEXT, "a\tred\nb\tred\nü\tred\n名\tred\nx#y\tred\nq\tred\n"))
+    @example(files=(_EDGE_TEXT, "a\tred\r\nb\tred\r\nü\tred\r\n名\tred\r\nx#y\tred\r\n"))
+    @example(files=(_edge_text(_LABEL_NODE_SETS[1]),
+                    "abcdefgh\tx\nabcdefghi\ty\nabcdefghij\tx\nabcdefgz\tz\n名前の長いノード\ty\n"))
+    @example(files=(_edge_text(_LABEL_NODE_SETS[1]),
+                    "abcdefgh\tx\nabcdefghi\ty\nabcdefghik\tx\nabcdefgz\tz\n名前の長いノード\ty\n"))
+    @example(files=(_edge_text(_LABEL_NODE_SETS[2], header=True),
+                    f"a\tred\nb\tred\n{_LONG_NAME}\t{_LONG_NAME}\nc\tr\nd\tr\n"))
+    @example(files=(_edge_text(_LABEL_NODE_SETS[3]), "a\tr\nn\x00ul\tr\nb\tr\nc\tr\nd\tr\n"))
     @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_bulk_labels_equal_per_line_labels(self, tmp_path, text):
+    def test_bulk_labels_equal_per_line_labels(self, tmp_path, files):
         p, lp = tmp_path / "g.tsv", tmp_path / "l.tsv"
-        p.write_text(_EDGE_TEXT)
-        lp.write_bytes(text.encode("utf-8"))
+        p.write_text(files[0])
+        lp.write_bytes(files[1].encode("utf-8", "surrogateescape"))
         try:
             want = oracle_load_graph(str(p), labels_path=str(lp))
         except GraphFormatError as e:
@@ -445,18 +503,29 @@ class TestBulkLabels:
 
     def test_clean_file_skips_the_per_line_scan(self, tmp_path, monkeypatch):
         p, lp = tmp_path / "g.tsv", tmp_path / "l.tsv"
-        p.write_text(_EDGE_TEXT)
-        lp.write_text("b\tblue\na\tred\nü\tred\n名\tblue\nx#y\tgreen\nb\tblue\n")
-        want = oracle_load_graph(str(p), labels_path=str(lp))
 
         def per_line_scan(path, name_to_id):
             raise AssertionError("per-line scan used")
 
         monkeypatch.setattr(graph, "_scan_labels", per_line_scan)
-        g = load_graph(str(p), str(lp))
-        assert g == want and g.label_names == ["blue", "red", "green"]
-        assert g.labels.tolist() == [1, 0, 1, 0, 2]
+        # a header comment sends the edge file, not the label file, to the scan
+        for header in (False, True):
+            p.write_text(_edge_text(_LABEL_NODE_SETS[0], header))
+            lp.write_text("b\tblue\na\tred\nü\tred\n名\tblue\nx#y\tgreen\nb\tblue\n")
+            g = load_graph(str(p), str(lp))
+            assert g == oracle_load_graph(str(p), labels_path=str(lp))
+            assert g.label_names == ["blue", "red", "green"]
+            assert g.labels.tolist() == [1, 0, 1, 0, 2]
+            # long and multibyte names, and one 4 KB name among short ones
+            for nodes in _LABEL_NODE_SETS[1:3]:
+                p.write_text(_edge_text(nodes, header))
+                lp.write_text("".join(f"{v}\t{label}\n" for v, label in
+                                      zip(nodes, ["名前", _LONG_NAME, "名前", "b", "c"])))
+                g = load_graph(str(p), str(lp))
+                assert g == oracle_load_graph(str(p), labels_path=str(lp))
+                assert g.label_names == ["名前", _LONG_NAME, "b", "c"]
         # a blank line sends the file down the per-line scan
+        p.write_text(_EDGE_TEXT)
         lp.write_text("a\tred\n\nb\tred\nü\tred\n名\tred\nx#y\tred\n")
         with pytest.raises(AssertionError, match="per-line scan used"):
             load_graph(str(p), str(lp))
