@@ -1,10 +1,10 @@
-"""Byte fields of a TSV file as fixed-width keys, without a Python object
-per field.
+"""Byte fields of a TSV file as uint64 keys, without a Python object per
+field.
 
 The loader in :mod:`lmgsum.graph` finds the fields of a clean file as
 offsets and lengths into its bytes.  Here :func:`number` numbers their
-distinct values in order of first appearance by one sort of fixed-width
-keys and decodes only the distinct ones, :class:`NameIndex` looks names up
+distinct values in order of first appearance by one sort of uint64 keys
+and decodes only the distinct ones, :class:`NameIndex` looks names up
 among those keys, and :func:`digits` reads plain decimal multiplicities.
 No field may hold a NUL byte: the keys are zero-padded.
 """
@@ -17,45 +17,74 @@ import numpy as np
 
 #: every multiplicity of at most this many decimal digits fits in int64
 _MAX_DIGITS = 18
+#: the most 8-byte words a key covers; longer names are keyed by a dict
+_MAX_WORDS = 32
+#: odd multiplier of the key hash (2^64 over the golden ratio)
+_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _key_width(lens: np.ndarray, budget: int) -> int:
-    """The key width for fields of these byte lengths.
+def _word_count(lens: np.ndarray, budget: int) -> int:
+    """The 8-byte words per key for fields of these byte lengths.
 
-    8, a uint64 key, when every field fits in one; else the widest width up
-    to the longest field whose key array stays within ``budget`` bytes.
-    Fields longer than the width, a few very long names, are keyed by a
-    dict instead, so that they cost no ``len(lens)`` x longest array.  With
-    a budget of at least twice the fields' total length, the shortest
-    field always fits.
+    The fewest words that hold all but at most 1/64 of the fields, within
+    a cap of ``_MAX_WORDS`` and of ``budget`` bytes of words over all the
+    fields; if the cap leaves more than that out, the words that hold
+    every field under the cap.  The fields left out, a few long names, are
+    keyed by a dict, so that they cost no pass per word over every field.
     """
-    longest = int(lens.max())
-    if longest <= 8:
-        return 8
-    return max(8, min(longest, budget // lens.size))
+    n = lens.size
+    cap = max(1, min(_MAX_WORDS, budget // (8 * n)))
+    if cap == 1 or lens.max() <= 8:
+        return 1
+    need = np.minimum((lens + 7) // 8, cap + 1)
+    # tail[j]: the fields that need more than j words
+    tail = n - np.cumsum(np.bincount(need.ravel(), minlength=cap + 2))
+    return max(1, int(np.argmax((tail <= n // 64) | (tail == tail[cap]))))
 
 
-def _keys(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray, width: int) -> np.ndarray:
-    """Fixed-width keys of fields of at most ``width`` bytes.
+def _word(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray, j: int) -> np.ndarray:
+    """Bytes ``8j`` to ``8j + 8`` of each field as a little-endian uint64,
+    zero past the field's end; ``buf`` ends in eight zero bytes."""
+    view = np.ndarray(len(buf) - 7, dtype="<u8", buffer=buf, strides=(1,))
+    rest = lens - 8 * j  # the field's bytes from this word on
+    # fancy indexing, as take() would first copy the strided view
+    word = view[np.minimum(starts + 8 * j, len(view) - 1) if j else starts]
+    # shifting the bytes past the field out the top and back clears them
+    spare = (64 - 8 * np.clip(rest, 1, 8)).astype(np.uint8)
+    word <<= spare
+    word >>= spare
+    if j:
+        word[rest < 1] = 0
+    return word
 
-    Width 8 gives uint64 words: the field's bytes, little-endian, zero
-    above them.  A wider one gives an ``S<width>`` array, zero-padded.
-    Since no field holds a NUL, equal keys mean equal fields.  A field
-    longer than ``width`` gets a truncated key, which callers ignore.
+
+def _words(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray, count: int) -> np.ndarray:
+    """Words 0 to ``count - 1`` of the fields, one row per word, the
+    fields in row-major order."""
+    if count == 1:
+        return _word(buf, starts, lens, 0).reshape(1, -1)
+    words = np.empty((count, lens.size), dtype=np.uint64)
+    for j, row in enumerate(words):
+        row[:] = _word(buf, starts, lens, j).ravel()
+    return words
+
+
+def _hash(words: np.ndarray) -> np.ndarray:
+    """A uint64 key for each column of ``words``.
+
+    One word is its own key, so equal keys mean equal fields.  More words
+    are hashed into one: each step is a bijection of the next word, so
+    fields that differ only in their last word never collide, but others
+    may, and :func:`number` checks.
     """
-    if width == 8:
-        # the eight bytes starting at each offset; buf ends in eight zeros
-        words = np.ndarray(len(buf) - 7, dtype="<u8", buffer=buf, strides=(1,))
-        keys = words[starts]
-        # shifting the bytes past the field out the top and back clears them
-        spare = (64 - 8 * np.minimum(lens, 8)).astype(np.uint8)
-        keys <<= spare
-        keys >>= spare
-        return keys
-    padded = np.concatenate((buf, np.zeros(width, dtype=np.uint8)))
-    keys = np.ndarray(len(buf), dtype=f"S{width}", buffer=padded, strides=(1,))[starts]
-    keys.view(np.uint8).reshape(-1, width)[np.arange(width) >= lens.reshape(-1, 1)] = 0
-    return keys
+    if len(words) == 1:
+        return words[0]
+    key = np.zeros(words.shape[1], dtype=np.uint64)
+    for word in words:
+        key ^= word
+        key *= _MIX
+        key ^= key >> np.uint64(29)
+    return key
 
 
 def _decode(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> list[str]:
@@ -70,9 +99,10 @@ def _decode(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> list[str]:
 class NameIndex(NamedTuple):
     """Distinct names keyed as :func:`number` keys them."""
 
-    width: int
-    #: the sorted keys of the names that fit ``width``, and their ids
+    #: the sorted keys of the names of at most ``8 * len(words)`` bytes,
+    #: their words (one row per word) and their ids
     keys: np.ndarray
+    words: np.ndarray
     ids: np.ndarray
     #: the ids of the longer names, by their bytes
     long: dict[bytes, int]
@@ -80,50 +110,61 @@ class NameIndex(NamedTuple):
     @classmethod
     def of(cls, names: list[str]) -> "NameIndex | None":
         """The index of distinct names listed in id order; None if one
-        holds a NUL, which a key cannot."""
+        holds a NUL, which a key cannot, or if two keys collide."""
         data = ("\n".join(names) + "\n").encode("utf-8")
         if b"\0" in data:
             return None
         buf = np.frombuffer(data + bytes(8), dtype=np.uint8)
         ends = np.flatnonzero(buf == 10)
         starts = np.concatenate(([0], ends[:-1] + 1))
-        return number(buf, starts, ends - starts)[2]
+        numbered = number(buf, starts, ends - starts)
+        return None if numbered is None else numbered[2]
 
     def lookup(self, buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
         """The id of each field's name, -1 for a name not in the index."""
         ids = np.full(len(starts), -1, dtype=np.int64)
-        fits = np.flatnonzero(lens <= self.width)
-        keys = _keys(buf, starts[fits], lens[fits], self.width)
+        count = len(self.words)
+        fits = np.flatnonzero(lens <= 8 * count)
+        if not len(self.keys):  # every name that fits a key is unknown
+            fits = fits[:0]
+        words = _words(buf, starts[fits], lens[fits], count)
+        keys = _hash(words)
         at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
         hit = self.keys[at] == keys
+        if count > 1:  # a hashed key matches only if the words do too
+            hit &= (self.words[:, at] == words).all(axis=0)
         ids[fits[hit]] = self.ids[at[hit]]
-        for i in np.flatnonzero(lens > self.width).tolist():
+        for i in np.flatnonzero(lens > 8 * count).tolist():
             ids[i] = self.long.get(buf[starts[i] : starts[i] + lens[i]].tobytes(), -1)
         return ids
 
 
 def number(
     buf: np.ndarray, starts: np.ndarray, lens: np.ndarray
-) -> tuple[np.ndarray, list[str], NameIndex]:
+) -> tuple[np.ndarray, list[str], NameIndex] | None:
     """Number the fields' distinct values in order of first appearance.
 
     ``starts`` and ``lens`` may be 2-d and strided; the fields count in
     row-major order.  Returns each field's int64 id, the distinct values
-    decoded to ``str`` in id order, and their :class:`NameIndex`.  The
-    fields that fit the key width are numbered by one sort of their keys,
-    the longer ones (see :func:`_key_width`) through a dict of their bytes.
+    decoded to ``str`` in id order, and their :class:`NameIndex`; or None
+    if two different fields get the same hashed key.  The fields that fit
+    a key (see :func:`_word_count`) are numbered by one sort of their
+    keys, the longer ones through a dict of their bytes.
     """
-    width = _key_width(lens, 2 * len(buf))
-    keys = _keys(buf, starts, lens, width).ravel()
-    long_at = np.flatnonzero(lens > width)
+    count = _word_count(lens, 2 * len(buf))
+    words = _words(buf, starts, lens, count)
+    keys = _hash(words)
+    if count == 1:
+        del words  # they are the keys, which the sorts below free
+    long_at = np.flatnonzero(lens > 8 * count)
     if len(long_at):
-        fit_at = np.flatnonzero(lens <= width)
+        fit_at = np.flatnonzero(lens <= 8 * count)
         keys = keys[fit_at]
     order = np.argsort(keys)
     keys = keys[order]
     new = np.empty(len(keys), dtype=bool)
-    new[0] = True
-    new[1:] = keys[1:] != keys[:-1]  # NumPy < 1.25 has no string ufunc loop
+    new[:1] = True  # no key at all when every field is long
+    new[1:] = keys[1:] != keys[:-1]
     heads = np.flatnonzero(new)
     del new
     keys = keys[heads]
@@ -142,6 +183,7 @@ def number(
             dtype=np.int64,
         )
         first = np.concatenate((first, long_at[np.unique(long_inverse, return_index=True)[1]]))
+    distinct = keys.reshape(1, -1) if count == 1 else words[:, first[: len(keys)]]
     by_first = np.argsort(first)
     rank = np.empty_like(by_first)
     rank[by_first] = np.arange(len(by_first))
@@ -149,10 +191,21 @@ def number(
     names = _decode(buf, starts.flat[first], lens.flat[first])
     ids = np.empty(lens.size, dtype=np.int64)
     ids[order] = np.repeat(rank[: len(keys)], np.diff(heads, append=len(order)))
+    del order
     if len(long_at):
         ids[long_at] = rank[len(keys) :][long_inverse]
+    if count > 1:
+        # a hashed key is one name only if each field with it has the words
+        # of the first such field
+        by_id = np.zeros(len(names), dtype=np.uint64)
+        for word, head in zip(words, distinct):
+            by_id[rank[: len(keys)]] = head
+            differs = word != by_id[ids]
+            differs[long_at] = False  # the long fields were not keyed
+            if differs.any():
+                return None
     long = dict(zip(long_ids, rank[len(keys) :].tolist()))
-    return ids, names, NameIndex(width, keys, rank[: len(keys)], long)
+    return ids, names, NameIndex(keys, distinct, rank[: len(keys)], long)
 
 
 def digits(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray | None:

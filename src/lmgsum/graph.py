@@ -407,7 +407,8 @@ def _bulk_edges(
     Clean means what :func:`_whole_file_fields` takes, with 2 or 3 fields
     per line; every multiplicity is 1 to 18 plain ASCII digits and >= 1;
     and the largest multiplicity times the line count is at most
-    ``MAX_MULT``, so no sum can overflow.  Anything else returns None, and
+    ``MAX_MULT``, so no sum can overflow; and no two names share a hashed
+    key (see :func:`lmgsum.bytekeys.number`).  Anything else returns None, and
     the caller falls back to the per-line scan, which also reads the other
     spellings ``int`` takes (``+1``, ``1_0``) and words the error if there
     is one.  Returns the node names in id order, their index, and the
@@ -419,7 +420,10 @@ def _bulk_edges(
     buf, starts, lens = parsed
     lines, width = starts.shape
     # ids in order of first appearance, as the per-line scan assigns them
-    ids, names, index = number(buf, starts[:, :2], lens[:, :2])
+    numbered = number(buf, starts[:, :2], lens[:, :2])
+    if numbered is None:
+        return None
+    ids, names, index = numbered
     if width == 2:
         mult = np.ones(lines, dtype=np.int64)
     else:
@@ -475,7 +479,8 @@ def _bulk_labels(
 
     Clean means what :func:`_whole_file_fields` takes, with 2 fields per
     line, and every line names a node of the edge file, no node gets two
-    different labels and every node gets one.  The node names are looked
+    different labels and every node gets one; and no two names share a
+    hashed key.  The node names are looked
     up in ``index``, which is built from ``node_names`` when the edge file
     came through the per-line scan.  Label ids follow first appearance, as
     in the per-line scan, which words every error.
@@ -491,7 +496,10 @@ def _bulk_labels(
     ids = index.lookup(buf, starts[:, 0], lens[:, 0])
     if (ids < 0).any():
         return None
-    line_labels, label_names, _ = number(buf, starts[:, 1], lens[:, 1])
+    numbered = number(buf, starts[:, 1], lens[:, 1])
+    if numbered is None:
+        return None
+    line_labels, label_names, _ = numbered
     labels = np.full(len(node_names), -1, dtype=np.int64)
     labels[ids] = line_labels
     # a conflicting line disagrees with what was stored; a missing node is -1

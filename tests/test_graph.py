@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from lmgsum import graph
+from lmgsum import bytekeys, graph
 from lmgsum.graph import (
     DEFAULT_LABEL,
     GraphFormatError,
@@ -394,7 +394,8 @@ class TestBulkParse:
         assert g.multiplicity(1, 0) == (5 if undirected else 0)
         # long and multibyte names, and one 4 KB name among short ones
         for names in (["alexandria", "名前の長いノード", "bo", "alexandrina"],
-                      ["a", "b", _LONG_NAME, "c", "d", "e", "f", "g"]):
+                      ["a", "b", _LONG_NAME, "c", "d", "e", "f", "g"],
+                      ["x" * 300, "y" * 300, "x" * 299 + "y"]):
             text = "".join(f"{u}\t{w}\t{i + 1:03}\n" for i, (u, w) in
                            enumerate(zip(names, names[1:] + names[:1])))
             p.write_bytes(text.encode("utf-8"))
@@ -529,3 +530,67 @@ class TestBulkLabels:
         lp.write_text("a\tred\n\nb\tred\nü\tred\n名\tred\nx#y\tred\n")
         with pytest.raises(AssertionError, match="per-line scan used"):
             load_graph(str(p), str(lp))
+
+
+def _fields(text):
+    """A text's lines as :func:`graph._whole_file_fields` bounds them."""
+    data = text.encode("utf-8")
+    buf = np.frombuffer(data + bytes(8), dtype=np.uint8)
+    ends = np.flatnonzero(buf == 10)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    return buf, starts, ends - starts
+
+
+class TestNameKeys:
+    def test_word_count(self):
+        def words(lens):
+            lens = np.array(lens)
+            return bytekeys._word_count(lens, 2 * int((lens + 1).sum()))
+
+        assert words([1, 8, 3]) == 1
+        assert words([9, 12, 16]) == 2
+        # a few long names go to the dict rather than widen every key
+        assert words([12] * 200 + [20] * 3) == 2
+        assert words([12] * 200 + [20] * 4) == 3
+        assert words([3] * 20 + [4096]) == 1
+        # names past the cap are all keyed by the dict
+        assert words([300] * 4) == 1
+
+    def test_many_long_names_take_the_byte_path(self, tmp_path, monkeypatch):
+        def per_line_scan(*args):
+            raise AssertionError("per-line scan used")
+
+        monkeypatch.setattr(graph, "_parse_edge_file", per_line_scan)
+        monkeypatch.setattr(graph, "_scan_labels", per_line_scan)
+        rng = np.random.default_rng(3)
+        names = [f"node_{v:07d}" for v in range(300)] + ["n" * 60, "m" * 60 + "x"]
+        ends = rng.integers(0, len(names), size=(700, 2))
+        p, lp = tmp_path / "g.tsv", tmp_path / "l.tsv"
+        p.write_text("".join(f"{names[u]}\t{names[w]}\t{u % 7 + 1}\n" for u, w in ends))
+        used = dict.fromkeys(names[v] for v in ends.ravel())
+        lp.write_text("".join(f"{v}\t{v[-1]}\n" for v in reversed(used)))
+        g = load_graph(str(p), str(lp))
+        want = oracle_load_graph(str(p), labels_path=str(lp))
+        assert g == want and g.node_names == want.node_names
+        assert g.label_names == want.label_names
+
+    def test_colliding_keys_fall_back_to_the_scan(self, tmp_path, monkeypatch):
+        # with a zero multiplier every key of two or more words is zero
+        monkeypatch.setattr(bytekeys, "_MIX", np.uint64(0))
+        scans = []
+        monkeypatch.setattr(graph, "_parse_edge_file", lambda path, scan=graph._parse_edge_file:
+                            scans.append(path) or scan(path))
+        p, lp = tmp_path / "g.tsv", tmp_path / "l.tsv"
+        p.write_text("alexandria\tbob\nbob\talexandrina\n")
+        lp.write_text("bob\tx\nalexandria\ty\nalexandrina\tx\n")
+        g = load_graph(str(p), str(lp))
+        assert scans == [str(p)]
+        assert g == oracle_load_graph(str(p), labels_path=str(lp))
+        assert g.node_names == ["alexandria", "bob", "alexandrina"]
+        assert bytekeys.NameIndex.of(g.node_names) is None
+
+    def test_lookup_checks_the_words_of_a_hashed_key(self, monkeypatch):
+        monkeypatch.setattr(bytekeys, "_MIX", np.uint64(0))
+        index = bytekeys.NameIndex.of(["alexandria"])
+        ids = index.lookup(*_fields("alexandrina\nalexandria\nbo\n"))
+        assert ids.tolist() == [-1, 0, -1]
