@@ -6,7 +6,9 @@ offsets and lengths into its bytes.  Here :func:`number` numbers their
 distinct values in order of first appearance by one sort of uint64 keys
 and decodes only the distinct ones, :class:`NameIndex` looks names up
 among those keys, and :func:`digits` reads plain decimal multiplicities.
-No field may hold a NUL byte: the keys are zero-padded.
+A name is read as 8-byte words, zero-padded, so no field may hold a NUL
+byte; a name of one word is its own key, a longer one is keyed by a hash
+of its words, which :func:`number` checks against the words themselves.
 """
 
 from __future__ import annotations
@@ -47,8 +49,9 @@ def _word(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray, j: int) -> np.n
     zero past the field's end; ``buf`` ends in eight zero bytes."""
     view = np.ndarray(len(buf) - 7, dtype="<u8", buffer=buf, strides=(1,))
     rest = lens - 8 * j  # the field's bytes from this word on
-    # fancy indexing, as take() would first copy the strided view
-    word = view[np.minimum(starts + 8 * j, len(view) - 1) if j else starts]
+    # fancy indexing, as take() would first copy the strided view; the
+    # clamp, applied before the offset, cannot overflow int32 offsets
+    word = view[np.minimum(starts, len(view) - 1 - 8 * j) + 8 * j if j else starts]
     # shifting the bytes past the field out the top and back clears them
     spare = (64 - 8 * np.clip(rest, 1, 8)).astype(np.uint8)
     word <<= spare

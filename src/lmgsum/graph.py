@@ -560,15 +560,16 @@ def load_graph(
     comment, blank line, ``\\r``, padding or NUL, plain-digit
     multiplicities) is parsed from its bytes with NumPy, without a Python
     object per field: the tabs and newlines give the field bounds, the
-    names become fixed-width keys numbered by one sort-based unique, the
-    multiplicities come from digit arithmetic, only the distinct names are
-    decoded, and :func:`dedup_sum` merges repeated edges; ``undirected``
-    mirrors the arrays and stays on this path.  A clean label file (see
-    ``_bulk_labels``: uniform 2-field lines that give every node exactly
-    one label) is read the same way, its names looked up among the edge
-    file's sorted keys.  Any other file is read line by line, and that scan
-    alone raises the ``file:line`` errors, so both paths accept the same
-    files with the same messages and build the same graph.
+    names become uint64 keys (see :mod:`lmgsum.bytekeys`) numbered by one
+    sort-based unique, the multiplicities come from digit arithmetic, only
+    the distinct names are decoded, and :func:`dedup_sum` merges repeated
+    edges; ``undirected`` mirrors the arrays and stays on this path.  A
+    clean label file (see ``_bulk_labels``: uniform 2-field lines that give
+    every node exactly one label) is read the same way, its names looked up
+    among the edge file's sorted keys.  Any other file is read line by
+    line, and that scan alone raises the ``file:line`` errors, so both
+    paths accept the same files with the same messages and build the same
+    graph.
     """
     parsed = _bulk_edges(path, undirected)
     if parsed is None:
