@@ -6,98 +6,73 @@ weighted super-edges, choosing merges that strictly reduce a two-part
 minimum-description-length objective.  Encoded corrections make the
 summary exactly invertible: ``reconstruct(summary, corrections)`` returns
 the original graph bit for bit.
+
+Importing the package loads none of its modules: each exported name is
+imported from its module the first time it is read, so
+``lmgsum.load_graph`` loads only the TSV reader, and the merge engine is
+compiled only by code that merges.
 """
 
-from .candidates import (
-    Candidate,
-    LshState,
-    directed_jaccard,
-    minhash_band,
-    threshold,
-)
-from .encoding import (
-    CostBreakdown,
-    cost_correction_set,
-    cost_entropy_code,
-    cost_node_map,
-    ell_diff,
-    len_natural,
-    log2_binomial,
-)
-from .graph import (
-    GraphFormatError,
-    LabeledMultiGraph,
-    load_graph,
-)
-from .merge import (
-    MergeError,
-    SummaryState,
-    decide_glyph,
-    decide_super_edge,
-    representative_multiplicity,
-    split_by_label,
-)
-from .summarize import (
-    RunConfig,
-    RunReport,
-    compression_ratio,
-    normalized_gain,
-    run,
-    shuffled_label_eval,
-)
-from .summary import (
-    CorrectionSet,
-    Glyph,
-    SummaryGraph,
-    SuperNode,
-    all_singleton_summary,
-    compute_corrections,
-    export_dot,
-    reconstruct,
-    total_cost,
-)
-from .synth import kout_graph, planted_graph, random_graph
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Candidate",
-    "CorrectionSet",
-    "CostBreakdown",
-    "Glyph",
-    "GraphFormatError",
-    "LabeledMultiGraph",
-    "LshState",
-    "MergeError",
-    "RunConfig",
-    "RunReport",
-    "SummaryGraph",
-    "SummaryState",
-    "SuperNode",
-    "all_singleton_summary",
-    "compression_ratio",
-    "compute_corrections",
-    "cost_correction_set",
-    "cost_entropy_code",
-    "cost_node_map",
-    "decide_glyph",
-    "decide_super_edge",
-    "directed_jaccard",
-    "ell_diff",
-    "export_dot",
-    "kout_graph",
-    "len_natural",
-    "load_graph",
-    "log2_binomial",
-    "minhash_band",
-    "normalized_gain",
-    "planted_graph",
-    "random_graph",
-    "reconstruct",
-    "representative_multiplicity",
-    "run",
-    "shuffled_label_eval",
-    "split_by_label",
-    "threshold",
-    "total_cost",
-]
+#: the exported names of each module
+_MODULE_EXPORTS = {
+    "candidates": ("Candidate", "LshState", "directed_jaccard", "minhash_band", "threshold"),
+    "config": ("RunConfig",),
+    "encoding": (
+        "CostBreakdown",
+        "cost_correction_set",
+        "cost_entropy_code",
+        "cost_node_map",
+        "ell_diff",
+        "len_natural",
+        "log2_binomial",
+    ),
+    "graph": ("GraphFormatError", "LabeledMultiGraph", "load_graph"),
+    "merge": (
+        "MergeError",
+        "SummaryState",
+        "decide_glyph",
+        "decide_super_edge",
+        "representative_multiplicity",
+        "split_by_label",
+    ),
+    "summarize": (
+        "RunReport",
+        "compression_ratio",
+        "normalized_gain",
+        "run",
+        "shuffled_label_eval",
+    ),
+    "summary": (
+        "CorrectionSet",
+        "Glyph",
+        "SummaryGraph",
+        "SuperNode",
+        "all_singleton_summary",
+        "compute_corrections",
+        "export_dot",
+        "reconstruct",
+        "total_cost",
+    ),
+    "synth": ("kout_graph", "planted_graph", "random_graph"),
+}
+_EXPORTS = {name: module for module, names in _MODULE_EXPORTS.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    # later reads find the name without calling this hook again
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -14,9 +14,10 @@ import json
 import os
 import sys
 
+# the merge engine (summarize, candidates, merge) and the JSON writer are
+# imported by the commands that run them, so verify never compiles them
+from .config import RunConfig
 from .graph import GraphFormatError, LabeledMultiGraph, load_graph
-from .jsontext import write_json
-from .summarize import RunConfig, run, shuffled_label_eval
 from .summary import (
     corrections_from_dict,
     corrections_to_dict,
@@ -132,6 +133,9 @@ def _load(args) -> LabeledMultiGraph:
 
 
 def cmd_summarize(args) -> int:
+    from .jsontext import write_json
+    from .summarize import run
+
     config = _config(args, checkpoints=args.checkpoints)
     g = _load(args)
     summary, report = run(g, config, keep_checkpoint_summaries=bool(args.dot))
@@ -173,6 +177,9 @@ def cmd_summarize(args) -> int:
 
 
 def cmd_eval_labels(args) -> int:
+    from .jsontext import write_json
+    from .summarize import shuffled_label_eval
+
     if not args.labels:
         raise UsageError("eval-labels requires a label file (-l/--labels)")
     if args.shuffles < 1:

@@ -69,6 +69,7 @@ from .summary import (
     all_singleton_summary,
     node_context_bits,
     pair_context_bits,
+    sorted_distinct,
 )
 
 #: exhaustive-scan window for the representative-multiplicity search
@@ -213,12 +214,13 @@ def representative_multiplicity(mults) -> tuple[int, float]:
                 bhi = mid
             else:
                 blo = mid + 1
-        values = np.unique(np.asarray(mults, dtype=np.int64))
+        values = sorted_distinct(np.asarray(mults, dtype=np.int64))
         if len(values) > PROBE_LIMIT:
+            # the positions lie more than 1 apart, so rounding keeps them distinct
             keep = np.linspace(0, len(values) - 1, PROBE_LIMIT).round().astype(int)
-            values = values[np.unique(keep)]
+            values = values[keep]
         probes = np.clip(np.concatenate([values - 1, values, values + 1]), lo, hi)
-        candidates = np.unique(
+        candidates = sorted_distinct(
             np.concatenate([np.arange(blo, bhi + 1, dtype=np.int64), probes])
         ).astype(np.float64)
     costs = batch_cost(candidates)

@@ -293,15 +293,18 @@ def test_criterion_10_runtime_scales_linearly_in_edges():
 
 def test_criterion_12_runtime_scales_linearly_with_merges():
     # criterion 10's graphs make no merge; these planted ones merge most of
-    # their nodes, so scoring and commits are timed too
+    # their nodes, so scoring and commits are timed too.  Host noise moves
+    # the shortest runs the most, so the two smallest sizes take the best of 3
     t0 = time.perf_counter()
     points = []
-    for groups in (200, 400, 800, 1600):
+    for groups, repeats in ((200, 3), (400, 3), (800, 1), (1600, 1)):
         g, _ = planted_graph(0, groups, groups, groups, size_range=(5, 10), noise=0.05)
-        start = time.perf_counter()
-        run(g, RunConfig(seed=0))
-        seconds = time.perf_counter() - start
-        points.append((g.edge_count, seconds))
+        times = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            run(g, RunConfig(seed=0))
+            times.append(time.perf_counter() - start)
+        points.append((g.edge_count, min(times)))
     elapsed = time.perf_counter() - t0
     log_e = np.log([e for e, _ in points])
     log_t = np.log([t for _, t in points])

@@ -1,0 +1,126 @@
+"""Each entry point imports only the modules it runs.
+
+Every check starts a fresh interpreter, since this one has imported the
+whole package already.  The CLI runs there through ``runpy`` as
+``python -m lmgsum.cli`` runs it, and the child prints the modules it
+loaded after the command returns.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import lmgsum
+from lmgsum.merge import PROBE_LIMIT, SCAN_LIMIT, representative_multiplicity
+from lmgsum.synth import planted_graph
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(lmgsum.__file__)))
+
+RUN_CLI = """
+import json, runpy, sys
+try:
+    runpy.run_module("lmgsum.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exit:
+    code = exit.code
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+#: the merge engine and the generators, which verify never runs
+ENGINE = {"lmgsum.candidates", "lmgsum.merge", "lmgsum.summarize", "lmgsum.synth"}
+
+
+def fresh_modules(code: str, *args: str) -> dict:
+    """Run ``code`` in a fresh interpreter; the JSON of its last stdout line."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def run_cli(*argv: str) -> set[str]:
+    """The modules that ``lmgsum <argv>`` loads; the command must exit 0."""
+    result = fresh_modules(RUN_CLI, *argv)
+    assert result["code"] == 0
+    return set(result["modules"])
+
+
+@pytest.fixture(scope="module")
+def graph_files(tmp_path_factory):
+    """A planted graph as TSV files, and its report.
+
+    Its summary has super-edges whose pair keys spread too wide for the
+    lookup table of ``np.isin``, which would then sort through ``np.unique``.
+    """
+    g, _ = planted_graph(2, cliques=20, in_stars=20, out_stars=20,
+                         size_range=(5, 10), noise=0.05)
+    d = tmp_path_factory.mktemp("graph")
+    edges, labels, report = d / "edges.tsv", d / "labels.tsv", d / "report.json"
+    names = g.node_names
+    edges.write_text("".join(f"{names[u]}\t{names[w]}\t{m}\n" for u, w, m in g.edges()))
+    labels.write_text(
+        "".join(f"{names[v]}\t{g.label_names[g.labels[v]]}\n" for v in range(g.n))
+    )
+    common = ("-i", str(edges), "-l", str(labels), "--seed", "1")
+    modules = run_cli(
+        "summarize", *common, "--checkpoints", "2,5", "--dot", str(d / "dot"),
+        "--json", str(report),
+    )
+    with open(report) as f:
+        assert json.load(f)["report"]["super_edge_count"] > 0
+    return common, report, modules
+
+
+def test_load_graph_loads_only_the_reader(graph_files):
+    common, _report, _modules = graph_files
+    modules = fresh_modules(
+        "import json, sys, lmgsum; lmgsum.load_graph(sys.argv[1], sys.argv[2]); "
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('lmgsum'))))",
+        common[1], common[3],
+    )
+    assert modules == ["lmgsum", "lmgsum.bytekeys", "lmgsum.graph"]
+
+
+def test_verify_never_imports_the_merge_engine(graph_files):
+    common, report, _modules = graph_files
+    modules = run_cli("verify", *common, "--json", str(report))
+    assert "lmgsum.summary" in modules
+    assert modules & ENGINE == set()
+
+
+@pytest.fixture(scope="module")
+def lazy_numpy_ma():
+    """Skips where ``import numpy`` itself loads numpy.ma, as before NumPy 2."""
+    if fresh_modules("import json, sys, numpy; print(json.dumps('numpy.ma' in sys.modules))"):
+        pytest.skip("this NumPy imports numpy.ma with numpy itself")
+
+
+def test_no_command_imports_numpy_ma(graph_files, lazy_numpy_ma):
+    common, report, summarize_modules = graph_files
+    assert "lmgsum.merge" in summarize_modules
+    for modules in (
+        summarize_modules,
+        run_cli("verify", *common, "--json", str(report)),
+        run_cli("eval-labels", *common, "--shuffles", "2", "--threads", "2"),
+    ):
+        assert "numpy" in modules
+        assert "numpy.ma" not in modules
+
+
+def test_wide_multiplicity_range_does_not_import_numpy_ma(lazy_numpy_ma):
+    # more distinct values than PROBE_LIMIT, spread over more than SCAN_LIMIT
+    mults = list(range(1, 10 * SCAN_LIMIT, 3))
+    assert len(mults) > PROBE_LIMIT
+    result = fresh_modules(
+        "import json, sys\n"
+        "from lmgsum.merge import representative_multiplicity\n"
+        f"rep = representative_multiplicity({mults!r})\n"
+        "print(json.dumps({'rep': rep, 'ma': 'numpy.ma' in sys.modules}))"
+    )
+    assert result == {"rep": list(representative_multiplicity(mults)), "ma": False}

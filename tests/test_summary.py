@@ -2,13 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import lmgsum as L
 from lmgsum.graph import LabeledMultiGraph
 from lmgsum.summary import (
     STAR_GLYPHS,
+    _absent,
     _EdgeGroups,
     CorrectionSet,
     Glyph,
@@ -20,6 +22,7 @@ from lmgsum.summary import (
     corrections_to_dict,
     export_dot,
     reconstruct,
+    sorted_distinct,
     summary_from_dict,
     summary_to_dict,
     total_cost,
@@ -252,6 +255,41 @@ class TestEdgeGrouping:
         groups = _EdgeGroups(g, s)
         assert (len(groups.x_key) > 0) == cross and len(groups.linked_keys) == len(super_edges)
         assert total_cost(g, s) == oracle_total_cost_exact(g, s)
+
+
+#: pair keys: small ones collide often, large ones reach int64's top
+_keys = st.lists(st.integers(0, 40) | st.integers(0, 2**63 - 1), max_size=40)
+
+
+class TestArraySets:
+    """The numpy.ma-free set helpers against the NumPy functions they replace."""
+
+    @given(_keys, _keys, st.sampled_from(["drawn", "disjoint", "fully-linked"]))
+    @example([], [], "drawn")
+    @example([3, 3, 7], [], "drawn")
+    @example([], [3, 7], "drawn")
+    @settings(max_examples=200, deadline=None)
+    def test_absent_is_not_isin(self, keys, linked, case):
+        if case == "disjoint":
+            linked = [k for k in linked if k not in keys]
+        elif case == "fully-linked":
+            linked = linked + keys
+        x_key = np.array(sorted(keys), dtype=np.int64)
+        linked_keys = np.array(sorted(set(linked)), dtype=np.int64)
+        mask = _absent(x_key, linked_keys)
+        assert mask.dtype == bool
+        assert np.array_equal(mask, ~np.isin(x_key, linked_keys))
+        if case == "fully-linked":
+            assert not mask.any()
+
+    @given(_keys)
+    @example([])
+    @settings(max_examples=100, deadline=None)
+    def test_sorted_distinct_is_unique(self, values):
+        a = np.array(values, dtype=np.int64)
+        got = sorted_distinct(a)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.unique(a))
 
 
 class TestRoundTrip:
