@@ -43,19 +43,9 @@ _C2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
 
 
-def _mix64_scalar(x: int) -> int:
-    x &= _MASK
-    x ^= x >> 30
-    x = (x * _C1) & _MASK
-    x ^= x >> 27
-    x = (x * _C2) & _MASK
-    x ^= x >> 31
-    return x
-
-
 def _mix64(x: np.ndarray) -> np.ndarray:
-    """Replace every element of ``x`` by its :func:`_mix64_scalar`, in
-    place, and return ``x``."""
+    """Replace every element of ``x`` by its splitmix64 finalizer, in place,
+    and return ``x``."""
     # the one temporary: each step's shifted copy
     shifted = np.empty_like(x)
     np.right_shift(x, np.uint64(30), out=shifted)
@@ -70,9 +60,10 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 
 
 def _row_key(seed: int, band: int, row: int) -> int:
-    return _mix64_scalar(
-        _mix64_scalar(seed ^ 0x9E3779B97F4A7C15) ^ (band * 0xD1B54A32D192ED03) ^ row
-    )
+    def mix(x: int) -> int:
+        return int(_mix64(np.array([x & _MASK], dtype=np.uint64))[0])
+
+    return mix(mix(seed ^ 0x9E3779B97F4A7C15) ^ (band * 0xD1B54A32D192ED03) ^ row)
 
 
 def threshold(band_count: int, r: int) -> float:
@@ -367,7 +358,6 @@ class LshState:
         self.r = r
         self.b_max = b_max
         self.seed = seed
-        self.cluster_cap = cluster_cap
         self.t_min = threshold(b_max, r)
         self.bands_added = 0
         self.parent = list(range(g.n))
@@ -380,7 +370,6 @@ class LshState:
         self.gsim = SimilarityGraph()
         self.cache = PairCache()
         self.max_clique_size: dict[int, int] = {}
-        self.emitted: set[frozenset] = set()
         # pair-verification budget per cluster merge, to bound worst cases
         self.merge_budget = cluster_cap * 8
 
@@ -401,8 +390,11 @@ class LshState:
 
     def _union(self, a: int, b: int, pairs: list[tuple[int, int]]) -> None:
         """Coalesce the clusters of ``a`` and ``b``, appending the pairs
-        across them that fall in the degree window, are within the budget
-        and were never verified, in visit order."""
+        across them that fall in the degree window and are within the
+        budget, in visit order, to ``pairs`` and to ``verified``.
+
+        A pair is verified only when its two clusters merge, and clusters
+        never split, so no pair across two clusters was verified before."""
         ra, rb = self._find(a), self._find(b)
         if ra == rb:
             return
@@ -417,10 +409,8 @@ class LshState:
                 break
             for _dw, w in self._window(large, deg):
                 checks += 1
-                key = (u, w) if u < w else (w, u)
-                if key not in verified:
-                    verified.add(key)
-                    pairs.append((u, w))
+                verified.add((u, w) if u < w else (w, u))
+                pairs.append((u, w))
                 if checks >= self.merge_budget:
                     break
         self.parent[ra] = rb
@@ -494,7 +484,10 @@ class LshState:
         both endpoints; the others are the live edges.  Each maximal clique
         through an endpoint of a live edge is enumerated once, from the
         first such endpoint in node order, and kept if it contains a live
-        edge.  Emitted node sets are never repeated.
+        edge.  No clique is emitted twice: within a harvest the enumeration
+        lists each once, and a clique emitted earlier holds no new edge,
+        because every edge of it existed then and ``add_edge`` admits a pair
+        only once.
         """
         adj = self.gsim.adj
         new_edges = self.gsim.new_edges
@@ -515,10 +508,6 @@ class LshState:
                 members = set(nodes)
                 if all(members.isdisjoint(live.get(x, ())) for x in nodes):
                     continue
-                fs = frozenset(nodes)
-                if fs in self.emitted:
-                    continue
-                self.emitted.add(fs)
                 found.append(
                     Candidate(nodes, self.gsim.quality(nodes), self.bands_added)
                 )

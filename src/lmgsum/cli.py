@@ -157,12 +157,12 @@ def cmd_summarize(args) -> int:
         for cp in report.checkpoints:
             if cp.summary is not None:
                 path = os.path.join(args.dot, f"summary_b{cp.band}.dot")
-                with open(path, "w") as f:
+                with open(path, "w", encoding="utf-8") as f:
                     f.write(export_dot(cp.summary, f"summary_b{cp.band}"))
-        with open(os.path.join(args.dot, "summary_final.dot"), "w") as f:
+        with open(os.path.join(args.dot, "summary_final.dot"), "w", encoding="utf-8") as f:
             f.write(export_dot(summary, "summary_final"))
     if args.json:
-        with open(args.json, "w") as f:
+        with open(args.json, "w", encoding="utf-8") as f:
             write_json(payload, f.write)
             f.write("\n")
         print(
@@ -188,7 +188,7 @@ def cmd_eval_labels(args) -> int:
     g = _load(args)
     result = shuffled_label_eval(g, config)
     if args.json:
-        with open(args.json, "w") as f:
+        with open(args.json, "w", encoding="utf-8") as f:
             write_json(result, f.write)
             f.write("\n")
     print(f"actual_ratio={result['actual']:.4f}")
@@ -250,7 +250,7 @@ def cmd_verify(args) -> int:
         return EXIT_OK
     for i, (a, b) in enumerate(zip(original.splitlines(), rebuilt.splitlines())):
         if a != b:
-            print(f"MISMATCH at line {i + 1}: original={a!r} reconstructed={b!r}")
+            print(f"MISMATCH at line {i + 1}: original={a!a} reconstructed={b!a}")
             break
     else:
         print(

@@ -46,6 +46,7 @@ which is the typical case — remain reachable.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
@@ -75,6 +76,8 @@ from .summary import (
 #: exhaustive-scan window for the representative-multiplicity search
 SCAN_LIMIT = 1024
 PROBE_LIMIT = 256
+#: most (candidate, distinct multiplicity) cells priced in one array
+_PRICE_CELLS = 1 << 18
 
 
 #: the smallest subnormal's inverse: every float is a whole number of 1/_UNIT
@@ -181,24 +184,34 @@ def representative_multiplicity(mults) -> tuple[int, float]:
     """Multiplicity minimizing the total multiplicity-correction bits.
 
     Scans the [min, max] range exhaustively when it spans at most
-    SCAN_LIMIT values.  Wider ranges are narrowed by bisecting on the local
-    slope, then the surviving window is scanned together with probes at and
-    next to each distinct multiplicity: between consecutive data values the
-    cost is a sum of concave terms, so its minimum sits at or adjacent to a
-    data value and the probes bound the search exactly whenever there are
-    at most PROBE_LIMIT distinct values.  Ties go to the smallest
-    multiplicity.
+    SCAN_LIMIT values; that minimum is exact.  Wider ranges are narrowed
+    by bisecting on the local slope, then the surviving window is scanned
+    together with probes at and next to each distinct multiplicity: between
+    consecutive data values the cost is a sum of concave terms, so its
+    minimum sits at or adjacent to a data value.  The probes make that
+    search exact only up to PROBE_LIMIT distinct values; beyond that they
+    sample PROBE_LIMIT of them, and the pick can be worse than the scan's.
+    Each distinct multiplicity is priced once and weighted by its count,
+    in blocks of candidates, so memory stays bounded.  Ties go to the
+    smallest multiplicity.
     """
-    mults = list(mults)
-    if not mults:
+    counted = sorted(Counter(mults).items())
+    if not counted:
         raise ValueError("empty multiplicity list has no representative")
-    lo, hi = min(mults), max(mults)
+    (lo, count), (hi, _) = counted[0], counted[-1]
     if lo == hi:
-        return lo, float(len(mults))
-    arr = np.asarray(mults, dtype=np.float64)
+        return lo, float(count)
+    distinct, counts = zip(*counted)
+    priced = np.array(distinct, dtype=np.float64)[None, :]
+    weights = np.array(counts, dtype=np.float64)
+    # candidates per block of at most _PRICE_CELLS (candidate, value) cells
+    rows = max(1, _PRICE_CELLS // len(distinct))
 
     def batch_cost(candidates: np.ndarray) -> np.ndarray:
-        return ell_diff_array(arr[None, :], candidates[:, None]).sum(axis=1)
+        return np.concatenate([
+            (ell_diff_array(priced, candidates[i : i + rows, None]) * weights).sum(axis=1)
+            for i in range(0, len(candidates), rows)
+        ])
 
     if hi - lo <= SCAN_LIMIT:
         candidates = np.arange(lo, hi + 1, dtype=np.float64)
@@ -214,7 +227,7 @@ def representative_multiplicity(mults) -> tuple[int, float]:
                 bhi = mid
             else:
                 blo = mid + 1
-        values = sorted_distinct(np.asarray(mults, dtype=np.int64))
+        values = np.array(distinct, dtype=np.int64)
         if len(values) > PROBE_LIMIT:
             # the positions lie more than 1 apart, so rounding keeps them distinct
             keep = np.linspace(0, len(values) - 1, PROBE_LIMIT).round().astype(int)

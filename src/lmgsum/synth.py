@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import DEFAULT_LABEL, LabeledMultiGraph, dedup_sum
-from .summary import Glyph
+from .summary import Glyph, SuperNode
 
 
 def random_graph(
@@ -58,30 +58,12 @@ def random_graph(
     return LabeledMultiGraph.from_arrays(n, src, dst, mult, labels, label_names)
 
 
-def perfect_edges(
-    glyph: Glyph, members, hub: int | None = None, mult: int = 1
-) -> dict[tuple[int, int], int]:
-    """Edge dict of a structure that a glyph reproduces without corrections."""
-    members = sorted(members)
-    edges: dict[tuple[int, int], int] = {}
-    if glyph is Glyph.CLIQUE:
-        for u in members:
-            for w in members:
-                if u != w:
-                    edges[(u, w)] = mult
-    elif glyph is Glyph.IN_STAR:
-        for u in members:
-            if u != hub:
-                edges[(u, hub)] = mult
-    elif glyph is Glyph.OUT_STAR:
-        for u in members:
-            if u != hub:
-                edges[(hub, u)] = mult
-    elif glyph is Glyph.DISCONNECTED:
-        pass
-    else:
+def perfect_edges(glyph: Glyph, members, hub: int | None = None) -> dict[tuple[int, int], int]:
+    """Edge dict of a structure that a glyph reproduces without corrections:
+    the glyph's pairs (:meth:`SuperNode.glyph_pairs`), each of multiplicity 1."""
+    if glyph is Glyph.SINGLETON:
         raise ValueError(f"no planted template for {glyph}")
-    return edges
+    return dict.fromkeys(SuperNode(0, 0, glyph, tuple(members), hub).glyph_pairs(), 1)
 
 
 @dataclass(frozen=True)

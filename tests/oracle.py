@@ -17,7 +17,8 @@ and error messages.
 
 ``oracle_add_band`` is ``LshState.add_band`` as it was before the batched
 verification: one ``directed_jaccard`` call per pair, admitted or cached
-as soon as it is computed.
+as soon as it is computed.  ``oracle_mix64`` is the splitmix64 finalizer on
+Python ints, the reference for the in-place array mixer.
 """
 
 from __future__ import annotations
@@ -629,6 +630,19 @@ def oracle_load_graph(path: str, undirected: bool = False, labels_path: str | No
     return LabeledMultiGraph(
         n, edges, labels, label_names=label_names, node_names=node_names
     )
+
+
+def oracle_mix64(x: int) -> int:
+    """The splitmix64 finalizer of the low 64 bits of ``x``, on Python ints:
+    the reference for ``candidates._mix64``."""
+    mask = (1 << 64) - 1
+    x &= mask
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & mask
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & mask
+    x ^= x >> 31
+    return x
 
 
 def _oracle_union(state, a: int, b: int, t: float) -> None:

@@ -24,7 +24,7 @@ from lmgsum.candidates import (
     threshold,
 )
 from lmgsum.graph import LabeledMultiGraph
-from lmgsum.synth import planted_graph
+from lmgsum.synth import planted_graph, random_graph
 
 import oracle
 from oracle import (
@@ -32,6 +32,7 @@ from oracle import (
     oracle_cliques_through,
     oracle_harvest,
     oracle_maximal_cliques,
+    oracle_mix64,
 )
 
 
@@ -243,7 +244,7 @@ class TestMinhashBand:
     def test_array_mix_is_the_scalar_mix_in_place(self, values):
         x = np.array(values, dtype=np.uint64)
         assert candidates._mix64(x) is x
-        assert x.tolist() == [candidates._mix64_scalar(v) for v in values]
+        assert x.tolist() == [oracle_mix64(v) for v in values]
 
     @given(
         banded_graphs(),
@@ -418,6 +419,49 @@ class TestLshState:
         assert len(state.cache) == 0
 
 
+#: the planted graphs whose every band's harvest is checked
+PLANTED_SWEEPS = [(s, 3, (6, 10)) for s in range(4)] + [(s, 2, (8, 8)) for s in (1, 7)]
+
+
+def sweep_graph(kind, seed, *args):
+    if kind == "planted":
+        groups, size_range = args
+        return planted_graph(seed, groups, groups, groups, size_range=size_range, noise=0.05)[0]
+    return random_graph(seed)
+
+
+class TestSweepInvariants:
+    """What the sweep no longer re-checks: no candidate node set is
+    harvested twice, and no pair is verified twice."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [("planted", *case) for case in PLANTED_SWEEPS]
+        # random graphs that harvest several cliques
+        + [("random", s) for s in (22, 25, 26)],
+    )
+    def test_whole_sweep(self, case):
+        seed = case[1]
+        state = LshState(sweep_graph(*case), r=8, b_max=10, seed=seed)
+        union = state._union
+        appended = 0
+
+        def counting_union(a, b, pairs):
+            nonlocal appended
+            before = len(pairs)
+            union(a, b, pairs)
+            appended += len(pairs) - before
+
+        state._union = counting_union
+        harvested = []
+        for _band in range(10):
+            state.add_band()
+            harvested += [c.nodes for c in state.harvest_cliques()]
+        assert harvested
+        assert len(set(harvested)) == len(harvested)
+        assert len(state.verified) == appended
+
+
 class TestCliqueEnumeration:
     def test_oracle_reference_shapes(self):
         triangle = {0: {1, 2}, 1: {0, 2}, 2: {0, 1}}
@@ -502,23 +546,19 @@ class TestCliqueEnumeration:
         assert gsim.cliques_through(0, set()) == [tuple(range(n))]
         assert gsim.cliques_through(5, {0}) == []
 
-    @pytest.mark.parametrize(
-        "seed, groups, size_range",
-        [(s, 3, (6, 10)) for s in range(4)] + [(s, 2, (8, 8)) for s in (1, 7)],
-    )
+    @pytest.mark.parametrize("seed, groups, size_range", PLANTED_SWEEPS)
     def test_harvest_matches_per_edge_oracle_every_band(self, seed, groups, size_range):
         g, _ = planted_graph(seed, groups, groups, groups, size_range=size_range, noise=0.05)
         prod = LshState(g, r=8, b_max=10, seed=seed)
         ref = LshState(g, r=8, b_max=10, seed=seed)
+        emitted: set[frozenset] = set()
         total = 0
         for _band in range(10):
             prod.add_band()
             ref.add_band()
             got = sorted((c.nodes, c.quality) for c in prod.harvest_cliques())
             new_edges, ref.gsim.new_edges = ref.gsim.new_edges, []
-            assert got == oracle_harvest(
-                ref.gsim, new_edges, ref.max_clique_size, ref.emitted
-            )
+            assert got == oracle_harvest(ref.gsim, new_edges, ref.max_clique_size, emitted)
             assert prod.max_clique_size == ref.max_clique_size
             total += len(got)
         assert total > 0

@@ -9,6 +9,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -847,7 +848,7 @@ def _label_rows(g: LabeledMultiGraph) -> list[tuple[str, str]]:
 
 
 def _write_tsv(path: Path, rows) -> str:
-    path.write_text("".join("\t".join(map(str, row)) + "\n" for row in rows))
+    path.write_text("".join("\t".join(map(str, row)) + "\n" for row in rows), encoding="utf-8")
     return str(path)
 
 
@@ -993,6 +994,41 @@ def test_star_clique_deeper_than_the_recursion_allowance(tmp_path, capsys):
     finally:
         sys.setrecursionlimit(limit)
     assert capsys.readouterr().out.startswith("OK:")
+
+
+def test_non_ascii_names_under_an_ascii_locale(tmp_path):
+    """Under the C locale, with neither UTF-8 mode nor locale coercion, the
+    output files are still UTF-8 and the MISMATCH line quotes names in
+    ASCII."""
+    import lmgsum
+
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(
+        LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+        PYTHONPATH=str(Path(lmgsum.__file__).parents[1]),
+    )
+
+    def lmgsum_cli(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "lmgsum.cli", *args],
+            env=env, capture_output=True, encoding="utf-8", errors="replace",
+        )
+
+    edges = _write_tsv(tmp_path / "edges.tsv", [("名前", "b", 2), ("b", "c", 1), ("c", "名前", 1)])
+    labels = _write_tsv(tmp_path / "labels.tsv", [("名前", "ラベル"), ("b", "x"), ("c", "x")])
+    report, dot = str(tmp_path / "report.json"), tmp_path / "dot"
+    done = lmgsum_cli("summarize", "-i", edges, "-l", labels, "--json", report, "--dot", str(dot))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "ラベル" in (dot / "summary_final.dot").read_text(encoding="utf-8")
+    done = lmgsum_cli("verify", "-i", edges, "-l", labels, "--json", report)
+    assert done.returncode == 0 and done.stdout.startswith("OK:")
+    bumped = _write_tsv(tmp_path / "bumped.tsv", [("名前", "b", 3), ("b", "c", 1), ("c", "名前", 1)])
+    done = lmgsum_cli("verify", "-i", bumped, "-l", labels, "--json", report)
+    assert done.returncode == 1 and "Traceback" not in done.stderr
+    assert done.stdout == (
+        "MISMATCH at line 3: original='\\u540d\\u524d\\tb\\t3' "
+        "reconstructed='\\u540d\\u524d\\tb\\t2'\n"
+    )
 
 
 #: byte pieces for loader fuzzing: separators, line ends, NUL, comment marks,

@@ -3,6 +3,7 @@
 decisions, and incremental merge bookkeeping."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -199,6 +200,19 @@ class TestRepresentativeMultiplicity:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             representative_multiplicity([])
+
+    @pytest.mark.parametrize("size, high", [(20_000, 1_000), (5_000, 10**6)])
+    def test_memory_grows_with_distinct_values_not_edges(self, size, high):
+        # the scan prices 1,000 candidates and the wide search ~1,800, so
+        # one (candidate, edge) matrix would take 160 MB and 72 MB
+        mults = np.random.default_rng(0).integers(1, high + 1, size).tolist()
+        tracemalloc.start()
+        try:
+            representative_multiplicity(mults)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 def _bundle(src_members, dst_members, edges, src_glyph=Glyph.DISCONNECTED,
