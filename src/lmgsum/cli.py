@@ -14,8 +14,9 @@ import json
 import os
 import sys
 
-# the merge engine (summarize, candidates, merge) and the JSON writer are
-# imported by the commands that run them, so verify never compiles them
+# the merge engine (summarize, candidates, merge), the JSON writer and
+# verify's array path are imported by the commands that run them, so no
+# command compiles the others' code
 from .config import RunConfig
 from .graph import GraphFormatError, LabeledMultiGraph, load_graph
 from .summary import (
@@ -220,12 +221,19 @@ def cmd_verify(args) -> int:
         raise UsageError(f"{args.json}: no 'summary' section")
     if "corrections" not in payload:
         raise UsageError(f"{args.json}: no 'corrections' section — cannot reconstruct")
+    from .verify import rebuilds
+
+    if rebuilds(g, payload["summary"], payload["corrections"]):
+        print(f"OK: reconstruction matches {args.input} exactly")
+        return EXIT_OK
+    # the array path declined: the report is irregular, or does not match.
+    # The object path below decides again and words every error and mismatch
     try:
         summary = summary_from_dict(payload["summary"])
         summary.validate()
         corrections = corrections_from_dict(summary, payload["corrections"])
-        # the parsed JSON and reconstruct's edge dict together would set the
-        # peak memory of verify
+        # the parsed JSON and reconstruct's edge dict together would set
+        # this path's peak memory
         del payload
         # corrections that contradict their own summary are malformed too
         recon = reconstruct(summary, corrections)

@@ -274,15 +274,17 @@ def _bundle_choice(
     """:func:`decide_super_edge` of a non-empty bundle, computed once per
     class and kept in ``memo``.
 
-    ``src_ports`` and ``dst_ports`` hold the two sides' ports.  The result
-    depends only on the region, the expansion size, each edge's cover flag
-    and the multiplicities; together they are the key.
+    ``src_ports`` and ``dst_ports`` are sets of the two sides' ports, so a
+    cover test is one hash lookup however large a side is.  Every bit of
+    the decision is a correctly rounded sum and the representative
+    multiplicity counts values, so the result depends only on the region,
+    the expansion size and the multiset of (cover flag, multiplicity)
+    pairs; together they are the key, whatever the edges' order.
     """
     key = (
         src.size * dst.size,
         len(src_ports) * len(dst_ports),
-        tuple([u in src_ports and w in dst_ports for u, w, _m in edges]),
-        tuple([m for _u, _w, m in edges]),
+        tuple(sorted([(u in src_ports and w in dst_ports, m) for u, w, m in edges])),
     )
     choice = memo.get(key)
     if choice is None:
@@ -494,7 +496,7 @@ class SummaryState:
         for other in sorted(out_b):
             sn = self.snodes[other]
             se_rep, ctx_bits = _bundle_choice(
-                self._bundles, new_node, sn, ports, sn.ports(), out_b[other]
+                self._bundles, new_node, sn, ports, set(sn.ports()), out_b[other]
             )
             d_correction.append(ctx_bits)
             if se_rep is not None:
@@ -502,7 +504,7 @@ class SummaryState:
         for other in sorted(in_b):
             sn = self.snodes[other]
             se_rep, ctx_bits = _bundle_choice(
-                self._bundles, sn, new_node, sn.ports(), ports, in_b[other]
+                self._bundles, sn, new_node, set(sn.ports()), ports, in_b[other]
             )
             d_correction.append(ctx_bits)
             if se_rep is not None:

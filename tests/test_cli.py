@@ -490,14 +490,31 @@ class TestVerify:
         assert code == 0
         assert capsys.readouterr().out.startswith("OK:")
 
-    def test_renamed_ids_fall_back_to_text_dumps(
+    def test_regular_report_builds_no_summary_objects(
+        self, planted_files, tmp_path, capsys, monkeypatch
+    ):
+        edges, labels, _g = planted_files
+        out_json = self._report(tmp_path, edges, labels)
+
+        def refuse(*_args):
+            raise AssertionError("object path called")
+
+        for name in ("summary_from_dict", "corrections_from_dict", "reconstruct"):
+            monkeypatch.setattr(cli, name, refuse)
+        capsys.readouterr()
+        code = main(["verify", "-i", edges, "-l", labels, "--json", str(out_json)])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("OK:")
+
+    def test_renamed_ids_need_no_text_dumps(
         self, planted_files, tmp_path, capsys, monkeypatch
     ):
         edges, labels, _g = planted_files
         out_json = self._report(tmp_path, edges, labels)
         payload = json.loads(out_json.read_text())
         # members and corrections name nodes, so reversing the name list
-        # only renumbers the reconstruction's ids
+        # only renumbers the reconstruction's ids; the array path maps
+        # every name through the input's index and so never sees them
         payload["summary"]["node_names"].reverse()
         out_json.write_text(json.dumps(payload))
         dumps = []
@@ -512,7 +529,7 @@ class TestVerify:
         code = main(["verify", "-i", edges, "-l", labels, "--json", str(out_json)])
         assert code == 0
         assert capsys.readouterr().out.startswith("OK:")
-        assert len(dumps) == 2
+        assert dumps == []
 
     def test_tampered_multiplicity_names_the_first_differing_line(
         self, planted_files, tmp_path, capsys

@@ -90,8 +90,14 @@ def test_load_graph_loads_only_the_reader(graph_files):
 def test_verify_never_imports_the_merge_engine(graph_files):
     common, report, _modules = graph_files
     modules = run_cli("verify", *common, "--json", str(report))
-    assert "lmgsum.summary" in modules
+    assert {"lmgsum.summary", "lmgsum.verify"} <= modules
     assert modules & ENGINE == set()
+
+
+def test_only_verify_imports_its_array_path(graph_files):
+    common, _report, summarize_modules = graph_files
+    assert "lmgsum.verify" not in summarize_modules
+    assert "lmgsum.verify" not in run_cli("eval-labels", *common, "--shuffles", "2")
 
 
 @pytest.fixture(scope="module")

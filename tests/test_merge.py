@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lmgsum as L
+import lmgsum.merge as merge_module
 from lmgsum.candidates import LshState, candidate_batches
 from lmgsum.graph import LabeledMultiGraph
 from lmgsum.merge import (
@@ -274,8 +275,38 @@ class TestDecideSuperEdge:
         cases = [variant for case in cases for variant in near_variants(*case)]
         for _round in range(2):
             for src, dst, edges in cases:
-                got = _bundle_choice(memo, src, dst, set(src.ports()), dst.ports(), edges)
+                got = _bundle_choice(memo, src, dst, set(src.ports()), set(dst.ports()), edges)
                 assert got == decide_super_edge(src, dst, edges)
+
+    @given(bundles(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_permuted_bundle_is_a_memo_hit_with_its_own_decision(self, case, data):
+        # the key is the multiset of (cover flag, multiplicity) pairs, so a
+        # reordered bundle is served the decision of the first order
+        src, dst, edges = case
+        shuffled = data.draw(st.permutations(edges))
+        ports = set(src.ports()), set(dst.ports())
+        memo = {}
+        first = _bundle_choice(memo, src, dst, *ports, edges)
+        assert _bundle_choice(memo, src, dst, *ports, shuffled) == first
+        assert len(memo) == 1
+        assert first == decide_super_edge(src, dst, shuffled)
+
+    def test_score_passes_port_sets(self, monkeypatch):
+        # a tuple of a large super-node's members would make each cover
+        # test of the memo key a scan of that tuple
+        seen = []
+        real = merge_module._bundle_choice
+
+        def spy(memo, src, dst, src_ports, dst_ports, edges):
+            seen.append((type(src_ports), type(dst_ports)))
+            return real(memo, src, dst, src_ports, dst_ports, edges)
+
+        monkeypatch.setattr(merge_module, "_bundle_choice", spy)
+        g, _ = L.planted_graph(1, 3, 3, 3, size_range=(5, 8), noise=0.05)
+        L.run(g, L.RunConfig(seed=1))
+        assert seen
+        assert set(seen) == {(set, set)}
 
     @given(bundles(), st.data())
     @settings(max_examples=200, deadline=None)
