@@ -217,10 +217,9 @@ def cmd_verify(args) -> int:
         raise GraphFormatError(f"{args.json}: JSON nested too deeply") from None
     if not isinstance(payload, dict):
         raise GraphFormatError(f"{args.json}: report is not a JSON object")
-    if "summary" not in payload:
-        raise UsageError(f"{args.json}: no 'summary' section")
-    if "corrections" not in payload:
-        raise UsageError(f"{args.json}: no 'corrections' section — cannot reconstruct")
+    for section in ("summary", "corrections"):
+        if section not in payload:
+            raise GraphFormatError(f"{args.json}: no {section!r} section — cannot reconstruct")
     from .verify import rebuilds
 
     if rebuilds(g, payload["summary"], payload["corrections"]):

@@ -616,50 +616,93 @@ def summary_to_dict(
     }
 
 
-def _require(value, kind: type, what: str, *where) -> None:
-    """Raise TypeError unless ``value``'s type is exactly ``kind``.
+_NODE_FIELDS = itemgetter("id", "label", "glyph", "members", "hub", "rep_mult", "self_loop")
+_EDGE_FIELDS = itemgetter("src", "dst", "rep_mult")
+_NOUNS = {int: "an integer", bool: "a boolean", str: "a string", list: "a list", dict: "an object"}
+
+
+def _exact(values, kind: type, name) -> None:
+    """Raise TypeError unless every value's type is exactly ``kind``;
+    ``name(i)`` says which value ``values[i]`` is.
 
     JSON readers hand back ``1.0``, ``"1"`` and ``true`` where an integer
     belongs, and numpy would quietly turn each into 1; ``bool`` is an
     ``int`` subclass, so ``isinstance`` would let ``true`` through too.
     """
-    if type(value) is not kind:
-        noun = "an integer" if kind is int else "a boolean"
-        at = repr(where[0]) if len(where) == 1 else repr(where)
-        raise TypeError(f"{what} {at}: {value!r} is not {noun}")
+    if not set(map(type, values)) <= {kind}:
+        i = next(i for i, value in enumerate(values) if type(value) is not kind)
+        raise TypeError(f"{name(i)}: {values[i]!r} is not {_NOUNS[kind]}")
+
+
+def _once(values, what: str) -> None:
+    """Raise ValueError when a value repeats in ``values``."""
+    if len(set(values)) < len(values):
+        repeat = next(value for value, count in Counter(values).items() if count > 1)
+        raise ValueError(f"{what} {repeat!r} appears more than once")
+
+
+def _listed(data: dict, key: str, kind: type, what: str) -> list:
+    """``data[key]``, a JSON list of ``kind`` values, each named ``what``."""
+    values = data[key]
+    _exact((values,), list, lambda _i: key)
+    _exact(values, kind, lambda i: f"{what} {i}")
+    return values
+
+
+def _transpose(rows, width: int) -> list[list]:
+    """The ``width`` columns of ``width``-long rows (faster than ``zip(*rows)``)."""
+    flat = list(chain.from_iterable(rows))
+    return [flat[i::width] for i in range(width)]
+
+
+def summary_columns(data: dict) -> tuple[int, list[str], list[str], list[list], list[list]]:
+    """The columns of a report's ``summary`` section: graph size, node
+    names, label names, the super-node columns (id, label, glyph, members,
+    hub, rep_mult, self_loop) and the super-edge columns (src, dst, rep_mult).
+
+    TypeError unless each value is exactly its JSON type, ValueError when a
+    super-node id, super-edge pair, node name or label name repeats.  Names
+    and glyphs are checked where they are looked up.
+    """
+    size = data["graph_size"]
+    _exact((size,), int, lambda _i: "graph_size")
+    names = _listed(data, "node_names", str, "node name")
+    _once(names, "node name")
+    label_names = _listed(data, "label_names", str, "label name")
+    _once(label_names, "label name")
+    records = _listed(data, "super_nodes", dict, "super-node record")
+    nodes = _transpose(map(_NODE_FIELDS, records), 7)
+    ids, _labels, _glyphs, members, _hubs, reps, loops = nodes
+    _exact(ids, int, lambda i: f"id of super-node record {i}")
+    _once(ids, "super-node id")
+    _exact(reps, int, lambda i: f"rep_mult of super-node {ids[i]}")
+    _exact(loops, bool, lambda i: f"self_loop of super-node {ids[i]}")
+    _exact(members, list, lambda i: f"members of super-node {ids[i]}")
+    records = _listed(data, "super_edges", dict, "super-edge record")
+    edges = src, dst, mults = _transpose(map(_EDGE_FIELDS, records), 3)
+    for end, column in (("src", src), ("dst", dst), ("rep_mult", mults)):
+        _exact(column, int, lambda i: f"{end} of super-edge {(src[i], dst[i])}")
+    _once(list(zip(src, dst)), "super-edge")
+    return size, names, label_names, nodes, edges
 
 
 def summary_from_dict(data: dict) -> SummaryGraph:
     """Inverse of summary_to_dict (ids are re-derived from node_names)."""
-    names = list(data["node_names"])
-    name_to_id = {name: i for i, name in enumerate(names)}
-    label_names = list(data["label_names"])
-    label_to_id = {name: i for i, name in enumerate(label_names)}
-    s = SummaryGraph(
-        graph_size=data["graph_size"],
+    size, names, label_names, nodes, (src, dst, mults) = summary_columns(data)
+    node_id = dict(zip(names, range(len(names)))).__getitem__
+    label_id = dict(zip(label_names, range(len(label_names)))).__getitem__
+    return SummaryGraph(
+        graph_size=size,
         label_count=len(label_names),
+        super_nodes={
+            vid: SuperNode(vid, label_id(label), Glyph(glyph), tuple(map(node_id, members)),
+                           None if hub is None else node_id(hub), rep, loop)
+            for vid, label, glyph, members, hub, rep, loop in zip(*nodes)
+        },
+        super_edges=dict(zip(zip(src, dst), mults)),
         label_names=tuple(label_names),
         node_names=tuple(names),
     )
-    for i, rec in enumerate(data["super_nodes"]):
-        _require(rec["id"], int, "id of super-node record", i)
-        _require(rec["rep_mult"], int, "rep_mult of super-node", rec["id"])
-        _require(rec["self_loop"], bool, "self_loop of super-node", rec["id"])
-        s.super_nodes[rec["id"]] = SuperNode(
-            id=rec["id"],
-            label=label_to_id[rec["label"]],
-            glyph=Glyph(rec["glyph"]),
-            members=tuple(name_to_id[m] for m in rec["members"]),
-            hub=name_to_id[rec["hub"]] if rec["hub"] is not None else None,
-            rep_mult=rec["rep_mult"],
-            self_loop=rec["self_loop"],
-        )
-    for rec in data["super_edges"]:
-        for end in ("src", "dst"):
-            _require(rec[end], int, f"{end} of super-edge", rec["src"], rec["dst"])
-        _require(rec["rep_mult"], int, "rep_mult of super-edge", rec["src"], rec["dst"])
-        s.super_edges[(rec["src"], rec["dst"])] = rec["rep_mult"]
-    return s
 
 
 def corrections_to_dict(summary: SummaryGraph, cor: CorrectionSet) -> dict:
@@ -671,24 +714,39 @@ def corrections_to_dict(summary: SummaryGraph, cor: CorrectionSet) -> dict:
     }
 
 
-def corrections_from_dict(summary: SummaryGraph, data: dict) -> CorrectionSet:
-    name_to_id = {name: i for i, name in enumerate(summary.node_names)}
-    cor = CorrectionSet(
-        positive=[(name_to_id[u], name_to_id[w], m) for u, w, m in data["positive"]],
-        negative=[(name_to_id[u], name_to_id[w]) for u, w in data["negative"]],
-        mult_deltas=[
-            (name_to_id[u], name_to_id[w], d) for u, w, d in data["mult_deltas"]
-        ],
-    )
-    names = summary.node_names
-    for what, rows in (
-        ("positive correction", cor.positive),
-        ("multiplicity delta", cor.mult_deltas),
+def correction_columns(data: dict) -> list[list[list]]:
+    """The columns of a report's ``corrections`` section: (u, w, m) of the
+    positive corrections, (u, w) of the negative ones and (u, w, d) of the
+    multiplicity deltas, ``u`` and ``w`` node names.  A row is a JSON list
+    of its width, and ``m`` and ``d`` are JSON integers; else TypeError or
+    ValueError."""
+    kinds = []
+    for key, width, what in (
+        ("positive", 3, "positive correction"),
+        ("negative", 2, "negative correction"),
+        ("mult_deltas", 3, "multiplicity delta"),
     ):
-        if not set(map(type, map(itemgetter(2), rows))) <= {int}:
-            u, w, m = next(row for row in rows if type(row[2]) is not int)
-            _require(m, int, what, names[u], names[w])
-    return cor
+        rows = _listed(data, key, list, what)
+        if not set(map(len, rows)) <= {width}:
+            i = next(i for i, row in enumerate(rows) if len(row) != width)
+            raise ValueError(f"{what} {i}: {rows[i]!r} does not have {width} items")
+        columns = _transpose(rows, width)
+        if width == 3:
+            u, w, m = columns
+            _exact(m, int, lambda i: f"{what} {(u[i], w[i])}")
+        kinds.append(columns)
+    return kinds
+
+
+def corrections_from_dict(summary: SummaryGraph, data: dict) -> CorrectionSet:
+    """Inverse of corrections_to_dict, node names read as ``summary``'s ids."""
+    node_id = dict(zip(summary.node_names, range(len(summary.node_names)))).__getitem__
+    (pu, pw, pm), (nu, nw), (du, dw, dd) = correction_columns(data)
+    return CorrectionSet(
+        positive=list(zip(map(node_id, pu), map(node_id, pw), pm)),
+        negative=list(zip(map(node_id, nu), map(node_id, nw))),
+        mult_deltas=list(zip(map(node_id, du), map(node_id, dw), dd)),
+    )
 
 
 def export_dot(summary: SummaryGraph, graph_name: str = "summary") -> str:

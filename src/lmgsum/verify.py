@@ -1,37 +1,33 @@
 """verify's array decision: does a parsed report rebuild the input graph?
 
-:func:`rebuilds` reads the report's ``summary`` and ``corrections``
-sections column by column into int64 arrays.  Node names go through the
-input graph's name index, so a report that lists the nodes in another
-order is read like any other; label names go through its label index.
-The glyphs, self-loop flags and super-edge port products expand into
-sorted edge keys ``u * n + w``, the corrections are applied with
-``searchsorted``, and the result is compared with the graph's out-arrays
-and labels.  No :class:`~lmgsum.summary.SummaryGraph`, correction tuple
-or edge dict is built.
+:func:`rebuilds` reads the report through the column reader of
+:mod:`lmgsum.summary` (:func:`~lmgsum.summary.summary_columns` and
+:func:`~lmgsum.summary.correction_columns`, which ``summary_from_dict`` and
+``corrections_from_dict`` read through too) and turns the columns into int64
+arrays.  Node and label names go through the input graph's name indexes, so
+a report that lists them in another order is read like any other.  The
+glyphs, self-loop flags and super-edge port products expand into sorted edge
+keys ``u * n + w``, the corrections are applied with ``searchsorted``, and
+the result is compared with the graph's out-arrays and labels; no
+:class:`~lmgsum.summary.SummaryGraph`, correction tuple or edge dict is built.
 
-It answers True only for a report that :func:`~lmgsum.summary.summary_from_dict`,
-``validate``, :func:`~lmgsum.summary.corrections_from_dict` and
-:func:`~lmgsum.summary.reconstruct` would accept and whose reconstruction
-is the input graph up to the order of its names.  Anything else — a value
-of the wrong JSON type, an unknown name, a repeated id, edge or
-correction, a node not covered exactly once, a correction that contradicts
-the summary, or any difference from the graph — returns False, and the
-caller's object path decides and words the outcome.
+It answers True only for a report that the object path (``summary_from_dict``,
+``validate``, ``corrections_from_dict``, :func:`~lmgsum.summary.reconstruct`)
+would accept and whose reconstruction is the input graph up to the order of
+its names.  Anything else returns False, and the caller's object path decides
+and words the outcome; it reads the same columns, so it rejects or compares
+every report declined here.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
 from .graph import LabeledMultiGraph
-from .summary import Glyph
+from .summary import Glyph, correction_columns, summary_columns
 
-_NODE_FIELDS = itemgetter("id", "label", "glyph", "members", "hub", "rep_mult", "self_loop")
-_EDGE_FIELDS = itemgetter("src", "dst", "rep_mult")
 _GLYPH_CODE = {glyph.value: code for code, glyph in enumerate(Glyph)}
 _CLIQUE, _IN_STAR, _OUT_STAR, _SINGLETON = (
     _GLYPH_CODE[glyph.value]
@@ -42,19 +38,10 @@ _MAX_DELTA = 2**31
 _MAX_DELTA_BASE = 2**62
 
 
-class _Declined(Exception):
-    """The report is not one the array path can call a match."""
-
-
 def _need(condition) -> None:
+    """Decline the report (ValueError) unless ``condition`` holds."""
     if not condition:
-        raise _Declined
-
-
-def _exact(values, kind: type) -> None:
-    """Decline unless every value's type is exactly ``kind`` (so no
-    ``true`` for 1, and no ``1.0``)."""
-    _need(set(map(type, values)) <= {kind})
+        raise ValueError("declined")
 
 
 def _ids(index: dict, names) -> np.ndarray:
@@ -69,13 +56,6 @@ def _ragged(counts: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
 
 
-def _sorted_unique(keys: np.ndarray) -> np.ndarray:
-    """``keys`` sorted; declines when one repeats."""
-    keys = np.sort(keys)
-    _need((keys[1:] != keys[:-1]).all())
-    return keys
-
-
 def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """The positions of ``keys`` in ``sorted_keys``; declines when one is
     missing."""
@@ -85,28 +65,6 @@ def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return at
 
 
-def _transpose(rows, width: int) -> list[list]:
-    """The ``width`` columns of ``width``-long rows (faster than ``zip(*rows)``)."""
-    flat = list(chain.from_iterable(rows))
-    return [flat[i::width] for i in range(width)]
-
-
-def _columns(rows, width: int) -> list[list]:
-    """The ``width`` columns of a JSON list of ``width``-long JSON arrays."""
-    _need(type(rows) is list)
-    _exact(rows, list)
-    _need(set(map(len, rows)) <= {width})
-    return _transpose(rows, width)
-
-
-def _fields(getter: itemgetter, width: int, records) -> list[list]:
-    """The ``width`` columns ``getter`` reads from each JSON object of
-    ``records``; a missing key raises KeyError."""
-    _need(type(records) is list)
-    _exact(records, dict)
-    return _transpose(map(getter, records), width)
-
-
 def rebuilds(g: LabeledMultiGraph, summary, corrections) -> bool:
     """Whether the report sections ``summary`` and ``corrections`` (parsed
     JSON) rebuild ``g`` exactly.  False means "not decided here": the
@@ -114,7 +72,7 @@ def rebuilds(g: LabeledMultiGraph, summary, corrections) -> bool:
     which."""
     try:
         keys, mult, labels = _rebuild(g, summary, corrections)
-    except (_Declined, KeyError, TypeError, OverflowError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         return False
     return (
         np.array_equal(labels, g.labels)
@@ -127,29 +85,17 @@ def _rebuild(g: LabeledMultiGraph, summary, corrections):
     """The reconstruction's sorted edge keys, their multiplicities and each
     node's label id, in ``g``'s ids."""
     n = g.n
-    _need(type(summary["graph_size"]) is int and summary["graph_size"] == n)
+    size, names, label_names, nodes, edges = summary_columns(summary)
+    _need(size == n and len(names) == n)
     index = dict(zip(g.node_names, range(n)))
-    names = summary["node_names"]
-    _need(type(names) is list and len(names) == n)
     if names != g.node_names:
-        # the same names in another order: each of g's once
-        _need(np.bincount(_ids(index, names), minlength=n).max() == 1)
-    label_names = summary["label_names"]
-    _need(type(label_names) is list)
+        _ids(index, names)  # n distinct names, so g's in another order
     label_index = dict(zip(g.label_names, range(len(g.label_names))))
     label_of = {name: label_index[name] for name in label_names}
 
     # -- super-nodes, one array per field, and each member's position
-    records = summary["super_nodes"]
-    _need(records)  # a graph has a node, so a summary has a super-node
-    ids, rec_labels, glyphs, members, hubs, reps, loops = _fields(_NODE_FIELDS, 7, records)
-    _exact(ids, int)
-    _exact(reps, int)
-    _exact(loops, bool)
-    _exact(members, list)
-    count = len(records)
-    id_of = np.array(ids, dtype=np.int64)
-    sorted_ids = _sorted_unique(id_of)
+    ids, rec_labels, glyphs, members, hubs, reps, loops = nodes
+    count = len(ids)
     rep = np.array(reps, dtype=np.int64)
     _need((rep >= 1).all())
     glyph = np.fromiter(map(_GLYPH_CODE.__getitem__, glyphs), dtype=np.int64, count=count)
@@ -199,19 +145,15 @@ def _rebuild(g: LabeledMultiGraph, summary, corrections):
     ws.append(node[at])
     ms.append(rep[rec[at]])
 
-    super_edges = summary["super_edges"]
-    _need(type(super_edges) is list)
-    if super_edges:
-        src, dst, se_reps = _fields(_EDGE_FIELDS, 3, super_edges)
-        for column in (src, dst, se_reps):
-            _exact(column, int)
+    src, dst, se_reps = edges
+    if src:
         se_rep = np.array(se_reps, dtype=np.int64)
         _need((se_rep >= 1).all())
+        id_of = np.array(ids, dtype=np.int64)
         order = np.argsort(id_of)  # record of each sorted id
-        a = order[_find(sorted_ids, np.array(src, dtype=np.int64))]
-        b = order[_find(sorted_ids, np.array(dst, dtype=np.int64))]
+        a = order[_find(id_of[order], np.array(src, dtype=np.int64))]
+        b = order[_find(id_of[order], np.array(dst, dtype=np.int64))]
         _need((a != b).all())
-        _sorted_unique(a * count + b)  # one super-edge per pair
         # a star's port is its hub, any other super-node's are its members
         port = np.flatnonzero(~star[rec] | (node == hub[rec]))
         ports = np.bincount(rec[port], minlength=count)
@@ -225,8 +167,7 @@ def _rebuild(g: LabeledMultiGraph, summary, corrections):
         ms.append(np.repeat(se_rep[edge], k))
 
     # -- the corrections, in reconstruct's order
-    u, w, m = _columns(corrections["positive"], 3)
-    _exact(m, int)
+    (u, w, m), negative, deltas = correction_columns(corrections)
     us.append(_ids(index, u))
     ws.append(_ids(index, w))
     ms.append(np.array(m, dtype=np.int64))
@@ -238,14 +179,15 @@ def _rebuild(g: LabeledMultiGraph, summary, corrections):
     _need((keys[1:] != keys[:-1]).all())
     mult = m[order]
 
-    u, w = _columns(corrections["negative"], 2)
-    gone = _find(keys, _sorted_unique(_ids(index, u) * n + _ids(index, w)))
+    u, w = negative
+    gone = np.sort(_ids(index, u) * n + _ids(index, w))
+    _need((gone[1:] != gone[:-1]).all())  # reconstruct drops an edge once
+    gone = _find(keys, gone)
     keep = np.ones(len(keys), dtype=bool)
     keep[gone] = False
     keys, mult = keys[keep], mult[keep]
 
-    u, w, d = _columns(corrections["mult_deltas"], 3)
-    _exact(d, int)
+    u, w, d = deltas
     if d:
         delta_keys = _ids(index, u) * n + _ids(index, w)
         order = np.argsort(delta_keys, kind="stable")  # each edge's deltas in order

@@ -274,6 +274,48 @@ def _delta_below_one(payload, g):
     payload["corrections"]["mult_deltas"].append([g.node_names[u], g.node_names[w], -m])
 
 
+def _members_string(summary, corrections):
+    # a one-character name iterates as the list of itself
+    sn = next(
+        sn for sn in summary["super_nodes"]
+        if sn["glyph"] == "singleton" and len(sn["members"][0]) == 1
+    )
+    sn["members"] = sn["members"][0]
+
+
+def _node_name_number(summary, corrections):
+    # the JSON number 2 for the name "2" everywhere: the text dumps that
+    # compare the graphs print both as 2
+    def renamed(names):
+        return [2 if name == "2" else name for name in names]
+
+    summary["node_names"] = renamed(summary["node_names"])
+    for sn in summary["super_nodes"]:
+        sn["members"] = renamed(sn["members"])
+        sn["hub"] = renamed([sn["hub"]])[0]
+    for rows in corrections.values():
+        for row in rows:
+            row[:2] = renamed(row[:2])
+
+
+#: one defect each that no report ``summarize`` writes has; a lenient reader
+#: lets a repeat overwrite the first and iterates a string as its characters
+UNWRITTEN_REPORTS = {
+    "super-node-repeated": lambda s, c: s["super_nodes"].append(dict(s["super_nodes"][0])),
+    "super-edge-repeated": lambda s, c: s["super_edges"].append(dict(s["super_edges"][0])),
+    "label-name-repeated": lambda s, c: s["label_names"].append(s["label_names"][0]),
+    "node-names-string": lambda s, c: s.update(node_names="".join(s["node_names"])),
+    "label-names-string": lambda s, c: s.update(label_names="".join(s["label_names"])),
+    "members-string": _members_string,
+    "negative-string": lambda s, c: c["negative"].append("".join(c["positive"][0][:2])),
+    # two rows in one: read by columns, it is two negatives
+    "negative-row-too-wide": lambda s, c: c["negative"].append(
+        c["positive"][0][:2] + c["positive"][1][:2]
+    ),
+    "node-name-number": _node_name_number,
+}
+
+
 class TestVerify:
     def _report(self, tmp_path, edges, labels, extra=()):
         out_json = tmp_path / "report.json"
@@ -333,15 +375,20 @@ class TestVerify:
         assert code == 1
         assert "MISMATCH" in capsys.readouterr().out
 
-    def test_missing_corrections_is_usage_error(self, planted_files, tmp_path, capsys):
+    @pytest.mark.parametrize("section", ["summary", "corrections"])
+    def test_missing_section_is_format_error(self, planted_files, tmp_path, capsys, section):
+        # a report without a section is malformed; exit 2 is for bad flags
         edges, labels, _g = planted_files
         out_json = self._report(tmp_path, edges, labels)
         payload = json.loads(out_json.read_text())
-        del payload["corrections"]
+        del payload[section]
         out_json.write_text(json.dumps(payload))
+        capsys.readouterr()
         code = main(["verify", "-i", edges, "-l", labels, "--json", str(out_json)])
-        assert code == 2
-        assert "corrections" in capsys.readouterr().err
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{out_json}: no '{section}' section" in captured.err
 
     def test_invalid_json_is_io_error(self, planted_files, tmp_path, capsys):
         edges, labels, _g = planted_files
@@ -474,6 +521,25 @@ class TestVerify:
         code = main(["verify", "-i", edges, "-l", labels, "--json", str(out_json)])
         assert code == 3
         assert f"{out_json}: malformed report: {needle}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("defect", sorted(UNWRITTEN_REPORTS))
+    def test_report_summarize_never_writes_is_io_error(
+        self, planted_files, tmp_path, capsys, defect
+    ):
+        edges, labels, _g = planted_files
+        out_json = self._report(tmp_path, edges, labels)
+        payload = json.loads(out_json.read_text())
+        assert len(payload["summary"]["super_edges"]) == 8
+        assert payload["corrections"]["positive"][0][:2] == ["2", "5"]
+        UNWRITTEN_REPORTS[defect](payload["summary"], payload["corrections"])
+        out_json.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main(["verify", "-i", edges, "-l", labels, "--json", str(out_json)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert f"{out_json}: malformed report: " in captured.err
+        assert "Traceback" not in captured.err
 
     def test_match_is_decided_without_text_dumps(
         self, planted_files, tmp_path, capsys, monkeypatch

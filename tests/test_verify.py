@@ -1,11 +1,14 @@
 """verify's array path (``lmgsum.verify.rebuilds``) against the object path.
 
-The array path may only say "OK"; on anything else it declines, and the
-object path (``summary_from_dict`` → ``validate`` → ``corrections_from_dict``
-→ ``reconstruct``) decides and words the outcome.  So on every report,
-regular or corrupted, the CLI must print and exit exactly as the object
-path alone does, and the array path may accept only reports the object
-path calls ``OK``.
+Both read the report through one column reader (``summary_columns`` and
+``correction_columns`` in ``lmgsum.summary``), which rejects a value of the
+wrong JSON type, a string where a list belongs and a repeated record.  The
+array path may only say "OK"; on anything else it declines, and the object
+path (``summary_from_dict`` → ``validate`` → ``corrections_from_dict`` →
+``reconstruct``) decides and words the outcome.  So on every report, regular
+or corrupted, the CLI must print and exit exactly as the object path alone
+does, and the array path may accept only reports the object path calls
+``OK``.
 """
 
 import contextlib
@@ -27,7 +30,14 @@ from lmgsum.cli import main
 from lmgsum.config import RunConfig
 from lmgsum.graph import LabeledMultiGraph, load_graph
 from lmgsum.summarize import run
-from lmgsum.summary import Glyph, compute_corrections, corrections_to_dict, summary_to_dict
+from lmgsum.summary import (
+    Glyph,
+    compute_corrections,
+    corrections_from_dict,
+    corrections_to_dict,
+    summary_from_dict,
+    summary_to_dict,
+)
 from lmgsum.synth import planted_graph, random_graph
 
 
@@ -158,6 +168,27 @@ def _dipping_deltas(payload, g, draw):
     payload["corrections"]["mult_deltas"] += [[names[u], names[w], -m], [names[u], names[w], m]]
 
 
+def _string_for_a_list(payload, g, draw):
+    # a string iterates like the list of its characters
+    summary = payload["summary"]
+    where = draw(st.sampled_from(["node_names", "label_names", "members", "negative"]))
+    if where == "members":
+        rec = draw(st.sampled_from(summary["super_nodes"]))
+        rec["members"] = "".join(rec["members"])
+    elif where == "negative":
+        u, w, _m = draw(st.sampled_from(list(g.edges())))
+        payload["corrections"]["negative"].append(g.node_names[u] + g.node_names[w])
+    else:
+        summary[where] = "".join(summary[where])
+
+
+def _repeated_record(payload, g, draw):
+    where = draw(st.sampled_from(["super_nodes", "super_edges", "node_names", "label_names"]))
+    records = payload["summary"][where]
+    assume(records)
+    records.append(copy.deepcopy(draw(st.sampled_from(records))))
+
+
 def _reordered_node_names(payload, g, draw):
     names = payload["summary"]["node_names"]
     names[:] = draw(st.permutations(names))
@@ -183,13 +214,18 @@ CORRUPTIONS = {
     "hub-outside-the-star": (_hub_outside_the_star, 3),
     "negative-for-missing-edge": (_negative_for_missing_edge, 3),
     "dipping-deltas": (_dipping_deltas, 3),
+    "string-for-a-list": (_string_for_a_list, 3),
+    "repeated-record": (_repeated_record, 3),
     "reordered-node-names": (_reordered_node_names, 0),
     "reordered-label-names": (_reordered_label_names, 0),
     "swapped-label": (_swapped_label, 1),
 }
 
+#: corruptions that the column reader itself rejects
+READER_REJECTS = {"string-for-a-list", "repeated-record"}
 
-@settings(max_examples=120, deadline=None)
+
+@settings(max_examples=140, deadline=None)
 @given(
     source=st.sampled_from(sorted(SOURCES)),
     seed=st.integers(0, 5),
@@ -220,6 +256,9 @@ def test_array_path_says_ok_only_where_the_object_path_does(
         assert object_path[1].startswith("OK:")
     # the array path decides every regular report itself
     assert decided == (expected_code == 0)
+    if corruption in READER_REJECTS:
+        with pytest.raises((TypeError, ValueError)):
+            corrections_from_dict(summary_from_dict(payload["summary"]), payload["corrections"])
 
 
 @pytest.mark.parametrize("retyped", [None, Glyph.DISCONNECTED, Glyph.OUT_STAR])
