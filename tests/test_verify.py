@@ -205,6 +205,59 @@ def _swapped_label(payload, g, draw):
     rec["label"] = draw(st.sampled_from([n for n in g.label_names if n != rec["label"]]))
 
 
+def _unused_label_name(payload, g, draw):
+    payload["summary"]["label_names"].append("no-record-uses-this-label")
+
+
+def _renamed(names, old, new):
+    return [new if name == old else name for name in names]
+
+
+def _node_renamed(payload, g, draw):
+    summary = payload["summary"]
+    old = draw(st.sampled_from(summary["node_names"]))
+    new = old + "-renamed"
+    assume(new not in summary["node_names"])
+    summary["node_names"] = _renamed(summary["node_names"], old, new)
+    for rec in summary["super_nodes"]:
+        rec["members"] = _renamed(rec["members"], old, new)
+        rec["hub"] = _renamed([rec["hub"]], old, new)[0]
+    for rows in payload["corrections"].values():
+        for row in rows:
+            row[:2] = _renamed(row[:2], old, new)
+
+
+def _label_renamed(payload, g, draw):
+    summary = payload["summary"]
+    old = draw(st.sampled_from(sorted({rec["label"] for rec in summary["super_nodes"]})))
+    new = old + "-renamed"
+    assume(new not in summary["label_names"])
+    summary["label_names"] = _renamed(summary["label_names"], old, new)
+    for rec in summary["super_nodes"]:
+        rec["label"] = _renamed([rec["label"]], old, new)[0]
+
+
+def _node_dropped(payload, g, draw):
+    # a singleton outside every super-edge, with its name and every
+    # correction row that names it
+    summary = payload["summary"]
+    linked = {end for edge in summary["super_edges"] for end in (edge["src"], edge["dst"])}
+    records = [rec for rec in summary["super_nodes"]
+               if rec["glyph"] == "singleton" and rec["id"] not in linked]
+    assume(records)
+    rec = draw(st.sampled_from(records))
+    (name,) = rec["members"]
+    summary["super_nodes"].remove(rec)
+    summary["node_names"].remove(name)
+    summary["graph_size"] -= 1
+    for rows in payload["corrections"].values():
+        rows[:] = [row for row in rows if name not in row[:2]]
+
+
+def _graph_size_plus_one(payload, g, draw):
+    payload["summary"]["graph_size"] += 1
+
+
 CORRUPTIONS = {
     "none": (None, 0),
     "wrong-type": (_wrong_type, 3),
@@ -219,13 +272,18 @@ CORRUPTIONS = {
     "reordered-node-names": (_reordered_node_names, 0),
     "reordered-label-names": (_reordered_label_names, 0),
     "swapped-label": (_swapped_label, 1),
+    "unused-label-name": (_unused_label_name, 0),
+    "node-renamed": (_node_renamed, 1),
+    "label-renamed": (_label_renamed, 1),
+    "node-dropped": (_node_dropped, 1),
+    "graph-size-plus-one": (_graph_size_plus_one, 3),
 }
 
 #: corruptions that the column reader itself rejects
 READER_REJECTS = {"string-for-a-list", "repeated-record"}
 
 
-@settings(max_examples=140, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
     source=st.sampled_from(sorted(SOURCES)),
     seed=st.integers(0, 5),
@@ -255,7 +313,7 @@ def test_array_path_says_ok_only_where_the_object_path_does(
     if decided:
         assert object_path[1].startswith("OK:")
     # the array path decides every regular report itself
-    assert decided == (expected_code == 0)
+    assert decided == (expected_code == 0 and corruption != "unused-label-name")
     if corruption in READER_REJECTS:
         with pytest.raises((TypeError, ValueError)):
             corrections_from_dict(summary_from_dict(payload["summary"]), payload["corrections"])
