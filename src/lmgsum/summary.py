@@ -161,31 +161,13 @@ class SummaryGraph:
     node_names: tuple[str, ...] = ()
 
     def validate(self, g: LabeledMultiGraph | None = None) -> None:
-        """Check structural invariants; raises ValueError on violation."""
-        seen: set[int] = set()
-        for sn in self.super_nodes.values():
-            for u in sn.members:
-                if u in seen:
-                    raise ValueError(f"node {u} in two super-nodes")
-                if not (0 <= u < self.graph_size):
-                    raise ValueError(f"member {u} out of range")
-                seen.add(u)
-        if len(seen) != self.graph_size:
-            raise ValueError("super-nodes must cover every node")
-        for (a, b), m in self.super_edges.items():
-            if a == b:
-                raise ValueError("super-edge endpoints must differ")
-            if a not in self.super_nodes or b not in self.super_nodes:
-                raise ValueError("super-edge endpoint missing")
-            if m < 1:
-                raise ValueError("super-edge multiplicity must be >= 1")
-        if g is not None:
-            for sn in self.super_nodes.values():
-                labels = {int(g.labels[u]) for u in sn.members}
-                if labels != {sn.label}:
-                    raise ValueError(
-                        f"super-node {sn.id} mixes labels {sorted(labels)}"
-                    )
+        """Check the structure by decoding the summary alone (see
+        :func:`reconstruct`), and with ``g`` that every node carries its
+        super-node's label; raises ValueError on violation."""
+        labels = reconstruct(self, CorrectionSet()).labels
+        if g is not None and not np.array_equal(labels, g.labels):
+            v = int(np.argmax(labels != g.labels))
+            raise ValueError(f"node {v} is not labelled like its super-node")
 
     def glyph_counts(self) -> dict[str, int]:
         counts = {glyph.value: 0 for glyph in Glyph}
@@ -222,23 +204,6 @@ def all_singleton_summary(g: LabeledMultiGraph) -> SummaryGraph:
 
 
 # -- decompression and corrections -------------------------------------------
-
-
-def _expand(summary: SummaryGraph) -> tuple[dict[tuple[int, int], int], list[int]]:
-    """The summary's expansion as an ``{(u, w): mult}`` dict, and each
-    node's label."""
-    edges: dict[tuple[int, int], int] = {}
-    labels = [0] * summary.graph_size
-    for sn in summary.super_nodes.values():
-        for u in sn.members:
-            labels[u] = sn.label
-        for pair in sn.expansion():
-            edges[pair] = sn.rep_mult
-    for (a, b), m in summary.super_edges.items():
-        sa, sb = summary.super_nodes[a], summary.super_nodes[b]
-        for pair in product(sa.ports(), sb.ports()):
-            edges[pair] = m
-    return edges, labels
 
 
 @dataclass
@@ -398,30 +363,28 @@ def compute_corrections(g: LabeledMultiGraph, summary: SummaryGraph) -> Correcti
 
 def reconstruct(summary: SummaryGraph, corrections: CorrectionSet) -> LabeledMultiGraph:
     """Apply corrections to the decompressed summary; exact inverse of
-
     compute_corrections for the graph the corrections were derived from.
-    """
-    edges, labels = _expand(summary)
-    for u, w, m in corrections.positive:
-        if (u, w) in edges:
-            raise ValueError(f"positive correction for existing edge ({u}, {w})")
-        edges[(u, w)] = m
-    for u, w in corrections.negative:
-        if (u, w) not in edges:
-            raise ValueError(f"negative correction for missing edge ({u}, {w})")
-        del edges[(u, w)]
-    for u, w, delta in corrections.mult_deltas:
-        if (u, w) not in edges:
-            raise ValueError(f"multiplicity delta for missing edge ({u}, {w})")
-        edges[(u, w)] += delta
-        if edges[(u, w)] < 1:
-            raise ValueError(f"multiplicity of ({u}, {w}) dropped below 1")
-    return LabeledMultiGraph(
-        summary.graph_size,
-        edges,
-        labels=labels,
-        label_names=summary.label_names or None,
-        node_names=summary.node_names or None,
+    The summary is decoded by :func:`lmgsum.verify.decode`, with ids for
+    names; an inconsistent pair raises ValueError."""
+    # only code that decodes a summary compiles the decoder
+    from .verify import decode
+
+    n, label_ids = summary.graph_size, range(summary.label_count)
+    rows = ((sn.id, sn.label, sn.glyph.value, sn.members, sn.hub, sn.rep_mult, sn.self_loop)
+            for sn in summary.super_nodes.values())
+    nodes = _transpose(rows, 7)
+    edges = _transpose(((a, b, m) for (a, b), m in summary.super_edges.items()), 3)
+    cor = [_transpose(kind, width) for kind, width in (
+        (corrections.positive, 3), (corrections.negative, 2), (corrections.mult_deltas, 3))]
+    try:
+        keys, mult, label, _record = decode(
+            nodes, edges, cor, dict(zip(range(n), range(n))), dict(zip(label_ids, label_ids)), n,
+            (summary.node_names or range(n)).__getitem__,
+        )
+    except KeyError as e:
+        raise ValueError(f"id {e.args[0]!r} out of range") from None
+    return LabeledMultiGraph.from_arrays(
+        n, keys // n, keys % n, mult, label, summary.label_names or None, summary.node_names or None
     )
 
 

@@ -15,6 +15,15 @@ bit for bit, not just within a tolerance.
 whole-file paths of ``load_graph`` must agree with: the same graph, names
 and error messages.
 
+``oracle_reconstruct`` is the dict decompression that
+:func:`lmgsum.summary.reconstruct` replaced with the array decoding of
+:mod:`lmgsum.verify`, and ``oracle_validate`` the per-node check that
+``SummaryGraph.validate`` replaced with the same decoding.
+``oracle_verify`` is the object path that ``lmgsum verify`` took before it
+decided every report on arrays: summary objects, ``oracle_validate``,
+correction tuples, the dict decompression and a comparison of sorted text
+dumps.
+
 ``oracle_add_band`` is ``LshState.add_band`` as it was before the batched
 verification: one ``directed_jaccard`` call per pair, admitted or cached
 as soon as it is computed.  ``oracle_mix64`` is the splitmix64 finalizer on
@@ -24,7 +33,7 @@ Python ints, the reference for the in-place array mixer.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -41,8 +50,10 @@ from lmgsum.summary import (
     STAR_GLYPHS,
     CorrectionSet,
     Glyph,
+    corrections_from_dict,
     node_context_bits,
     pair_context_bits,
+    summary_from_dict,
 )
 
 
@@ -473,6 +484,93 @@ def oracle_compute_corrections(g, summary) -> CorrectionSet:
                 cor.positive.append((u, w, m))
 
     return cor
+
+
+# -- the object path: dict decompression and verify ---------------------------
+
+
+def oracle_expand(summary) -> tuple[dict[tuple[int, int], int], list[int]]:
+    """The summary's expansion as an ``{(u, w): mult}`` dict, and each
+    node's label."""
+    edges: dict[tuple[int, int], int] = {}
+    labels = [0] * summary.graph_size
+    for sn in summary.super_nodes.values():
+        for u in sn.members:
+            labels[u] = sn.label
+        for pair in sn.expansion():
+            edges[pair] = sn.rep_mult
+    for (a, b), m in summary.super_edges.items():
+        sa, sb = summary.super_nodes[a], summary.super_nodes[b]
+        for pair in product(sa.ports(), sb.ports()):
+            edges[pair] = m
+    return edges, labels
+
+
+def oracle_validate(summary, g=None) -> None:
+    """Check a summary's structure one node and one super-edge at a time,
+    and with ``g`` its labels; raises ValueError on violation."""
+    seen: set[int] = set()
+    for sn in summary.super_nodes.values():
+        for u in sn.members:
+            if u in seen:
+                raise ValueError(f"node {u} in two super-nodes")
+            if not (0 <= u < summary.graph_size):
+                raise ValueError(f"member {u} out of range")
+            seen.add(u)
+    if len(seen) != summary.graph_size:
+        raise ValueError("super-nodes must cover every node")
+    for (a, b), m in summary.super_edges.items():
+        if a == b:
+            raise ValueError("super-edge endpoints must differ")
+        if a not in summary.super_nodes or b not in summary.super_nodes:
+            raise ValueError("super-edge endpoint missing")
+        if m < 1:
+            raise ValueError("super-edge multiplicity must be >= 1")
+    if g is not None:
+        for sn in summary.super_nodes.values():
+            labels = {int(g.labels[u]) for u in sn.members}
+            if labels != {sn.label}:
+                raise ValueError(f"super-node {sn.id} mixes labels {sorted(labels)}")
+
+
+def oracle_reconstruct(summary, corrections: CorrectionSet) -> LabeledMultiGraph:
+    """Apply the corrections to the dict expansion one at a time: the
+    positives, the negatives, then the deltas, in list order."""
+    edges, labels = oracle_expand(summary)
+    for u, w, m in corrections.positive:
+        if (u, w) in edges:
+            raise ValueError(f"positive correction for existing edge ({u}, {w})")
+        edges[(u, w)] = m
+    for u, w in corrections.negative:
+        if (u, w) not in edges:
+            raise ValueError(f"negative correction for missing edge ({u}, {w})")
+        del edges[(u, w)]
+    for u, w, delta in corrections.mult_deltas:
+        if (u, w) not in edges:
+            raise ValueError(f"multiplicity delta for missing edge ({u}, {w})")
+        edges[(u, w)] += delta
+        if edges[(u, w)] < 1:
+            raise ValueError(f"multiplicity of ({u}, {w}) dropped below 1")
+    return LabeledMultiGraph(
+        summary.graph_size,
+        edges,
+        labels=labels,
+        label_names=summary.label_names or None,
+        node_names=summary.node_names or None,
+    )
+
+
+def oracle_verify(g, payload: dict) -> tuple[int, LabeledMultiGraph | None]:
+    """``lmgsum verify``'s exit code on the parsed report ``payload``, and
+    the reconstruction (None for a malformed report, exit 3)."""
+    try:
+        summary = summary_from_dict(payload["summary"])
+        oracle_validate(summary)
+        corrections = corrections_from_dict(summary, payload["corrections"])
+        recon = oracle_reconstruct(summary, corrections)
+    except (KeyError, OverflowError, TypeError, ValueError):
+        return 3, None
+    return (0 if g.canonical_dump() == recon.canonical_dump() else 1), recon
 
 
 def oracle_correction_cost(g, summary) -> tuple[float, dict]:

@@ -4,6 +4,7 @@ their outputs, and the exit-code contract (0 ok, 1 verify mismatch, 2 usage,
 3 I/O or format error)."""
 
 import contextlib
+import copy
 import gc
 import io
 import json
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import lmgsum.summary
 from lmgsum import cli
 from lmgsum.cli import main
 from lmgsum.graph import LabeledMultiGraph
@@ -541,36 +543,34 @@ class TestVerify:
         assert f"{out_json}: malformed report: " in captured.err
         assert "Traceback" not in captured.err
 
-    def test_match_is_decided_without_text_dumps(
-        self, planted_files, tmp_path, capsys, monkeypatch
-    ):
-        edges, labels, _g = planted_files
-        out_json = self._report(tmp_path, edges, labels)
-
-        def no_dump(self):
-            raise AssertionError("canonical_dump called")
-
-        monkeypatch.setattr(LabeledMultiGraph, "canonical_dump", no_dump)
-        capsys.readouterr()
-        code = main(["verify", "-i", edges, "-l", labels, "--json", str(out_json)])
-        assert code == 0
-        assert capsys.readouterr().out.startswith("OK:")
-
     def test_regular_report_builds_no_summary_objects(
         self, planted_files, tmp_path, capsys, monkeypatch
     ):
-        edges, labels, _g = planted_files
+        # OK, a mismatch and a malformed report are all decided on arrays
+        edges, labels, g = planted_files
         out_json = self._report(tmp_path, edges, labels)
+        written = json.loads(out_json.read_text())
+        bumped = copy.deepcopy(written)
+        bumped["corrections"]["positive"][0][2] += 1
+        repeated = copy.deepcopy(written)
+        _repeated_positive(repeated, g)
 
         def refuse(*_args):
-            raise AssertionError("object path called")
+            raise AssertionError("summary objects or text dumps built")
 
         for name in ("summary_from_dict", "corrections_from_dict", "reconstruct"):
-            monkeypatch.setattr(cli, name, refuse)
-        capsys.readouterr()
-        code = main(["verify", "-i", edges, "-l", labels, "--json", str(out_json)])
-        assert code == 0
-        assert capsys.readouterr().out.startswith("OK:")
+            monkeypatch.setattr(lmgsum.summary, name, refuse)
+        monkeypatch.setattr(lmgsum.summary.SummaryGraph, "validate", refuse)
+        monkeypatch.setattr(LabeledMultiGraph, "canonical_dump", refuse)
+        for payload, code, stream, start in (
+            (written, 0, "out", "OK:"),
+            (bumped, 1, "out", "MISMATCH: edge ('2', '5') "),
+            (repeated, 3, "err", f"error: {out_json}: malformed report: "),
+        ):
+            out_json.write_text(json.dumps(payload))
+            capsys.readouterr()
+            assert main(["verify", "-i", edges, "-l", labels, "--json", str(out_json)]) == code
+            assert getattr(capsys.readouterr(), stream).startswith(start)
 
     def test_renamed_ids_need_no_text_dumps(
         self, planted_files, tmp_path, capsys, monkeypatch
@@ -579,8 +579,8 @@ class TestVerify:
         out_json = self._report(tmp_path, edges, labels)
         payload = json.loads(out_json.read_text())
         # members and corrections name nodes, so reversing the name list
-        # only renumbers the reconstruction's ids; the array path maps
-        # every name through the input's index and so never sees them
+        # only renumbers the reconstruction's ids; verify maps every name
+        # through the input's index and so never sees them
         payload["summary"]["node_names"].reverse()
         out_json.write_text(json.dumps(payload))
         dumps = []
@@ -597,9 +597,7 @@ class TestVerify:
         assert capsys.readouterr().out.startswith("OK:")
         assert dumps == []
 
-    def test_tampered_multiplicity_names_the_first_differing_line(
-        self, planted_files, tmp_path, capsys
-    ):
+    def test_tampered_multiplicity_names_the_edge(self, planted_files, tmp_path, capsys):
         edges, labels, _g = planted_files
         out_json = self._report(tmp_path, edges, labels)
         payload = json.loads(out_json.read_text())
@@ -609,8 +607,36 @@ class TestVerify:
         code = main(["verify", "-i", edges, "-l", labels, "--json", str(out_json)])
         assert code == 1
         assert capsys.readouterr().out == (
-            "MISMATCH at line 70: original='2\\t5\\t1' reconstructed='2\\t5\\t2'\n"
+            "MISMATCH: edge ('2', '5') from super-node 2 to super-node 5: "
+            "original multiplicity 1, reconstructed 2\n"
         )
+
+    @pytest.mark.parametrize(
+        "corrupt, needle",
+        [
+            (lambda r: r["corrections"]["positive"][0].__setitem__(2, 0),
+             "edge ('beta', 'alpha') has multiplicity 0 < 1"),
+            (lambda r: r["corrections"]["positive"].append(["beta", "alpha", 1]),
+             "positive correction for existing edge ('beta', 'alpha')"),
+            (lambda r: r["summary"]["super_nodes"][1].update(
+                glyph="disconnected", members=["alpha", "beta"]),
+             "node 'beta' in two super-nodes"),
+        ],
+        ids=["zero-multiplicity", "repeated-positive", "two-super-nodes"],
+    )
+    def test_errors_name_nodes_not_ids(self, tmp_path, capsys, corrupt, needle):
+        # ids follow first appearance, so 'beta' is node 0 and 'alpha' node 1
+        rows = [("beta", "alpha", 2), ("alpha", "gamma", 1), ("gamma", "beta", 1)]
+        edges = _write_tsv(tmp_path / "edges.tsv", rows)
+        out_json = tmp_path / "report.json"
+        assert main(["summarize", "-i", edges, "--json", str(out_json)]) == 0
+        payload = json.loads(out_json.read_text())
+        assert payload["corrections"]["positive"][0] == ["beta", "alpha", 2]
+        corrupt(payload)
+        out_json.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["verify", "-i", edges, "--json", str(out_json)]) == 3
+        assert capsys.readouterr().err == f"error: {out_json}: malformed report: {needle}\n"
 
     @pytest.mark.parametrize("text", ["3", "[]", '"x"'], ids=["number", "list", "string"])
     def test_report_not_a_json_object_is_io_error(
@@ -1109,8 +1135,8 @@ def test_non_ascii_names_under_an_ascii_locale(tmp_path):
     done = lmgsum_cli("verify", "-i", bumped, "-l", labels, "--json", report)
     assert done.returncode == 1 and "Traceback" not in done.stderr
     assert done.stdout == (
-        "MISMATCH at line 3: original='\\u540d\\u524d\\tb\\t3' "
-        "reconstructed='\\u540d\\u524d\\tb\\t2'\n"
+        "MISMATCH: edge ('\\u540d\\u524d', 'b') from super-node 0 to super-node 1: "
+        "original multiplicity 3, reconstructed 2\n"
     )
 
 

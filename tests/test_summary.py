@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 import lmgsum as L
 from lmgsum.graph import LabeledMultiGraph
@@ -32,6 +32,7 @@ from lmgsum.synth import planted_graph
 from oracle import (
     node_to_super,
     oracle_compute_corrections,
+    oracle_reconstruct,
     oracle_total_cost,
     oracle_total_cost_exact,
 )
@@ -317,6 +318,38 @@ class TestRoundTrip:
         assert total_cost(g, s).total_bits == pytest.approx(
             oracle_total_cost(g, s), abs=1e-8
         )
+
+    @given(graph_and_summary(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_reconstruct_agrees_with_the_oracle(self, gs, data):
+        # the exact corrections, then a few edits that may contradict the
+        # summary: rows dropped, repeated, or added on any pair
+        g, s = gs
+        cor = compute_corrections(g, s)
+        pairs = st.tuples(st.integers(0, g.n - 1), st.integers(0, g.n - 1))
+        for _ in range(data.draw(st.integers(0, 3))):
+            kind = data.draw(st.sampled_from(["positive", "negative", "mult_deltas"]))
+            rows = getattr(cor, kind)
+            edit = data.draw(st.sampled_from(["drop", "repeat", "add"]))
+            if edit == "add":
+                u, w = data.draw(pairs)
+                rows.append((u, w) if kind == "negative" else (u, w, data.draw(st.integers(-3, 3))))
+            elif rows:
+                row = data.draw(st.sampled_from(rows))
+                if edit == "drop":
+                    rows.remove(row)
+                else:
+                    rows.append(row)
+        try:
+            expected = oracle_reconstruct(s, cor)
+        except ValueError:
+            event("the oracle rejects the corrections")
+            with pytest.raises(ValueError):
+                reconstruct(s, cor)
+            return
+        got = reconstruct(s, cor)
+        assert got == expected
+        assert (got.node_names, got.label_names) == (expected.node_names, expected.label_names)
 
     def test_reconstruct_rejects_inconsistent_corrections(self):
         g = L.random_graph(5)

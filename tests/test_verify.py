@@ -1,24 +1,24 @@
-"""verify's array path (``lmgsum.verify.rebuilds``) against the object path.
+"""``lmgsum verify`` against the oracle's object path.
 
-Both read the report through one column reader (``summary_columns`` and
-``correction_columns`` in ``lmgsum.summary``), which rejects a value of the
-wrong JSON type, a string where a list belongs and a repeated record.  The
-array path may only say "OK"; on anything else it declines, and the object
-path (``summary_from_dict`` → ``validate`` → ``corrections_from_dict`` →
-``reconstruct``) decides and words the outcome.  So on every report, regular
-or corrupted, the CLI must print and exit exactly as the object path alone
-does, and the array path may accept only reports the object path calls
-``OK``.
+verify reads the report through the column reader of ``lmgsum.summary``
+(``summary_columns`` and ``correction_columns``), decodes it on arrays
+(``lmgsum.verify.decode``) and words every error and mismatch itself.  The
+reference is ``oracle_verify`` in ``tests/oracle.py``: summary objects,
+``oracle_validate``, correction tuples, the dict decompression and a
+comparison of sorted text dumps.  On every report, regular or corrupted, the two must
+give one exit code, and a MISMATCH line must name the first node, or else
+the first edge, on which the input and the oracle's reconstruction differ.
 """
 
+import ast
 import contextlib
 import copy
 import io
 import json
 import os
+import re
 import tempfile
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,6 +39,7 @@ from lmgsum.summary import (
     summary_to_dict,
 )
 from lmgsum.synth import planted_graph, random_graph
+from oracle import oracle_verify
 
 
 def _thinned_planted(seed: int) -> LabeledMultiGraph:
@@ -205,6 +206,19 @@ def _swapped_label(payload, g, draw):
     rec["label"] = draw(st.sampled_from([n for n in g.label_names if n != rec["label"]]))
 
 
+def _bumped_multiplicity(payload, g, draw):
+    corrections = payload["corrections"]
+    rows = corrections["positive"] + corrections["mult_deltas"]
+    assume(rows)
+    draw(st.sampled_from(rows))[2] += 1
+
+
+def _dropped_correction(payload, g, draw):
+    rows = payload["corrections"][draw(st.sampled_from(["positive", "negative"]))]
+    assume(rows)
+    rows.remove(draw(st.sampled_from(rows)))
+
+
 def _unused_label_name(payload, g, draw):
     payload["summary"]["label_names"].append("no-record-uses-this-label")
 
@@ -272,6 +286,8 @@ CORRUPTIONS = {
     "reordered-node-names": (_reordered_node_names, 0),
     "reordered-label-names": (_reordered_label_names, 0),
     "swapped-label": (_swapped_label, 1),
+    "bumped-multiplicity": (_bumped_multiplicity, 1),
+    "dropped-correction": (_dropped_correction, 1),
     "unused-label-name": (_unused_label_name, 0),
     "node-renamed": (_node_renamed, 1),
     "label-renamed": (_label_renamed, 1),
@@ -283,37 +299,76 @@ CORRUPTIONS = {
 READER_REJECTS = {"string-for-a-list", "repeated-record"}
 
 
-@settings(max_examples=200, deadline=None)
+def _by_name(g: LabeledMultiGraph) -> tuple[dict, dict]:
+    """g's edge multiplicities and node labels, keyed by node names."""
+    names = g.node_names
+    edges = {(names[u], names[w]): m for u, w, m in g.edges()}
+    labels = {name: g.label_names[label] for name, label in zip(names, g.labels.tolist())}
+    return edges, labels
+
+
+def _first_difference(g: LabeledMultiGraph, recon: LabeledMultiGraph) -> tuple:
+    """("node", name, label in g, label in recon) for the first node, in g's
+    node order and then recon's, whose label differs (None where a graph
+    lacks the node); else ("edge", pair, multiplicity in g, in recon) for
+    the first pair, in the order of g's node ids, whose multiplicity differs
+    (0 where a graph lacks the edge)."""
+    (edges, labels), (r_edges, r_labels) = _by_name(g), _by_name(recon)
+    for name in g.node_names + [name for name in recon.node_names if name not in labels]:
+        if labels.get(name) != r_labels.get(name):
+            return "node", name, labels.get(name), r_labels.get(name)
+    rank = {name: v for v, name in enumerate(g.node_names)}
+    for pair in sorted(edges.keys() | r_edges.keys(), key=lambda p: (rank[p[0]], rank[p[1]])):
+        if edges.get(pair, 0) != r_edges.get(pair, 0):
+            return "edge", pair, edges.get(pair, 0), r_edges.get(pair, 0)
+    raise AssertionError("the graphs do not differ")
+
+
+def _named_difference(line: str) -> tuple:
+    """What the MISMATCH ``line`` names, in :func:`_first_difference`'s form."""
+    edge = re.fullmatch(
+        r"MISMATCH: edge (\(.*\)) (?:inside|from) super-node .*: "
+        r"original multiplicity (\d+), reconstructed (\d+)", line
+    )
+    if edge:
+        return "edge", ast.literal_eval(edge[1]), int(edge[2]), int(edge[3])
+    node = re.fullmatch(
+        r"MISMATCH: node ('[^']*')(?: in super-node -?\d+)?: "
+        r"original label ('[^']*'|None), reconstructed ('[^']*'|None)", line
+    )
+    assert node, line
+    return "node", *map(ast.literal_eval, node.groups())
+
+
+@settings(max_examples=240, deadline=None)
 @given(
     source=st.sampled_from(sorted(SOURCES)),
     seed=st.integers(0, 5),
     corruption=st.sampled_from(sorted(CORRUPTIONS)),
     data=st.data(),
 )
-def test_array_path_says_ok_only_where_the_object_path_does(
-    cases, source, seed, corruption, data
-):
+def test_verify_exits_as_the_oracle_does(cases, source, seed, corruption, data):
     edges, labels, written = cases(source, seed)
     g = load_graph(edges, labels)
     payload = copy.deepcopy(written)
     corrupt, expected_code = CORRUPTIONS[corruption]
     if corrupt is not None:
         corrupt(payload, g, data.draw)
+    oracle_code, recon = oracle_verify(g, payload)
     with tempfile.TemporaryDirectory() as d:
         report = os.path.join(d, "report.json")
         with open(report, "w", encoding="utf-8") as f:
             json.dump(payload, f)
-        argv = ["verify", "-i", edges, "-l", labels, "--json", report]
-        decided = verify.rebuilds(g, payload["summary"], payload["corrections"])
-        got = _cli(argv)
-        with mock.patch.object(verify, "rebuilds", lambda *_args: False):
-            object_path = _cli(argv)
-    assert got == object_path
-    assert got[0] == expected_code
-    if decided:
-        assert object_path[1].startswith("OK:")
-    # the array path decides every regular report itself
-    assert decided == (expected_code == 0 and corruption != "unused-label-name")
+        code, out, err = _cli(["verify", "-i", edges, "-l", labels, "--json", report])
+    assert code == oracle_code == expected_code
+    assert "Traceback" not in err
+    if code == 0:
+        assert out.startswith("OK:")
+    elif code == 1:
+        assert _named_difference(out.rstrip("\n")) == _first_difference(g, recon)
+    else:
+        assert out == ""
+        assert "malformed report: " in err or "unknown or missing key" in err
     if corruption in READER_REJECTS:
         with pytest.raises((TypeError, ValueError)):
             corrections_from_dict(summary_from_dict(payload["summary"]), payload["corrections"])
@@ -335,12 +390,14 @@ def test_every_correction_kind_is_applied_on_arrays(retyped):
     assert cor.mult_deltas or retyped is Glyph.DISCONNECTED
     summary_dict = summary_to_dict(g, summary)
     corrections = corrections_to_dict(summary, cor)
-    assert verify.rebuilds(g, summary_dict, corrections)
-    # one unit more on a corrected multiplicity is a mismatch
+    assert verify.mismatch(g, summary_dict, corrections) is None
+    # one unit more on a corrected multiplicity is a mismatch on its edge
     for kind in ("positive", "mult_deltas"):
         for row in corrections[kind][:1]:
             row[2] += 1
-            assert not verify.rebuilds(g, summary_dict, corrections)
+            assert verify.mismatch(g, summary_dict, corrections).startswith(
+                f"MISMATCH: edge ({row[0]!a}, {row[1]!a}) "
+            )
             row[2] -= 1
 
 
@@ -350,8 +407,8 @@ def test_every_correction_kind_is_applied_on_arrays(retyped):
     ids=["base-beyond-bound", "delta-beyond-bound"],
 )
 def test_deltas_that_would_wrap_int64_are_declined(tmp_path, mult, positive, delta):
-    # int64 sums would wrap round to the edge's multiplicity; reconstruct
-    # sums Python ints and rejects the running value below 1
+    # int64 sums would wrap round to the edge's multiplicity; past the
+    # bounds the deltas are summed as Python ints
     edges = tmp_path / "edges.tsv"
     edges.write_text(f"a\tb\t{mult}\n")
     g = load_graph(str(edges))
@@ -361,7 +418,8 @@ def test_deltas_that_would_wrap_int64_are_declined(tmp_path, mult, positive, del
     assert corrections["positive"] == [["a", "b", mult]]
     corrections["positive"][0][2] = positive
     corrections["mult_deltas"].append(["a", "b", delta])
-    assert not verify.rebuilds(g, summary_dict, corrections)
+    with pytest.raises(ValueError, match=r"^multiplicity of \('a', 'b'\) dropped below 1$"):
+        verify.mismatch(g, summary_dict, corrections)
     path = tmp_path / "report.json"
     path.write_text(json.dumps({"summary": summary_dict, "corrections": corrections}))
     code, out, err = _cli(["verify", "-i", str(edges), "--json", str(path)])
@@ -375,5 +433,6 @@ def test_sections_that_are_not_objects_are_declined(cases, section, value):
     edges, labels, written = cases("planted", 0)
     g = load_graph(edges, labels)
     payload = dict(written, **{section: value})
-    assert verify.rebuilds(g, written["summary"], written["corrections"])
-    assert not verify.rebuilds(g, payload["summary"], payload["corrections"])
+    assert verify.mismatch(g, written["summary"], written["corrections"]) is None
+    with pytest.raises(TypeError):
+        verify.mismatch(g, payload["summary"], payload["corrections"])
