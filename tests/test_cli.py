@@ -543,6 +543,21 @@ class TestVerify:
         assert f"{out_json}: malformed report: " in captured.err
         assert "Traceback" not in captured.err
 
+    def test_match_is_decided_without_text_dumps(
+        self, planted_files, tmp_path, capsys, monkeypatch
+    ):
+        edges, labels, _g = planted_files
+        out_json = self._report(tmp_path, edges, labels)
+
+        def no_dump(self):
+            raise AssertionError("canonical_dump called")
+
+        monkeypatch.setattr(LabeledMultiGraph, "canonical_dump", no_dump)
+        capsys.readouterr()
+        code = main(["verify", "-i", edges, "-l", labels, "--json", str(out_json)])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("OK:")
+
     def test_regular_report_builds_no_summary_objects(
         self, planted_files, tmp_path, capsys, monkeypatch
     ):
