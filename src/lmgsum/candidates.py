@@ -24,6 +24,25 @@ least one new edge; their quality is the minimum pairwise similarity inside
 the clique.  A harvest enumerates the maximal cliques through each endpoint
 of a new edge once, by Bron-Kerbosch with Tomita pivoting on integer
 bitsets, and keeps those that contain a new edge.
+
+Nodes with equal non-empty token rows are twins, structurally equivalent
+in Lorrain and White's sense: they have similarity 1 with each other and
+the same similarity to every other node, and they share every band key.
+The sweep runs on one representative per twin class (:func:`twin_classes`;
+the class's smallest member), so only representatives are hashed,
+bucketed, coalesced and verified.  Its similarity graph stands for the one
+over all nodes in which each class is a clique and two classes are joined
+member to member, so every maximal clique there holds all of a class or
+none of it.  A harvest therefore counts members in the clique-size bound
+and in the recorded clique sizes, takes each class's internal pairs as new
+edges of band 1 (a class without a similar neighbor is a candidate of its
+own), computes quality over representatives (1.0 inside a class) and lists
+every member of a clique's classes in its candidate.  The candidates equal
+the uncontracted sweep's (``tests/oracle.py``): which side of a union the
+degree window is read from decides whether some pairs are verified, but
+only pairs below the final threshold, so the similarity graph and the cache
+do not depend on it.  Only a verification budget that cuts checks can make
+the two differ; ``LshState.budget_skips`` counts the checks it cut.
 """
 
 from __future__ import annotations
@@ -41,6 +60,8 @@ SENTINEL = np.uint64(0xFFFFFFFFFFFFFFFF)
 _C1 = 0xBF58476D1CE4E5B9
 _C2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
+#: keys the row hash that proposes twin classes
+_ROW_SALT = 0x2545F4914F6CDD1D
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -59,11 +80,11 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _row_key(seed: int, band: int, row: int) -> int:
-    def mix(x: int) -> int:
-        return int(_mix64(np.array([x & _MASK], dtype=np.uint64))[0])
-
-    return mix(mix(seed ^ 0x9E3779B97F4A7C15) ^ (band * 0xD1B54A32D192ED03) ^ row)
+def _row_keys(seed: int, band: int, r: int) -> np.ndarray:
+    """The hash keys of the band's ``r`` rows."""
+    base = _mix64(np.array([(seed ^ 0x9E3779B97F4A7C15) & _MASK], dtype=np.uint64))[0]
+    mixed = int(base) ^ (band * 0xD1B54A32D192ED03)
+    return _mix64(np.array([(mixed ^ row) & _MASK for row in range(r)], dtype=np.uint64))
 
 
 def threshold(band_count: int, r: int) -> float:
@@ -149,30 +170,85 @@ def minhash_band(
     neighbor tokens.  Nodes without any token get the sentinel value in
     every row; the sentinel never collides because such nodes are excluded
     from bucketing altogether.
+    """
+    tokens, indptr = g.token_array()
+    sig = np.full((g.n, r), SENTINEL, dtype=np.uint64)
+    nonempty = np.flatnonzero(np.diff(indptr) > 0)
+    if len(nonempty):
+        sig[nonempty] = _row_minima(g, tokens, indptr[:-1][nonempty], band_index, seed, r)
+    return sig
+
+
+def _row_minima(
+    g: LabeledMultiGraph,
+    tokens: np.ndarray,
+    starts: np.ndarray,
+    band_index: int,
+    seed: int,
+    r: int,
+) -> np.ndarray:
+    """(len(starts), r) row-minimum hashes of the runs of ``tokens`` (some
+    of ``g``'s token values) that begin at ``starts``, each run ending
+    where the next begins.
 
     A token's keyed hash depends on its value only, so each row hashes the
     graph's distinct token values (:meth:`LabeledMultiGraph.token_values`)
     into a table indexed by value, and every occurrence reads its hash from
     there.
     """
-    tokens, indptr = g.token_array()
-    sig = np.full((g.n, r), SENTINEL, dtype=np.uint64)
-    lengths = np.diff(indptr)
-    nonempty = np.nonzero(lengths > 0)[0]
-    if len(nonempty) == 0:
-        return sig
-    starts = indptr[:-1][nonempty]
     values = g.token_values()
     # token values are below 2n, so they index the table directly
     at, slots = tokens.view(np.int64), values.view(np.int64)
     table = np.empty(2 * g.n, dtype=np.uint64)
     hashed = np.empty_like(values)
-    for j in range(r):
-        key = np.uint64(_row_key(seed, band_index, j))
+    sig = np.empty((len(starts), r), dtype=np.uint64)
+    for j, key in enumerate(_row_keys(seed, band_index, r)):
         np.bitwise_xor(values, key, out=hashed)
         table[slots] = _mix64(hashed)
-        sig[nonempty, j] = np.minimum.reduceat(table[at], starts)
+        sig[:, j] = np.minimum.reduceat(table[at], starts)
     return sig
+
+
+def twin_classes(g: LabeledMultiGraph) -> list[tuple[int, ...]]:
+    """The twin classes of ``g``: maximal sets of two or more nodes with
+    equal non-empty token rows, each sorted, in order of their smallest
+    member.  A tokenless node is never a twin.
+
+    A wrapping sum of each row's mixed tokens proposes the classes, and an
+    exact comparison of every member's row with its class's first row
+    decides them; a proposed class that fails it is split by row bytes.
+    """
+    tokens, indptr = g.token_array()
+    nodes = np.flatnonzero(np.diff(indptr) > 0)
+    if len(nodes) < 2:
+        return []
+    row_hash = np.add.reduceat(_mix64(tokens ^ np.uint64(_ROW_SALT)), indptr[:-1][nodes])
+    # stable, so each run of equal hashes lists its nodes in id order
+    order = np.argsort(row_hash, kind="stable")
+    row_hash, nodes = row_hash[order], nodes[order]
+    starts = np.flatnonzero(np.concatenate(([True], row_hash[1:] != row_hash[:-1])))
+    sizes = np.diff(np.append(starts, len(nodes)))
+    first = np.repeat(nodes[starts], sizes)
+    length = np.diff(indptr)[nodes]
+    same = length == np.diff(indptr)[first]
+    # tokens compared: a node alone in its run is left out
+    k = length * (same & np.repeat(sizes > 1, sizes))
+    offset = np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)
+    differ = tokens[np.repeat(indptr[nodes], k) + offset] != tokens[np.repeat(indptr[first], k) + offset]
+    same[np.repeat(np.arange(len(nodes)), k)[differ]] = False
+    exact = np.logical_and.reduceat(same, starts)
+    ranked = nodes.tolist()
+    out: list[tuple[int, ...]] = []
+    for i, size, ok in zip(*(x[sizes > 1].tolist() for x in (starts, sizes, exact))):
+        if ok:
+            out.append(tuple(ranked[i : i + size]))
+            continue
+        rows: dict[bytes, list[int]] = {}
+        for v in ranked[i : i + size]:
+            rows.setdefault(tokens[indptr[v] : indptr[v + 1]].tobytes(), []).append(v)
+        out += [tuple(c) for c in rows.values() if len(c) > 1]
+    out.sort()
+    return out
 
 
 def _band_keys(sig: np.ndarray) -> np.ndarray:
@@ -344,7 +420,19 @@ class PairCache:
 
 
 class LshState:
-    """Incremental LSH: clusters, verified pairs, similarity graph, cliques."""
+    """Incremental LSH over one similarity vertex per twin class: clusters,
+    verified pairs, similarity graph, cliques.
+
+    ``classes`` maps the representative of each :func:`twin_classes` class,
+    its smallest member, to the class.  Twins share every band key, have
+    Jaccard 1 with each other and the same similarity to every other node,
+    so only representatives are hashed, bucketed, coalesced and verified,
+    and ``members``, ``verified``, ``cache``, ``gsim`` and
+    ``max_clique_size`` hold representatives only.  A harvested clique
+    stands for the clique of all its classes' members, and its candidate
+    lists them all; ``max_clique_size`` counts members.
+    ``budget_skips`` counts the pair checks that ``merge_budget`` cut off.
+    """
 
     def __init__(
         self,
@@ -360,11 +448,21 @@ class LshState:
         self.seed = seed
         self.t_min = threshold(b_max, r)
         self.bands_added = 0
+        self.classes = {c[0]: c for c in twin_classes(g)}
+        tokens, indptr = g.token_array()
+        degrees = np.diff(indptr)
+        hashed = degrees > 0
+        for c in self.classes.values():
+            hashed[list(c[1:])] = False
+        # the hashed representatives, and their token rows end to end
+        self.active = np.flatnonzero(hashed)
+        self._tokens = tokens[np.repeat(hashed, degrees)]
+        sizes = degrees[self.active]
+        self._starts = np.cumsum(sizes) - sizes
         self.parent = list(range(g.n))
         # degree-sorted member lists, keyed by cluster root
-        degrees = (np.diff(g.out_indptr) + np.diff(g.in_indptr)).tolist()
         self.members: dict[int, list[tuple[int, int]]] = {
-            v: [(d, v)] for v, d in enumerate(degrees)
+            v: [(d, v)] for v, d in zip(self.active.tolist(), sizes.tolist())
         }
         self.verified: set[tuple[int, int]] = set()
         self.gsim = SimilarityGraph()
@@ -372,6 +470,11 @@ class LshState:
         self.max_clique_size: dict[int, int] = {}
         # pair-verification budget per cluster merge, to bound worst cases
         self.merge_budget = cluster_cap * 8
+        self.budget_skips = 0
+        # members beyond the representative, by representative
+        self._extra = {x: len(c) - 1 for x, c in self.classes.items()}
+        # classes whose internal pairs are new edges: band 1's, until harvested
+        self._fresh: set[int] = set()
 
     # -- union-find with windowed pair verification -------------------------
 
@@ -381,17 +484,18 @@ class LshState:
             x = self.parent[x]
         return x
 
-    def _window(self, arr: list[tuple[int, int]], deg: int):
+    def _window(self, arr: list[tuple[int, int]], deg: int) -> tuple[int, int]:
+        """The slice bounds of ``arr``'s entries whose degree is in the
+        window of ``deg``."""
         lo = int(np.floor(deg * self.t_min))
         hi = int(np.ceil(deg / self.t_min))
-        i = bisect_left(arr, (lo,))
-        j = bisect_left(arr, (hi + 1,))
-        return arr[i:j]
+        return bisect_left(arr, (lo,)), bisect_left(arr, (hi + 1,))
 
     def _union(self, a: int, b: int, pairs: list[tuple[int, int]]) -> None:
         """Coalesce the clusters of ``a`` and ``b``, appending the pairs
         across them that fall in the degree window and are within the
-        budget, in visit order, to ``pairs`` and to ``verified``.
+        budget, in visit order, to ``pairs`` and to ``verified``; the
+        others in the window add to ``budget_skips``.
 
         A pair is verified only when its two clusters merge, and clusters
         never split, so no pair across two clusters was verified before."""
@@ -403,16 +507,15 @@ class LshState:
             ra, rb = rb, ra
             small, large = large, small
         verified = self.verified
-        checks = 0
+        left = self.merge_budget
         for deg, u in small:
-            if checks >= self.merge_budget:
-                break
-            for _dw, w in self._window(large, deg):
-                checks += 1
+            i, j = self._window(large, deg)
+            take = min(j - i, left)
+            for _dw, w in large[i : i + take]:
                 verified.add((u, w) if u < w else (w, u))
                 pairs.append((u, w))
-                if checks >= self.merge_budget:
-                    break
+            left -= take
+            self.budget_skips += j - i - take
         self.parent[ra] = rb
         del self.members[ra]
         if len(small) < 16:
@@ -430,16 +533,18 @@ class LshState:
         The pairs to verify depend on cluster membership, the degree window
         and the budget only, so the band collects them first, computes all
         their similarities with :func:`pair_similarities`, then admits or
-        caches each in visit order.
+        caches each in visit order.  A twin class's internal pairs are band
+        1's edges without being verified.
         """
         self.bands_added += 1
+        if self.bands_added == 1:
+            self._fresh = set(self.classes)
         t = threshold(self.bands_added, self.r)
-        sig = minhash_band(self.g, self.bands_added, self.seed, self.r)
-        lengths = np.diff(self.g.token_array()[1])
-        active = np.nonzero(lengths > 0)[0]
+        active = self.active
         if len(active) == 0:
             return
-        keys = _band_keys(sig[active])
+        sig = _row_minima(self.g, self._tokens, self._starts, self.bands_added, self.seed, self.r)
+        keys = _band_keys(sig)
         order = np.argsort(keys, kind="stable")
         sorted_keys = keys[order]
         # buckets are runs of equal keys; only those of two or more coalesce
@@ -477,46 +582,85 @@ class LshState:
             self.gsim.add_edge(u, v, j)
 
     def harvest_cliques(self) -> list[Candidate]:
-        """Maximal cliques that contain an edge added since the last harvest.
+        """Maximal cliques that contain an edge added since the last harvest,
+        each expanded by its classes.
 
-        A new edge (u, v) is skipped when ``2 + |N(u) & N(v)|``, the size
-        bound of any clique through it, cannot beat the recorded maximum of
-        both endpoints; the others are the live edges.  Each maximal clique
-        through an endpoint of a live edge is enumerated once, from the
-        first such endpoint in node order, and kept if it contains a live
-        edge.  No clique is emitted twice: within a harvest the enumeration
-        lists each once, and a clique emitted earlier holds no new edge,
-        because every edge of it existed then and ``add_edge`` admits a pair
-        only once.
+        A new edge (u, v) is skipped when the members of u, v and their
+        common neighbors, the size bound of any clique through it, cannot
+        beat the recorded maximum of both endpoints; the others are the
+        live edges.  The first harvest after band 1 also takes every twin
+        class as live: its internal pairs are new edges there, so a class
+        without a similar neighbor is a clique of its own.  Each maximal
+        clique through a live class or an endpoint of a live edge is
+        enumerated once, from the first such vertex in node order, and kept
+        if it holds a live class or a live edge; a vertex that has an
+        earlier such neighbor adjacent to all its other neighbors has none
+        left and is not searched.  A kept clique's quality is the least
+        similarity between its vertices, 1.0 for a single class, since
+        twins have similarity 1 with each other.  No clique is emitted
+        twice: within a harvest the enumeration lists each once, and a
+        clique emitted earlier holds no new edge, because every edge of it
+        existed then and ``add_edge`` admits a pair only once.
         """
-        adj = self.gsim.adj
-        new_edges = self.gsim.new_edges
-        self.gsim.new_edges = []
+        gsim = self.gsim
+        adj = gsim.adj
+        new_edges = gsim.new_edges
+        gsim.new_edges = []
+        extra = self._extra
+        twinned = extra.keys()
+        known = self.max_clique_size
         live: dict[int, set[int]] = {}
         for u, v in new_edges:
-            bound = 2 + len(adj[u] & adj[v])
-            known_u = self.max_clique_size.get(u, 0)
-            known_v = self.max_clique_size.get(v, 0)
-            if bound <= known_u and bound <= known_v:
-                continue
+            known_u, known_v = known.get(u, 0), known.get(v, 0)
+            # the bound is at least 2, so an endpoint in no clique yet is live
+            if known_u and known_v:
+                common = adj[u] & adj[v]
+                bound = 2 + len(common) + extra.get(u, 0) + extra.get(v, 0)
+                if twinned:
+                    bound += sum(extra[x] for x in common & twinned)
+                if bound <= known_u and bound <= known_v:
+                    continue
             live.setdefault(u, set()).add(v)
             live.setdefault(v, set()).add(u)
-        found: list[Candidate] = []
+        fresh, self._fresh = self._fresh, set()
+        for x in fresh:
+            live.setdefault(x, set())
+        found: list[tuple[tuple[int, ...], Candidate]] = []
         done: set[int] = set()
         for u in sorted(live):
-            for nodes in self.gsim.cliques_through(u, done):
-                members = set(nodes)
-                if all(members.isdisjoint(live.get(x, ())) for x in nodes):
+            nbrs = adj.get(u)
+            if nbrs is None:
+                cliques = [(u,)]
+            else:
+                # a done neighbor adjacent to all of u's other neighbors
+                # extends every clique through u that avoids done vertices
+                earlier = nbrs & done
+                if earlier and nbrs - done <= adj[next(iter(earlier))]:
+                    cliques = []
+                else:
+                    cliques = gsim.cliques_through(u, done)
+            for nodes in cliques:
+                vertices = set(nodes)
+                if fresh.isdisjoint(nodes) and all(
+                    vertices.isdisjoint(live.get(x, ())) for x in nodes
+                ):
                     continue
-                found.append(
-                    Candidate(nodes, self.gsim.quality(nodes), self.bands_added)
-                )
+                quality = gsim.quality(nodes) if len(nodes) > 1 else 1.0
+                found.append((nodes, Candidate(self._expand(nodes), quality, self.bands_added)))
             done.add(u)
-        for c in found:
-            for x in c.nodes:
-                if self.max_clique_size.get(x, 0) < c.size:
-                    self.max_clique_size[x] = c.size
-        return found
+        for nodes, c in found:
+            size = c.size
+            for x in nodes:
+                if known.get(x, 0) < size:
+                    known[x] = size
+        return [c for _nodes, c in found]
+
+    def _expand(self, nodes: tuple[int, ...]) -> tuple[int, ...]:
+        """The sorted members of the classes of ``nodes``."""
+        if self._extra.keys().isdisjoint(nodes):
+            return nodes
+        classes = self.classes
+        return tuple(sorted(v for x in nodes for v in classes.get(x, (x,))))
 
 
 def prune_redundant(cands: list[Candidate]) -> list[Candidate]:

@@ -52,7 +52,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--cluster-cap", type=int, default=5000,
-        help="sets the pair-verification budget per LSH cluster union to 8 x this value",
+        help="sets the pair-verification budget per LSH cluster union to 8 x this value; "
+        "summarize reports on stderr when the budget skips a check",
     )
 
 
@@ -167,6 +168,13 @@ def cmd_summarize(args) -> int:
     else:
         write_json(payload, sys.stdout.write)
         print()
+    if report.budget_skips:
+        print(
+            f"budget: skipped {report.budget_skips} pair checks past "
+            f"{8 * config.cluster_cap} per cluster union (8 x --cluster-cap); "
+            "the candidates may differ from an unbudgeted run",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 

@@ -27,7 +27,7 @@ import os
 import struct
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -58,8 +58,10 @@ class RunReport:
     ``corrections`` is the :class:`CorrectionSet` that rebuilds the input
     from the final summary, computed once by :func:`run`, and ``cost`` is
     the final summary's :class:`CostBreakdown`, read off the merge state,
-    so ``cost.total_bits == bits_after``.  Both stay out of :meth:`to_dict`,
-    and a report built elsewhere may leave them ``None``.
+    so ``cost.total_bits == bits_after``.  ``budget_skips`` is the number
+    of pair checks the sweep's verification budget cut off.  All three stay
+    out of :meth:`to_dict`, and a report built elsewhere may leave the first
+    two ``None``.
     """
 
     bits_before: float
@@ -75,6 +77,7 @@ class RunReport:
     correction_counts: dict[str, int] = field(default_factory=dict)
     corrections: CorrectionSet | None = None
     cost: CostBreakdown | None = None
+    budget_skips: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -124,7 +127,12 @@ def run(
     are computed once, here, and handed back as ``report.corrections``.
     """
     t0 = time.perf_counter()
-    summary, report = _merge(g, _sweep(g, config), config, audit, keep_checkpoint_summaries)
+    lsh = _lsh_state(g, config)
+    summary, report = _merge(
+        g, candidate_batches(lsh, config.checkpoints), config, audit, keep_checkpoint_summaries
+    )
+    report.budget_skips = lsh.budget_skips
+    del lsh  # the sweep's arrays and sets are not kept through the corrections
     corrections = compute_corrections(g, summary)
     report.correction_counts = corrections.counts()
     report.corrections = corrections
@@ -132,17 +140,15 @@ def run(
     return summary, report
 
 
-def _sweep(g: LabeledMultiGraph, config: RunConfig) -> Iterator[tuple[int, list[Candidate]]]:
-    """The run's candidate sweep, lazily: ``(band, batch)`` at each
-    checkpoint band and at the last band."""
-    lsh = LshState(
+def _lsh_state(g: LabeledMultiGraph, config: RunConfig) -> LshState:
+    """The run's candidate sweep, before its first band."""
+    return LshState(
         g,
         r=config.r,
         b_max=config.b_max,
         seed=config.seed,
         cluster_cap=config.cluster_cap,
     )
-    return candidate_batches(lsh, config.checkpoints)
 
 
 def _merge(
@@ -228,7 +234,7 @@ def shuffled_label_eval(g: LabeledMultiGraph, config: RunConfig = RunConfig()) -
     not depend on how many.
     """
     # the candidate sweep reads the edges only, so every labeling shares it
-    batches = list(_sweep(g, config))
+    batches = list(candidate_batches(_lsh_state(g, config), config.checkpoints))
 
     def ratio(graph: LabeledMultiGraph) -> float:
         return _merge(graph, batches, config)[1].compression_ratio

@@ -24,20 +24,30 @@ decided every report on arrays: summary objects, ``oracle_validate``,
 correction tuples, the dict decompression and a comparison of sorted text
 dumps.
 
-``oracle_add_band`` is ``LshState.add_band`` as it was before the batched
-verification: one ``directed_jaccard`` call per pair, admitted or cached
-as soon as it is computed.  ``oracle_mix64`` is the splitmix64 finalizer on
+``OracleLshState`` is the LSH sweep as it was before twin contraction and
+batched verification: every node is a similarity vertex, and each pair is
+verified by one ``directed_jaccard`` call, admitted or cached as soon as
+it is computed.  ``oracle_mix64`` is the splitmix64 finalizer on
 Python ints, the reference for the in-place array mixer.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from itertools import combinations, product
 
 import numpy as np
 
-from lmgsum.candidates import _band_keys, directed_jaccard, minhash_band, threshold
+from lmgsum.candidates import (
+    Candidate,
+    PairCache,
+    SimilarityGraph,
+    _band_keys,
+    directed_jaccard,
+    minhash_band,
+    threshold,
+)
 from lmgsum.encoding import (
     CostBreakdown,
     cost_node_map,
@@ -743,55 +753,100 @@ def oracle_mix64(x: int) -> int:
     return x
 
 
-def _oracle_union(state, a: int, b: int, t: float) -> None:
-    """Coalesce two clusters, verifying each windowed pair as it is visited."""
-    ra, rb = state._find(a), state._find(b)
-    if ra == rb:
-        return
-    small, large = state.members[ra], state.members[rb]
-    if len(small) > len(large):
-        ra, rb = rb, ra
-        small, large = large, small
-    checks = 0
-    for deg, u in small:
-        if checks >= state.merge_budget:
-            break
-        for _dw, w in state._window(large, deg):
-            checks += 1
-            key = (u, w) if u < w else (w, u)
-            if key not in state.verified:
-                state.verified.add(key)
-                j = directed_jaccard(state.g, u, w)
-                if j >= t:
-                    state.gsim.add_edge(u, w, j)
-                elif j >= state.t_min:
-                    state.cache.push(j, u, w)
-            if checks >= state.merge_budget:
+class OracleLshState:
+    """The LSH sweep without twin contraction, pair by pair: the reference
+    for :class:`lmgsum.candidates.LshState`.
+
+    Every tokenful node is hashed and bucketed, every bucket member is
+    unioned with its bucket's first, each windowed pair is verified with
+    ``directed_jaccard`` as it is visited and admitted or cached at once,
+    and ``harvest_cliques`` runs :func:`oracle_harvest` on the similarity
+    graph over all nodes.  Twins are verified and searched pair by pair.
+    """
+
+    def __init__(self, g, r=8, b_max=10, seed=0, cluster_cap=5000):
+        self.g = g
+        self.r = r
+        self.b_max = b_max
+        self.seed = seed
+        self.t_min = threshold(b_max, r)
+        self.bands_added = 0
+        self.parent = list(range(g.n))
+        degrees = (np.diff(g.out_indptr) + np.diff(g.in_indptr)).tolist()
+        self.members = {v: [(d, v)] for v, d in enumerate(degrees)}
+        self.verified = set()
+        self.gsim = SimilarityGraph()
+        self.cache = PairCache()
+        self.max_clique_size = {}
+        self.emitted = set()
+        self.merge_budget = cluster_cap * 8
+
+    def _find(self, x):
+        while self.parent[x] != x:
+            x = self.parent[x]
+        return x
+
+    def _window(self, arr, deg):
+        lo = int(np.floor(deg * self.t_min))
+        hi = int(np.ceil(deg / self.t_min))
+        return arr[bisect_left(arr, (lo,)) : bisect_left(arr, (hi + 1,))]
+
+    def _union(self, a, b, t):
+        """Coalesce two clusters, verifying each windowed pair as it is visited."""
+        ra, rb = self._find(a), self._find(b)
+        if ra == rb:
+            return
+        small, large = self.members[ra], self.members[rb]
+        if len(small) > len(large):
+            ra, rb = rb, ra
+            small, large = large, small
+        checks = 0
+        for deg, u in small:
+            if checks >= self.merge_budget:
                 break
-    state.parent[ra] = rb
-    del state.members[ra]
-    large.extend(small)
-    large.sort()
+            for _dw, w in self._window(large, deg):
+                checks += 1
+                key = (u, w) if u < w else (w, u)
+                if key not in self.verified:
+                    self.verified.add(key)
+                    j = directed_jaccard(self.g, u, w)
+                    if j >= t:
+                        self.gsim.add_edge(u, w, j)
+                    elif j >= self.t_min:
+                        self.cache.push(j, u, w)
+                if checks >= self.merge_budget:
+                    break
+        self.parent[ra] = rb
+        del self.members[ra]
+        large.extend(small)
+        large.sort()
 
+    def add_band(self):
+        """Hash, bucket, coalesce and verify every pair on its own, then
+        promote cached pairs."""
+        self.bands_added += 1
+        t = threshold(self.bands_added, self.r)
+        sig = minhash_band(self.g, self.bands_added, self.seed, self.r)
+        active = np.nonzero(np.diff(self.g.token_array()[1]) > 0)[0]
+        if len(active) == 0:
+            return
+        keys = _band_keys(sig[active])
+        order = np.argsort(keys, kind="stable")
+        buckets: dict[int, list[int]] = {}
+        for key, v in zip(keys[order].tolist(), active[order].tolist()):
+            buckets.setdefault(key, []).append(v)
+        for key in sorted(buckets):
+            first, *others = buckets[key]
+            for other in others:
+                self._union(first, other, t)
+        for j, u, v in self.cache.pop_at_least(t):
+            self.gsim.add_edge(u, v, j)
 
-def oracle_add_band(state) -> None:
-    """The per-pair ``LshState.add_band``: hash, bucket, coalesce, and
-    verify every pair on its own, then promote cached pairs."""
-    state.bands_added += 1
-    t = threshold(state.bands_added, state.r)
-    sig = minhash_band(state.g, state.bands_added, state.seed, state.r)
-    lengths = np.diff(state.g.token_array()[1])
-    active = np.nonzero(lengths > 0)[0]
-    if len(active) == 0:
-        return
-    keys = _band_keys(sig[active])
-    order = np.argsort(keys, kind="stable")
-    buckets: dict[int, list[int]] = {}
-    for key, v in zip(keys[order].tolist(), active[order].tolist()):
-        buckets.setdefault(key, []).append(v)
-    for key in sorted(buckets):
-        first, *others = buckets[key]
-        for other in others:
-            _oracle_union(state, first, other, t)
-    for j, u, v in state.cache.pop_at_least(t):
-        state.gsim.add_edge(u, v, j)
+    def harvest_cliques(self):
+        new_edges, self.gsim.new_edges = self.gsim.new_edges, []
+        return [
+            Candidate(nodes, quality, self.bands_added)
+            for nodes, quality in oracle_harvest(
+                self.gsim, new_edges, self.max_clique_size, self.emitted
+            )
+        ]

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from lmgsum.candidates import directed_jaccard, minhash_band
+from lmgsum.cli import main
 from lmgsum.encoding import cost_entropy_code, ell_diff, len_natural, log2_binomial
 from lmgsum.graph import LabeledMultiGraph
 from lmgsum.merge import SummaryState, decide_glyph, representative_multiplicity
@@ -315,6 +316,46 @@ def test_criterion_12_runtime_scales_linearly_with_merges():
         slope <= 1.3 and elapsed < 120.0,
         f"slope={slope:.3f} (limit 1.3), points={[(e, round(t, 2)) for e, t in points]}, "
         f"elapsed={elapsed:.1f}s (budget 120s)",
+    )
+
+
+def _star(hubs: int, leaves: int) -> LabeledMultiGraph:
+    """``hubs`` hubs with an edge to each of ``leaves`` leaves."""
+    return LabeledMultiGraph(
+        hubs + leaves, {(h, hubs + i): 1 for h in range(hubs) for i in range(leaves)}
+    )
+
+
+def test_criterion_13_star_runtime_scales_linearly_in_leaves(tmp_path, capsys):
+    # a star's leaves are exact twins: one similarity vertex, however many
+    # there are.  The two smallest sizes take the best of 3 against host noise
+    t0 = time.perf_counter()
+    slopes = {}
+    for hubs in (1, 2):
+        points = []
+        for leaves, repeats in ((1_000, 3), (2_000, 3), (4_000, 1), (8_000, 1), (16_000, 1)):
+            g = _star(hubs, leaves)
+            times = []
+            for _ in range(repeats):
+                start = time.perf_counter()
+                run(g, RunConfig(seed=0))
+                times.append(time.perf_counter() - start)
+            points.append((leaves, min(times)))
+        slopes[hubs] = float(np.polyfit(np.log([k for k, _ in points]),
+                                        np.log([t for _, t in points]), 1)[0])
+    edges = tmp_path / "star.tsv"
+    edges.write_text("".join(f"h{h}\tleaf{i}\n" for h in range(2) for i in range(16_000)))
+    args = ["-i", str(edges), "--json", str(tmp_path / "report.json")]
+    codes = (main(["summarize", *args]), main(["verify", *args]))
+    verified = capsys.readouterr().out.splitlines()[-1]
+    elapsed = time.perf_counter() - t0
+    report(
+        13,
+        "one- and two-hub star log-log time/leaves slope, 16k-leaf round trip",
+        max(slopes.values()) <= 1.2 and codes == (0, 0) and verified.startswith("OK")
+        and elapsed < 120.0,
+        f"slopes={ {h: round(v, 3) for h, v in slopes.items()} } (limit 1.2), "
+        f"round trip exit codes={codes}, {verified!r}, elapsed={elapsed:.1f}s (budget 120s)",
     )
 
 

@@ -22,15 +22,15 @@ from lmgsum.candidates import (
     pair_similarities,
     prune_redundant,
     threshold,
+    twin_classes,
 )
 from lmgsum.graph import LabeledMultiGraph
-from lmgsum.synth import planted_graph, random_graph
+from lmgsum.synth import kout_graph, planted_graph, random_graph
 
 import oracle
 from oracle import (
-    oracle_add_band,
+    OracleLshState,
     oracle_cliques_through,
-    oracle_harvest,
     oracle_maximal_cliques,
     oracle_mix64,
 )
@@ -166,11 +166,52 @@ class TestPairSimilarities:
             assert pair_similarities(g, pairs) == whole
 
 
+def members_of(state, x):
+    """The members of the class that ``state`` represents by ``x``."""
+    return state.classes.get(x, (x,))
+
+
+def expanded(state, pairs):
+    """The node pairs that ``state``'s pairs of representatives stand for,
+    ordered, each with its pair's value."""
+    out = {}
+    for (x, y), j in pairs.items():
+        for u in members_of(state, x):
+            for v in members_of(state, y):
+                out[(u, v) if u < v else (v, u)] = j
+    return out
+
+
+def expanded_graph(state, pairs):
+    """:func:`expanded`, plus every class's internal pairs at similarity 1
+    once band 1 is added: the similarity graph over all nodes that a graph
+    over representatives stands for."""
+    out = expanded(state, pairs)
+    if state.bands_added:
+        for c in state.classes.values():
+            out.update(dict.fromkeys(combinations(c, 2), 1.0))
+    return out
+
+
+def cached(state):
+    """The state's cached pairs, ordered, with their similarities."""
+    return {(u, v) if u < v else (v, u): -negj for negj, u, v in state.cache._heap}
+
+
+def expanded_clusters(state):
+    """The state's clusters, each as the set of all its classes' members."""
+    return {
+        frozenset(v for _d, x in entries for v in members_of(state, x))
+        for entries in state.members.values()
+    }
+
+
 class TestBatchedVerification:
-    def test_every_band_equals_the_per_pair_path(self, monkeypatch):
+    def test_every_band_equals_the_per_pair_path(self):
         # planted_graph's defaults on seeds 0-3, then planted-merge's and
-        # planted-clique's small sizes; the oracle unions every bucket pair,
-        # production only those whose roots differed at the band's start
+        # planted-clique's small sizes; the reference unions every bucket
+        # pair of every node, production only the representatives whose
+        # roots differed at the band's start
         cases = (
             [(s, 5, (10, 20)) for s in range(4)]
             + [(s, 6, (4, 6)) for s in (0, 1)]
@@ -184,26 +225,36 @@ class TestBatchedVerification:
                 return union(*args)
             return wrapper
 
-        monkeypatch.setattr(oracle, "_oracle_union", counting("ref", oracle._oracle_union))
-        cached = rejected = 0
+        cached_pairs = rejected = twins = 0
         for seed, groups, size_range in cases:
             g, _ = planted_graph(seed, groups, groups, groups, size_range=size_range)
             prod = LshState(g, r=8, b_max=10, seed=seed)
             prod._union = counting("prod", prod._union)
-            ref = LshState(g, r=8, b_max=10, seed=seed)
+            ref = OracleLshState(g, r=8, b_max=10, seed=seed)
+            ref._union = counting("ref", ref._union)
+            twins += len(prod.classes)
             for _band in range(10):
                 prod.add_band()
-                oracle_add_band(ref)
-                assert prod.verified == ref.verified
-                assert list(prod.gsim.jaccard.items()) == list(ref.gsim.jaccard.items())
-                assert prod.gsim.new_edges == ref.gsim.new_edges
-                assert sorted(prod.cache._heap) == sorted(ref.cache._heap)
-                assert prod.members == ref.members
-                cached += len(prod.cache)
-            assert prod.gsim.edge_count
+                ref.add_band()
+                assert expanded_graph(prod, prod.gsim.jaccard) == ref.gsim.jaccard
+                # nothing is harvested, so band 1's class pairs stay new
+                new = {p: prod.gsim.jaccard[p] for p in prod.gsim.new_edges}
+                assert expanded_graph(prod, new) == {p: ref.gsim.jaccard[p] for p in ref.gsim.new_edges}
+                assert expanded(prod, cached(prod)) == cached(ref)
+                # tokenless nodes are never bucketed: production keeps no
+                # cluster for them
+                assert expanded_clusters(prod) == {
+                    frozenset(v for _d, v in entries)
+                    for entries in ref.members.values()
+                    if entries[-1][0]
+                }
+                cached_pairs += len(prod.cache)
+            assert ref.gsim.edge_count
+            assert prod.budget_skips == 0
             rejected += len(prod.verified) - prod.gsim.edge_count - len(prod.cache)
-        # some pairs waited in the cache and some were never admitted
-        assert cached and rejected
+        # some pairs waited in the cache, some were never admitted, and
+        # some nodes were verified as classes
+        assert cached_pairs and rejected and twins
         assert 0 < unions["prod"] < unions["ref"]
 
 
@@ -231,8 +282,7 @@ def per_occurrence_band(g, band_index, seed, r):
     tokens, indptr = g.token_array()
     sig = np.full((g.n, r), SENTINEL, dtype=np.uint64)
     nonempty = np.flatnonzero(np.diff(indptr) > 0)
-    for j in range(r):
-        key = np.uint64(candidates._row_key(seed, band_index, j))
+    for j, key in enumerate(candidates._row_keys(seed, band_index, r)):
         hashed = candidates._mix64(tokens ^ key)
         if len(nonempty):
             sig[nonempty, j] = np.minimum.reduceat(hashed, indptr[:-1][nonempty])
@@ -245,6 +295,13 @@ class TestMinhashBand:
         x = np.array(values, dtype=np.uint64)
         assert candidates._mix64(x) is x
         assert x.tolist() == [oracle_mix64(v) for v in values]
+
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 10**6), st.integers(1, 9))
+    def test_row_keys_mix_seed_band_and_row(self, seed, band, r):
+        assert candidates._row_keys(seed, band, r).tolist() == [
+            oracle_mix64(oracle_mix64(seed ^ 0x9E3779B97F4A7C15) ^ (band * 0xD1B54A32D192ED03) ^ row)
+            for row in range(r)
+        ]
 
     @given(
         banded_graphs(),
@@ -432,7 +489,8 @@ def sweep_graph(kind, seed, *args):
 
 class TestSweepInvariants:
     """What the sweep no longer re-checks: no candidate node set is
-    harvested twice, and no pair is verified twice."""
+    harvested twice, and no pair of representatives is verified twice.
+    Each band's harvest, with its classes expanded, is the reference's."""
 
     @pytest.mark.parametrize(
         "case",
@@ -442,7 +500,9 @@ class TestSweepInvariants:
     )
     def test_whole_sweep(self, case):
         seed = case[1]
-        state = LshState(sweep_graph(*case), r=8, b_max=10, seed=seed)
+        g = sweep_graph(*case)
+        state = LshState(g, r=8, b_max=10, seed=seed)
+        ref = OracleLshState(g, r=8, b_max=10, seed=seed)
         union = state._union
         appended = 0
 
@@ -456,7 +516,12 @@ class TestSweepInvariants:
         harvested = []
         for _band in range(10):
             state.add_band()
-            harvested += [c.nodes for c in state.harvest_cliques()]
+            ref.add_band()
+            got = state.harvest_cliques()
+            assert sorted(got, key=candidate_sort_key) == sorted(
+                ref.harvest_cliques(), key=candidate_sort_key
+            )
+            harvested += [c.nodes for c in got]
         assert harvested
         assert len(set(harvested)) == len(harvested)
         assert len(state.verified) == appended
@@ -548,20 +613,149 @@ class TestCliqueEnumeration:
 
     @pytest.mark.parametrize("seed, groups, size_range", PLANTED_SWEEPS)
     def test_harvest_matches_per_edge_oracle_every_band(self, seed, groups, size_range):
+        # the reference harvests by oracle_harvest over all nodes; the
+        # recorded clique sizes count members, so each class's members
+        # share their representative's
         g, _ = planted_graph(seed, groups, groups, groups, size_range=size_range, noise=0.05)
         prod = LshState(g, r=8, b_max=10, seed=seed)
-        ref = LshState(g, r=8, b_max=10, seed=seed)
-        emitted: set[frozenset] = set()
+        ref = OracleLshState(g, r=8, b_max=10, seed=seed)
         total = 0
         for _band in range(10):
             prod.add_band()
             ref.add_band()
             got = sorted((c.nodes, c.quality) for c in prod.harvest_cliques())
-            new_edges, ref.gsim.new_edges = ref.gsim.new_edges, []
-            assert got == oracle_harvest(ref.gsim, new_edges, ref.max_clique_size, emitted)
-            assert prod.max_clique_size == ref.max_clique_size
+            assert got == sorted((c.nodes, c.quality) for c in ref.harvest_cliques())
+            assert {
+                v: size
+                for x, size in prod.max_clique_size.items()
+                for v in members_of(prod, x)
+            } == ref.max_clique_size
             total += len(got)
         assert total > 0
+        assert prod.classes
+
+
+def brute_twin_classes(g):
+    """Nodes grouped by their direction-tagged neighbor sets, tokenless
+    nodes left out: the classes of two or more, sorted."""
+    rows: dict[frozenset, list[int]] = {}
+    for v in range(g.n):
+        row = frozenset(("in", u) for u in g.in_neighbors(v).tolist()) | frozenset(
+            ("out", w) for w in g.out_neighbors(v).tolist()
+        )
+        if row:
+            rows.setdefault(row, []).append(v)
+    return sorted(tuple(c) for c in rows.values() if len(c) > 1)
+
+
+@st.composite
+def twinned_graphs(draw):
+    """Graphs with planted twin classes: each class's members share their
+    in- and out-neighbors among a few hubs, hubs may link each other, a few
+    noise edges may break a class, some nodes are tokenless, labels are
+    drawn per node so classes mix labels, and ids are shuffled so classes
+    are not runs of ids."""
+    hubs = draw(st.integers(1, 5))
+    sizes = draw(st.lists(st.integers(1, 7), min_size=1, max_size=6))
+    isolated = draw(st.integers(0, 3))
+    n = hubs + sum(sizes) + isolated
+    hub = st.integers(0, hubs - 1)
+    edges: dict[tuple[int, int], int] = {}
+    node = hubs
+    for size in sizes:
+        ins, outs = draw(st.sets(hub)), draw(st.sets(hub))
+        for v in range(node, node + size):
+            edges.update({(h, v): 1 for h in ins})
+            edges.update({(v, h): 2 for h in outs})
+        node += size
+    linked = st.tuples(st.integers(0, node - 1), st.integers(0, node - 1))
+    for u, w in draw(st.lists(st.tuples(hub, hub), max_size=6)) + draw(
+        st.lists(linked, max_size=3)
+    ):
+        edges[(u, w)] = edges.get((u, w), 0) + 1
+    perm = draw(st.permutations(range(n)))
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return LabeledMultiGraph(
+        n, {(perm[u], perm[w]): m for (u, w), m in edges.items()}, labels, ["a", "b", "c"]
+    )
+
+
+def every_batch(state):
+    """The state's candidate batches with a checkpoint at every band."""
+    return list(candidate_batches(state, tuple(range(1, state.b_max + 1))))
+
+
+class TestTwinContraction:
+    def test_classes_by_hand(self):
+        # 0 and 1 point at 2 and 3, 4 and 5 at 6; 7 has a self-loop like
+        # no one else, 8 and 9 are tokenless
+        g = LabeledMultiGraph(
+            10, {(0, 2): 1, (0, 3): 2, (1, 2): 3, (1, 3): 1, (4, 6): 1, (5, 6): 1, (7, 7): 1}
+        )
+        assert twin_classes(g) == [(0, 1), (2, 3), (4, 5)] == brute_twin_classes(g)
+        assert twin_classes(LabeledMultiGraph(4, {})) == []
+
+    @given(st.one_of(twinned_graphs(), small_graph()), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_classes_equal_grouping_by_neighbor_sets(self, g, collide):
+        # with every row hash equal, each row length proposes one class,
+        # which the exact comparison must split
+        with pytest.MonkeyPatch.context() as mp:
+            if collide:
+                mp.setattr(candidates, "_mix64", lambda x: x & np.uint64(0))
+            assert twin_classes(g) == brute_twin_classes(g)
+
+    @given(twinned_graphs(), st.integers(0, 2**32), st.sampled_from([(8, 10), (2, 4), (4, 16)]))
+    @settings(max_examples=150, deadline=None)
+    def test_batches_equal_the_uncontracted_sweep(self, g, seed, shape):
+        r, b_max = shape
+        prod = LshState(g, r=r, b_max=b_max, seed=seed)
+        ref = OracleLshState(g, r=r, b_max=b_max, seed=seed)
+        assert every_batch(prod) == every_batch(ref)
+        assert prod.budget_skips == 0
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            # the benchmark's three inputs at seed 1: the sweep reads the
+            # edge structure only, which planted-merge takes from
+            # planted_graph unchanged
+            lambda: kout_graph(1, 6_000, 10),
+            lambda: planted_graph(1, 150, 150, 150, size_range=(5, 10), noise=0.05)[0],
+            lambda: planted_graph(1, 8, 8, 8, size_range=(30, 30), noise=0.05)[0],
+            lambda: planted_graph(0, 400, 400, 400, size_range=(5, 10))[0],
+        ],
+        ids=["kout-io", "planted-merge", "planted-clique", "planted-400"],
+    )
+    def test_batches_equal_the_uncontracted_sweep_on_large_inputs(self, make):
+        g = make()
+        seed = 1
+        prod = LshState(g, seed=seed)
+        assert every_batch(prod) == every_batch(OracleLshState(g, seed=seed))
+        # at the default budget nothing is cut
+        assert prod.budget_skips == 0
+
+    def test_lone_class_is_its_own_candidate(self):
+        # 40 leaves of one hub: one vertex with no similar neighbor, whose
+        # class is band 1's only candidate
+        g = LabeledMultiGraph(41, {(0, v): 1 for v in range(1, 41)})
+        state = LshState(g, seed=0)
+        assert state.classes == {1: tuple(range(1, 41))}
+        assert state.active.tolist() == [0, 1]
+        [(band, batch)] = candidate_batches(state)
+        assert batch == [Candidate(tuple(range(1, 41)), 1.0, 1)]
+        assert state.max_clique_size == {1: 40}
+        assert not state.verified and state.gsim.edge_count == 0
+
+    def test_budget_skips_count_the_cut_checks(self):
+        # the clusters and so every union's windowed pairs do not depend on
+        # the budget: the checks it cuts are those the full run makes more
+        g, _ = planted_graph(0, 3, 3, 3, size_range=(8, 12))
+        full, cut = LshState(g, seed=0), LshState(g, seed=0, cluster_cap=1)
+        for state in (full, cut):
+            every_batch(state)
+        assert full.budget_skips == 0 < cut.budget_skips
+        assert len(cut.verified) + cut.budget_skips == len(full.verified)
 
 
 def all_candidates(g, **kwargs):

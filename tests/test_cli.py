@@ -94,6 +94,29 @@ class TestSummarize:
         payload = json.loads(out_json.read_text())
         assert payload["report"]["bits_after"] == payload["summary"]["cost"]["total_bits"]
 
+    def test_budget_cut_is_reported_on_stderr(self, planted_files, tmp_path, capsys):
+        # --cluster-cap 1 allows 8 pair checks per cluster union, fewer than
+        # the planted groups' unions take: one stderr line says so, the
+        # report keeps its keys and verify reads it back
+        edges, labels, _g = planted_files
+        out_json = tmp_path / "report.json"
+        args = ["-i", edges, "-l", labels, "--seed", "1", "--json", str(out_json)]
+        assert main(["summarize", *args, "--cluster-cap", "1"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("bits_before=")
+        assert re.fullmatch(
+            r"budget: skipped [1-9]\d* pair checks past 8 per cluster union "
+            r"\(8 x --cluster-cap\); the candidates may differ from an unbudgeted run\n",
+            err,
+        )
+        cut = json.loads(out_json.read_text())
+        assert main(["verify", *args, "--cluster-cap", "1"]) == 0
+        assert capsys.readouterr().out.startswith("OK:")
+        assert main(["summarize", *args]) == 0
+        assert capsys.readouterr().err == ""
+        full = json.loads(out_json.read_text())
+        assert set(cut) == set(full) and set(cut["report"]) == set(full["report"])
+
     def test_json_and_dot_outputs(self, planted_files, tmp_path, capsys):
         edges, labels, _g = planted_files
         out_json = tmp_path / "report.json"
@@ -1102,11 +1125,9 @@ def _stack_depth() -> int:
     return depth
 
 
-def test_star_clique_deeper_than_the_recursion_allowance(tmp_path, capsys):
-    """A hub with 300 identical leaves makes a 300-node similarity clique;
-    the search for it needs no recursion as deep as the clique."""
-    edges = tmp_path / "star.tsv"
-    edges.write_text("".join(f"hub\tleaf{i}\n" for i in range(300)))
+def _round_trip_within_recursion_allowance(edges, tmp_path, capsys):
+    """``summarize`` then ``verify`` on ``edges``, with Python's recursion
+    limit 150 frames above the caller's depth."""
     report = tmp_path / "report.json"
     args = ["-i", str(edges), "--json", str(report)]
     limit = sys.getrecursionlimit()
@@ -1118,6 +1139,30 @@ def test_star_clique_deeper_than_the_recursion_allowance(tmp_path, capsys):
     finally:
         sys.setrecursionlimit(limit)
     assert capsys.readouterr().out.startswith("OK:")
+    return json.loads(report.read_text())
+
+
+def test_star_clique_deeper_than_the_recursion_allowance(tmp_path, capsys):
+    """A hub with 300 identical leaves round-trips under the recursion
+    allowance.  The leaves are one twin class, one similarity vertex, so
+    their 300-member candidate takes no clique search at all."""
+    edges = tmp_path / "star.tsv"
+    edges.write_text("".join(f"hub\tleaf{i}\n" for i in range(300)))
+    _round_trip_within_recursion_allowance(edges, tmp_path, capsys)
+
+
+def test_twinless_clique_deeper_than_the_recursion_allowance(tmp_path, capsys):
+    """A complete digraph on 200 nodes has no twins, since no node is its
+    own neighbor, and every two nodes have similarity 198/200: one
+    200-vertex similarity clique, which the search finds without recursion
+    as deep as the clique."""
+    edges = tmp_path / "complete.tsv"
+    edges.write_text(
+        "".join(f"n{u}\tn{w}\n" for u in range(200) for w in range(200) if u != w)
+    )
+    payload = _round_trip_within_recursion_allowance(edges, tmp_path, capsys)
+    assert payload["report"]["glyph_counts"]["clique"] == 1
+    assert payload["report"]["super_node_count"] == 1
 
 
 def test_non_ascii_names_under_an_ascii_locale(tmp_path):
