@@ -17,18 +17,26 @@ change to a formula reaches the greedy objective and the reported cost
 together.  A proposal's ``dcost`` is the :func:`math.fsum` of the terms a
 merge adds and, negated, of those it removes: its sign is the exact sign.
 
-A proposal reads the member edges once: ``_gather_cross`` collects every
-edge that touches a member, the glyph is decided from the internal ones
-(by the routine :func:`decide_glyph` also uses), and every old context the
-merge removes — the absorbed singletons' node contexts and each pair
-context with an absorbed endpoint — is priced from those edges, grouped by
-the current super-nodes of their endpoints.  Contexts whose price depends
-on a small class key only, such as a one-edge pair context without a
-super-edge, come from the state's :class:`~lmgsum.summary.ContextPrices`
-memo, and each bundle's super-edge decision, which depends on a class key
-of the bundle only, from the state's bundle memo (see
-:func:`_bundle_choice`).  The width bits are computed once per proposal,
-and a commit takes the proposal's value.  The old contexts, found from the
+A proposal is built in two steps.  :meth:`SummaryState._extend` extends a
+partial proposal by a set X of singletons: X's edges are added (an edge to
+a member becomes internal, the others join the bundle of the super-node at
+their other end), and so are the terms X's absorption removes, X's own and
+each old pair context with an endpoint in X and none in the partial set.
+:meth:`SummaryState._propose` then prices what the new super-node adds:
+glyph (decided from the internal edges by the routine :func:`decide_glyph`
+also uses), representative multiplicity, map, node context, bundles and
+width.  A subset extends the empty proposal, and each of its hub
+completions (see :meth:`SummaryState._hub_variants`) extends the subset's.
+That is exact: a context between two singletons never holds a super-edge,
+as a commit creates every super-edge with its new multi-member node at one
+end, so absorbing X leaves every context the partial set removed as it
+was; and sums of terms do not depend on their order.  Contexts priced by a
+small class key come from memos: one-edge pair contexts without a
+super-edge, which every context between two singletons is, and one-member
+node contexts from :class:`~lmgsum.summary.ContextPrices`, each bundle's
+super-edge decision from the bundle memo (see :func:`_bundle_choice`), and
+representative multiplicities by the sorted covered multiplicities.  A
+commit takes the proposal's width.  The old contexts, found from the
 gathered edges, include every super-edge the merge dissolves because of
 one invariant: each super-edge has at least one edge of the graph under
 it.  A super-edge is only created over a non-empty list of covered edges,
@@ -36,11 +44,8 @@ graphs are immutable, and a multi-member super-node never changes, so the
 invariant holds from commit to commit.
 
 Only current singletons can be merged; once a node is absorbed into a
-multi-member super-node it is marked and never regrouped.  Candidate sets
-whose glyph comes out disconnected are additionally scored with one
-candidate hub attached (the external singleton most members point to, or
-are pointed to by) so that stars whose hub is dissimilar from its spokes —
-which is the typical case — remain reachable.
+multi-member super-node it is marked and never regrouped.  Singleton ids
+are node ids, so a node is unmarked when it is its own super-node.
 """
 
 from __future__ import annotations
@@ -166,9 +171,10 @@ def _glyph_of(members: list[int], internal) -> tuple[Glyph, int | None]:
     clique_threshold = k * (k - 1) / 2 if k > 2 else 2
     if e_c >= clique_threshold:
         return Glyph.CLIQUE, None
-    # argmax with ties resolved toward the smallest node id
-    in_hub = min(members, key=lambda v: (-in_deg[v], v))
-    out_hub = min(members, key=lambda v: (-out_deg[v], v))
+    # argmax with ties resolved toward the smallest node id: max() keeps the
+    # first of equal keys, and the members are sorted
+    in_hub = max(members, key=in_deg.__getitem__)
+    out_hub = max(members, key=out_deg.__getitem__)
     cost_in = (k - 1 - in_deg[in_hub]) + (e_c - in_deg[in_hub])
     cost_out = (k - 1 - out_deg[out_hub]) + (e_c - out_deg[out_hub])
     in_wins = cost_in < e_c
@@ -308,6 +314,25 @@ class MergeProposal:
     width: float  # the summary's width bits after the merge
 
 
+@dataclass
+class _Partial:
+    """A member set's gathered edges and the terms its merge removes:
+    ``internal`` edges, self-loops included, the members' ``loops``, the
+    crossing edges bundled by the super-node at their other end, and the
+    net out-super-edge count change of surviving super-nodes."""
+
+    members: list[int]
+    internal: list[tuple[int, int, int]]
+    loops: dict[int, int]
+    out_b: dict[int, list[tuple[int, int, int]]]
+    in_b: dict[int, list[tuple[int, int, int]]]
+    d_summary: list[float]
+    d_correction: list[float]
+    odeg_delta: dict[int, int]
+    se_change: dict[int, int]
+    dissolved: list[tuple[int, int]]
+
+
 class SummaryState:
     """A summary under construction, with exact incremental cost tracking.
 
@@ -332,6 +357,7 @@ class SummaryState:
         self.g = g
         self.next_id = g.n
         self.assign = list(range(g.n))
+        self._labels: list[int] = g.labels.tolist()
         self.snodes: dict[int, SuperNode] = all_singleton_summary(g).super_nodes
         self.out_se: dict[int, dict[int, int]] = {}
         self.odeg_hist: dict[int, int] = {0: g.n}
@@ -340,6 +366,8 @@ class SummaryState:
         self._prices = prices = ContextPrices()
         #: super-edge decisions by bundle class (see :func:`_bundle_choice`)
         self._bundles: dict[tuple, tuple[int | None, float]] = {}
+        #: representative multiplicities by sorted covered multiplicities
+        self._reps: dict[tuple[int, ...], int] = {}
         #: the map bits of any singleton
         self._singleton_map = cost_node_map(1, g.n, False)
 
@@ -379,8 +407,9 @@ class SummaryState:
         return self.summary_bits + self.correction_bits
 
     def is_unmarked(self, v: int) -> bool:
-        """A node is mergeable while it still sits in its own singleton."""
-        return self.snodes[self.assign[v]].size == 1
+        """A node is mergeable while it still sits in its own singleton,
+        whose id is the node's."""
+        return self.assign[v] == v
 
     def to_summary_graph(self) -> SummaryGraph:
         s = SummaryGraph(
@@ -397,114 +426,129 @@ class SummaryState:
 
     # -- proposal scoring ----------------------------------------------------
 
-    def _gather_cross(self, member_set: set[int]):
-        """Internal edges, crossing bundles and old pair contexts of a
-        prospective member set.
-
-        Returns (internal, out_bundles, in_bundles, old_pairs).  Bundles
-        group the crossing edges by the other endpoint's current super-node
-        id; ``old_pairs`` groups every gathered edge between two different
-        current super-nodes by that ordered pair, which names each old pair
-        context touching an absorbed singleton: every super-edge has an
-        edge of g under it.
-        """
-        internal: list[tuple[int, int, int]] = []
+    def _extend(self, part: _Partial | None, extra) -> _Partial:
+        """``part``, or the empty proposal when None, extended by the
+        singletons ``extra`` (see the module docstring)."""
+        g, assign, snodes, out_se = self.g, self.assign, self.snodes, self.out_se
+        prices = self._prices
+        xs = set(extra)
+        if part is None:
+            new = _Partial(sorted(xs), [], {}, {}, {}, [], [], {}, {}, [])
+        else:  # a copy, less the bundles into ``extra``, which are internal now
+            new = _Partial(
+                sorted(part.members + list(xs)), list(part.internal), dict(part.loops),
+                {b: es for b, es in part.out_b.items() if b not in xs},
+                {b: es for b, es in part.in_b.items() if b not in xs},
+                list(part.d_summary), list(part.d_correction), dict(part.odeg_delta),
+                dict(part.se_change), list(part.dissolved),
+            )
+        members, internal = set(new.members), new.internal
+        d_summary, d_correction = new.d_summary, new.d_correction
         out_b: dict[int, list[tuple[int, int, int]]] = {}
         in_b: dict[int, list[tuple[int, int, int]]] = {}
-        old_pairs: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-        g, assign = self.g, self.assign
-        for u in sorted(member_set):
-            a = assign[u]
-            targets, mults = g.out_edges(u)
-            for w, m in zip(targets.tolist(), mults.tolist()):
-                edge = (u, w, m)
-                b = assign[w]
-                if w in member_set:
-                    internal.append(edge)
+        # a pair context between two singletons holds one edge and no
+        # super-edge; ``pairs`` gathers the contexts with a multi-member side
+        pairs: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+        for x in sorted(xs):
+            outs, ins = g.edge_lists(x)
+            it = iter(outs)
+            for w, m in zip(it, it):
+                if w in members:
+                    internal.append((x, w, m))
+                    if w == x:
+                        new.loops[x] = m
+                    elif w in xs:
+                        d_correction.append(-prices.one_edge(1, m))
                 else:
-                    out_b.setdefault(b, []).append(edge)
-                if a != b:
-                    old_pairs.setdefault((a, b), []).append(edge)
-            sources, mults = g.in_edges(u)
-            for w, m in zip(sources.tolist(), mults.tolist()):
-                if w not in member_set:
-                    edge = (w, u, m)
                     b = assign[w]
-                    in_b.setdefault(b, []).append(edge)
-                    old_pairs.setdefault((b, a), []).append(edge)
-        return internal, out_b, in_b, old_pairs
+                    e = (x, w, m)
+                    out_b.setdefault(b, []).append(e)
+                    if b == w:
+                        d_correction.append(-prices.one_edge(1, m))
+                    else:
+                        pairs.setdefault((x, b), []).append(e)
+            it = iter(ins)
+            for u, m in zip(it, it):
+                if u not in members:
+                    b = assign[u]
+                    e = (u, x, m)
+                    in_b.setdefault(b, []).append(e)
+                    if b == u:
+                        d_correction.append(-prices.one_edge(1, m))
+                    else:
+                        pairs.setdefault((b, x), []).append(e)
+                elif u not in xs:
+                    internal.append((u, x, m))
 
-    def _score(self, members: list[int]) -> MergeProposal:
-        """Score merging ``members`` (label-homogeneous, unmarked, >= 2)."""
-        g, assign, prices = self.g, self.assign, self._prices
+            # ---- the singleton's own terms, negated
+            sn = snodes[x]
+            d_summary.append(-supernode_own_bits(1, sn.rep_mult))
+            d_correction.append(-self._singleton_map)
+            d_correction.append(-prices.singleton(sn, new.loops.get(x, 0)))
+            out = out_se.get(x, {})
+            for m in out.values():
+                d_summary.append(-super_edge_bits(m))
+            new.odeg_delta[len(out)] = new.odeg_delta.get(len(out), 0) - 1
+        for b, es in out_b.items():
+            new.out_b[b] = new.out_b.get(b, []) + es
+        for b, es in in_b.items():
+            new.in_b[b] = new.in_b.get(b, []) + es
+
+        # ---- the old pair contexts, negated, and the super-edges they hold
+        for (a, b), edges in pairs.items():
+            rep_ab = out_se.get(a, {}).get(b)
+            d_correction.append(-prices.pair(snodes[a], snodes[b], rep_ab, edges))
+            if rep_ab is not None:
+                new.dissolved.append((a, b))
+                # a surviving source loses this super-edge from its own cost
+                if a not in xs:
+                    d_summary.append(-super_edge_bits(rep_ab))
+                    new.se_change[a] = new.se_change.get(a, 0) - 1
+        return new
+
+    def _propose(self, part: _Partial) -> MergeProposal:
+        """The merge of ``part``'s members: the terms the new super-node
+        adds, priced here, and the removed terms ``part`` gathered."""
+        g, members, internal = self.g, part.members, part.internal
         k = len(members)
-        internal, out_b, in_b, old_pairs = self._gather_cross(set(members))
         glyph, hub = _glyph_of(members, internal)
-        loops = {u: m for u, w, m in internal if u == w}
         new_node = SuperNode(
             id=self.next_id,
-            label=int(g.labels[members[0]]),
+            label=self._labels[members[0]],
             glyph=glyph,
             members=tuple(members),
             hub=hub,
             rep_mult=1,
-            self_loop=2 * len(loops) >= k,
+            self_loop=2 * len(part.loops) >= k,
         )
-        covered = [m for u, w, m in internal if new_node.covers_pair(u, w)]
-        rep = representative_multiplicity(covered)[0] if covered else 1
-        new_node.rep_mult = rep
+        covered = tuple(sorted([m for u, w, m in internal if new_node.covers_pair(u, w)]))
+        if covered not in self._reps:
+            self._reps[covered] = representative_multiplicity(covered)[0] if covered else 1
+        new_node.rep_mult = rep = self._reps[covered]
 
-        absorbed = tuple(sorted(assign[u] for u in members))
-        absorbed_set = set(absorbed)
-
-        # ---- terms the merge removes, negated
-        d_summary: list[float] = [-self._width]
-        d_correction: list[float] = []
-        odeg_delta: dict[int, int] = {}
-        for sid in absorbed:
-            sn = self.snodes[sid]
-            out = self.out_se.get(sid, {})
-            (u,) = sn.members
-            d_correction.append(-self._singleton_map)
-            d_correction.append(-prices.singleton(sn, loops.get(u, 0)))
-            d_summary.append(-supernode_own_bits(1, sn.rep_mult))
-            for m in out.values():
-                d_summary.append(-super_edge_bits(m))
-            odeg_delta[len(out)] = odeg_delta.get(len(out), 0) - 1
-
-        # net out-super-edge count change of surviving super-nodes
-        se_change: dict[int, int] = {}
-        dissolved: list[tuple[int, int]] = []
-        for a, b in sorted(old_pairs):
-            rep_ab = self.out_se.get(a, {}).get(b)
-            d_correction.append(
-                -prices.pair(self.snodes[a], self.snodes[b], rep_ab, old_pairs[(a, b)])
-            )
-            if rep_ab is not None:
-                dissolved.append((a, b))
-                # the source side loses this super-edge from its own cost
-                if a not in absorbed_set:
-                    d_summary.append(-super_edge_bits(rep_ab))
-                    se_change[a] = se_change.get(a, 0) - 1
-
-        # ---- terms the merge adds
-        d_correction.append(cost_node_map(k, g.n, glyph in STAR_GLYPHS))
-        d_correction.append(node_context_bits(new_node, internal))
+        d_summary = [-self._width, *part.d_summary]
+        d_correction = [
+            *part.d_correction,
+            cost_node_map(k, g.n, glyph in STAR_GLYPHS),
+            node_context_bits(new_node, internal),
+        ]
+        odeg_delta = dict(part.odeg_delta)
+        se_change = dict(part.se_change)
         out_edges: dict[int, int] = {}
         in_edges: dict[int, int] = {}
         ports = set(new_node.ports())
-        for other in sorted(out_b):
+        for other in sorted(part.out_b):
             sn = self.snodes[other]
             se_rep, ctx_bits = _bundle_choice(
-                self._bundles, new_node, sn, ports, set(sn.ports()), out_b[other]
+                self._bundles, new_node, sn, ports, set(sn.ports()), part.out_b[other]
             )
             d_correction.append(ctx_bits)
             if se_rep is not None:
                 out_edges[other] = se_rep
-        for other in sorted(in_b):
+        for other in sorted(part.in_b):
             sn = self.snodes[other]
             se_rep, ctx_bits = _bundle_choice(
-                self._bundles, sn, new_node, set(sn.ports()), ports, in_b[other]
+                self._bundles, sn, new_node, set(sn.ports()), ports, part.in_b[other]
             )
             d_correction.append(ctx_bits)
             if se_rep is not None:
@@ -530,16 +574,14 @@ class SummaryState:
             new_hist[d] = new_hist.get(d, 0) + c
             if new_hist[d] == 0:
                 del new_hist[d]
-        new_width = summary_width_bits(
-            len(self.snodes) - len(absorbed) + 1, g.label_count, new_hist
-        )
+        new_width = summary_width_bits(len(self.snodes) - k + 1, g.label_count, new_hist)
         d_summary.append(new_width)
         return MergeProposal(
             node=new_node,
             out_edges=out_edges,
             in_edges=in_edges,
-            absorbed=absorbed,
-            dissolved=dissolved,
+            absorbed=tuple(members),
+            dissolved=part.dissolved,
             dcost=math.fsum(chain(d_summary, d_correction)),
             d_summary=d_summary,
             d_correction=d_correction,
@@ -547,69 +589,55 @@ class SummaryState:
             width=new_width,
         )
 
-    def _hub_variants(self, members: list[int]) -> list[list[int]]:
-        """Candidate hub completions for a set whose glyph came out
+    def _hub_variants(self, part: _Partial) -> list[list[int]]:
+        """The nodes each hub completion of a disconnected set adds.
 
-        disconnected: when most members point to one same-label unmarked
-        singleton (an in-star hub) or are pointed to by one (out-star hub),
-        propose absorbing that hub — and, as a second variant, also the
-        hub's remaining same-label unmarked singleton neighbors on the spoke
-        side, since a star is only cheap when its spokes are inside.
+        When most members point to one same-label unmarked singleton (an
+        in-star hub) or are pointed to by one (an out-star hub), propose
+        absorbing that hub, and also the hub and its other such neighbors on
+        the spoke side, since a star is only cheap when its spokes are
+        inside.  A bundle keyed by a singleton, whose id is its node's,
+        holds one edge per member linked to it.
         """
-        g = self.g
-        member_set = set(members)
-        label = int(g.labels[members[0]])
+        labels, assign, n = self._labels, self.assign, self.g.n
+        members = set(part.members)
+        label = labels[part.members[0]]
         need = max(2, (len(members) + 1) // 2)
-
-        def eligible(w: int) -> bool:
-            return (
-                w not in member_set
-                and int(g.labels[w]) == label
-                and self.is_unmarked(w)
-            )
-
-        variants = []
-        for direction in ("out", "in"):
-            counts: dict[int, int] = {}
-            for u in members:
-                nbrs = g.out_neighbors(u) if direction == "out" else g.in_neighbors(u)
-                for w in nbrs.tolist():
-                    if eligible(w):
-                        counts[w] = counts.get(w, 0) + 1
+        variants: list[list[int]] = []
+        for bundles, spoke_side in ((part.out_b, 1), (part.in_b, 0)):
+            counts = {b: len(es) for b, es in bundles.items() if b < n and labels[b] == label}
             if not counts:
                 continue
             h = min(counts, key=lambda w: (-counts[w], w))
             if counts[h] < need:
                 continue
-            variants.append(sorted(members + [h]))
-            spoke_pool = g.in_neighbors(h) if direction == "out" else g.out_neighbors(h)
-            completion = {w for w in spoke_pool.tolist() if eligible(w) and w != h}
+            variants.append([h])
+            pool = self.g.edge_lists(h)[spoke_side][::2]
+            completion = {
+                w for w in pool if w not in members and labels[w] == label and assign[w] == w
+            } - {h}
             if completion:
-                variants.append(sorted(member_set | completion | {h}))
-        dedup = []
-        for var in variants:
-            if var not in dedup:
-                dedup.append(var)
-        return dedup
+                variants.append(sorted(completion | {h}))
+        return [var for i, var in enumerate(variants) if var not in variants[:i]]
 
     def evaluate_proposal(self, nodes) -> MergeProposal | None:
         """Best proposal for a candidate subset, or None when not mergeable.
 
         Filters out nodes already absorbed by earlier commits; needs at
-        least two survivors sharing one label.  The returned proposal may
-        include one extra hub node (see class docstring); commit it only
-        when dcost < 0.
+        least two survivors sharing one label.  A disconnected set's
+        proposal may also absorb a hub and its spokes (see
+        :meth:`_hub_variants`); commit it only when dcost < 0.
         """
-        members = sorted(v for v in set(nodes) if self.is_unmarked(int(v)))
+        members = sorted(v for v in set(map(int, nodes)) if self.is_unmarked(v))
         if len(members) < 2:
             return None
-        labels = {int(self.g.labels[v]) for v in members}
-        if len(labels) != 1:
+        if len({self._labels[v] for v in members}) != 1:
             raise ValueError("evaluate_proposal needs a label-homogeneous set")
-        best = self._score(members)
+        base = self._extend(None, members)
+        best = self._propose(base)
         if best.node.glyph is Glyph.DISCONNECTED:
-            for variant in self._hub_variants(members):
-                p = self._score(variant)
+            for extra in self._hub_variants(base):
+                p = self._propose(self._extend(base, extra))
                 if p.dcost < best.dcost:
                     best = p
         return best
@@ -649,9 +677,10 @@ class SummaryState:
 
     def process_candidate(self, nodes, audit=None) -> list[MergeProposal]:
         """Split a raw candidate by label, then evaluate and commit each
+        strictly-improving subset.
 
-        strictly-improving subset.  Returns the committed proposals.  When
-        given, ``audit(state, proposal)`` runs right after every commit.
+        Returns the committed proposals.  When given, ``audit(state,
+        proposal)`` runs right after every commit.
         """
         committed = []
         for subset in split_by_label(self.g, [v for v in nodes if self.is_unmarked(v)]):

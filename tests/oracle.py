@@ -24,6 +24,11 @@ decided every report on arrays: summary objects, ``oracle_validate``,
 correction tuples, the dict decompression and a comparison of sorted text
 dumps.
 
+``oracle_score`` is the merge state's proposal scoring as it was before
+a proposal was built by extending a partial one: every member's edges are
+read anew and every old context touching a member is priced, without the
+state's memos.
+
 ``OracleLshState`` is the LSH sweep as it was before twin contraction and
 batched verification: every node is a similarity vertex, and each pair is
 verified by one ``directed_jaccard`` call, admitted or cached as soon as
@@ -56,10 +61,17 @@ from lmgsum.encoding import (
     supernode_own_bits,
 )
 from lmgsum.graph import MAX_MULT, GraphFormatError, LabeledMultiGraph
+from lmgsum.merge import (
+    MergeProposal,
+    _glyph_of,
+    decide_super_edge,
+    representative_multiplicity,
+)
 from lmgsum.summary import (
     STAR_GLYPHS,
     CorrectionSet,
     Glyph,
+    SuperNode,
     corrections_from_dict,
     node_context_bits,
     pair_context_bits,
@@ -850,3 +862,130 @@ class OracleLshState:
                 self.gsim, new_edges, self.max_clique_size, self.emitted
             )
         ]
+
+
+def oracle_score(state, members: list[int]):
+    """The proposal that merges ``members`` (label-homogeneous, unmarked,
+    two or more) into one super-node of ``state``, priced from scratch.
+
+    This is the merge state's scoring as it was before a proposal was
+    built by extension: every member's edges are read from the graph's
+    arrays, every old context touching a member is priced, and nothing is
+    taken from the state's memos (each context by
+    :func:`pair_context_bits` or :func:`node_context_bits`, each bundle by
+    :func:`decide_super_edge`).
+    """
+    g, assign, snodes, out_se = state.g, state.assign, state.snodes, state.out_se
+    member_set = set(members)
+    k = len(members)
+
+    # every edge touching a member: internal, bundled, and by old pair
+    internal: list[tuple[int, int, int]] = []
+    out_b: dict[int, list] = {}
+    in_b: dict[int, list] = {}
+    old_pairs: dict[tuple[int, int], list] = {}
+    for u in sorted(member_set):
+        a = assign[u]
+        targets, mults = g.out_edges(u)
+        for w, m in zip(targets.tolist(), mults.tolist()):
+            edge = (u, w, m)
+            b = assign[w]
+            if w in member_set:
+                internal.append(edge)
+            else:
+                out_b.setdefault(b, []).append(edge)
+            if a != b:
+                old_pairs.setdefault((a, b), []).append(edge)
+        sources, mults = g.in_edges(u)
+        for w, m in zip(sources.tolist(), mults.tolist()):
+            if w not in member_set:
+                edge = (w, u, m)
+                b = assign[w]
+                in_b.setdefault(b, []).append(edge)
+                old_pairs.setdefault((b, a), []).append(edge)
+
+    glyph, hub = _glyph_of(members, internal)
+    loops = {u: m for u, w, m in internal if u == w}
+    new_node = SuperNode(
+        id=state.next_id,
+        label=int(g.labels[members[0]]),
+        glyph=glyph,
+        members=tuple(members),
+        hub=hub,
+        rep_mult=1,
+        self_loop=2 * len(loops) >= k,
+    )
+    covered = [m for u, w, m in internal if new_node.covers_pair(u, w)]
+    rep = representative_multiplicity(covered)[0] if covered else 1
+    new_node.rep_mult = rep
+    absorbed = tuple(sorted(assign[u] for u in members))
+
+    # ---- terms the merge removes, negated
+    d_summary: list[float] = [-state._width]
+    d_correction: list[float] = []
+    odeg_delta: dict[int, int] = {}
+    for sid in absorbed:
+        sn = snodes[sid]
+        out = out_se.get(sid, {})
+        (u,) = sn.members
+        d_correction.append(-cost_node_map(1, g.n, False))
+        d_correction.append(-node_context_bits(sn, [(u, u, loops[u])] if u in loops else []))
+        d_summary.append(-supernode_own_bits(1, sn.rep_mult))
+        d_summary.extend(-super_edge_bits(m) for m in out.values())
+        odeg_delta[len(out)] = odeg_delta.get(len(out), 0) - 1
+    se_change: dict[int, int] = {}
+    dissolved: list[tuple[int, int]] = []
+    for (a, b), edges in sorted(old_pairs.items()):
+        rep_ab = out_se.get(a, {}).get(b)
+        d_correction.append(-pair_context_bits(snodes[a], snodes[b], rep_ab, edges))
+        if rep_ab is not None:
+            dissolved.append((a, b))
+            if a not in absorbed:
+                d_summary.append(-super_edge_bits(rep_ab))
+                se_change[a] = se_change.get(a, 0) - 1
+
+    # ---- terms the merge adds
+    d_correction.append(cost_node_map(k, g.n, glyph in STAR_GLYPHS))
+    d_correction.append(node_context_bits(new_node, internal))
+    out_edges: dict[int, int] = {}
+    in_edges: dict[int, int] = {}
+    for other in sorted(out_b):
+        se_rep, bits = decide_super_edge(new_node, snodes[other], out_b[other])
+        d_correction.append(bits)
+        if se_rep is not None:
+            out_edges[other] = se_rep
+    for other in sorted(in_b):
+        se_rep, bits = decide_super_edge(snodes[other], new_node, in_b[other])
+        d_correction.append(bits)
+        if se_rep is not None:
+            in_edges[other] = se_rep
+            se_change[other] = se_change.get(other, 0) + 1
+    odeg_delta[len(out_edges)] = odeg_delta.get(len(out_edges), 0) + 1
+    for other, change in sorted(se_change.items()):
+        if change:
+            d_old = len(out_se.get(other, {}))
+            odeg_delta[d_old] = odeg_delta.get(d_old, 0) - 1
+            odeg_delta[d_old + change] = odeg_delta.get(d_old + change, 0) + 1
+    d_summary.append(supernode_own_bits(k, rep))
+    d_summary.extend(super_edge_bits(m) for m in [*out_edges.values(), *in_edges.values()])
+    new_hist = dict(state.odeg_hist)
+    for d, c in odeg_delta.items():
+        new_hist[d] = new_hist.get(d, 0) + c
+    width = summary_width_bits(
+        len(snodes) - len(absorbed) + 1,
+        g.label_count,
+        {d: c for d, c in new_hist.items() if c},
+    )
+    d_summary.append(width)
+    return MergeProposal(
+        node=new_node,
+        out_edges=out_edges,
+        in_edges=in_edges,
+        absorbed=absorbed,
+        dissolved=dissolved,
+        dcost=math.fsum(d_summary + d_correction),
+        d_summary=d_summary,
+        d_correction=d_correction,
+        odeg_delta=odeg_delta,
+        width=width,
+    )

@@ -1,5 +1,7 @@
 """Tests for the multi-graph container and the file loader."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -129,6 +131,27 @@ class TestContainer:
         values = g.token_values()
         assert values.dtype == np.uint64
         assert np.array_equal(values, np.unique(g.token_array()[0]))
+
+    @given(st.one_of(graphs(), graphs_with_loop_and_isolated_node()))
+    @settings(max_examples=80)
+    def test_edge_lists_flatten_the_csr_rows(self, g):
+        for v in range(g.n):
+            outs, ins = g.edge_lists(v)
+            targets, mults = g.out_edges(v)
+            sources, in_mults = g.in_edges(v)
+            assert outs[0::2] == targets.tolist() and outs[1::2] == mults.tolist()
+            assert ins[0::2] == sources.tolist() and ins[1::2] == in_mults.tolist()
+            assert all(type(x) is int for x in outs + ins)
+
+    def test_edge_lists_are_converted_once_and_shared_by_copies(self):
+        g = small_graph()
+        assert g._edge_lists == []
+        twin = copy.copy(g)
+        assert twin.edge_lists(2) == ([2, 4], [0, 1, 1, 3, 2, 4])
+        cache = g._edge_lists
+        assert len(cache) == 4
+        assert g.edge_lists(0) == ([1, 2, 2, 1], [1, 1])
+        assert g._edge_lists is cache and twin._edge_lists is cache
 
     def test_equality_ignores_names(self):
         g1 = small_graph()

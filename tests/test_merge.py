@@ -37,8 +37,14 @@ from oracle import (
     oracle_decide_glyph,
     oracle_group_edges,
     oracle_rep_mult,
+    oracle_score,
     oracle_total_cost,
 )
+
+
+def score(state: SummaryState, members: list[int]):
+    """The proposal that merges ``members``, scored as a candidate's base."""
+    return state._propose(state._extend(None, members))
 
 
 def planted(glyph: Glyph, size: int, hub: int | None = None):
@@ -138,10 +144,10 @@ class TestGlyphFromGatheredEdges:
     @given(graph_and_members())
     @settings(max_examples=300, deadline=None)
     def test_scored_glyph_equals_decide_glyph(self, case):
-        # _score decides the glyph and hub from the edges it gathered, with
+        # a proposal's glyph and hub come from the edges it gathered, with
         # self-loops among them; decide_glyph scans on its own
         g, members = case
-        proposal = SummaryState(g)._score(members)
+        proposal = score(SummaryState(g), members)
         want = decide_glyph(g, members)
         assert (proposal.node.glyph, proposal.node.hub) == want
         assert want == oracle_decide_glyph(g, members)
@@ -157,7 +163,7 @@ class TestGlyphFromGatheredEdges:
         for edges in (cycle, two_hubs):
             g = LabeledMultiGraph(4, edges)
             members = [0, 1, 2, 3]
-            p = SummaryState(g)._score(members)
+            p = score(SummaryState(g), members)
             want = oracle_decide_glyph(g, members)
             assert decide_glyph(g, members) == want == (p.node.glyph, p.node.hub)
             wants.append(want)
@@ -506,6 +512,113 @@ class TestSummaryState:
         assert state.total_bits == pytest.approx(
             oracle_total_cost(g, state.to_summary_graph()), abs=1e-6
         )
+
+def assert_same_proposal(p, want):
+    """``p`` equals the from-scratch ``want`` in every field a commit reads,
+    and in its terms as multisets."""
+    assert p.dcost == want.dcost
+    assert p.width == want.width
+    assert sorted(p.d_summary) == sorted(want.d_summary)
+    assert sorted(p.d_correction) == sorted(want.d_correction)
+    assert p.odeg_delta == want.odeg_delta
+    assert p.absorbed == want.absorbed
+    assert set(p.dissolved) == set(want.dissolved)
+    assert len(p.dissolved) == len(want.dissolved)
+    # the order of the new super-edges is the order a commit stores them in
+    assert list(p.out_edges.items()) == list(want.out_edges.items())
+    assert list(p.in_edges.items()) == list(want.in_edges.items())
+    assert p.node == want.node
+
+
+class ExtensionCheck:
+    """Checks every proposal the state prices, bases and hub variants
+    alike, against the reference's from-scratch score of the same members,
+    and tallies what it saw."""
+
+    def __init__(self, monkeypatch):
+        self.priced = self.variants = self.variant_wins = 0
+        self.dissolved_sides: set[bool] = set()
+        propose, evaluate = SummaryState._propose, SummaryState.evaluate_proposal
+
+        def checked_propose(state, part):
+            p = propose(state, part)
+            assert_same_proposal(p, oracle_score(state, part.members))
+            self.priced += 1
+            self.dissolved_sides.update(a in p.absorbed for a, _b in p.dissolved)
+            return p
+
+        def counted_evaluate(state, nodes):
+            before = self.priced
+            p = evaluate(state, nodes)
+            if self.priced - before > 1:
+                self.variants += self.priced - before - 1
+                self.variant_wins += p.node.size > len(
+                    [v for v in set(nodes) if state.is_unmarked(v)]
+                )
+            return p
+
+        monkeypatch.setattr(SummaryState, "_propose", checked_propose)
+        monkeypatch.setattr(SummaryState, "evaluate_proposal", counted_evaluate)
+
+
+@st.composite
+def star_multigraphs(draw):
+    """A two-label graph with multiplicities and self-loops around one to
+    three planted stars, and a list of candidate node sets.  The first
+    star's nodes share a label and the first candidate is its spokes, so
+    that candidate's base is disconnected and its hub is a variant."""
+    n = draw(st.integers(5, 14))
+    node = st.integers(0, n - 1)
+    mult = st.integers(1, 5)
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    edges: dict[tuple[int, int], int] = {}
+    stars = []
+    for _ in range(draw(st.integers(1, 3))):
+        hub = draw(node)
+        spokes = draw(st.lists(node.filter(lambda v: v != hub), min_size=2, max_size=6, unique=True))
+        inward = draw(st.booleans())
+        for v in spokes:
+            edges[(v, hub) if inward else (hub, v)] = draw(mult)
+        stars.append((hub, spokes))
+    for u, w in draw(st.lists(st.tuples(node, node), max_size=20)) + [
+        (v, v) for v in draw(st.lists(node, max_size=n))
+    ]:
+        edges[(u, w)] = draw(mult)
+    hub, spokes = stars[0]
+    for v in [hub, *spokes]:
+        labels[v] = 0
+    candidates = [spokes] + draw(
+        st.lists(st.lists(node, min_size=2, max_size=n, unique=True), max_size=8)
+    )
+    return LabeledMultiGraph(n, edges, labels, label_names=["red", "blue"]), candidates
+
+
+class TestExtendedProposals:
+    """A candidate's base proposal extends the empty one, and each hub
+    variant extends the base; each must equal the from-scratch score."""
+
+    def test_every_proposal_of_a_run_equals_the_reference(
+        self, planted_multigraph, monkeypatch
+    ):
+        check = ExtensionCheck(monkeypatch)
+        for seed in range(5):
+            L.run(planted_multigraph(seed), L.RunConfig(seed=seed))
+        assert check.variants and check.variant_wins
+        assert check.priced > check.variants
+        # seed 4 dissolves super-edges both out of and into absorbed nodes
+        assert check.dissolved_sides == {True, False}
+
+    @given(star_multigraphs())
+    @settings(max_examples=150, deadline=None)
+    def test_candidates_on_random_multigraphs(self, case):
+        g, candidates = case
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            check = ExtensionCheck(monkeypatch)
+            state = SummaryState(g)
+            for nodes in candidates:
+                state.process_candidate(nodes)
+        assert check.priced
+        assert state.total_bits == pytest.approx(oracle_total_cost(g, state.to_summary_graph()))
 
 
 class TestOrderSwap:

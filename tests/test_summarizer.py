@@ -24,7 +24,7 @@ from lmgsum.summary import (
     summary_to_dict,
     total_cost,
 )
-from lmgsum.synth import planted_graph, random_graph
+from lmgsum.synth import kout_graph, planted_graph, random_graph
 
 
 class TestRunConfig:
@@ -333,6 +333,34 @@ class TestShuffledLabelEval:
         assert relabeled.node_names == rebuilt.node_names
         assert np.array_equal(g.labels, source_labels)
         assert not np.array_equal(g.labels, relabeled.labels)
+
+
+class TestEdgeListCache:
+    """The merge reads edges from Python lists that the graph converts on
+    its first read, which relabeled copies share."""
+
+    def test_run_without_candidates_converts_no_edges(self):
+        g = kout_graph(0, 300, 4)
+        report = run(g)[1]
+        assert report.candidate_count == 0
+        assert g._edge_lists == []
+
+    def test_shuffled_labelings_read_one_cache(self, monkeypatch, planted_multigraph):
+        g = planted_multigraph(1)
+        reads = []
+        real = LabeledMultiGraph.edge_lists
+
+        def spy(graph, v):
+            reads.append((id(graph), id(graph._edge_lists), bool(graph._edge_lists)))
+            return real(graph, v)
+
+        monkeypatch.setattr(LabeledMultiGraph, "edge_lists", spy)
+        shuffled_label_eval(g, RunConfig(seed=1, shuffles=2, threads=1))
+        # the true labeling and both shuffles, one cache, converted at the
+        # first read only
+        assert len({graph for graph, _, _ in reads}) == 3
+        assert {cache for _, cache, _ in reads} == {id(g._edge_lists)}
+        assert [full for _, _, full in reads].count(False) == 1
 
 
 def _assert_no_child():
