@@ -316,10 +316,13 @@ class MergeProposal:
 
 @dataclass
 class _Partial:
-    """A member set's gathered edges and the terms its merge removes:
-    ``internal`` edges, self-loops included, the members' ``loops``, the
-    crossing edges bundled by the super-node at their other end, and the
-    net out-super-edge count change of surviving super-nodes."""
+    """A member set's gathered edges and the terms its merge removes.
+
+    ``internal`` holds the edges between members, self-loops included;
+    ``out_b`` and ``in_b`` bundle the crossing edges by the super-node at
+    their other end; ``se_change`` is the net out-super-edge count change
+    of surviving super-nodes.  The other term fields are those of
+    :class:`MergeProposal`, so far."""
 
     members: list[int]
     internal: list[tuple[int, int, int]]
