@@ -4,6 +4,12 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O or
 input-format error.  The seed falls back to the LMGSUM_SEED environment
 variable, then to 0.  All outputs are deterministic given inputs, flags,
 and seed.
+
+:func:`entry` is the process entry of both the installed ``lmgsum`` script
+and ``python -m lmgsum.cli``; :func:`main` runs one command in process.
+This module imports NumPy, through the modules that need it, only when a
+command runs, so that :func:`entry` can settle the process before NumPy
+loads, and importing it changes nothing in a host program.
 """
 
 from __future__ import annotations
@@ -14,12 +20,11 @@ import json
 import os
 import sys
 
-# the merge engine (summarize, candidates, merge), the JSON writer and
-# verify's decoder are imported by the commands that run them, so no
-# command compiles the others' code
+# every NumPy-backed module (the reader, the summary, the merge engine,
+# verify's decoder) and the JSON writer are imported by the commands that
+# run them, so no command compiles the others' code and NumPy loads only
+# after the process entry has run
 from .config import RunConfig
-from .graph import GraphFormatError, LabeledMultiGraph, load_graph
-from .summary import corrections_to_dict, export_dot, summary_to_dict
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -123,13 +128,16 @@ def _config(args, **fields) -> RunConfig:
         raise UsageError(str(e))
 
 
-def _load(args) -> LabeledMultiGraph:
+def _load(args):
+    from .graph import load_graph
+
     return load_graph(args.input, args.labels, undirected=args.undirected)
 
 
 def cmd_summarize(args) -> int:
     from .jsontext import write_json
     from .summarize import run
+    from .summary import corrections_to_dict, export_dot, summary_to_dict
 
     config = _config(args, checkpoints=args.checkpoints)
     g = _load(args)
@@ -203,6 +211,8 @@ def cmd_eval_labels(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .graph import GraphFormatError
+
     # verify reads none of the shared run flags, but rejects what the
     # other commands reject
     _config(args)
@@ -256,6 +266,8 @@ def main(argv=None) -> int:
 def _run_command(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    from .graph import GraphFormatError
+
     handlers = {
         "summarize": cmd_summarize,
         "eval-labels": cmd_eval_labels,
@@ -274,5 +286,23 @@ def _run_command(argv) -> int:
         return EXIT_IO
 
 
+def entry() -> None:
+    """The process entry: settle the process, run :func:`main`, exit.
+
+    Before NumPy loads, it caps OpenBLAS at one thread (no command makes a
+    BLAS call, and the default worker thread busy-waits once NumPy is
+    imported) unless the user set ``OPENBLAS_NUM_THREADS``, and turns the
+    cyclic collector off.
+    After the command it freezes what the run allocated, so interpreter
+    shutdown does not walk it.  It exits through ``sys.exit``, which runs
+    atexit handlers and flushes the output streams.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -191,15 +191,20 @@ def all_singleton_summary(g: LabeledMultiGraph) -> SummaryGraph:
         node_names=tuple(g.node_names),
     )
     labels = g.labels.tolist()
+    new = object.__new__
     for v, loop in enumerate(g.self_loop_mults().tolist()):
-        s.super_nodes[v] = SuperNode(
-            id=v,
-            label=labels[v],
-            glyph=Glyph.SINGLETON,
-            members=(v,),
-            rep_mult=loop if loop else 1,
-            self_loop=loop > 0,
-        )
+        # the fields of SuperNode(v, labels[v], Glyph.SINGLETON, (v,),
+        # rep_mult=loop or 1, self_loop=loop > 0), set in field order
+        # without the per-node __init__ and __post_init__, whose checks
+        # every singleton passes
+        node = s.super_nodes[v] = new(SuperNode)
+        node.id = v
+        node.label = labels[v]
+        node.glyph = Glyph.SINGLETON
+        node.members = (v,)
+        node.hub = None
+        node.rep_mult = loop or 1
+        node.self_loop = loop > 0
     return s
 
 

@@ -950,6 +950,7 @@ class TestCyclicCollector:
             (SystemExit, ["no-such-command"]),
         ]
         enabled = gc.isenabled()
+        assert gc.get_freeze_count() == 0
         try:
             for state in (True, False):
                 for expected, argv in calls:
@@ -960,6 +961,8 @@ class TestCyclicCollector:
                     else:
                         assert main(argv) == expected
                     assert gc.isenabled() is state, (argv, state)
+                    # only the process entry freezes, after its command
+                    assert gc.get_freeze_count() == 0, argv
         finally:
             (gc.enable if enabled else gc.disable)()
         capsys.readouterr()
@@ -1193,11 +1196,37 @@ def test_non_ascii_names_under_an_ascii_locale(tmp_path):
     assert done.returncode == 0 and done.stdout.startswith("OK:")
     bumped = _write_tsv(tmp_path / "bumped.tsv", [("名前", "b", 3), ("b", "c", 1), ("c", "名前", 1)])
     done = lmgsum_cli("verify", "-i", bumped, "-l", labels, "--json", report)
-    assert done.returncode == 1 and "Traceback" not in done.stderr
+    assert (done.returncode, done.stderr) == (1, "")
     assert done.stdout == (
         "MISMATCH: edge ('\\u540d\\u524d', 'b') from super-node 0 to super-node 1: "
         "original multiplicity 3, reconstructed 2\n"
     )
+
+
+def test_process_entry_exits_and_prints_as_main_does(planted_files, tmp_path, capsys):
+    """Through ``python -m lmgsum.cli``, usage errors and a malformed report
+    exit 2 and 3 with all of what ``main`` prints for them in process."""
+    edges, labels, _g = planted_files
+    broken = tmp_path / "broken.json"
+    broken.write_text("{")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    for expected, argv in (
+        (2, ["summarize", "-i", edges, "-r", "0"]),
+        (2, ["no-such-command"]),
+        (3, ["verify", "-i", edges, "-l", labels, "--json", str(broken)]),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "lmgsum.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        try:
+            code = main(argv)
+        except SystemExit as exit:
+            code = exit.code
+        out, err = capsys.readouterr()
+        assert "error: " in err
+        assert (done.returncode, done.stdout, done.stderr) == (expected, out, err)
+        assert code == expected
 
 
 #: byte pieces for loader fuzzing: separators, line ends, NUL, comment marks,

@@ -1,9 +1,11 @@
-"""Each entry point imports only the modules it runs.
+"""Each entry point imports only the modules it runs, and only the CLI's
+process entry settles the process it runs in.
 
 Every check starts a fresh interpreter, since this one has imported the
 whole package already.  The CLI runs there through ``runpy`` as
 ``python -m lmgsum.cli`` runs it, and the child prints the modules it
-loaded after the command returns.
+loaded, its ``OPENBLAS_NUM_THREADS`` and its thread count after the
+command returns.
 """
 
 import json
@@ -20,21 +22,30 @@ from lmgsum.synth import planted_graph
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(lmgsum.__file__)))
 
 RUN_CLI = """
-import json, runpy, sys
+import json, os, runpy, sys
 try:
     runpy.run_module("lmgsum.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exit:
     code = exit.code
-print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+tasks = "/proc/self/task"
+print(json.dumps({
+    "code": code,
+    "modules": sorted(sys.modules),
+    "blas": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
+}))
 """
 
 #: the merge engine and the generators, which verify never runs
 ENGINE = {"lmgsum.candidates", "lmgsum.merge", "lmgsum.summarize", "lmgsum.synth"}
 
 
-def fresh_modules(code: str, *args: str) -> dict:
-    """Run ``code`` in a fresh interpreter; the JSON of its last stdout line."""
-    env = dict(os.environ)
+def fresh_modules(code: str, *args: str, blas: str | None = None) -> dict:
+    """Run ``code`` in a fresh interpreter, with ``OPENBLAS_NUM_THREADS``
+    set to ``blas`` or unset; the JSON of its last stdout line."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if blas is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
         [sys.executable, "-c", code, *args],
@@ -98,6 +109,34 @@ def test_only_verify_imports_its_array_path(graph_files):
     common, _report, summarize_modules = graph_files
     assert "lmgsum.verify" not in summarize_modules
     assert "lmgsum.verify" not in run_cli("eval-labels", *common, "--shuffles", "2")
+
+
+def test_importing_the_cli_leaves_the_host_process_as_it_was():
+    result = fresh_modules(
+        "import gc, json, os, sys\n"
+        "import lmgsum.cli\n"
+        "print(json.dumps({'numpy': 'numpy' in sys.modules,"
+        " 'blas': os.environ.get('OPENBLAS_NUM_THREADS'),"
+        " 'gc': gc.isenabled(), 'frozen': gc.get_freeze_count()}))"
+    )
+    assert result == {"numpy": False, "blas": None, "gc": True, "frozen": 0}
+
+
+def test_a_command_runs_with_one_blas_thread(graph_files):
+    common, report, _modules = graph_files
+    result = fresh_modules(RUN_CLI, "verify", *common, "--json", str(report))
+    assert result["code"] == 0
+    assert "numpy" in result["modules"]
+    assert result["blas"] == "1"
+    if result["threads"] is None:
+        pytest.skip("no /proc/self/task to count threads in")
+    assert result["threads"] == 1
+
+
+def test_the_users_blas_setting_wins(graph_files):
+    common, report, _modules = graph_files
+    result = fresh_modules(RUN_CLI, "verify", *common, "--json", str(report), blas="3")
+    assert (result["code"], result["blas"]) == (0, "3")
 
 
 @pytest.fixture(scope="module")

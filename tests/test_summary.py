@@ -220,6 +220,27 @@ def grouping_cases(draw):
     return g, s
 
 
+@settings(max_examples=80, deadline=None)
+@given(graph_and_summary())
+def test_singletons_equal_dataclass_built_ones(case):
+    g, _summary = case
+    loops = {u: m for u, w, m in g.edges() if u == w}
+    event(f"self-loops: {bool(loops)}")
+    built = {
+        v: SuperNode(
+            id=v, label=int(g.labels[v]), glyph=Glyph.SINGLETON, members=(v,),
+            rep_mult=loops.get(v, 1), self_loop=v in loops,
+        )
+        for v in range(g.n)
+    }
+    fast = all_singleton_summary(g).super_nodes
+    assert fast == built
+    # the same fields, in the same order, holding the same types
+    assert [repr(vars(node)) for node in fast.values()] == [
+        repr(vars(node)) for node in built.values()
+    ]
+
+
 class TestEdgeGrouping:
     """The array grouping against the per-edge references, exactly."""
 
