@@ -1,14 +1,16 @@
 """Byte fields of a TSV file as uint64 keys, without a Python object per
 field.
 
-The loader in :mod:`lmgsum.graph` finds the fields of a clean file as
-offsets and lengths into its bytes.  Here :func:`number` numbers their
-distinct values in order of first appearance by one sort of uint64 keys
-and decodes only the distinct ones, :class:`NameIndex` looks names up
-among those keys, and :func:`digits` reads plain decimal multiplicities.
-A name is read as 8-byte words, zero-padded, so no field may hold a NUL
-byte; a name of one word is its own key, a longer one is keyed by a hash
-of its words, which :func:`number` checks against the words themselves.
+The loader in :mod:`lmgsum.graph` finds the fields of a file as offsets
+and lengths into its bytes.  Here :func:`number` numbers their distinct
+values in order of first appearance by one sort of uint64 keys and
+decodes only the distinct ones, :class:`NameIndex` looks names up among
+those keys, and :func:`digits` reads plain decimal multiplicities.  A
+name is read as 8-byte words, zero-padded: a name of one word is its own
+key, a longer one is keyed by a hash of its words.  A dict of their bytes
+keys the few names far longer than the rest, those that hold a NUL byte
+(the padding would give ``a\\0`` the key of ``a``), and, after two names
+share a hashed key, every field of that :func:`number` call.
 """
 
 from __future__ import annotations
@@ -90,6 +92,17 @@ def _hash(words: np.ndarray) -> np.ndarray:
     return key
 
 
+def _by_dict(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray, count: int) -> np.ndarray:
+    """Whether each field is keyed by the dict: it is longer than ``count``
+    words or holds a NUL byte.  ``buf`` ends in eight zero bytes."""
+    out = lens > 8 * count
+    body = buf[:-8]
+    if np.count_nonzero(body) < len(body):
+        nul = np.flatnonzero(body == 0)
+        out |= np.searchsorted(nul, starts) < np.searchsorted(nul, starts + lens)
+    return out
+
+
 def _decode(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> list[str]:
     """The fields as ``str``: one gather of their bytes, one decode."""
     ends = np.cumsum(lens + 1)  # each field and the separator after it
@@ -107,27 +120,15 @@ class NameIndex(NamedTuple):
     keys: np.ndarray
     words: np.ndarray
     ids: np.ndarray
-    #: the ids of the longer names, by their bytes
+    #: the ids of the names keyed by the dict, by their bytes
     long: dict[bytes, int]
-
-    @classmethod
-    def of(cls, names: list[str]) -> "NameIndex | None":
-        """The index of distinct names listed in id order; None if one
-        holds a NUL, which a key cannot, or if two keys collide."""
-        data = ("\n".join(names) + "\n").encode("utf-8")
-        if b"\0" in data:
-            return None
-        buf = np.frombuffer(data + bytes(8), dtype=np.uint8)
-        ends = np.flatnonzero(buf == 10)
-        starts = np.concatenate(([0], ends[:-1] + 1))
-        numbered = number(buf, starts, ends - starts)
-        return None if numbered is None else numbered[2]
 
     def lookup(self, buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
         """The id of each field's name, -1 for a name not in the index."""
         ids = np.full(len(starts), -1, dtype=np.int64)
         count = len(self.words)
-        fits = np.flatnonzero(lens <= 8 * count)
+        by_dict = _by_dict(buf, starts, lens, count)
+        fits = np.flatnonzero(~by_dict)
         if not len(self.keys):  # every name that fits a key is unknown
             fits = fits[:0]
         words = _words(buf, starts[fits], lens[fits], count)
@@ -137,32 +138,37 @@ class NameIndex(NamedTuple):
         if count > 1:  # a hashed key matches only if the words do too
             hit &= (self.words[:, at] == words).all(axis=0)
         ids[fits[hit]] = self.ids[at[hit]]
-        for i in np.flatnonzero(lens > 8 * count).tolist():
+        for i in np.flatnonzero(by_dict).tolist():
             ids[i] = self.long.get(buf[starts[i] : starts[i] + lens[i]].tobytes(), -1)
         return ids
 
 
 def number(
-    buf: np.ndarray, starts: np.ndarray, lens: np.ndarray
-) -> tuple[np.ndarray, list[str], NameIndex] | None:
+    buf: np.ndarray, starts: np.ndarray, lens: np.ndarray, count: int | None = None
+) -> tuple[np.ndarray, list[str], NameIndex]:
     """Number the fields' distinct values in order of first appearance.
 
     ``starts`` and ``lens`` may be 2-d and strided; the fields count in
-    row-major order.  Returns each field's int64 id, the distinct values
-    decoded to ``str`` in id order, and their :class:`NameIndex`; or None
-    if two different fields get the same hashed key.  The fields that fit
-    a key (see :func:`_word_count`) are numbered by one sort of their
-    keys, the longer ones through a dict of their bytes.
+    row-major order, and ``buf`` ends in eight zero bytes.  Returns each
+    field's int64 id, the distinct values decoded to ``str`` in id order,
+    and their :class:`NameIndex`.  The fields that fit a key of ``count``
+    words (see :func:`_word_count`, which callers leave to pick it) are
+    numbered by one sort of their keys, the others (see :func:`_by_dict`)
+    through a dict of their bytes.  If two different fields get the same
+    hashed key, the call keys every field through the dict (``count`` 0).
     """
-    count = _word_count(lens, 2 * len(buf))
+    if count is None:
+        count = _word_count(lens, 2 * len(buf))
     words = _words(buf, starts, lens, count)
     keys = _hash(words)
     if count == 1:
         del words  # they are the keys, which the sorts below free
-    long_at = np.flatnonzero(lens > 8 * count)
+    by_dict = _by_dict(buf, starts, lens, count)
+    long_at = np.flatnonzero(by_dict)
     if len(long_at):
-        fit_at = np.flatnonzero(lens <= 8 * count)
+        fit_at = np.flatnonzero(~by_dict)
         keys = keys[fit_at]
+    del by_dict
     order = np.argsort(keys)
     keys = keys[order]
     new = np.empty(len(keys), dtype=bool)
@@ -206,24 +212,22 @@ def number(
             differs = word != by_id[ids]
             differs[long_at] = False  # the long fields were not keyed
             if differs.any():
-                return None
+                return number(buf, starts, lens, 0)
     long = dict(zip(long_ids, rank[len(keys) :].tolist()))
     return ids, names, NameIndex(keys, distinct, rank[: len(keys)], long)
 
 
-def digits(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray | None:
-    """The fields as int64 if each is 1 to ``_MAX_DIGITS`` ASCII digits,
-    else None."""
-    longest = int(lens.max())
-    if longest > _MAX_DIGITS:
-        return None
+def digits(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The fields as int64 where one is 1 to ``_MAX_DIGITS`` ASCII digits,
+    0 elsewhere."""
     value = np.zeros(len(starts), dtype=np.int64)
-    for k in range(longest):
+    plain = (lens > 0) & (lens <= _MAX_DIGITS)
+    for k in range(min(int(lens.max(initial=0)), _MAX_DIGITS)):
         live = lens > k
         # a byte below "0" wraps above 9; "clip" keeps dead lanes in bounds
         digit = buf.take(starts + k, mode="clip") - np.uint8(48)
-        if (live & (digit > 9)).any():
-            return None
+        plain &= (digit <= 9) | ~live
         np.multiply(value, 10, out=value, where=live)
         np.add(value, digit, out=value, where=live)
+    value[~plain] = 0
     return value

@@ -13,19 +13,21 @@ wrapper over it.  The out-CSR is one ``argsort`` of the int64 key
 is the one routine that turns repeated edges into unique ones; the file
 loader and the generators in :mod:`lmgsum.synth` all go through it.
 
-:func:`load_graph` reads a clean edge file, and a clean label file, from
-their bytes with array operations (the field bounds here, the keys and the
-numbering in :mod:`lmgsum.bytekeys`) and falls back to a per-line scan,
-which alone words the ``file:line`` errors, whenever a file has anything
-the byte path does not handle.
+:func:`load_graph` reads an edge file and a label file from their bytes
+with array operations: the field bounds here, the keys and the numbering
+in :mod:`lmgsum.bytekeys`.  Only the odd lines, which the arrays do not
+clear, go one at a time to :func:`_parse_line`, which words the
+``file:line`` errors of malformed lines; the errors that need the whole
+file (an overflowing sum, an unknown or relabeled node) are found from the
+arrays.
 """
 
 from __future__ import annotations
 
 import os
 import re
-from itertools import chain, count
-from typing import Iterable, Iterator, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -307,155 +309,225 @@ class LabeledMultiGraph:
 
 # -- file loading -----------------------------------------------------------
 
-
-def _numbered_lines(path: str) -> Iterator[tuple[int, str]]:
-    """The lines of a text file, numbered from 1, as text mode splits them.
-
-    A line that is not valid UTF-8 raises a GraphFormatError naming it.
-    """
-    # undecodable bytes become lone surrogates, which valid UTF-8 never
-    # decodes to, so the line that holds one is the line to name
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for line_num, line in enumerate(fh, start=1):
-            if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise GraphFormatError(
-                        f"{path}:{line_num}: not valid UTF-8"
-                    ) from None
-            yield line_num, line
+#: the whitespace ``str.strip`` removes, other than the separators and
+#: ``\r``, which ends a line before this applies
+_STRAY = "\v\f\x1c\x1d\x1e\x1f \x85\xa0\u1680" + "".join(map(chr, range(0x2000, 0x200B))) + (
+    "\u2028\u2029\u202f\u205f\u3000"
+)
+_STRAY_SPACE = re.compile(f"[{_STRAY}]")
+#: the same in UTF-8, and its ASCII bytes
+_STRAY_UTF8 = re.compile(b"|".join(re.escape(c.encode()) for c in _STRAY))
+_ASCII_SPACE = "".join(c for c in _STRAY if c.isascii()).encode()
 
 
-def _parse_edge_file(path: str) -> Iterator[tuple[int, str, str, int]]:
-    for line_num, raw in _numbered_lines(path):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split("\t")]
-        if len(parts) == 2:
-            src, dst, mult_s = parts[0], parts[1], "1"
-        elif len(parts) == 3:
-            src, dst, mult_s = parts
-        else:
-            raise GraphFormatError(
-                f"{path}:{line_num}: expected 'src<TAB>dst[<TAB>mult]', "
-                f"got {len(parts)} fields"
-            )
-        if not src or not dst:
-            raise GraphFormatError(f"{path}:{line_num}: empty node id")
-        try:
-            mult = int(mult_s)
-        except ValueError:
-            raise GraphFormatError(
-                f"{path}:{line_num}: multiplicity {mult_s!r} is not an integer"
-            ) from None
-        if mult < 1:
-            raise GraphFormatError(
-                f"{path}:{line_num}: multiplicity must be >= 1, got {mult}"
-            )
-        yield line_num, src, dst, mult
+def _parse_line(line: bytes, path: str, num: int, edges: bool) -> tuple | None:
+    """One edge line, without its newline, as ``(src, dst, mult)``, or
+    one label line as ``(node, label)``; None for a blank or ``#`` line.
+    A bad line raises the GraphFormatError that names it as
+    ``path:num``."""
+    try:
+        text = line.decode("utf-8")
+    except UnicodeDecodeError:
+        raise GraphFormatError(f"{path}:{num}: not valid UTF-8") from None
+    if not text.strip() or text.lstrip().startswith("#"):
+        return None
+    parts = [p.strip() for p in text.split("\t")]
+    if not edges:
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise GraphFormatError(f"{path}:{num}: expected 'node<TAB>label'")
+        return parts[0], parts[1]
+    if len(parts) not in (2, 3):
+        raise GraphFormatError(
+            f"{path}:{num}: expected 'src<TAB>dst[<TAB>mult]', got {len(parts)} fields"
+        )
+    src, dst, mult_s = parts if len(parts) == 3 else (*parts, "1")
+    if not src or not dst:
+        raise GraphFormatError(f"{path}:{num}: empty node id")
+    try:
+        mult = int(mult_s)
+    except ValueError:
+        raise GraphFormatError(
+            f"{path}:{num}: multiplicity {mult_s!r} is not an integer"
+        ) from None
+    if mult < 1:
+        raise GraphFormatError(f"{path}:{num}: multiplicity must be >= 1, got {mult}")
+    return src, dst, mult
 
 
-#: whitespace other than the tab and newline separators
-_STRAY_SPACE = re.compile(r"[^\S\t\n]")
-#: NUL and the ASCII whitespace other than tab and newline: an ASCII file
-#: without these bytes has no stray whitespace
-_ASCII_ODD = tuple(bytes([b]) for b in b"\0\v\f\r\x1c\x1d\x1e\x1f ")
+class _Rows(NamedTuple):
+    """A TSV file's data lines, one row each, in file order."""
 
-_Edges = tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray]
-_Fields = tuple[np.ndarray, np.ndarray, np.ndarray]
+    #: the file's bytes, the fields of its odd lines, then eight zero bytes
+    buf: np.ndarray
+    #: offset and byte length of each row's first two fields
+    starts: np.ndarray
+    lens: np.ndarray
+    #: each row's multiplicity in an edge file, None if every one is 1;
+    #: object dtype past int64
+    mult: np.ndarray | None
+    #: which lines are rows, None when every one is
+    kept: np.ndarray | None
+    #: the first bad line's error: the rows stop before that line
+    error: GraphFormatError | None
+
+    def where(self, path: str, row: int) -> str:
+        line = row if self.kept is None else int(np.flatnonzero(self.kept)[row])
+        return f"{path}:{line + 1}"
 
 
-def _whole_file_fields(path: str, widths: tuple[int, ...]) -> _Fields | None:
-    """The field bounds of a clean TSV file, or None.
+def _read_rows(path: str, edges: bool) -> _Rows:
+    """The rows of an edge file (2 or 3 fields a line) or a label file (2).
 
-    Clean means valid UTF-8 with at least one line and no NUL byte; every
-    line has the same number of non-empty tab-separated fields, one of
-    ``widths``, and does not start with ``#``; and the only whitespace is
-    tabs and newlines (so no ``\\r`` and no padding).  Returns ``(buf,
-    starts, lens)``: the file's bytes as a uint8 array followed by eight
-    zero bytes, and the offset and byte length of every field (int32 below
-    2 GiB), one row per line.  One array scan finds the tabs and newlines;
-    no Python object is made per field.
+    Lines end as text mode ends them, at ``\\n``, ``\\r\\n`` or ``\\r``, and
+    one that is empty or starts with ``#`` is skipped.  A clean line, with
+    a right field count, no empty field, no field that starts or ends in
+    whitespace, and a third field, if any, of 1 to 18 ASCII digits that
+    reads >= 1, is a row as it stands: one array scan finds every line's
+    tabs and newlines, and no Python object is made per field.  Every other
+    line, and the first that is not valid UTF-8, is odd: :func:`_parse_line`
+    reads it alone and skips it, returns its fields, which join the rows in
+    file order, or raises.  The first error is kept, and no later line is
+    read.
     """
     with open(path, "rb") as fh:
-        # a bytearray, which the padding below extends in place
+        # a bytearray, which the odd lines' fields extend in place
         data = bytearray(os.fstat(fh.fileno()).st_size)
         size = fh.readinto(data)
         data[size:] = fh.read()  # what the size missed: a file that grew, a pipe
-    if not data or data.startswith(b"#") or b"\n#" in data:
-        return None
-    if data.isascii():
-        if any(b in data for b in _ASCII_ODD):
-            return None
-    else:
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+        if b"\r" in data:
+            data = data.replace(b"\r", b"\n")
+    text, bad = "", []
+    if not data.isascii():
         try:
             text = data.decode("utf-8")
-        except UnicodeDecodeError:
-            return None
-        if "\0" in text or _STRAY_SPACE.search(text):
-            return None
-        del text
-    data += bytes(8)
-    buf = np.frombuffer(data, dtype=np.uint8)
-    raw = buf[:-8]
+        except UnicodeDecodeError as e:
+            # the line of the first bad byte is odd, even if blank or "#"
+            text, bad = data.decode("utf-8", "surrogateescape"), [data.count(b"\n", 0, e.start)]
+    raw = np.frombuffer(data, dtype=np.uint8)
+    # the byte spans of stray whitespace: one scan rules most files out
+    if text:
+        spans = [m.span() for m in _STRAY_UTF8.finditer(data)] if _STRAY_SPACE.search(text) else []
+        lo, hi = np.array(spans, dtype=np.int64).reshape(-1, 2).T
+    else:
+        lo = np.flatnonzero(np.isin(raw, list(_ASCII_SPACE))) if any(
+            b in data for b in _ASCII_SPACE) else np.zeros(0, dtype=np.int64)
+        hi = lo + 1
+    del text
     # the tabs (9) and newlines (10); a byte below 9 wraps round to >= 247
     pos = np.flatnonzero(raw - np.uint8(9) < 2)
-    pos = pos.astype(np.int32 if len(buf) < 2**31 else np.int64)
-    seps = raw[pos]
-    if raw[-1] != 10:  # the last line ends where the file does
-        pos = np.append(pos, len(raw))
-        seps = np.append(seps, np.uint8(10))
-    # the separators, line by line, must read (TAB, NL), (TAB, TAB, NL), ...
-    width = int(np.argmax(seps == 10)) + 1
-    if width not in widths or len(seps) % width:
-        return None
-    rows = seps.reshape(-1, width)
-    if not ((rows[:, -1] == 10).all() and (rows[:, :-1] == 9).all()):
-        return None
+    ends = raw[pos]
+    ends = np.equal(ends, 10, out=ends.view(bool))  # in place: no temporary
+    if len(raw) and raw[-1] != 10:  # the last line ends where the file does
+        pos, ends = np.append(pos, len(raw)), np.append(ends, True)
+    padded = []  # the lines with a field that strip() changes, not a name's inside
+    if len(lo):
+        edge = (lo == 0) | (hi == len(raw))
+        edge |= raw[np.maximum(lo - 1, 0)] - np.uint8(9) < 2
+        edge |= raw[np.minimum(hi, len(raw) - 1)] - np.uint8(9) < 2
+        padded = np.searchsorted(pos[ends], lo[edge])
+    # the odd lines' fields, appended below, take at most the file's size again
+    pos = pos.astype(np.int32 if 2 * len(raw) + 8 < 2**31 else np.int64)
     starts = np.empty_like(pos)
-    starts[0] = 0
+    starts[:1] = 0
     np.add(pos[:-1], 1, out=starts[1:])
     lens = np.subtract(pos, starts, out=pos)
-    if not lens.all():  # an empty field
-        return None
-    return buf, starts.reshape(-1, width), lens.reshape(-1, width)
-
-
-def _bulk_edges(
-    path: str, undirected: bool
-) -> tuple[list[str], NameIndex, np.ndarray, np.ndarray, np.ndarray] | None:
-    """Parse a clean edge file with whole-array operations, or return None.
-
-    Clean means what :func:`_whole_file_fields` takes, with 2 or 3 fields
-    per line; every multiplicity is 1 to 18 plain ASCII digits and >= 1;
-    and the largest multiplicity times the line count is at most
-    ``MAX_MULT``, so no sum can overflow; and no two names share a hashed
-    key (see :func:`lmgsum.bytekeys.number`).  Anything else returns None, and
-    the caller falls back to the per-line scan, which also reads the other
-    spellings ``int`` takes (``+1``, ``1_0``) and words the error if there
-    is one.  Returns the node names in id order, their index, and the
-    unique ``(src, dst, mult)`` arrays.
-    """
-    parsed = _whole_file_fields(path, (2, 3))
-    if parsed is None:
-        return None
-    buf, starts, lens = parsed
-    lines, width = starts.shape
-    # ids in order of first appearance, as the per-line scan assigns them
-    numbered = number(buf, starts[:, :2], lens[:, :2])
-    if numbered is None:
-        return None
-    ids, names, index = numbered
-    if width == 2:
-        mult = np.ones(lines, dtype=np.int64)
+    lines = int(np.count_nonzero(ends))
+    width = int(np.argmax(ends)) + 1 if lines else 0
+    if width >= 2 and len(pos) == lines * width and ends[width - 1 :: width].all():
+        # every line has ``width`` fields: a scalar count, one view per column
+        count, starts2, lens2 = width, starts.reshape(lines, width), lens.reshape(lines, width)
     else:
-        mult = digits(buf, starts[:, 2], lens[:, 2])
-        if mult is None or mult.min() < 1 or int(mult.max()) > MAX_MULT // lines:
-            return None
-    del parsed, buf, starts, lens  # freed before dedup_sum's arrays exist
-    src, dst = ids[0::2], ids[1::2]
+        last = np.flatnonzero(ends)  # each line's last separator
+        count = np.diff(last, prepend=-1)  # each line's field count
+        width = 3 if edges and (count == 3).any() else 2
+        cols = np.minimum((last - count + 1)[:, None] + np.arange(width), len(starts) - 1)
+        starts2, lens2 = starts[cols], lens[cols]
+    del ends, pos
+
+    head = raw[starts2[:, 0]]  # each line's first byte: "#" or, if empty, its newline
+    skip = (head == 35) | (head == 10)
+    del head
+    keep = (count == 2) | (edges & (count == 3))
+    keep &= (lens2[:, 0] > 0) & (lens2[:, 1] > 0)
+    mult = None
+    if edges and starts2.shape[1] > 2:
+        mult = digits(raw, starts2[:, 2], lens2[:, 2])
+        mult[count == 2] = 1
+        keep &= mult > 0
+    keep[padded] = False
+    keep[bad] = skip[bad] = False
+    keep &= ~skip
+
+    odd = np.flatnonzero(~(keep | skip))
+    fixed, fields, error = [], [], None
+    for i, lo in zip(odd.tolist(), starts2[odd, 0].tolist()):
+        hi = data.find(b"\n", lo)
+        try:
+            parsed = _parse_line(data[lo:hi] if hi >= 0 else data[lo:], path, i + 1, edges)
+        except GraphFormatError as e:
+            keep[i:], error = False, e
+            break
+        if parsed is not None:
+            fixed.append(i)
+            fields.append(parsed)
+    del raw
+    if fixed:
+        keep[fixed] = True
+        names = [name.encode("utf-8") for parsed in fields for name in parsed[:2]]
+        name_lens = np.array([len(name) for name in names], dtype=starts.dtype)
+        starts2[fixed, :2] = (len(data) + np.cumsum(name_lens) - name_lens).reshape(-1, 2)
+        lens2[fixed, :2] = name_lens.reshape(-1, 2)
+        data += b"".join(names)
+        if edges:
+            values = [parsed[2] for parsed in fields]
+            mult = np.ones(lines, dtype=np.int64) if mult is None else mult
+            if max(values) > MAX_MULT:  # kept exact for the overflow message
+                mult = mult.astype(object)
+            mult[fixed] = values
+    data += bytes(8)
+    kept = None if keep.all() else keep
+    if kept is not None:
+        starts2, lens2 = starts2.compress(keep, axis=0), lens2.compress(keep, axis=0)
+        mult = None if mult is None else mult.compress(keep)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    return _Rows(buf, starts2[:, :2], lens2[:, :2], mult, kept, error)
+
+
+def _load_edges(
+    path: str, undirected: bool
+) -> tuple[list[str], NameIndex, np.ndarray, np.ndarray, np.ndarray]:
+    """The node names in id order, their index, and the unique ``(src,
+    dst, mult)`` arrays of an edge file."""
+    rows = _read_rows(path, edges=True)
+    if not len(rows.lens):
+        raise rows.error or GraphFormatError(f"{path}: no edges found")
+    # ids in order of first appearance, as a line-by-line read assigns them
+    ids, names, index = number(rows.buf, rows.starts, rows.lens)
+    src, dst, mult = ids[0::2], ids[1::2], rows.mult
+    if mult is None:  # made after the numbering, so as not to raise its peak
+        mult = np.ones(len(src), dtype=np.int64)
+    if int(mult.max()) > MAX_MULT // len(mult):  # a sum may pass MAX_MULT
+        # each edge's running sum, line by line, in Python ints: exact
+        ends = (np.minimum(src, dst), np.maximum(src, dst)) if undirected else (src, dst)
+        key = ends[0] * len(names) + ends[1]
+        order = np.argsort(key, kind="stable")
+        heads = np.flatnonzero(np.diff(key[order], prepend=-1))
+        each = mult[order].astype(object)
+        sums = np.cumsum(each)
+        sums -= np.repeat((sums - each)[heads], np.diff(heads, append=len(key)))
+        past = np.flatnonzero(sums > MAX_MULT)
+        if len(past):  # the first line where a sum passes MAX_MULT
+            i = past[np.argmin(order[past])]
+            r = int(order[i])
+            raise GraphFormatError(
+                f"{rows.where(path, r)}: multiplicity {sums[i]} of {names[src[r]]!r} -> "
+                f"{names[dst[r]]!r} exceeds 2^63-1"
+            )
+    if rows.error is not None:
+        raise rows.error
+    del rows  # freed before dedup_sum's arrays exist
     if undirected:
         cross = src != dst
         src, dst, mult = (
@@ -466,103 +538,42 @@ def _bulk_edges(
     return (names, index, *dedup_sum(len(names), src, dst, mult))
 
 
-def _scan_edges(path: str, undirected: bool) -> _Edges:
-    """The per-line parse: accepts every valid file and names bad lines."""
-    name_to_id: dict[str, int] = {}
-    edges: dict[tuple[int, int], int] = {}
-
-    def node_id(name: str) -> int:
-        i = name_to_id.get(name)
-        if i is None:
-            i = len(name_to_id)
-            name_to_id[name] = i
-        return i
-
-    for line_num, src, dst, mult in _parse_edge_file(path):
-        u, w = node_id(src), node_id(dst)
-        total = edges.get((u, w), 0) + mult
-        if total > MAX_MULT:
-            raise GraphFormatError(
-                f"{path}:{line_num}: multiplicity {total} of {src!r} -> {dst!r} "
-                f"exceeds 2^63-1"
-            )
-        edges[(u, w)] = total
-        if undirected and u != w:
-            # every line adds to both directions, so they stay equal
-            edges[(w, u)] = total
-
-    if not name_to_id:
-        raise GraphFormatError(f"{path}: no edges found")
-    return (name_to_id, *_edge_arrays(edges))
-
-
-def _bulk_labels(
-    path: str, node_names: list[str], index: NameIndex | None
-) -> tuple[np.ndarray, list[str]] | None:
-    """Read a clean label file with whole-array operations, or return None.
-
-    Clean means what :func:`_whole_file_fields` takes, with 2 fields per
-    line, and every line names a node of the edge file, no node gets two
-    different labels and every node gets one; and no two names share a
-    hashed key.  The node names are looked
-    up in ``index``, which is built from ``node_names`` when the edge file
-    came through the per-line scan.  Label ids follow first appearance, as
-    in the per-line scan, which words every error.
-    """
-    parsed = _whole_file_fields(path, (2,))
-    if parsed is None:
-        return None
-    if index is None:
-        index = NameIndex.of(node_names)
-        if index is None:
-            return None
-    buf, starts, lens = parsed
-    ids = index.lookup(buf, starts[:, 0], lens[:, 0])
-    if (ids < 0).any():
-        return None
-    numbered = number(buf, starts[:, 1], lens[:, 1])
-    if numbered is None:
-        return None
-    line_labels, label_names, _ = numbered
+def _load_labels(
+    path: str, node_names: list[str], index: NameIndex
+) -> tuple[np.ndarray, list[str]]:
+    """Each node's label id and the label names in id order, from a label
+    file whose node names are looked up in the edge file's ``index``."""
+    rows = _read_rows(path, edges=False)
     labels = np.full(len(node_names), -1, dtype=np.int64)
-    labels[ids] = line_labels
-    # a conflicting line disagrees with what was stored; a missing node is -1
-    if (labels[ids] != line_labels).any() or (labels < 0).any():
-        return None
-    return labels, label_names
-
-
-def _scan_labels(path: str, name_to_id: dict[str, int]) -> tuple[list[int], list[str]]:
-    """The per-line label parse: accepts every valid file and names bad lines."""
-    n = len(name_to_id)
-    labels = [0] * n
-    label_to_id: dict[str, int] = {}
-    seen: dict[int, str] = {}
-    for line_num, raw in _numbered_lines(path):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split("\t")]
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise GraphFormatError(f"{path}:{line_num}: expected 'node<TAB>label'")
-        name, label = parts
-        if name not in name_to_id:
-            raise GraphFormatError(f"{path}:{line_num}: unknown node {name!r}")
-        v = name_to_id[name]
-        if v in seen and seen[v] != label:
+    label_names: list[str] = []
+    if len(rows.lens):
+        ids = index.lookup(rows.buf, rows.starts[:, 0], rows.lens[:, 0])
+        line_labels, label_names, _ = number(rows.buf, rows.starts[:, 1], rows.lens[:, 1])
+        unknown = np.flatnonzero(ids < 0)
+        known = unknown[0] if len(unknown) else len(ids)  # the rows before the first
+        ids, line_labels = ids[:known], line_labels[:known]
+        labels[ids] = line_labels
+        if (labels[ids] != line_labels).any():
+            # a node with two labels: the first row that differs from its first
+            _, first = np.unique(ids, return_index=True)
+            labels[ids[first]] = line_labels[first]
+            r = int(np.argmax(labels[ids] != line_labels))
             raise GraphFormatError(
-                f"{path}:{line_num}: conflicting label for {name!r}"
+                f"{rows.where(path, r)}: conflicting label for {node_names[ids[r]]!r}"
             )
-        seen[v] = label
-        if label not in label_to_id:
-            label_to_id[label] = len(label_to_id)
-        labels[v] = label_to_id[label]
-    if len(seen) < n:
-        missing = next(name for name, v in name_to_id.items() if v not in seen)
+        if len(unknown):
+            s, n = int(rows.starts[known, 0]), int(rows.lens[known, 0])
+            name = rows.buf[s : s + n].tobytes().decode("utf-8")
+            raise GraphFormatError(f"{rows.where(path, known)}: unknown node {name!r}")
+    if rows.error is not None:
+        raise rows.error
+    missing = np.flatnonzero(labels < 0)
+    if len(missing):
         raise GraphFormatError(
-            f"{path}: {n - len(seen)} nodes without a label (first: {missing!r})"
+            f"{path}: {len(missing)} nodes without a label "
+            f"(first: {node_names[missing[0]]!r})"
         )
-    return labels, list(label_to_id)
+    return labels, label_names
 
 
 def load_graph(
@@ -580,36 +591,18 @@ def load_graph(
     one default label.  Node ids are arbitrary strings, remapped to dense
     integers in order of first appearance and kept in ``node_names``.
 
-    A clean edge file (see ``_bulk_edges``: uniform 2- or 3-field lines, no
-    comment, blank line, ``\\r``, padding or NUL, plain-digit
-    multiplicities) is parsed from its bytes with NumPy, without a Python
-    object per field: the tabs and newlines give the field bounds, the
-    names become uint64 keys (see :mod:`lmgsum.bytekeys`) numbered by one
-    sort-based unique, the multiplicities come from digit arithmetic, only
-    the distinct names are decoded, and :func:`dedup_sum` merges repeated
-    edges; ``undirected`` mirrors the arrays and stays on this path.  A
-    clean label file (see ``_bulk_labels``: uniform 2-field lines that give
-    every node exactly one label) is read the same way, its names looked up
-    among the edge file's sorted keys.  Any other file is read line by
-    line, and that scan alone raises the ``file:line`` errors, so both
-    paths accept the same files with the same messages and build the same
-    graph.
+    Both files are read from their bytes (see ``_read_rows``); only odd
+    lines, say one with a padded field or a multiplicity spelled ``+1``,
+    are parsed alone.  An error names the first bad line as ``file:line``:
+    a line the one-line parser rejects, the line where an edge's summed
+    multiplicity passes 2^63-1, or a label line with an unknown node or a
+    second label.
     """
-    parsed = _bulk_edges(path, undirected)
-    if parsed is None:
-        name_to_id, src, dst, mult = _scan_edges(path, undirected)
-        node_names, index = list(name_to_id), None
-    else:
-        node_names, index, src, dst, mult = parsed
+    node_names, index, src, dst, mult = _load_edges(path, undirected)
     n = len(node_names)
-
     labels, label_names = [0] * n, [DEFAULT_LABEL]
     if labels_path is not None:
-        parsed_labels = _bulk_labels(labels_path, node_names, index)
-        if parsed_labels is None:
-            parsed_labels = _scan_labels(labels_path, dict(zip(node_names, count())))
-        labels, label_names = parsed_labels
-
+        labels, label_names = _load_labels(labels_path, node_names, index)
     return LabeledMultiGraph.from_arrays(
         n, src, dst, mult, labels=labels, label_names=label_names, node_names=node_names
     )

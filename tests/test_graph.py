@@ -305,7 +305,7 @@ class TestArrayConstructor:
         assert [len(a) for a in empty] == [0, 0, 0]
 
 
-#: a name far wider than the others, which must not send a file to the scan
+#: a name far wider than the others, which the dict keys
 _LONG_NAME = "L" * 4096
 #: stray whitespace before, inside and after names, and bytes that are not
 #: UTF-8 (written through ``surrogateescape``)
@@ -313,24 +313,26 @@ _NAMES = ["a", "b", "c", "ü", "名", "x#y", "#h", " a", "b ", "c\x1c", "d\xa0",
           "\x0bv", "w\x0c", "x\x1cy", "\x1dz", "q\x1e", "\x1fr", "s\x85t", "\xa0u",
           "v\u2028", "\u3000w", "\udcff", "ab\udc80"]
 #: short, multibyte and long names, names that share their first 8 bytes,
-#: one 4 KB name and a NUL, which is a name byte for the per-line scan
+#: one 4 KB name, and NULs, which are name bytes: ``a\0`` is not ``a``
 _CLEAN_NAMES = ["a", "b", "c", "ü", "名", "x#y", "v#", "abcdefgh", "abcdefghi",
-                "abcdefghij", "abcdefgz", "üüüüü", "名前の長いノード", _LONG_NAME, "n\x00ul"]
+                "abcdefghij", "abcdefgz", "üüüüü", "名前の長いノード", _LONG_NAME, "n\x00ul",
+                "a\x00", "abcdefgh\x00"]
 _BAD_MULTS = ["0", "-1", "x", " 3", "1.0", "٣", str(2**63), str(-(2**63)),
               "00", "9" * 19, "1" * 25, "3\x00"]
-#: 18 digits always fit in int64; 19 may not, and go to the per-line scan
-_CLEAN_MULTS = ["1", "2", "3", "+1", "1_0", str(2**62), str(2**63 - 1),
+#: 18 digits always fit in int64; 19 may not, and the one-line parser reads
+#: them, as it reads the other spellings ``int`` takes
+_CLEAN_MULTS = ["1", "2", "3", "+1", "1_0", "٣", str(2**62), str(2**63 - 1),
                 "007", "9" * 18, "0" * 17 + "5", "1" + "0" * 18, "0" * 18 + "4"]
 #: one oddity per file, so that each reaches the check meant to catch it
 _ODDITIES = ["mixed-widths", "blank", "spaces", "comment", "indented-comment",
              "one-field", "four-fields", "empty-field", "padded-names",
-             "bad-mult", "crlf"]
+             "bad-mult", "crlf", "cr", "crlf-header"]
 
 
 @st.composite
 def edge_files(draw):
-    """TSV text: clean files, which the whole-file path takes, and files
-    with one kind of oddity, which it declines or must parse the same."""
+    """TSV text: clean files, which no line of reaches the one-line parser,
+    and files with one kind of oddity, which must read the same."""
     odd = draw(st.sampled_from([None] * 5 + _ODDITIES))
     width = 3 if odd == "bad-mult" else draw(st.sampled_from([2, 3]))
     # a few names per file, so that most files hold none of the rare ones
@@ -355,10 +357,12 @@ def edge_files(draw):
                 "four-fields": edge(3) + "\t1"}[odd]
 
     lines = [edge(width) for _ in range(draw(st.integers(0, 12)))]
-    if odd not in (None, "padded-names", "crlf"):
+    if odd == "crlf-header":
+        lines.insert(0, "# edges")
+    elif odd not in (None, "padded-names", "crlf", "cr"):
         for _ in range(draw(st.integers(1, 3))):
             lines.insert(draw(st.integers(0, len(lines))), odd_line())
-    newline = "\r\n" if odd == "crlf" else "\n"
+    newline = {"crlf": "\r\n", "crlf-header": "\r\n", "cr": "\r"}.get(odd, "\n")
     text = newline.join(lines)
     if draw(st.booleans()):  # else no final newline
         text += newline
@@ -385,6 +389,15 @@ class TestBulkParse:
     @example(text="a\tb\n\udcff\tc\n", undirected=False)
     @example(text="a\tb\x0b\nb\ta\n", undirected=False)
     @example(text="a\tb\u3000\nb\ta\n", undirected=False)
+    @example(text="a\tb\rc\td", undirected=False)
+    @example(text="# edges\r\na\tb\r\nb\tc\t2\r\n", undirected=False)
+    @example(text="a\x85\tb\n\u3000b\tc\t2\nc\ta \n", undirected=False)
+    @example(text="New York\tSão\xa0Paulo\t2\nSão\xa0Paulo\tNew York \n", undirected=True)
+    @example(text="a\tb\t+1\nb\tc\t1_0\nc\ta\t٣\n", undirected=True)
+    @example(text="a\x00\tb\na\tb\t2\nb\ta\x00\n", undirected=False)
+    @example(text=f"a\tb\t{2**62}\nb\tc\t-1\na\tb\t{2**62}\n", undirected=False)
+    @example(text=f"a\tb\t{2**62}\nb\ta\t{2**62}\nb\tc\t-1\n", undirected=True)
+    @example(text=f"a\tb\t{2**62}\nb\tc\nb\ta\t+{2**64}\n", undirected=True)
     @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_bulk_parse_equals_per_line_parse(self, tmp_path, text, undirected):
         p = tmp_path / "g.tsv"
@@ -401,16 +414,22 @@ class TestBulkParse:
         assert g.node_names == want.node_names
         assert g.label_names == want.label_names
 
+    def test_stray_whitespace_is_what_strip_removes(self):
+        # "\r" ends a line before a line's whitespace is looked at
+        spaces = {c for c in map(chr, range(0x110000)) if c.isspace()}
+        assert set(graph._STRAY) == spaces - set("\t\n\r")
+        assert graph._ASCII_SPACE == b"\v\f\x1c\x1d\x1e\x1f "
+        for c in graph._STRAY:
+            spans = [m.span() for m in graph._STRAY_UTF8.finditer(f"名{c}b".encode())]
+            assert spans == [(3, 3 + len(c.encode()))]
+
     @pytest.mark.parametrize("undirected", [False, True])
     def test_clean_file_skips_the_per_line_scan(self, tmp_path, monkeypatch, undirected):
         p = tmp_path / "g.tsv"
-        p.write_text("alice\tbob\t3\nbob\tcarol\t1\nalice\tbob\t2\ncarol\tcarol\t5")
+        text = "alice\tbob\t3\nbob\tcarol\t1\nalice\tbob\t2\ncarol\tcarol\t5"
+        p.write_text(text)
         want = oracle_load_graph(str(p), undirected)
-
-        def per_line_scan(path):
-            raise AssertionError("per-line scan used")
-
-        monkeypatch.setattr(graph, "_parse_edge_file", per_line_scan)
+        parses = _count_parses(monkeypatch)
         g = load_graph(str(p), undirected=undirected)
         assert g == want and g.node_names == ["alice", "bob", "carol"]
         assert g.multiplicity(0, 1) == 5
@@ -419,45 +438,58 @@ class TestBulkParse:
         for names in (["alexandria", "名前の長いノード", "bo", "alexandrina"],
                       ["a", "b", _LONG_NAME, "c", "d", "e", "f", "g"],
                       ["x" * 300, "y" * 300, "x" * 299 + "y"]):
-            text = "".join(f"{u}\t{w}\t{i + 1:03}\n" for i, (u, w) in
-                           enumerate(zip(names, names[1:] + names[:1])))
-            p.write_bytes(text.encode("utf-8"))
+            long_text = "".join(f"{u}\t{w}\t{i + 1:03}\n" for i, (u, w) in
+                                enumerate(zip(names, names[1:] + names[:1])))
+            p.write_bytes(long_text.encode("utf-8"))
             g = load_graph(str(p), undirected=undirected)
             assert g == oracle_load_graph(str(p), undirected) and g.node_names == names
-        # a comment line sends the file down the per-line scan
-        p.write_text("# header\nalice\tbob\t3\n")
-        with pytest.raises(AssertionError, match="per-line scan used"):
-            load_graph(str(p), undirected=undirected)
+        # a header line and CRLF or lone-CR line ends take no line alone
+        for copy in ("# edges\n" + text, text.replace("\n", "\r\n"), text.replace("\n", "\r")):
+            p.write_bytes(copy.encode("utf-8"))
+            g = load_graph(str(p), undirected=undirected)
+            assert g == want and g.node_names == want.node_names
+        # nor does whitespace inside a name, which strip() keeps
+        p.write_text(text.replace("alice", "alice smith").replace("carol", "carol\u3000c"))
+        g = load_graph(str(p), undirected=undirected)
+        assert g == want and g.node_names == ["alice smith", "bob", "carol\u3000c"]
+        assert parses == []
+        # a multiplicity spelled +1 takes exactly its own line
+        p.write_text(text.replace("\t1\n", "\t+1\n"))
+        g = load_graph(str(p), undirected=undirected)
+        assert g == want and g.node_names == want.node_names
+        assert [(path, num) for _, path, num, _ in parses] == [(str(p), 2)]
 
 
 #: the edge files' node names: short ones, long ones that share their first
-#: 8 bytes, one 4 KB name, and a NUL, which no key holds
+#: 8 bytes, one 4 KB name, and NULs, which the dict keys
 _LABEL_NODE_SETS = [
     ["a", "b", "ü", "名", "x#y"],
     ["abcdefgh", "abcdefghi", "abcdefghij", "abcdefgz", "名前の長いノード"],
     ["a", "b", _LONG_NAME, "c", "d"],
     ["a", "n\x00ul", "b", "c", "d"],
+    ["a", "a\x00", "b", "a\x00b", "c"],
 ]
 _LABEL_NAMES = ["red", "blue", "名", "v#", "g", "colour-red", "colour-redd", "r\x00d",
                 _LONG_NAME]
 #: one oddity per file, as for edge files
 _LABEL_ODDITIES = ["blank", "comment", "padded", "one-field", "three-fields",
-                   "unknown", "conflict", "repeat", "missing", "crlf", "not-utf8"]
+                   "unknown", "conflict", "repeat", "missing", "crlf", "cr", "not-utf8"]
 
 
-def _edge_text(nodes, header=False):
-    """An edge file over ``nodes``, listed in first-appearance order; a
-    header comment sends it down the per-line scan."""
-    return "# edges\n" * header + "".join(f"{u}\t{w}\n" for u, w in zip(nodes, nodes[1:]))
+def _edge_text(nodes, header=False, newline="\n"):
+    """An edge file over ``nodes``, listed in first-appearance order, with
+    a header comment if asked."""
+    return newline.join(["# edges"] * header + [f"{u}\t{w}" for u, w in zip(nodes, nodes[1:])]
+                        + [""])
 
 
 @st.composite
 def label_files(draw):
     """An edge file and a label file for its nodes: clean label files,
-    which the whole-file path takes, and ones with one oddity, which it
-    declines or must read the same."""
+    which no line of reaches the one-line parser, and ones with one
+    oddity, which must read the same."""
     nodes = draw(st.sampled_from(_LABEL_NODE_SETS))
-    edges = _edge_text(nodes, header=draw(st.booleans()))
+    edges = _edge_text(nodes, draw(st.booleans()), draw(st.sampled_from(["\n", "\r\n", "\r"])))
     odd = draw(st.sampled_from([None] * 4 + _LABEL_ODDITIES))
     pool = draw(st.lists(st.sampled_from(_LABEL_NAMES), min_size=1, max_size=3))
     label_of = {v: draw(st.sampled_from(pool)) for v in nodes}
@@ -480,10 +512,11 @@ def label_files(draw):
         name, label = lines[i].split("\t")
         lines[i] = draw(st.sampled_from([f" {name}\t{label}", f"{name} \t{label}",
                                          f"{name}\t {label}", f"{name}\t{label}\xa0",
-                                         f"{name}\t{label}\u2028"]))
+                                         f"{name}\t{label}\u2028", f"\x85{name}\t{label}",
+                                         f"{name}\t\u3000{label}"]))
     elif odd == "missing":
         lines.pop(draw(st.integers(0, len(lines) - 1)))
-    newline = "\r\n" if odd == "crlf" else "\n"
+    newline = {"crlf": "\r\n", "cr": "\r"}.get(odd, "\n")
     text = newline.join(lines)
     if draw(st.booleans()):  # else no final newline
         text += newline
@@ -508,6 +541,10 @@ class TestBulkLabels:
     @example(files=(_edge_text(_LABEL_NODE_SETS[2], header=True),
                     f"a\tred\nb\tred\n{_LONG_NAME}\t{_LONG_NAME}\nc\tr\nd\tr\n"))
     @example(files=(_edge_text(_LABEL_NODE_SETS[3]), "a\tr\nn\x00ul\tr\nb\tr\nc\tr\nd\tr\n"))
+    @example(files=(_edge_text(_LABEL_NODE_SETS[4], True, "\r\n"),
+                    "a\x00\tr\rb\ts\ra\tr\x00\ra\x00b\tr\rc\t\x85s\r"))
+    @example(files=(_EDGE_TEXT, "a\tred\nb\tred\nü \tred\nq\tred\n名\tred\nx#y\tred\n"))
+    @example(files=(_EDGE_TEXT, "a\tred\nb\tred\nü\tred\nb\tblue\n 名\tred\nx#y\n"))
     @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_bulk_labels_equal_per_line_labels(self, tmp_path, files):
         p, lp = tmp_path / "g.tsv", tmp_path / "l.tsv"
@@ -527,12 +564,9 @@ class TestBulkLabels:
 
     def test_clean_file_skips_the_per_line_scan(self, tmp_path, monkeypatch):
         p, lp = tmp_path / "g.tsv", tmp_path / "l.tsv"
-
-        def per_line_scan(path, name_to_id):
-            raise AssertionError("per-line scan used")
-
-        monkeypatch.setattr(graph, "_scan_labels", per_line_scan)
-        # a header comment sends the edge file, not the label file, to the scan
+        parses = _count_parses(monkeypatch)
+        # an edge file with a header comment, and a blank label line, take
+        # no line alone
         for header in (False, True):
             p.write_text(_edge_text(_LABEL_NODE_SETS[0], header))
             lp.write_text("b\tblue\na\tred\nü\tred\n名\tblue\nx#y\tgreen\nb\tblue\n")
@@ -548,15 +582,28 @@ class TestBulkLabels:
                 g = load_graph(str(p), str(lp))
                 assert g == oracle_load_graph(str(p), labels_path=str(lp))
                 assert g.label_names == ["名前", _LONG_NAME, "b", "c"]
-        # a blank line sends the file down the per-line scan
         p.write_text(_EDGE_TEXT)
         lp.write_text("a\tred\n\nb\tred\nü\tred\n名\tred\nx#y\tred\n")
-        with pytest.raises(AssertionError, match="per-line scan used"):
-            load_graph(str(p), str(lp))
+        g = load_graph(str(p), str(lp))
+        assert g == oracle_load_graph(str(p), labels_path=str(lp))
+        assert parses == []
+        # a padded field takes exactly its own line
+        lp.write_text("a\tred\nb\tblue\nü\tred \n名\tred\nx#y\tred\n")
+        g = load_graph(str(p), str(lp))
+        assert g == oracle_load_graph(str(p), labels_path=str(lp))
+        assert g.label_names == ["red", "blue"]
+        assert [(path, num) for _, path, num, _ in parses] == [(str(lp), 3)]
+
+
+def _count_parses(monkeypatch):
+    """The argument tuples of every call to the one-line parser."""
+    calls, parse = [], graph._parse_line
+    monkeypatch.setattr(graph, "_parse_line", lambda *args: calls.append(args) or parse(*args))
+    return calls
 
 
 def _fields(text):
-    """A text's lines as :func:`graph._whole_file_fields` bounds them."""
+    """A text's lines as field offsets and lengths, as the loader bounds them."""
     data = text.encode("utf-8")
     buf = np.frombuffer(data + bytes(8), dtype=np.uint8)
     ends = np.flatnonzero(buf == 10)
@@ -580,11 +627,7 @@ class TestNameKeys:
         assert words([300] * 4) == 1
 
     def test_many_long_names_take_the_byte_path(self, tmp_path, monkeypatch):
-        def per_line_scan(*args):
-            raise AssertionError("per-line scan used")
-
-        monkeypatch.setattr(graph, "_parse_edge_file", per_line_scan)
-        monkeypatch.setattr(graph, "_scan_labels", per_line_scan)
+        parses = _count_parses(monkeypatch)
         rng = np.random.default_rng(3)
         names = [f"node_{v:07d}" for v in range(300)] + ["n" * 60, "m" * 60 + "x"]
         ends = rng.integers(0, len(names), size=(700, 2))
@@ -596,24 +639,32 @@ class TestNameKeys:
         want = oracle_load_graph(str(p), labels_path=str(lp))
         assert g == want and g.node_names == want.node_names
         assert g.label_names == want.label_names
+        assert parses == []
 
-    def test_colliding_keys_fall_back_to_the_scan(self, tmp_path, monkeypatch):
+    def test_colliding_keys_are_keyed_through_the_dict(self, tmp_path, monkeypatch):
         # with a zero multiplier every key of two or more words is zero
         monkeypatch.setattr(bytekeys, "_MIX", np.uint64(0))
-        scans = []
-        monkeypatch.setattr(graph, "_parse_edge_file", lambda path, scan=graph._parse_edge_file:
-                            scans.append(path) or scan(path))
+        parses = _count_parses(monkeypatch)
         p, lp = tmp_path / "g.tsv", tmp_path / "l.tsv"
         p.write_text("alexandria\tbob\nbob\talexandrina\n")
         lp.write_text("bob\tx\nalexandria\ty\nalexandrina\tx\n")
         g = load_graph(str(p), str(lp))
-        assert scans == [str(p)]
+        assert parses == []
         assert g == oracle_load_graph(str(p), labels_path=str(lp))
         assert g.node_names == ["alexandria", "bob", "alexandrina"]
-        assert bytekeys.NameIndex.of(g.node_names) is None
+        ids, names, index = bytekeys.number(*_fields("alexandria\nbob\nalexandrina\nbob\n"))
+        assert ids.tolist() == [0, 1, 2, 1] and names == g.node_names
+        assert index.long == {b"alexandria": 0, b"bob": 1, b"alexandrina": 2}
+
+    def test_nul_fields_are_keyed_through_the_dict(self):
+        ids, names, index = bytekeys.number(*_fields("a\na\x00\nb\na\x00\n"))
+        assert ids.tolist() == [0, 1, 2, 1] and names == ["a", "a\x00", "b"]
+        assert index.long == {b"a\x00": 1}
+        ids = index.lookup(*_fields("a\x00\nb\x00\na\n"))
+        assert ids.tolist() == [1, -1, 0]
 
     def test_lookup_checks_the_words_of_a_hashed_key(self, monkeypatch):
         monkeypatch.setattr(bytekeys, "_MIX", np.uint64(0))
-        index = bytekeys.NameIndex.of(["alexandria"])
+        index = bytekeys.number(*_fields("alexandria\n"))[2]
         ids = index.lookup(*_fields("alexandrina\nalexandria\nbo\n"))
         assert ids.tolist() == [-1, 0, -1]
