@@ -58,9 +58,15 @@ def ell_diff(m_prime: int, m: int) -> float:
 
 
 def ell_diff_array(m_prime: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """:func:`ell_diff` elementwise over broadcast float arrays."""
+    """:func:`ell_diff` elementwise over broadcast int64 arrays, whose
+    differences are exact where float64 ones round above 2^53."""
     diffs = np.abs(m - m_prime)
-    return np.where(diffs == 0, 1.0, 2.0 * np.log2(np.maximum(diffs, 1.0)) + 3.0)
+    bits = np.maximum(diffs, 1.0)
+    np.log2(bits, out=bits)
+    bits *= 2.0
+    bits += 3.0
+    bits[diffs == 0] = 1.0
+    return bits
 
 
 def summary_width_bits(

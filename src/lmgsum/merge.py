@@ -50,6 +50,7 @@ are node ids, so a node is unmarked when it is its own super-node.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -75,12 +76,8 @@ from .summary import (
     all_singleton_summary,
     node_context_bits,
     pair_context_bits,
-    sorted_distinct,
 )
 
-#: exhaustive-scan window for the representative-multiplicity search
-SCAN_LIMIT = 1024
-PROBE_LIMIT = 256
 #: most (candidate, distinct multiplicity) cells priced in one array
 _PRICE_CELLS = 1 << 18
 
@@ -187,19 +184,17 @@ def _glyph_of(members: list[int], internal) -> tuple[Glyph, int | None]:
 
 
 def representative_multiplicity(mults) -> tuple[int, float]:
-    """Multiplicity minimizing the total multiplicity-correction bits.
+    """Multiplicity minimizing the total multiplicity-correction bits, exactly.
 
-    Scans the [min, max] range exhaustively when it spans at most
-    SCAN_LIMIT values; that minimum is exact.  Wider ranges are narrowed
-    by bisecting on the local slope, then the surviving window is scanned
-    together with probes at and next to each distinct multiplicity: between
-    consecutive data values the cost is a sum of concave terms, so its
-    minimum sits at or adjacent to a data value.  The probes make that
-    search exact only up to PROBE_LIMIT distinct values; beyond that they
-    sample PROBE_LIMIT of them, and the pick can be worse than the scan's.
-    Each distinct multiplicity is priced once and weighted by its count,
-    in blocks of candidates, so memory stays bounded.  Ties go to the
-    smallest multiplicity.
+    Between two consecutive distinct multiplicities the cost is a sum of
+    concave terms, so a minimum lies at a distinct value v or next to one:
+    the candidates are v - 1, v and v + 1 within [min, max].  They are
+    int64 and priced on int64 differences, exact at any size, each distinct
+    multiplicity once, weighted by its count.  The search is best-first over
+    ranges of the sorted candidates, each bounded below by pricing every
+    value at its distance to the range; a step cuts the cheapest ranges
+    into parts priced in one array of at most _PRICE_CELLS cells, so memory
+    stays bounded.  Ties go to the smallest multiplicity.
     """
     counted = sorted(Counter(mults).items())
     if not counted:
@@ -208,43 +203,36 @@ def representative_multiplicity(mults) -> tuple[int, float]:
     if lo == hi:
         return lo, float(count)
     distinct, counts = zip(*counted)
-    priced = np.array(distinct, dtype=np.float64)[None, :]
+    values = np.array(distinct, dtype=np.int64)
     weights = np.array(counts, dtype=np.float64)
-    # candidates per block of at most _PRICE_CELLS (candidate, value) cells
-    rows = max(1, _PRICE_CELLS // len(distinct))
-
-    def batch_cost(candidates: np.ndarray) -> np.ndarray:
-        return np.concatenate([
-            (ell_diff_array(priced, candidates[i : i + rows, None]) * weights).sum(axis=1)
-            for i in range(0, len(candidates), rows)
-        ])
-
-    if hi - lo <= SCAN_LIMIT:
-        candidates = np.arange(lo, hi + 1, dtype=np.float64)
-    else:
-
-        def cost(m: int) -> float:
-            return float(batch_cost(np.asarray([m], dtype=np.float64))[0])
-
-        blo, bhi = lo, hi
-        while bhi - blo > SCAN_LIMIT:
-            mid = (blo + bhi) // 2
-            if cost(mid) <= cost(mid + 1):
-                bhi = mid
-            else:
-                blo = mid + 1
-        values = np.array(distinct, dtype=np.int64)
-        if len(values) > PROBE_LIMIT:
-            # the positions lie more than 1 apart, so rounding keeps them distinct
-            keep = np.linspace(0, len(values) - 1, PROBE_LIMIT).round().astype(int)
-            values = values[keep]
-        probes = np.clip(np.concatenate([values - 1, values, values + 1]), lo, hi)
-        candidates = sorted_distinct(
-            np.concatenate([np.arange(blo, bhi + 1, dtype=np.int64), probes])
-        ).astype(np.float64)
-    costs = batch_cost(candidates)
-    best = int(np.argmin(costs))
-    return int(candidates[best]), float(costs[best])
+    # clamped before the step, so that no candidate leaves [lo, hi] or wraps
+    candidates = np.array(
+        sorted({c for v in distinct for c in (max(v, lo + 1) - 1, v, min(v, hi - 1) + 1)}),
+        dtype=np.int64,
+    )
+    # parts priced per step; two at least, so that a step cuts a range
+    rows = max(2, _PRICE_CELLS // len(values))
+    # (bound, first, stop) per range: a lone candidate's bound is its cost,
+    # so once one is the cheapest entry no other candidate can beat it, nor
+    # tie it with a smaller multiplicity
+    heap = [(0.0, 0, len(candidates))]
+    while heap[0][2] - heap[0][1] > 1:
+        popped = []
+        while heap and heap[0][2] - heap[0][1] > 1 and len(popped) < rows // 2:
+            popped.append(heapq.heappop(heap))
+        parts = []
+        for _, first, stop in popped:
+            k = min(rows // len(popped), stop - first)
+            cuts = [first + (stop - first) * j // k for j in range(k + 1)]
+            parts += zip(cuts, cuts[1:])
+        # each part's first and last candidate
+        ends = candidates[np.array(parts) - [0, 1]]
+        bits = ell_diff_array(values, np.minimum(np.maximum(values, ends[:, :1]), ends[:, 1:]))
+        bounds = (bits * weights).sum(axis=1)
+        for bound, part in zip(bounds.tolist(), parts):
+            heapq.heappush(heap, (bound, *part))
+    cost, first, _ = heap[0]
+    return int(candidates[first]), cost
 
 
 def decide_super_edge(

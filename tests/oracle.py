@@ -113,6 +113,28 @@ def oracle_rep_mult(mults) -> tuple[int, float]:
     return best_m, best_cost
 
 
+def oracle_scan_rep_mult(mults) -> tuple[int, float]:
+    """:func:`oracle_rep_mult` as a NumPy scan, for ranges too wide for the
+    loop: every integer in [min, max], on exact int64 differences.  Each
+    distinct value is priced once and weighted by its count, in that
+    order, as the engine sums them, so the costs compare with ``==``."""
+    values, counts = np.unique(np.asarray(mults, dtype=np.int64), return_counts=True)
+    weights = counts.astype(np.float64)
+    lo, width = values[0], int(values[-1] - values[0]) + 1
+    rows = max(1, (1 << 18) // len(values))
+    best_m, best_cost = None, None
+    for start in range(0, width, rows):
+        # offsets from lo, so that no step passes 2^63 - 1
+        m = lo + np.arange(start, min(start + rows, width), dtype=np.int64)
+        diffs = np.abs(m[:, None] - values)
+        bits = np.where(diffs == 0, 1.0, 2.0 * np.log2(np.maximum(diffs, 1.0)) + 3.0)
+        costs = (bits * weights).sum(axis=1)
+        i = int(np.argmin(costs))
+        if best_cost is None or costs[i] < best_cost:
+            best_m, best_cost = int(m[i]), float(costs[i])
+    return best_m, best_cost
+
+
 def _glyph_expansion(glyph: Glyph, members, hub, self_loop: bool):
     """Ordered pairs the glyph covers, self-loop diagonal included."""
     pairs = set()

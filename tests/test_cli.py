@@ -715,6 +715,23 @@ class TestVerify:
         assert main(["verify", *args]) == 0
         assert capsys.readouterr().out.startswith("OK:")
 
+    def test_star_of_multiplicities_near_int64_max_round_trips(self, tmp_path, capsys):
+        # the spokes' multiplicities differ by 3 just below 2^63 - 1, where
+        # float64 steps by 1024: a float-priced representative can round
+        # past the largest multiplicity a report may hold
+        edge_path = tmp_path / "star.tsv"
+        edge_path.write_text("".join(f"s{i}\thub\t{2**63 - 1 - 3 * i}\n" for i in range(40)))
+        out_json = tmp_path / "report.json"
+        args = ["-i", str(edge_path), "--json", str(out_json)]
+        assert main(["summarize", *args]) == 0
+        summary = json.loads(out_json.read_text(encoding="utf-8"))["summary"]
+        reps = [r["rep_mult"] for r in summary["super_nodes"] + summary["super_edges"]]
+        assert any(rep > 1 for rep in reps)
+        assert all(rep <= 2**63 - 1 for rep in reps)
+        capsys.readouterr()
+        assert main(["verify", *args]) == 0
+        assert capsys.readouterr().out.startswith("OK:")
+
 
 class TestEvalLabels:
     def test_requires_label_file(self, planted_files, capsys):

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import lmgsum as L
 import lmgsum.merge as merge_module
@@ -37,6 +37,7 @@ from oracle import (
     oracle_decide_glyph,
     oracle_group_edges,
     oracle_rep_mult,
+    oracle_scan_rep_mult,
     oracle_score,
     oracle_total_cost,
 )
@@ -204,14 +205,30 @@ class TestRepresentativeMultiplicity:
                 probe_cost = sum(L.ell_diff(x, probe) for x in mults)
                 assert cost <= probe_cost + 1e-9
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(257, 1000),
+        span=st.integers(1025, 20_000),
+        offset=st.one_of(st.integers(1, 2**53), st.integers(2**53, 2**63 - 1 - 20_000)),
+    )
+    @example(seed=7, size=960, span=12_886, offset=684_180)
+    @settings(max_examples=25, deadline=None)
+    def test_exact_on_wide_ranges(self, seed, size, span, offset):
+        # hundreds of distinct values over ranges too wide for the loop
+        # oracle, where float64 still holds every integer and where it
+        # does not; on the example, pricing a sample of 256 of the values
+        # picks a representative 6.5 bits worse
+        mults = (offset + np.random.default_rng(seed).integers(0, span + 1, size)).tolist()
+        assert representative_multiplicity(mults) == oracle_scan_rep_mult(mults)
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             representative_multiplicity([])
 
     @pytest.mark.parametrize("size, high", [(20_000, 1_000), (5_000, 10**6)])
     def test_memory_grows_with_distinct_values_not_edges(self, size, high):
-        # the scan prices 1,000 candidates and the wide search ~1,800, so
-        # one (candidate, edge) matrix would take 160 MB and 72 MB
+        # the cases have 1,000 and ~15,000 candidates, so one
+        # (candidate, edge) matrix would take 160 MB and 600 MB
         mults = np.random.default_rng(0).integers(1, high + 1, size).tolist()
         tracemalloc.start()
         try:
@@ -246,8 +263,8 @@ def super_node(draw, first: int, sid: int):
 @st.composite
 def bundles(draw):
     """Random super-nodes and a non-empty bundle of edges between them, with
-    multiplicities narrow enough to repeat or wide enough to need the
-    bisection of representative_multiplicity."""
+    multiplicities narrow enough to repeat or spread over a range of
+    thousands."""
     src = draw(super_node(0, 0))
     dst = draw(super_node(10, 1))
     pairs = [(u, w) for u in src.members for w in dst.members]
