@@ -23,6 +23,7 @@ _MODULE_EXPORTS = {
     "config": ("RunConfig",),
     "encoding": (
         "CostBreakdown",
+        "Glyph",
         "cost_correction_set",
         "cost_entropy_code",
         "cost_node_map",
@@ -48,7 +49,6 @@ _MODULE_EXPORTS = {
     ),
     "summary": (
         "CorrectionSet",
-        "Glyph",
         "SummaryGraph",
         "SuperNode",
         "all_singleton_summary",

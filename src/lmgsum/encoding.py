@@ -14,14 +14,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
 LOG2E = math.log2(math.e)
 
-#: Number of structural glyphs a super-node can take
-#: (clique, in-star, out-star, disconnected, singleton).
-GLYPH_COUNT = 5
+
+class Glyph(Enum):
+    """The structural glyph of a super-node."""
+
+    CLIQUE = "clique"
+    IN_STAR = "in_star"
+    OUT_STAR = "out_star"
+    DISCONNECTED = "disconnected"
+    SINGLETON = "singleton"
+
+
+#: Number of structural glyphs a super-node can take.
+GLYPH_COUNT = len(Glyph)
 
 
 def len_natural(k: int) -> float:

@@ -369,17 +369,20 @@ class _Rows(NamedTuple):
     kept: np.ndarray | None
     #: the first bad line's error: the rows stop before that line
     error: GraphFormatError | None
+    #: the leading "#" lines set aside before the first of ``kept``'s lines
+    header: int
 
     def where(self, path: str, row: int) -> str:
         line = row if self.kept is None else int(np.flatnonzero(self.kept)[row])
-        return f"{path}:{line + 1}"
+        return f"{path}:{self.header + line + 1}"
 
 
 def _read_rows(path: str, edges: bool) -> _Rows:
     """The rows of an edge file (2 or 3 fields a line) or a label file (2).
 
     Lines end as text mode ends them, at ``\\n``, ``\\r\\n`` or ``\\r``, and
-    one that is empty or starts with ``#`` is skipped.  A clean line, with
+    one that is empty or starts with ``#`` is skipped.  A leading block of
+    ASCII ``#`` lines, such as a SNAP header, is set aside before the scan.  A clean line, with
     a right field count, no empty field, no field that starts or ends in
     whitespace, and a third field, if any, of 1 to 18 ASCII digits that
     reads >= 1, is a row as it stands: one array scan finds every line's
@@ -398,6 +401,13 @@ def _read_rows(path: str, edges: bool) -> _Rows:
         data = data.replace(b"\r\n", b"\n")
         if b"\r" in data:
             data = data.replace(b"\r", b"\n")
+    header = end = 0  # the leading ASCII "#" lines, set aside
+    while data.startswith(b"#", end):
+        stop = data.find(b"\n", end) + 1 or len(data)
+        if not data[end:stop].isascii():
+            break
+        header, end = header + 1, stop
+    del data[:end]
     text, bad = "", []
     if not data.isascii():
         try:
@@ -465,7 +475,8 @@ def _read_rows(path: str, edges: bool) -> _Rows:
     for i, lo in zip(odd.tolist(), starts2[odd, 0].tolist()):
         hi = data.find(b"\n", lo)
         try:
-            parsed = _parse_line(data[lo:hi] if hi >= 0 else data[lo:], path, i + 1, edges)
+            line = data[lo:hi] if hi >= 0 else data[lo:]
+            parsed = _parse_line(line, path, header + i + 1, edges)
         except GraphFormatError as e:
             keep[i:], error = False, e
             break
@@ -492,7 +503,7 @@ def _read_rows(path: str, edges: bool) -> _Rows:
         starts2, lens2 = starts2.compress(keep, axis=0), lens2.compress(keep, axis=0)
         mult = None if mult is None else mult.compress(keep)
     buf = np.frombuffer(data, dtype=np.uint8)
-    return _Rows(buf, starts2[:, :2], lens2[:, :2], mult, kept, error)
+    return _Rows(buf, starts2[:, :2], lens2[:, :2], mult, kept, error, header)
 
 
 def _load_edges(

@@ -7,11 +7,10 @@ standard library uses its C encoder only when ``indent`` is None; with an
 indent it walks every value in Python, which made the report's encoding the
 slowest layer of a sparse ``summarize``.
 
-Three list shapes, the long ones in a report, are encoded by the C encoder
+Two list shapes, the long ones in a report, are encoded by the C encoder
 with a NUL item separator and then indented by ``str.replace``:
 
-- a list of scalars (node names, label names);
-- a list of non-empty lists of scalars (the correction triples and pairs);
+- a list of scalars (node names, label names, each correction column);
 - a list of records: non-empty dicts that share one order of ``str`` keys,
   whose values are scalars or non-empty lists of scalars (the super-node
   and super-edge records).  Each key's values are encoded as one column,
@@ -19,7 +18,9 @@ with a NUL item separator and then indented by ``str.replace``:
 
 ``ensure_ascii`` escapes every control character, so a raw NUL in that
 output is always an item separator, and ``]`` NUL ``[`` always marks the
-seam between two inner lists.  Scalars here are values whose type is exactly
+seam between two inner lists.  A list of lists, such as a correction kind's
+columns, is walked list by list, so each column is written a chunk at a
+time.  Scalars here are values whose type is exactly
 ``str``, ``int``, ``float``, ``bool`` or ``None``; subclasses take the
 general path.  Other dicts are walked key by key, and the items of a list
 chunk of any other shape one at a time.
@@ -91,16 +92,11 @@ def _write_list(obj, write, level: int) -> None:
 
 def _chunk_text(chunk, inner: str) -> str | None:
     """Items of a non-empty list chunk, each at ``inner``'s indent, joined,
-    or None unless the chunk has one of the three shapes of the module
+    or None unless the chunk has one of the two shapes of the module
     docstring."""
     types = set(map(type, chunk))
     if types <= _SCALARS:
         return _encode_nul(chunk)[1:-1].replace("\x00", "," + inner)
-    if _scalar_rows(chunk):
-        deeper = inner + "  "
-        body = _encode_nul(chunk)[2:-2]
-        body = body.replace("]\x00[", inner + "]," + inner + "[" + deeper)
-        return "[" + deeper + body.replace("\x00", "," + deeper) + inner + "]"
     if types == {dict}:
         return _records_text(chunk, inner)
     return None

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from enum import Enum
 from itertools import chain, product
 from operator import itemgetter
 from typing import Iterable, Iterator
@@ -36,6 +35,7 @@ import numpy as np
 
 from .encoding import (
     CostBreakdown,
+    Glyph,
     cost_correction_set,
     cost_node_map,
     ell_diff,
@@ -45,14 +45,6 @@ from .encoding import (
     supernode_own_bits,
 )
 from .graph import LabeledMultiGraph
-
-
-class Glyph(Enum):
-    CLIQUE = "clique"
-    IN_STAR = "in_star"
-    OUT_STAR = "out_star"
-    DISCONNECTED = "disconnected"
-    SINGLETON = "singleton"
 
 
 STAR_GLYPHS = (Glyph.IN_STAR, Glyph.OUT_STAR)
@@ -370,20 +362,20 @@ def reconstruct(summary: SummaryGraph, corrections: CorrectionSet) -> LabeledMul
     """Apply corrections to the decompressed summary; exact inverse of
     compute_corrections for the graph the corrections were derived from.
     The summary is decoded by :func:`lmgsum.verify.decode`, with ids for
-    names; an inconsistent pair raises ValueError."""
+    names, and the corrections are read as a report's columns; an
+    inconsistent pair raises ValueError."""
     # only code that decodes a summary compiles the decoder
-    from .verify import decode
+    from .verify import correction_columns, decode
 
     n, label_ids = summary.graph_size, range(summary.label_count)
-    rows = ((sn.id, sn.label, sn.glyph.value, sn.members, sn.hub, sn.rep_mult, sn.self_loop)
-            for sn in summary.super_nodes.values())
-    nodes = _transpose(rows, 7)
-    edges = _transpose(((a, b, m) for (a, b), m in summary.super_edges.items()), 3)
-    cor = [_transpose(kind, width) for kind, width in (
-        (corrections.positive, 3), (corrections.negative, 2), (corrections.mult_deltas, 3))]
+    rows = [(sn.id, sn.label, sn.glyph.value, sn.members, sn.hub, sn.rep_mult, sn.self_loop)
+            for sn in summary.super_nodes.values()]
+    nodes = _columns(rows, 7)
+    edges = _columns([(a, b, m) for (a, b), m in summary.super_edges.items()], 3)
     try:
         keys, mult, label, _record = decode(
-            nodes, edges, cor, dict(zip(range(n), range(n))), dict(zip(label_ids, label_ids)), n,
+            nodes, edges, correction_columns(corrections_to_dict(summary, corrections), n),
+            dict(zip(range(n), range(n))), dict(zip(label_ids, label_ids)), n,
             (summary.node_names or range(n)).__getitem__,
         )
     except KeyError as e:
@@ -584,78 +576,10 @@ def summary_to_dict(
     }
 
 
-_NODE_FIELDS = itemgetter("id", "label", "glyph", "members", "hub", "rep_mult", "self_loop")
-_EDGE_FIELDS = itemgetter("src", "dst", "rep_mult")
-_NOUNS = {int: "an integer", bool: "a boolean", str: "a string", list: "a list", dict: "an object"}
-
-
-def _exact(values, kind: type, name) -> None:
-    """Raise TypeError unless every value's type is exactly ``kind``;
-    ``name(i)`` says which value ``values[i]`` is.
-
-    JSON readers hand back ``1.0``, ``"1"`` and ``true`` where an integer
-    belongs, and numpy would quietly turn each into 1; ``bool`` is an
-    ``int`` subclass, so ``isinstance`` would let ``true`` through too.
-    """
-    if not set(map(type, values)) <= {kind}:
-        i = next(i for i, value in enumerate(values) if type(value) is not kind)
-        raise TypeError(f"{name(i)}: {values[i]!r} is not {_NOUNS[kind]}")
-
-
-def _once(values, what: str) -> None:
-    """Raise ValueError when a value repeats in ``values``."""
-    if len(set(values)) < len(values):
-        repeat = next(value for value, count in Counter(values).items() if count > 1)
-        raise ValueError(f"{what} {repeat!r} appears more than once")
-
-
-def _listed(data: dict, key: str, kind: type, what: str) -> list:
-    """``data[key]``, a JSON list of ``kind`` values, each named ``what``."""
-    values = data[key]
-    _exact((values,), list, lambda _i: key)
-    _exact(values, kind, lambda i: f"{what} {i}")
-    return values
-
-
-def _transpose(rows, width: int) -> list[list]:
-    """The ``width`` columns of ``width``-long rows (faster than ``zip(*rows)``)."""
-    flat = list(chain.from_iterable(rows))
-    return [flat[i::width] for i in range(width)]
-
-
-def summary_columns(data: dict) -> tuple[int, list[str], list[str], list[list], list[list]]:
-    """The columns of a report's ``summary`` section: graph size, node
-    names, label names, the super-node columns (id, label, glyph, members,
-    hub, rep_mult, self_loop) and the super-edge columns (src, dst, rep_mult).
-
-    TypeError unless each value is exactly its JSON type, ValueError when a
-    super-node id, super-edge pair, node name or label name repeats.  Names
-    and glyphs are checked where they are looked up.
-    """
-    size = data["graph_size"]
-    _exact((size,), int, lambda _i: "graph_size")
-    names = _listed(data, "node_names", str, "node name")
-    _once(names, "node name")
-    label_names = _listed(data, "label_names", str, "label name")
-    _once(label_names, "label name")
-    records = _listed(data, "super_nodes", dict, "super-node record")
-    nodes = _transpose(map(_NODE_FIELDS, records), 7)
-    ids, _labels, _glyphs, members, _hubs, reps, loops = nodes
-    _exact(ids, int, lambda i: f"id of super-node record {i}")
-    _once(ids, "super-node id")
-    _exact(reps, int, lambda i: f"rep_mult of super-node {ids[i]}")
-    _exact(loops, bool, lambda i: f"self_loop of super-node {ids[i]}")
-    _exact(members, list, lambda i: f"members of super-node {ids[i]}")
-    records = _listed(data, "super_edges", dict, "super-edge record")
-    edges = src, dst, mults = _transpose(map(_EDGE_FIELDS, records), 3)
-    for end, column in (("src", src), ("dst", dst), ("rep_mult", mults)):
-        _exact(column, int, lambda i: f"{end} of super-edge {(src[i], dst[i])}")
-    _once(list(zip(src, dst)), "super-edge")
-    return size, names, label_names, nodes, edges
-
-
 def summary_from_dict(data: dict) -> SummaryGraph:
     """Inverse of summary_to_dict (ids are re-derived from node_names)."""
+    from .verify import summary_columns
+
     size, names, label_names, nodes, (src, dst, mults) = summary_columns(data)
     node_id = dict(zip(names, range(len(names)))).__getitem__
     label_id = dict(zip(label_names, range(len(label_names)))).__getitem__
@@ -673,47 +597,31 @@ def summary_from_dict(data: dict) -> SummaryGraph:
     )
 
 
+def _columns(rows: list[tuple], width: int) -> list[list]:
+    """The ``width`` columns of ``rows``."""
+    return [list(map(itemgetter(i), rows)) for i in range(width)]
+
+
 def corrections_to_dict(summary: SummaryGraph, cor: CorrectionSet) -> dict:
-    names = summary.node_names
+    """JSON-ready form of the corrections: each kind as its columns,
+    ``src`` and ``dst`` node ids, which index the summary's node names."""
     return {
-        "positive": [[names[u], names[w], m] for u, w, m in cor.positive],
-        "negative": [[names[u], names[w]] for u, w in cor.negative],
-        "mult_deltas": [[names[u], names[w], d] for u, w, d in cor.mult_deltas],
+        "positive": _columns(cor.positive, 3),
+        "negative": _columns(cor.negative, 2),
+        "mult_deltas": _columns(cor.mult_deltas, 3),
     }
 
 
-def correction_columns(data: dict) -> list[list[list]]:
-    """The columns of a report's ``corrections`` section: (u, w, m) of the
-    positive corrections, (u, w) of the negative ones and (u, w, d) of the
-    multiplicity deltas, ``u`` and ``w`` node names.  A row is a JSON list
-    of its width, and ``m`` and ``d`` are JSON integers; else TypeError or
-    ValueError."""
-    kinds = []
-    for key, width, what in (
-        ("positive", 3, "positive correction"),
-        ("negative", 2, "negative correction"),
-        ("mult_deltas", 3, "multiplicity delta"),
-    ):
-        rows = _listed(data, key, list, what)
-        if not set(map(len, rows)) <= {width}:
-            i = next(i for i, row in enumerate(rows) if len(row) != width)
-            raise ValueError(f"{what} {i}: {rows[i]!r} does not have {width} items")
-        columns = _transpose(rows, width)
-        if width == 3:
-            u, w, m = columns
-            _exact(m, int, lambda i: f"{what} {(u[i], w[i])}")
-        kinds.append(columns)
-    return kinds
-
-
 def corrections_from_dict(summary: SummaryGraph, data: dict) -> CorrectionSet:
-    """Inverse of corrections_to_dict, node names read as ``summary``'s ids."""
-    node_id = dict(zip(summary.node_names, range(len(summary.node_names)))).__getitem__
-    (pu, pw, pm), (nu, nw), (du, dw, dd) = correction_columns(data)
+    """Inverse of corrections_to_dict; every node index must be below the
+    count of ``summary``'s node names."""
+    from .verify import correction_columns
+
+    (pu, pw, pm), (nu, nw), (du, dw, dd) = correction_columns(data, len(summary.node_names))
     return CorrectionSet(
-        positive=list(zip(map(node_id, pu), map(node_id, pw), pm)),
-        negative=list(zip(map(node_id, nu), map(node_id, nw))),
-        mult_deltas=list(zip(map(node_id, du), map(node_id, dw), dd)),
+        positive=list(zip(pu.tolist(), pw.tolist(), pm)),
+        negative=list(zip(nu.tolist(), nw.tolist())),
+        mult_deltas=list(zip(du.tolist(), dw.tolist(), dd)),
     )
 
 

@@ -1,27 +1,154 @@
-"""The one decompression, on arrays, and verify's one decision path.
+"""The report's column reader, the one decompression, on arrays, and
+verify's one decision path; this module does not import
+:mod:`lmgsum.summary`.
 
-:func:`decode` expands a summary's glyphs, self-loop flags and super-edge
-port products into sorted int64 edge keys ``u * space + w`` and applies the
-corrections with ``searchsorted``: the positives, then the negatives, then
-each edge's multiplicity deltas in turn.  An inconsistent summary or
-correction raises a :class:`GraphFormatError` that names its nodes.
-:func:`mismatch` decodes a parsed report in the input graph's own ids and
-words the first difference from the input's arrays;
-:func:`lmgsum.summary.reconstruct` builds its graph from the same decoding.
+:func:`summary_columns` and :func:`correction_columns` read a report's
+sections column by column.  :func:`decode` expands a summary's glyphs,
+self-loop flags and super-edge port products into sorted int64 edge keys
+``u * space + w`` and applies the corrections with ``searchsorted``: the
+positives, then the negatives, then each edge's multiplicity deltas in
+turn.  An inconsistent summary or correction raises a
+:class:`GraphFormatError` that names its nodes.  :func:`mismatch` decodes a
+parsed report in the input graph's own ids and words the first difference
+from the input's arrays; :func:`lmgsum.summary.reconstruct` builds its graph
+from the same decoding.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
+from .encoding import Glyph
 from .graph import GraphFormatError, LabeledMultiGraph
-from .summary import Glyph, correction_columns, summary_columns
 
 #: each glyph's code is its position in Glyph
 _GLYPH_CODE = {glyph.value: code for code, glyph in enumerate(Glyph)}
 _CLIQUE, _IN_STAR, _OUT_STAR, _DISCONNECTED, _SINGLETON = range(len(Glyph))
+
+
+# -- the column reader ---------------------------------------------------------
+
+_NODE_FIELDS = itemgetter("id", "label", "glyph", "members", "hub", "rep_mult", "self_loop")
+_EDGE_FIELDS = itemgetter("src", "dst", "rep_mult")
+_NOUNS = {int: "an integer", bool: "a boolean", str: "a string", list: "a list", dict: "an object"}
+#: each correction kind: its key, its columns and the name of one correction
+_KINDS = (
+    ("positive", ("src", "dst", "mult"), "positive correction"),
+    ("negative", ("src", "dst"), "negative correction"),
+    ("mult_deltas", ("src", "dst", "delta"), "multiplicity delta"),
+)
+
+
+def _exact(values, kind: type, name) -> None:
+    """Raise TypeError unless every value's type is exactly ``kind``;
+    ``name(i)`` says which value ``values[i]`` is.
+
+    JSON readers hand back ``1.0``, ``"1"`` and ``true`` where an integer
+    belongs, and numpy would quietly turn each into 1; ``bool`` is an
+    ``int`` subclass, so ``isinstance`` would let ``true`` through too.
+    """
+    if not set(map(type, values)) <= {kind}:
+        i = next(i for i, value in enumerate(values) if type(value) is not kind)
+        raise TypeError(f"{name(i)}: {values[i]!r} is not {_NOUNS[kind]}")
+
+
+def _once(values, what: str) -> None:
+    """Raise ValueError when a value repeats in ``values``."""
+    if len(set(values)) < len(values):
+        repeat = next(value for value, count in Counter(values).items() if count > 1)
+        raise ValueError(f"{what} {repeat!r} appears more than once")
+
+
+def _listed(data: dict, key: str, kind: type, what: str) -> list:
+    """``data[key]``, a JSON list of ``kind`` values, each named ``what``."""
+    values = data[key]
+    _exact((values,), list, lambda _i: key)
+    _exact(values, kind, lambda i: f"{what} {i}")
+    return values
+
+
+def _transpose(rows, width: int) -> list[list]:
+    """The ``width`` columns of ``width``-long rows (faster than ``zip(*rows)``)."""
+    flat = list(chain.from_iterable(rows))
+    return [flat[i::width] for i in range(width)]
+
+
+def summary_columns(data: dict) -> tuple[int, list[str], list[str], list[list], list[list]]:
+    """The columns of a report's ``summary`` section: graph size, node
+    names, label names, the super-node columns (id, label, glyph, members,
+    hub, rep_mult, self_loop) and the super-edge columns (src, dst, rep_mult).
+
+    TypeError unless each value is exactly its JSON type, ValueError when a
+    super-node id, super-edge pair, node name or label name repeats.  Names
+    and glyphs are checked where they are looked up.
+    """
+    size = data["graph_size"]
+    _exact((size,), int, lambda _i: "graph_size")
+    names = _listed(data, "node_names", str, "node name")
+    _once(names, "node name")
+    label_names = _listed(data, "label_names", str, "label name")
+    _once(label_names, "label name")
+    records = _listed(data, "super_nodes", dict, "super-node record")
+    nodes = _transpose(map(_NODE_FIELDS, records), 7)
+    ids, _labels, _glyphs, members, _hubs, reps, loops = nodes
+    _exact(ids, int, lambda i: f"id of super-node record {i}")
+    _once(ids, "super-node id")
+    _exact(reps, int, lambda i: f"rep_mult of super-node {ids[i]}")
+    _exact(loops, bool, lambda i: f"self_loop of super-node {ids[i]}")
+    _exact(members, list, lambda i: f"members of super-node {ids[i]}")
+    records = _listed(data, "super_edges", dict, "super-edge record")
+    edges = src, dst, mults = _transpose(map(_EDGE_FIELDS, records), 3)
+    for end, column in (("src", src), ("dst", dst), ("rep_mult", mults)):
+        _exact(column, int, lambda i: f"{end} of super-edge {(src[i], dst[i])}")
+    _once(list(zip(src, dst)), "super-edge")
+    return size, names, label_names, nodes, edges
+
+
+def _node_indices(column: list, size: int, where: str) -> np.ndarray:
+    """The ints of ``column`` as int64 indices below ``size``; else
+    ValueError for the first that is not, ``where`` and its position."""
+    try:
+        indices = np.array(column, dtype=np.int64)
+        if ((indices >= 0) & (indices < size)).all():
+            return indices
+    except OverflowError:
+        pass
+    i = next(i for i, value in enumerate(column) if not 0 <= value < size)
+    raise ValueError(f"{where} {i}: {column[i]} is not a node index below {size}")
+
+
+def correction_columns(data: dict, size: int) -> list[list]:
+    """The columns of a report's ``corrections`` section: (src, dst, mult)
+    of the positive corrections, (src, dst) of the negative ones and (src,
+    dst, delta) of the multiplicity deltas; ``src`` and ``dst``, indices of
+    the report's ``size`` node names, as int64 arrays.  Each kind must be a
+    JSON list of its columns, of one length, every cell a JSON integer; else
+    TypeError or ValueError, naming the kind and the position.
+    """
+    kinds = []
+    for key, names, what in _KINDS:
+        columns = _listed(data, key, list, f"{key} column")
+        if not columns or (columns[0] and type(columns[0][0]) is str):
+            raise ValueError(f"{key}: rows of node names, as corrections were written before "
+                             "they were node-index columns; re-run `summarize`")
+        lengths = list(map(len, columns))
+        if len(lengths) != len(names) or len(set(lengths)) > 1:
+            raise ValueError(f"{key}: columns of lengths {lengths}, "
+                             f"not {len(names)} of one length ({', '.join(names)})")
+        kind = []
+        for column, name in zip(columns, names):
+            _exact(column, int, lambda i: f"{name} of {what} {i}")
+            kind.append(column if name not in ("src", "dst") else
+                        _node_indices(column, size, f"{name} of {what}"))
+        kinds.append(kind)
+    return kinds
+
+
+# -- the decompression ---------------------------------------------------------
 
 
 def _ids(index: dict, names) -> np.ndarray:
@@ -60,13 +187,13 @@ def _find(sorted_keys: np.ndarray, keys: np.ndarray, missing) -> np.ndarray:
 
 
 def decode(nodes, edges, corrections, index: dict, label_of: dict, space: int, name):
-    """Decode the summary columns ``nodes`` and ``edges`` and the correction
-    columns ``corrections``, as the column reader of :mod:`lmgsum.summary`
-    returns them.  ``index`` gives each node name's id below ``space``, and
-    the records must cover every one once; ``label_of`` gives each label
-    name's id and ``name(u)`` node u's name in messages.  Returns the sorted
-    edge keys ``u * space + w``, their multiplicities, and each id's label
-    and record (-1 where no record holds it)."""
+    """Decode the columns that :func:`summary_columns` and
+    :func:`correction_columns` read, the corrections' ``src`` and ``dst``
+    ids below ``space``.  ``index`` gives each node name's id below
+    ``space``, and the records must cover every one once; ``label_of`` gives
+    each label name's id and ``name(u)`` node u's name in messages.  Returns
+    the sorted edge keys ``u * space + w``, their multiplicities, and each
+    id's label and record (-1 where no record holds it)."""
     ids, rec_labels, glyphs, members, hubs, reps, loops = nodes
     count = len(ids)
     sizes = np.fromiter(map(len, members), dtype=np.int64, count=count)
@@ -137,8 +264,8 @@ def decode(nodes, edges, corrections, index: dict, label_of: dict, space: int, n
 
     # -- the corrections: positives, negatives, then the deltas
     (pos_u, pos_w, pos_m), (neg_u, neg_w), (delta_u, delta_w, delta) = corrections
-    parts.append((_ids(index, pos_u), _ids(index, pos_w), np.array(pos_m, dtype=np.int64)))
-    del corrections, pos_u, pos_w, pos_m  # the longest lists, dropped before the sort
+    parts.append((pos_u, pos_w, np.array(pos_m, dtype=np.int64)))
+    del corrections, pos_u, pos_w, pos_m  # the longest columns, dropped before the sort
     u, w, m = (np.concatenate(column) for column in zip(*parts))
     order = np.argsort(u * space + w)
     keys, mult = u[order] * space + w[order], m[order]
@@ -149,7 +276,7 @@ def decode(nodes, edges, corrections, index: dict, label_of: dict, space: int, n
         what = "positive correction for existing edge"
         raise GraphFormatError(f"{what} {pair(keys[np.argmax(repeated)])}")
     what = "negative correction for missing edge"
-    gone = np.sort(_ids(index, neg_u) * space + _ids(index, neg_w))
+    gone = np.sort(neg_u * space + neg_w)
     repeated = gone[1:] == gone[:-1]
     if repeated.any():  # the second one finds its edge gone
         raise GraphFormatError(f"{what} {pair(gone[np.argmax(repeated)])}")
@@ -157,7 +284,7 @@ def decode(nodes, edges, corrections, index: dict, label_of: dict, space: int, n
     keys, mult = np.delete(keys, at), np.delete(mult, at)
 
     if delta:
-        delta_keys = _ids(index, delta_u) * space + _ids(index, delta_w)
+        delta_keys = delta_u * space + delta_w
         order = np.argsort(delta_keys, kind="stable")  # each edge's deltas in order
         # Python ints, which int64 sums of deltas could pass
         delta_keys, delta = delta_keys[order], np.array(delta, dtype=object)[order]
@@ -182,15 +309,17 @@ def decode(nodes, edges, corrections, index: dict, label_of: dict, space: int, n
     return keys, mult, labels, assign
 
 
-def _index(known: list, listed: list) -> tuple[list, dict]:
-    """Every id's name, and the ids of the distinct names ``listed``: a name
-    in ``known`` keeps its position there, the others follow in order."""
+def _index(known: list, listed: list) -> tuple[list, dict, np.ndarray]:
+    """Every id's name, and the ids of the distinct names ``listed``, by name
+    and in ``listed``'s order: a name in ``known`` keeps its position there,
+    the others follow in order."""
     index = dict(zip(known, range(len(known))))
     if listed == known:
-        return known, index
+        return known, index, np.arange(len(known))
     extra = [name for name in listed if name not in index]
     index.update(zip(extra, range(len(known), len(known) + len(extra))))
-    return known + extra, {name: index[name] for name in listed}
+    index = {name: index[name] for name in listed}
+    return known + extra, index, np.fromiter(index.values(), dtype=np.int64, count=len(index))
 
 
 def mismatch(g: LabeledMultiGraph, summary, corrections) -> str | None:
@@ -202,11 +331,16 @@ def mismatch(g: LabeledMultiGraph, summary, corrections) -> str | None:
     if size != len(names) or size < 1:
         raise GraphFormatError(f"graph_size {size} is not the count of {len(names)} node names")
     # a name the input lacks gets an id after the input's own
-    node_name, index = _index(g.node_names, names)
-    label_name, label_of = _index(g.label_names, label_names)
+    node_name, index, to_id = _index(g.node_names, names)
+    label_name, label_of, _ = _index(g.label_names, label_names)
     space = len(node_name)
+    # the corrections index the report's names, which to_id maps to ids;
+    # no name here holds the columns, so decode can drop them early
     keys, mult, labels, assign = decode(
-        nodes, edges, correction_columns(corrections), index, label_of, space, node_name.__getitem__
+        nodes, edges,
+        [[to_id[src], to_id[dst], *rest]
+         for src, dst, *rest in correction_columns(corrections, len(names))],
+        index, label_of, space, node_name.__getitem__,
     )
     original = np.append(g.labels, np.full(space - g.n, -1))
     differ = labels != original

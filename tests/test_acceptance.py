@@ -328,21 +328,21 @@ def _star(hubs: int, leaves: int) -> LabeledMultiGraph:
 
 def test_criterion_13_star_runtime_scales_linearly_in_leaves(tmp_path, capsys):
     # a star's leaves are exact twins: one similarity vertex, however many
-    # there are.  Every size takes the best of 3 against host noise
+    # there are.  Every size takes the best of 3 against host noise, and
+    # each repetition times the sizes in turn, so that a drift of the host's
+    # speed reaches every size alike
     t0 = time.perf_counter()
+    sizes = (1_000, 2_000, 4_000, 8_000, 16_000)
     slopes = {}
     for hubs in (1, 2):
-        points = []
-        for leaves in (1_000, 2_000, 4_000, 8_000, 16_000):
-            g = _star(hubs, leaves)
-            times = []
-            for _ in range(3):
+        graphs = [_star(hubs, leaves) for leaves in sizes]
+        best = [math.inf] * len(sizes)
+        for _ in range(3):
+            for i, g in enumerate(graphs):
                 start = time.perf_counter()
                 run(g, RunConfig(seed=0))
-                times.append(time.perf_counter() - start)
-            points.append((leaves, min(times)))
-        slopes[hubs] = float(np.polyfit(np.log([k for k, _ in points]),
-                                        np.log([t for _, t in points]), 1)[0])
+                best[i] = min(best[i], time.perf_counter() - start)
+        slopes[hubs] = float(np.polyfit(np.log(sizes), np.log(best), 1)[0])
     edges = tmp_path / "star.tsv"
     edges.write_text("".join(f"h{h}\tleaf{i}\n" for h in range(2) for i in range(16_000)))
     args = ["-i", str(edges), "--json", str(tmp_path / "report.json")]

@@ -277,26 +277,32 @@ def _node_in_two_super_nodes(payload):
     host["members"].append(other["members"][0])
 
 
+def _append(payload, kind, row):
+    """Append the correction ``row`` to the columns of ``kind``."""
+    for column, value in zip(payload["corrections"][kind], row, strict=True):
+        column.append(value)
+
+
 def _repeated_positive(payload, g):
-    payload["corrections"]["positive"].append(payload["corrections"]["positive"][0])
+    _append(payload, "positive", [column[0] for column in payload["corrections"]["positive"]])
 
 
 def _string_multiplicity(payload, g):
-    payload["corrections"]["positive"][0][2] = "x"
+    payload["corrections"]["positive"][2][0] = "x"
 
 
 def _huge_multiplicity(payload, g):
-    payload["corrections"]["positive"][0][2] = 10**30
+    payload["corrections"]["positive"][2][0] = 10**30
 
 
 def _delta_for_missing_edge(payload, g):
-    # planted graphs have no self-loops
-    payload["corrections"]["mult_deltas"].append([g.node_names[0], g.node_names[0], 1])
+    # planted graphs have no self-loops; the report lists g's nodes in order
+    _append(payload, "mult_deltas", [0, 0, 1])
 
 
 def _delta_below_one(payload, g):
     u, w, m = next(g.edges())
-    payload["corrections"]["mult_deltas"].append([g.node_names[u], g.node_names[w], -m])
+    _append(payload, "mult_deltas", [u, w, -m])
 
 
 def _members_string(summary, corrections):
@@ -318,9 +324,6 @@ def _node_name_number(summary, corrections):
     for sn in summary["super_nodes"]:
         sn["members"] = renamed(sn["members"])
         sn["hub"] = renamed([sn["hub"]])[0]
-    for rows in corrections.values():
-        for row in rows:
-            row[:2] = renamed(row[:2])
 
 
 #: one defect each that no report ``summarize`` writes has; a lenient reader
@@ -332,11 +335,12 @@ UNWRITTEN_REPORTS = {
     "node-names-string": lambda s, c: s.update(node_names="".join(s["node_names"])),
     "label-names-string": lambda s, c: s.update(label_names="".join(s["label_names"])),
     "members-string": _members_string,
-    "negative-string": lambda s, c: c["negative"].append("".join(c["positive"][0][:2])),
-    # two rows in one: read by columns, it is two negatives
-    "negative-row-too-wide": lambda s, c: c["negative"].append(
-        c["positive"][0][:2] + c["positive"][1][:2]
+    # the src column as the string of its digits
+    "negative-string": lambda s, c: c["negative"].__setitem__(
+        0, "".join(map(str, c["positive"][0][:2]))
     ),
+    # a third column: read as rows, each negative would be a triple
+    "negative-row-too-wide": lambda s, c: c["negative"].append(list(c["negative"][0])),
     "node-name-number": _node_name_number,
 }
 
@@ -425,8 +429,7 @@ class TestVerify:
     @pytest.mark.parametrize(
         "corrupt, needle",
         [
-            (lambda p: p["corrections"]["positive"].append(
-                ["ghost", p["summary"]["node_names"][0], 1]), "'ghost'"),
+            (lambda p: p["summary"]["super_nodes"][0]["members"].append("ghost"), "'ghost'"),
             (lambda p: p["summary"]["super_nodes"][0].update(glyph="bogus"), "'bogus'"),
         ],
         ids=["unknown-node", "unknown-glyph"],
@@ -501,11 +504,11 @@ class TestVerify:
     @pytest.mark.parametrize(
         "section, value, needle",
         [
-            ("positive", "1", "positive correction ('2', '5'): '1' is not an integer"),
-            ("positive", 1.5, "positive correction ('2', '5'): 1.5 is not an integer"),
-            ("positive", True, "positive correction ('2', '5'): True is not an integer"),
-            ("positive", None, "positive correction ('2', '5'): None is not an integer"),
-            ("mult_deltas", "2", "multiplicity delta ('2', '5'): '2' is not an integer"),
+            ("positive", "1", "mult of positive correction 0: '1' is not an integer"),
+            ("positive", 1.5, "mult of positive correction 0: 1.5 is not an integer"),
+            ("positive", True, "mult of positive correction 0: True is not an integer"),
+            ("positive", None, "mult of positive correction 0: None is not an integer"),
+            ("mult_deltas", "2", "delta of multiplicity delta {at}: '2' is not an integer"),
             ("rep_mult", 1.0, "rep_mult of super-node {id}: 1.0 is not an integer"),
             ("self_loop", 0, "self_loop of super-node {id}: 0 is not a boolean"),
             ("super_edges", "1", "rep_mult of super-edge {id}: '1' is not an integer"),
@@ -524,12 +527,12 @@ class TestVerify:
         edges, labels, _g = planted_files
         out_json = self._report(tmp_path, edges, labels)
         payload = json.loads(out_json.read_text())
-        first = payload["corrections"]["positive"][0]
-        assert first[:2] == ["2", "5"]
+        positive = payload["corrections"]["positive"]
         if section == "positive":
-            first[2] = value
+            positive[2][0] = value
         elif section == "mult_deltas":
-            payload["corrections"]["mult_deltas"].append([*first[:2], value])
+            needle = needle.format(at=len(payload["corrections"]["mult_deltas"][0]))
+            _append(payload, "mult_deltas", [positive[0][0], positive[1][0], value])
         elif section in ("super_edges", "src", "dst"):
             se = payload["summary"]["super_edges"][0]
             se["rep_mult" if section == "super_edges" else section] = value
@@ -555,7 +558,8 @@ class TestVerify:
         out_json = self._report(tmp_path, edges, labels)
         payload = json.loads(out_json.read_text())
         assert len(payload["summary"]["super_edges"]) == 8
-        assert payload["corrections"]["positive"][0][:2] == ["2", "5"]
+        names, positive = payload["summary"]["node_names"], payload["corrections"]["positive"]
+        assert (names[positive[0][0]], names[positive[1][0]]) == ("2", "5")
         UNWRITTEN_REPORTS[defect](payload["summary"], payload["corrections"])
         out_json.write_text(json.dumps(payload))
         capsys.readouterr()
@@ -589,7 +593,7 @@ class TestVerify:
         out_json = self._report(tmp_path, edges, labels)
         written = json.loads(out_json.read_text())
         bumped = copy.deepcopy(written)
-        bumped["corrections"]["positive"][0][2] += 1
+        bumped["corrections"]["positive"][2][0] += 1
         repeated = copy.deepcopy(written)
         _repeated_positive(repeated, g)
 
@@ -616,10 +620,15 @@ class TestVerify:
         edges, labels, _g = planted_files
         out_json = self._report(tmp_path, edges, labels)
         payload = json.loads(out_json.read_text())
-        # members and corrections name nodes, so reversing the name list
-        # only renumbers the reconstruction's ids; verify maps every name
-        # through the input's index and so never sees them
-        payload["summary"]["node_names"].reverse()
+        # members name nodes and the corrections index the name list, so
+        # reversing the list and remapping the indices only renumbers the
+        # reconstruction's ids; verify maps every name through the input's
+        # index and so never sees them
+        names = payload["summary"]["node_names"]
+        names.reverse()
+        for columns in payload["corrections"].values():
+            for column in columns[:2]:
+                column[:] = [len(names) - 1 - i for i in column]
         out_json.write_text(json.dumps(payload))
         dumps = []
         real_dump = LabeledMultiGraph.canonical_dump
@@ -635,11 +644,82 @@ class TestVerify:
         assert capsys.readouterr().out.startswith("OK:")
         assert dumps == []
 
+    @pytest.mark.parametrize(
+        "corrupt, needle",
+        [
+            (lambda c, n: c["positive"].pop(),
+             "positive: columns of lengths [{k}, {k}], not 3 of one length (src, dst, mult)"),
+            (lambda c, n: c["negative"].append([]),
+             "negative: columns of lengths [{m}, {m}, 0], not 2 of one length (src, dst)"),
+            (lambda c, n: c["positive"][1].pop(),
+             "positive: columns of lengths [{k}, {j}, {k}], "
+             "not 3 of one length (src, dst, mult)"),
+            (lambda c, n: c["positive"][0].__setitem__(1, True),
+             "src of positive correction 1: True is not an integer"),
+            (lambda c, n: c["positive"][1].__setitem__(0, 2.0),
+             "dst of positive correction 0: 2.0 is not an integer"),
+            (lambda c, n: c["positive"][0].__setitem__(2, "2"),
+             "src of positive correction 2: '2' is not an integer"),
+            (lambda c, n: c["positive"][1].__setitem__(3, -1),
+             "dst of positive correction 3: -1 is not a node index below {n}"),
+            (lambda c, n: c["positive"][0].__setitem__(4, n),
+             "src of positive correction 4: {n} is not a node index below {n}"),
+            (lambda c, n: c["positive"][1].__setitem__(5, 2**64),
+             f"dst of positive correction 5: {2**64} is not a node index below {{n}}"),
+        ],
+        ids=["too-few-columns", "too-many-columns", "unequal-lengths", "bool-index",
+             "float-index", "string-index", "negative-index", "index-past-the-names",
+             "index-past-int64"],
+    )
+    def test_malformed_correction_columns_are_io_error(
+        self, planted_files, tmp_path, capsys, corrupt, needle
+    ):
+        edges, labels, _g = planted_files
+        out_json = self._report(tmp_path, edges, labels)
+        payload = json.loads(out_json.read_text())
+        n = len(payload["summary"]["node_names"])
+        k, m = (len(payload["corrections"][kind][0]) for kind in ("positive", "negative"))
+        assert k > 5
+        corrupt(payload["corrections"], n)
+        out_json.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main(["verify", "-i", edges, "-l", labels, "--json", str(out_json)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {out_json}: malformed report: {needle.format(n=n, k=k, j=k - 1, m=m)}\n"
+        )
+
+    def test_report_with_rows_of_names_asks_for_a_new_one(
+        self, planted_files, tmp_path, capsys
+    ):
+        # the corrections as every report held them before they were
+        # columns: one [src, dst(, value)] row of node names per correction
+        edges, labels, _g = planted_files
+        out_json = self._report(tmp_path, edges, labels)
+        payload = json.loads(out_json.read_text())
+        names = payload["summary"]["node_names"]
+        payload["corrections"] = {
+            kind: [[names[u], names[w], *rest] for u, w, *rest in zip(*columns)]
+            for kind, columns in payload["corrections"].items()
+        }
+        out_json.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main(["verify", "-i", edges, "-l", labels, "--json", str(out_json)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: {out_json}: malformed report: positive: rows of node names"
+        )
+        assert "re-run `summarize`" in captured.err and "Traceback" not in captured.err
+
     def test_tampered_multiplicity_names_the_edge(self, planted_files, tmp_path, capsys):
         edges, labels, _g = planted_files
         out_json = self._report(tmp_path, edges, labels)
         payload = json.loads(out_json.read_text())
-        payload["corrections"]["positive"][0][2] += 1
+        payload["corrections"]["positive"][2][0] += 1
         out_json.write_text(json.dumps(payload))
         capsys.readouterr()
         code = main(["verify", "-i", edges, "-l", labels, "--json", str(out_json)])
@@ -652,9 +732,9 @@ class TestVerify:
     @pytest.mark.parametrize(
         "corrupt, needle",
         [
-            (lambda r: r["corrections"]["positive"][0].__setitem__(2, 0),
+            (lambda r: r["corrections"]["positive"][2].__setitem__(0, 0),
              "edge ('beta', 'alpha') has multiplicity 0 < 1"),
-            (lambda r: r["corrections"]["positive"].append(["beta", "alpha", 1]),
+            (lambda r: _append(r, "positive", [0, 1, 1]),
              "positive correction for existing edge ('beta', 'alpha')"),
             (lambda r: r["summary"]["super_nodes"][1].update(
                 glyph="disconnected", members=["alpha", "beta"]),
@@ -669,7 +749,8 @@ class TestVerify:
         out_json = tmp_path / "report.json"
         assert main(["summarize", "-i", edges, "--json", str(out_json)]) == 0
         payload = json.loads(out_json.read_text())
-        assert payload["corrections"]["positive"][0] == ["beta", "alpha", 2]
+        assert payload["summary"]["node_names"] == ["beta", "alpha", "gamma"]
+        assert [column[0] for column in payload["corrections"]["positive"]] == [0, 1, 2]
         corrupt(payload)
         out_json.write_text(json.dumps(payload))
         capsys.readouterr()
@@ -853,7 +934,7 @@ class TestOutputBytes:
         text = out_json.read_text()
         assert text == _indent2_text(text)
         if kind == "kout":
-            assert len(json.loads(text)["corrections"]["positive"]) > CHUNK
+            assert len(json.loads(text)["corrections"]["positive"][0]) > CHUNK
         capsys.readouterr()
         assert main(args) == 0
         out = capsys.readouterr().out

@@ -326,7 +326,7 @@ _CLEAN_MULTS = ["1", "2", "3", "+1", "1_0", "٣", str(2**62), str(2**63 - 1),
 #: one oddity per file, so that each reaches the check meant to catch it
 _ODDITIES = ["mixed-widths", "blank", "spaces", "comment", "indented-comment",
              "one-field", "four-fields", "empty-field", "padded-names",
-             "bad-mult", "crlf", "cr", "crlf-header"]
+             "bad-mult", "crlf", "cr", "crlf-header", "header"]
 
 
 @st.composite
@@ -359,6 +359,14 @@ def edge_files(draw):
     lines = [edge(width) for _ in range(draw(st.integers(0, 12)))]
     if odd == "crlf-header":
         lines.insert(0, "# edges")
+    elif odd == "header":
+        # a SNAP-style block of comment lines, one of them perhaps not
+        # UTF-8, and perhaps a bad line after it, whose number counts them
+        if draw(st.booleans()):
+            lines.insert(draw(st.integers(0, len(lines))), edge(3, _BAD_MULTS))
+        comments = st.sampled_from(["# edges", "# Nodes: 3 Edges: 2", "#", "# größe 名",
+                                    "#\udcff", "#" + edge(width)])
+        lines[:0] = draw(st.lists(comments, min_size=1, max_size=4))
     elif odd not in (None, "padded-names", "crlf", "cr"):
         for _ in range(draw(st.integers(1, 3))):
             lines.insert(draw(st.integers(0, len(lines))), odd_line())
@@ -443,11 +451,19 @@ class TestBulkParse:
             p.write_bytes(long_text.encode("utf-8"))
             g = load_graph(str(p), undirected=undirected)
             assert g == oracle_load_graph(str(p), undirected) and g.node_names == names
-        # a header line and CRLF or lone-CR line ends take no line alone
-        for copy in ("# edges\n" + text, text.replace("\n", "\r\n"), text.replace("\n", "\r")):
+        # a header and CRLF or lone-CR line ends take no line alone, and a
+        # header's spaces send no byte of the file through np.isin
+        isin, real_isin = [], np.isin
+        monkeypatch.setattr(
+            np, "isin", lambda *a, **k: isin.append(len(a[0])) or real_isin(*a, **k)
+        )
+        for copy in ("# edges\n" + text, "# Directed graph\n# FromNodeId\tToNodeId\n" + text,
+                     text.replace("\n", "\r\n"), text.replace("\n", "\r")):
             p.write_bytes(copy.encode("utf-8"))
             g = load_graph(str(p), undirected=undirected)
             assert g == want and g.node_names == want.node_names
+        monkeypatch.setattr(np, "isin", real_isin)
+        assert isin == []
         # nor does whitespace inside a name, which strip() keeps
         p.write_text(text.replace("alice", "alice smith").replace("carol", "carol\u3000c"))
         g = load_graph(str(p), undirected=undirected)

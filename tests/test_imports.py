@@ -101,8 +101,10 @@ def test_load_graph_loads_only_the_reader(graph_files):
 def test_verify_never_imports_the_merge_engine(graph_files):
     common, report, _modules = graph_files
     modules = run_cli("verify", *common, "--json", str(report))
-    assert {"lmgsum.summary", "lmgsum.verify"} <= modules
-    assert modules & ENGINE == set()
+    assert "lmgsum.verify" in modules
+    # the reader and the decoder live in lmgsum.verify: verify compiles no
+    # summary objects either
+    assert modules & (ENGINE | {"lmgsum.summary"}) == set()
 
 
 def test_only_verify_imports_its_array_path(graph_files):

@@ -1,8 +1,9 @@
 """``lmgsum verify`` against the oracle's object path.
 
-verify reads the report through the column reader of ``lmgsum.summary``
-(``summary_columns`` and ``correction_columns``), decodes it on arrays
-(``lmgsum.verify.decode``) and words every error and mismatch itself.  The
+verify reads the report through its own column reader
+(``lmgsum.verify.summary_columns`` and ``correction_columns``), decodes it on
+arrays (``lmgsum.verify.decode``) and words every error and mismatch itself.
+The corrections are columns of node indices into the report's node names.  The
 reference is ``oracle_verify`` in ``tests/oracle.py``: summary objects,
 ``oracle_validate``, correction tuples, the dict decompression and a
 comparison of sorted text dumps.  On every report, regular or corrupted, the two must
@@ -103,6 +104,22 @@ def _cli(argv) -> tuple[int, str, str]:
 # -- corruptions: each edits a parsed report in place, using the draw
 
 
+def _rows(payload, kind: str) -> list[list]:
+    """The corrections of ``kind`` as rows [src, dst(, value)]."""
+    return [list(row) for row in zip(*payload["corrections"][kind])]
+
+
+def _set_rows(payload, kind: str, rows: list[list]) -> None:
+    """Write ``rows`` back as the columns of ``kind``."""
+    columns = payload["corrections"][kind]
+    columns[:] = [[row[i] for row in rows] for i in range(len(columns))]
+
+
+def _index_of(payload, g, u: int) -> int:
+    """The report's index of g's node ``u``."""
+    return payload["summary"]["node_names"].index(g.node_names[u])
+
+
 def _wrong_type(payload, g, draw):
     records = payload["summary"]["super_nodes"]
     rec = draw(st.sampled_from(records))
@@ -114,59 +131,101 @@ def _wrong_type(payload, g, draw):
 
 
 def _unknown_name(payload, g, draw):
-    where = draw(st.sampled_from(["member", "node_names", "positive", "label"]))
+    where = draw(st.sampled_from(["member", "node_names", "label"]))
     if where == "member":
         draw(st.sampled_from(payload["summary"]["super_nodes"]))["members"][0] = "no-such-node"
     elif where == "node_names":
         payload["summary"]["node_names"][0] = "no-such-node"
-    elif where == "label":
-        draw(st.sampled_from(payload["summary"]["super_nodes"]))["label"] = "no-such-label"
     else:
-        positive = payload["corrections"]["positive"]
-        assume(positive)
-        draw(st.sampled_from(positive))[0] = "no-such-node"
+        draw(st.sampled_from(payload["summary"]["super_nodes"]))["label"] = "no-such-label"
+
+
+def _index_out_of_range(payload, g, draw):
+    kind = draw(st.sampled_from(["positive", "negative", "mult_deltas"]))
+    columns = payload["corrections"][kind]
+    assume(columns[0])
+    size = len(payload["summary"]["node_names"])
+    column = columns[draw(st.sampled_from([0, 1]))]
+    column[draw(st.integers(0, len(column) - 1))] = draw(
+        st.sampled_from([-1, size, size + 7, 2**63, -(2**64)])
+    )
+
+
+def _wrong_column_count(payload, g, draw):
+    columns = payload["corrections"][draw(st.sampled_from(["positive", "negative", "mult_deltas"]))]
+    if draw(st.booleans()):
+        columns.pop()
+    else:
+        columns.append(list(columns[0]))
+
+
+def _unequal_columns(payload, g, draw):
+    columns = payload["corrections"][draw(st.sampled_from(["positive", "negative", "mult_deltas"]))]
+    assume(columns[0])
+    draw(st.sampled_from(columns)).pop()
+
+
+def _wrong_cell_type(payload, g, draw):
+    columns = payload["corrections"][draw(st.sampled_from(["positive", "negative", "mult_deltas"]))]
+    assume(columns[0])
+    column = draw(st.sampled_from(columns))
+    column[draw(st.integers(0, len(column) - 1))] = draw(
+        st.sampled_from([True, False, 1.0, "1", None, [1]])
+    )
+
+
+def _rows_of_names(payload, g, draw):
+    # the form every report took before the corrections were columns
+    names = payload["summary"]["node_names"]
+    for kind in payload["corrections"]:
+        payload["corrections"][kind] = [
+            [names[u], names[w], *rest] for u, w, *rest in _rows(payload, kind)
+        ]
 
 
 def _repeated_positive(payload, g, draw):
-    positive = payload["corrections"]["positive"]
+    positive = _rows(payload, "positive")
     assume(positive)
-    positive.append(list(draw(st.sampled_from(positive))))
+    _set_rows(payload, "positive", positive + [draw(st.sampled_from(positive))])
 
 
 def _repeated_positive_cancelled(payload, g, draw):
     # reconstruct rejects the repeat before a negative could remove it
-    positive = payload["corrections"]["positive"]
+    positive = _rows(payload, "positive")
     assume(positive)
     u, w, m = draw(st.sampled_from(positive))
-    positive.append([u, w, m])
-    payload["corrections"]["negative"].append([u, w])
+    _set_rows(payload, "positive", positive + [[u, w, m]])
+    _set_rows(payload, "negative", _rows(payload, "negative") + [[u, w]])
 
 
 def _hub_outside_the_star(payload, g, draw):
     # a loop-free singleton becomes an in-star of one spoke whose hub is
     # another super-node's member, standing in for one positive correction:
     # the edges still add up, but a star's hub must be one of its members
+    names = payload["summary"]["node_names"]
     records = {rec["members"][0]: rec for rec in payload["summary"]["super_nodes"]
                if rec["glyph"] == "singleton" and not rec["self_loop"]}
-    positive = payload["corrections"]["positive"]
-    chosen = [row for row in positive if row[0] in records and row[0] != row[1]]
+    positive = _rows(payload, "positive")
+    chosen = [row for row in positive if names[row[0]] in records and row[0] != row[1]]
     assume(chosen)
     row = draw(st.sampled_from(chosen))
     positive.remove(row)
-    records[row[0]].update(glyph="in_star", hub=row[1], rep_mult=row[2])
+    _set_rows(payload, "positive", positive)
+    records[names[row[0]]].update(glyph="in_star", hub=names[row[1]], rep_mult=row[2])
 
 
 def _negative_for_missing_edge(payload, g, draw):
     u, w = draw(st.tuples(*[st.integers(0, g.n - 1)] * 2))
     assume(g.multiplicity(u, w) == 0)
-    payload["corrections"]["negative"].append([g.node_names[u], g.node_names[w]])
+    row = [_index_of(payload, g, u), _index_of(payload, g, w)]
+    _set_rows(payload, "negative", _rows(payload, "negative") + [row])
 
 
 def _dipping_deltas(payload, g, draw):
     # the sum of the two deltas is 0, but the first takes the edge to 0
     u, w, m = draw(st.sampled_from(list(g.edges())))
-    names = g.node_names
-    payload["corrections"]["mult_deltas"] += [[names[u], names[w], -m], [names[u], names[w], m]]
+    u, w = _index_of(payload, g, u), _index_of(payload, g, w)
+    _set_rows(payload, "mult_deltas", _rows(payload, "mult_deltas") + [[u, w, -m], [u, w, m]])
 
 
 def _string_for_a_list(payload, g, draw):
@@ -177,8 +236,8 @@ def _string_for_a_list(payload, g, draw):
         rec = draw(st.sampled_from(summary["super_nodes"]))
         rec["members"] = "".join(rec["members"])
     elif where == "negative":
-        u, w, _m = draw(st.sampled_from(list(g.edges())))
-        payload["corrections"]["negative"].append(g.node_names[u] + g.node_names[w])
+        columns = payload["corrections"]["negative"]
+        columns[0] = "".join(map(str, columns[0]))
     else:
         summary[where] = "".join(summary[where])
 
@@ -191,8 +250,14 @@ def _repeated_record(payload, g, draw):
 
 
 def _reordered_node_names(payload, g, draw):
+    # the corrections' indices follow their names to the new positions
     names = payload["summary"]["node_names"]
-    names[:] = draw(st.permutations(names))
+    order = draw(st.permutations(range(len(names))))
+    position = {old: new for new, old in enumerate(order)}
+    names[:] = [names[old] for old in order]
+    for columns in payload["corrections"].values():
+        columns[0][:] = map(position.__getitem__, columns[0])
+        columns[1][:] = map(position.__getitem__, columns[1])
 
 
 def _reordered_label_names(payload, g, draw):
@@ -208,15 +273,19 @@ def _swapped_label(payload, g, draw):
 
 def _bumped_multiplicity(payload, g, draw):
     corrections = payload["corrections"]
-    rows = corrections["positive"] + corrections["mult_deltas"]
-    assume(rows)
-    draw(st.sampled_from(rows))[2] += 1
+    cells = [(kind, i) for kind in ("positive", "mult_deltas")
+             for i in range(len(corrections[kind][2]))]
+    assume(cells)
+    kind, i = draw(st.sampled_from(cells))
+    corrections[kind][2][i] += 1
 
 
 def _dropped_correction(payload, g, draw):
-    rows = payload["corrections"][draw(st.sampled_from(["positive", "negative"]))]
-    assume(rows)
-    rows.remove(draw(st.sampled_from(rows)))
+    columns = payload["corrections"][draw(st.sampled_from(["positive", "negative"]))]
+    assume(columns[0])
+    i = draw(st.integers(0, len(columns[0]) - 1))
+    for column in columns:
+        del column[i]
 
 
 def _unused_label_name(payload, g, draw):
@@ -233,12 +302,10 @@ def _node_renamed(payload, g, draw):
     new = old + "-renamed"
     assume(new not in summary["node_names"])
     summary["node_names"] = _renamed(summary["node_names"], old, new)
+    # the corrections hold indices, so the name changes nowhere else
     for rec in summary["super_nodes"]:
         rec["members"] = _renamed(rec["members"], old, new)
         rec["hub"] = _renamed([rec["hub"]], old, new)[0]
-    for rows in payload["corrections"].values():
-        for row in rows:
-            row[:2] = _renamed(row[:2], old, new)
 
 
 def _label_renamed(payload, g, draw):
@@ -253,7 +320,7 @@ def _label_renamed(payload, g, draw):
 
 def _node_dropped(payload, g, draw):
     # a singleton outside every super-edge, with its name and every
-    # correction row that names it
+    # correction that indexes it; the indices above its own move down one
     summary = payload["summary"]
     linked = {end for edge in summary["super_edges"] for end in (edge["src"], edge["dst"])}
     records = [rec for rec in summary["super_nodes"]
@@ -262,10 +329,14 @@ def _node_dropped(payload, g, draw):
     rec = draw(st.sampled_from(records))
     (name,) = rec["members"]
     summary["super_nodes"].remove(rec)
-    summary["node_names"].remove(name)
+    at = summary["node_names"].index(name)
+    del summary["node_names"][at]
     summary["graph_size"] -= 1
-    for rows in payload["corrections"].values():
-        rows[:] = [row for row in rows if name not in row[:2]]
+    for kind in payload["corrections"]:
+        _set_rows(payload, kind, [
+            [u - (u > at), w - (w > at), *rest]
+            for u, w, *rest in _rows(payload, kind) if at not in (u, w)
+        ])
 
 
 def _graph_size_plus_one(payload, g, draw):
@@ -276,6 +347,11 @@ CORRUPTIONS = {
     "none": (None, 0),
     "wrong-type": (_wrong_type, 3),
     "unknown-name": (_unknown_name, 3),
+    "index-out-of-range": (_index_out_of_range, 3),
+    "wrong-column-count": (_wrong_column_count, 3),
+    "unequal-columns": (_unequal_columns, 3),
+    "wrong-cell-type": (_wrong_cell_type, 3),
+    "rows-of-names": (_rows_of_names, 3),
     "repeated-positive": (_repeated_positive, 3),
     "repeated-positive-cancelled": (_repeated_positive_cancelled, 3),
     "hub-outside-the-star": (_hub_outside_the_star, 3),
@@ -296,7 +372,10 @@ CORRUPTIONS = {
 }
 
 #: corruptions that the column reader itself rejects
-READER_REJECTS = {"string-for-a-list", "repeated-record"}
+READER_REJECTS = {
+    "string-for-a-list", "repeated-record", "index-out-of-range", "wrong-column-count",
+    "unequal-columns", "wrong-cell-type", "rows-of-names",
+}
 
 
 def _by_name(g: LabeledMultiGraph) -> tuple[dict, dict]:
@@ -392,13 +471,15 @@ def test_every_correction_kind_is_applied_on_arrays(retyped):
     corrections = corrections_to_dict(summary, cor)
     assert verify.mismatch(g, summary_dict, corrections) is None
     # one unit more on a corrected multiplicity is a mismatch on its edge
+    names = summary_dict["node_names"]
     for kind in ("positive", "mult_deltas"):
-        for row in corrections[kind][:1]:
-            row[2] += 1
+        src, dst, values = corrections[kind]
+        if values:
+            values[0] += 1
             assert verify.mismatch(g, summary_dict, corrections).startswith(
-                f"MISMATCH: edge ({row[0]!a}, {row[1]!a}) "
+                f"MISMATCH: edge ({names[src[0]]!a}, {names[dst[0]]!a}) "
             )
-            row[2] -= 1
+            values[0] -= 1
 
 
 @pytest.mark.parametrize(
@@ -415,9 +496,10 @@ def test_deltas_that_would_wrap_int64_are_declined(tmp_path, mult, positive, del
     summary, report = run(g, RunConfig(seed=0))
     summary_dict = summary_to_dict(g, summary, report.cost)
     corrections = corrections_to_dict(summary, report.corrections)
-    assert corrections["positive"] == [["a", "b", mult]]
-    corrections["positive"][0][2] = positive
-    corrections["mult_deltas"].append(["a", "b", delta])
+    assert summary_dict["node_names"] == ["a", "b"]
+    assert corrections["positive"] == [[0], [1], [mult]]
+    corrections["positive"][2][0] = positive
+    corrections["mult_deltas"] = [[0], [1], [delta]]
     with pytest.raises(ValueError, match=r"^multiplicity of \('a', 'b'\) dropped below 1$"):
         verify.mismatch(g, summary_dict, corrections)
     path = tmp_path / "report.json"
