@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -33,6 +34,12 @@ class Glyph(Enum):
 
 #: Number of structural glyphs a super-node can take.
 GLYPH_COUNT = len(Glyph)
+
+
+def transpose(rows, width: int) -> list[list]:
+    """The ``width`` columns of ``width``-long rows (faster than ``zip(*rows)``)."""
+    flat = list(chain.from_iterable(rows))
+    return [flat[i::width] for i in range(width)]
 
 
 def len_natural(k: int) -> float:

@@ -212,12 +212,6 @@ def representative_multiplicity(mults) -> tuple[int, float]:
     )
     # parts priced per step; two at least, so that a step cuts a range
     rows = max(2, _PRICE_CELLS // len(values))
-    if len(candidates) <= rows:
-        # one step prices every candidate, as the search's first step would;
-        # the first cheapest is the smallest multiplicity
-        costs = (ell_diff_array(values, candidates[:, None]) * weights).sum(axis=1)
-        best = int(np.argmin(costs))
-        return int(candidates[best]), float(costs[best])
     # (bound, first, stop) per range: a lone candidate's bound is its cost,
     # so once one is the cheapest entry no other candidate can beat it, nor
     # tie it with a smaller multiplicity

@@ -28,7 +28,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, product
-from operator import itemgetter
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -43,6 +42,7 @@ from .encoding import (
     summary_width_bits,
     super_edge_bits,
     supernode_own_bits,
+    transpose,
 )
 from .graph import LabeledMultiGraph
 
@@ -368,10 +368,10 @@ def reconstruct(summary: SummaryGraph, corrections: CorrectionSet) -> LabeledMul
     from .verify import correction_columns, decode
 
     n, label_ids = summary.graph_size, range(summary.label_count)
-    rows = [(sn.id, sn.label, sn.glyph.value, sn.members, sn.hub, sn.rep_mult, sn.self_loop)
-            for sn in summary.super_nodes.values()]
-    nodes = _columns(rows, 7)
-    edges = _columns([(a, b, m) for (a, b), m in summary.super_edges.items()], 3)
+    rows = ((sn.id, sn.label, sn.glyph.value, sn.members, sn.hub, sn.rep_mult, sn.self_loop)
+            for sn in summary.super_nodes.values())
+    nodes = transpose(rows, 7)
+    edges = transpose(((a, b, m) for (a, b), m in summary.super_edges.items()), 3)
     try:
         keys, mult, label, _record = decode(
             nodes, edges, correction_columns(corrections_to_dict(summary, corrections), n),
@@ -597,18 +597,13 @@ def summary_from_dict(data: dict) -> SummaryGraph:
     )
 
 
-def _columns(rows: list[tuple], width: int) -> list[list]:
-    """The ``width`` columns of ``rows``."""
-    return [list(map(itemgetter(i), rows)) for i in range(width)]
-
-
 def corrections_to_dict(summary: SummaryGraph, cor: CorrectionSet) -> dict:
     """JSON-ready form of the corrections: each kind as its columns,
     ``src`` and ``dst`` node ids, which index the summary's node names."""
     return {
-        "positive": _columns(cor.positive, 3),
-        "negative": _columns(cor.negative, 2),
-        "mult_deltas": _columns(cor.mult_deltas, 3),
+        "positive": transpose(cor.positive, 3),
+        "negative": transpose(cor.negative, 2),
+        "mult_deltas": transpose(cor.mult_deltas, 3),
     }
 
 

@@ -22,7 +22,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .encoding import Glyph
+from .encoding import Glyph, transpose
 from .graph import GraphFormatError, LabeledMultiGraph
 
 #: each glyph's code is its position in Glyph
@@ -71,12 +71,6 @@ def _listed(data: dict, key: str, kind: type, what: str) -> list:
     return values
 
 
-def _transpose(rows, width: int) -> list[list]:
-    """The ``width`` columns of ``width``-long rows (faster than ``zip(*rows)``)."""
-    flat = list(chain.from_iterable(rows))
-    return [flat[i::width] for i in range(width)]
-
-
 def summary_columns(data: dict) -> tuple[int, list[str], list[str], list[list], list[list]]:
     """The columns of a report's ``summary`` section: graph size, node
     names, label names, the super-node columns (id, label, glyph, members,
@@ -93,7 +87,7 @@ def summary_columns(data: dict) -> tuple[int, list[str], list[str], list[list], 
     label_names = _listed(data, "label_names", str, "label name")
     _once(label_names, "label name")
     records = _listed(data, "super_nodes", dict, "super-node record")
-    nodes = _transpose(map(_NODE_FIELDS, records), 7)
+    nodes = transpose(map(_NODE_FIELDS, records), 7)
     ids, _labels, _glyphs, members, _hubs, reps, loops = nodes
     _exact(ids, int, lambda i: f"id of super-node record {i}")
     _once(ids, "super-node id")
@@ -101,7 +95,7 @@ def summary_columns(data: dict) -> tuple[int, list[str], list[str], list[list], 
     _exact(loops, bool, lambda i: f"self_loop of super-node {ids[i]}")
     _exact(members, list, lambda i: f"members of super-node {ids[i]}")
     records = _listed(data, "super_edges", dict, "super-edge record")
-    edges = src, dst, mults = _transpose(map(_EDGE_FIELDS, records), 3)
+    edges = src, dst, mults = transpose(map(_EDGE_FIELDS, records), 3)
     for end, column in (("src", src), ("dst", dst), ("rep_mult", mults)):
         _exact(column, int, lambda i: f"{end} of super-edge {(src[i], dst[i])}")
     _once(list(zip(src, dst)), "super-edge")
@@ -132,7 +126,8 @@ def correction_columns(data: dict, size: int) -> list[list]:
     kinds = []
     for key, names, what in _KINDS:
         columns = _listed(data, key, list, f"{key} column")
-        if not columns or (columns[0] and type(columns[0][0]) is str):
+        # as earlier reports held them: each a row of its width, two names first
+        if all(len(row) == len(names) and type(row[0]) is type(row[1]) is str for row in columns):
             raise ValueError(f"{key}: rows of node names, as corrections were written before "
                              "they were node-index columns; re-run `summarize`")
         lengths = list(map(len, columns))

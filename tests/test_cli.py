@@ -660,6 +660,8 @@ class TestVerify:
              "dst of positive correction 0: 2.0 is not an integer"),
             (lambda c, n: c["positive"][0].__setitem__(2, "2"),
              "src of positive correction 2: '2' is not an integer"),
+            (lambda c, n: c["positive"][0].__setitem__(0, "1"),
+             "src of positive correction 0: '1' is not an integer"),
             (lambda c, n: c["positive"][1].__setitem__(3, -1),
              "dst of positive correction 3: -1 is not a node index below {n}"),
             (lambda c, n: c["positive"][0].__setitem__(4, n),
@@ -668,8 +670,8 @@ class TestVerify:
              f"dst of positive correction 5: {2**64} is not a node index below {{n}}"),
         ],
         ids=["too-few-columns", "too-many-columns", "unequal-lengths", "bool-index",
-             "float-index", "string-index", "negative-index", "index-past-the-names",
-             "index-past-int64"],
+             "float-index", "string-index", "first-string-index", "negative-index",
+             "index-past-the-names", "index-past-int64"],
     )
     def test_malformed_correction_columns_are_io_error(
         self, planted_files, tmp_path, capsys, corrupt, needle
@@ -691,11 +693,13 @@ class TestVerify:
             f"error: {out_json}: malformed report: {needle.format(n=n, k=k, j=k - 1, m=m)}\n"
         )
 
+    @pytest.mark.parametrize("kept", [None, 3], ids=["all-rows", "as-many-rows-as-columns"])
     def test_report_with_rows_of_names_asks_for_a_new_one(
-        self, planted_files, tmp_path, capsys
+        self, planted_files, tmp_path, capsys, kept
     ):
         # the corrections as every report held them before they were
-        # columns: one [src, dst(, value)] row of node names per correction
+        # columns: one [src, dst(, value)] row of node names per correction;
+        # three positive rows have the shape of three positive columns
         edges, labels, _g = planted_files
         out_json = self._report(tmp_path, edges, labels)
         payload = json.loads(out_json.read_text())
@@ -704,6 +708,7 @@ class TestVerify:
             kind: [[names[u], names[w], *rest] for u, w, *rest in zip(*columns)]
             for kind, columns in payload["corrections"].items()
         }
+        payload["corrections"]["positive"] = payload["corrections"]["positive"][:kept]
         out_json.write_text(json.dumps(payload))
         capsys.readouterr()
         code = main(["verify", "-i", edges, "-l", labels, "--json", str(out_json)])

@@ -221,16 +221,6 @@ class TestRepresentativeMultiplicity:
         mults = (offset + np.random.default_rng(seed).integers(0, span + 1, size)).tolist()
         assert representative_multiplicity(mults) == oracle_scan_rep_mult(mults)
 
-    @given(st.lists(st.integers(1, 3000), min_size=1, max_size=80))
-    @settings(max_examples=100, deadline=None)
-    def test_one_step_equals_the_search(self, mults):
-        # with room for every candidate in one array the search is skipped;
-        # forced through it two parts at a time, the pick and the cost match
-        got = representative_multiplicity(mults)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(merge_module, "_PRICE_CELLS", 2)
-            assert representative_multiplicity(mults) == got
-
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             representative_multiplicity([])

@@ -166,12 +166,17 @@ def _unequal_columns(payload, g, draw):
 
 
 def _wrong_cell_type(payload, g, draw):
-    columns = payload["corrections"][draw(st.sampled_from(["positive", "negative", "mult_deltas"]))]
+    kind = draw(st.sampled_from(["positive", "negative", "mult_deltas"]))
+    columns = payload["corrections"][kind]
     assume(columns[0])
-    column = draw(st.sampled_from(columns))
-    column[draw(st.integers(0, len(column) - 1))] = draw(
-        st.sampled_from([True, False, 1.0, "1", None, [1]])
-    )
+    c = draw(st.integers(0, len(columns) - 1))
+    i = draw(st.integers(0, len(columns[c]) - 1))
+    value = columns[c][i] = draw(st.sampled_from([True, False, 1.0, "1", None, [1]]))
+    # the one bad cell is the first the reader finds, so its message names it
+    name = ("src", "dst", "delta" if kind == "mult_deltas" else "mult")[c]
+    what = {"positive": "positive correction", "negative": "negative correction",
+            "mult_deltas": "multiplicity delta"}[kind]
+    return f"{name} of {what} {i}: {value!r} is not an integer"
 
 
 def _rows_of_names(payload, g, draw):
@@ -431,8 +436,8 @@ def test_verify_exits_as_the_oracle_does(cases, source, seed, corruption, data):
     g = load_graph(edges, labels)
     payload = copy.deepcopy(written)
     corrupt, expected_code = CORRUPTIONS[corruption]
-    if corrupt is not None:
-        corrupt(payload, g, data.draw)
+    # a corruption may return a part of the message it must cause
+    needle = None if corrupt is None else corrupt(payload, g, data.draw)
     oracle_code, recon = oracle_verify(g, payload)
     with tempfile.TemporaryDirectory() as d:
         report = os.path.join(d, "report.json")
@@ -448,6 +453,7 @@ def test_verify_exits_as_the_oracle_does(cases, source, seed, corruption, data):
     else:
         assert out == ""
         assert "malformed report: " in err or "unknown or missing key" in err
+        assert needle is None or needle in err
     if corruption in READER_REJECTS:
         with pytest.raises((TypeError, ValueError)):
             corrections_from_dict(summary_from_dict(payload["summary"]), payload["corrections"])
