@@ -6,7 +6,9 @@ disconnected, singleton), an optional self-loop flag, and a representative
 edge multiplicity.  Weighted super-edges connect super-nodes.  Decompression
 expands glyphs and super-edges back into plain edges; a correction set
 (edges to add, edges to drop, multiplicity deltas) makes the round trip
-exact.
+exact.  The one decompression is :func:`lmgsum.verify.decode`, and the
+corrections are the difference between the input and its decoding of the
+summary alone.
 
 Cost model.  Every ordered region of node pairs is owned by exactly one
 context: the region inside a super-node v (S_v x S_v, diagonal included)
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, product
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -112,14 +114,6 @@ class SuperNode:
                 if w != self.hub:
                     yield (self.hub, w)
 
-    def expansion(self) -> Iterator[tuple[int, int]]:
-        """Every internal pair the super-node expands to: the glyph pairs,
-        then the self-loop diagonal when flagged."""
-        yield from self.glyph_pairs()
-        if self.self_loop:
-            for u in self.members:
-                yield (u, u)
-
     def glyph_pair_count(self) -> int:
         k = len(self.members)
         if self.glyph is Glyph.CLIQUE:
@@ -154,9 +148,9 @@ class SummaryGraph:
 
     def validate(self, g: LabeledMultiGraph | None = None) -> None:
         """Check the structure by decoding the summary alone (see
-        :func:`reconstruct`), and with ``g`` that every node carries its
+        :func:`_decode`), and with ``g`` that every node carries its
         super-node's label; raises ValueError on violation."""
-        labels = reconstruct(self, CorrectionSet()).labels
+        labels = _decode(self, CorrectionSet())[2]
         if g is not None and not np.array_equal(labels, g.labels):
             v = int(np.argmax(labels != g.labels))
             raise ValueError(f"node {v} is not labelled like its super-node")
@@ -223,147 +217,11 @@ def _triples(u: np.ndarray, w: np.ndarray, m: np.ndarray) -> list[tuple[int, int
     return list(zip(u.tolist(), w.tolist(), m.tolist()))
 
 
-# NumPy's plain np.unique, and np.isin and np.union1d through it, checks for
-# a masked array and so imports numpy.ma, ~15 ms that no command uses; these
-# two do the same work without it
-
-
-def sorted_distinct(a: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of ``a``: ``np.unique(a)``."""
-    a = np.sort(a)
-    first = np.ones(len(a), dtype=bool)
-    first[1:] = a[1:] != a[:-1]
-    return a[first]
-
-
-def _absent(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
-    """Mask of the ``keys`` that the sorted ``sorted_keys`` lacks:
-    ``~np.isin(keys, sorted_keys)``."""
-    return np.searchsorted(sorted_keys, keys, "left") == np.searchsorted(
-        sorted_keys, keys, "right"
-    )
-
-
-class _EdgeGroups:
-    """g's edges grouped by the super-nodes of a summary, as sorted arrays.
-
-    Super-nodes are ranked in ascending id order.  Internal edges (both
-    endpoints in one super-node) are grouped by that super-node and cross
-    edges by their ordered pair of super-nodes; within a group the edges
-    keep g's (u, w) order.  The pair of ranks (a, b) has the key
-    ``a * S + b`` for S super-nodes, so keys sort like pairs of ids.
-    Corrections and correction bits are both read off this one grouping.
-    """
-
-    def __init__(self, g: LabeledMultiGraph, summary: SummaryGraph):
-        self.ids = sorted(summary.super_nodes)
-        self.rank = {vid: r for r, vid in enumerate(self.ids)}
-        s_count = len(self.ids)
-        members = [summary.super_nodes[vid].members for vid in self.ids]
-        sizes = np.fromiter(map(len, members), dtype=np.int64, count=s_count)
-        assign = np.full(g.n, -1, dtype=np.int64)
-        assign[np.fromiter(chain.from_iterable(members), dtype=np.int64)] = np.repeat(
-            np.arange(s_count, dtype=np.int64), sizes
-        )
-        if (assign < 0).any():
-            raise ValueError(f"node {int(np.argmax(assign < 0))} is in no super-node")
-        a, b = assign[g.out_src], assign[g.out_dst]
-        inside = a == b
-
-        # g's out-arrays are sorted by (u, w); stable sorts keep that order
-        idx = np.flatnonzero(inside)
-        idx = idx[np.argsort(a[idx], kind="stable")]
-        self.int_src, self.int_dst, self.int_mult = (
-            g.out_src[idx], g.out_dst[idx], g.out_mult[idx]
-        )
-        self.int_ptr = np.searchsorted(a[idx], np.arange(s_count + 1)).tolist()
-
-        idx = np.flatnonzero(~inside)
-        key = a[idx] * s_count + b[idx]
-        order = np.argsort(key, kind="stable")
-        idx, self.x_key = idx[order], key[order]
-        self.x_src, self.x_dst, self.x_mult = (
-            g.out_src[idx], g.out_dst[idx], g.out_mult[idx]
-        )
-
-        #: sorted keys of the pairs with a super-edge
-        self.linked_keys = np.array(
-            sorted(self.rank[a] * s_count + self.rank[b] for a, b in summary.super_edges),
-            dtype=np.int64,
-        )
-
-    def internal(self, vid: int) -> list[tuple[int, int, int]]:
-        """The edges inside super-node ``vid``."""
-        r = self.rank[vid]
-        lo, hi = self.int_ptr[r], self.int_ptr[r + 1]
-        return _triples(self.int_src[lo:hi], self.int_dst[lo:hi], self.int_mult[lo:hi])
-
-    def contexts(self, keys: np.ndarray) -> Iterator[tuple[tuple[int, int], list]]:
-        """((a, b), edges) for each of the sorted pair keys ``keys``: the
-        pair's super-node ids and its cross edges."""
-        ids, s_count = self.ids, len(self.ids)
-        src, dst, mult = self.x_src, self.x_dst, self.x_mult
-        lo = np.searchsorted(self.x_key, keys, "left").tolist()
-        hi = np.searchsorted(self.x_key, keys, "right").tolist()
-        for key, l, h in zip(keys.tolist(), lo, hi):
-            a, b = divmod(key, s_count)
-            yield (ids[a], ids[b]), _triples(src[l:h], dst[l:h], mult[l:h])
-
-    def unlinked_positives(self) -> list[tuple[int, int, int]]:
-        """The cross edges of pairs without a super-edge, in (a, b) order."""
-        free = _absent(self.x_key, self.linked_keys)
-        return _triples(self.x_src[free], self.x_dst[free], self.x_mult[free])
-
-
-def _correct_context(cor: CorrectionSet, expansion, rep: int, edges, covers) -> None:
-    """Append one context's corrections: for each pair of its expansion, in
-    order, a negative correction when it has no edge or a multiplicity
-    delta against ``rep`` when it has another multiplicity; then, in
-    ``edges``' order, the edges that ``covers(u, w)`` leaves outside the
-    expansion as positive corrections."""
-    present = {(u, w): m for u, w, m in edges}
-    for pair in expansion:
-        m = present.get(pair)
-        if m is None:
-            cor.negative.append(pair)
-        elif m != rep:
-            cor.mult_deltas.append((*pair, m - rep))
-    cor.positive.extend(e for e in edges if not covers(e[0], e[1]))
-
-
-def compute_corrections(g: LabeledMultiGraph, summary: SummaryGraph) -> CorrectionSet:
-    """Corrections such that reconstruct(summary, corrections) == g exactly.
-
-    Node contexts come first, in the summary's order, then the edges of
-    unlinked pairs, then the super-edge contexts in (a, b) order.
-    """
-    cor = CorrectionSet()
-    groups = _EdgeGroups(g, summary)
-    ptr, rank = groups.int_ptr, groups.rank
-    for vid, sn in summary.super_nodes.items():
-        r = rank[vid]
-        if ptr[r] == ptr[r + 1] and not sn.self_loop and not sn.glyph_pair_count():
-            continue
-        internal = groups.internal(vid)
-        _correct_context(cor, sn.expansion(), sn.rep_mult, internal, sn.covers_pair)
-
-    cor.positive.extend(groups.unlinked_positives())
-
-    for (a, b), edges in groups.contexts(groups.linked_keys):
-        sa, sb = summary.super_nodes[a], summary.super_nodes[b]
-        rep = summary.super_edges[(a, b)]
-        _correct_context(
-            cor, product(sa.ports(), sb.ports()), rep, edges, _port_cover(sa, sb)
-        )
-    return cor
-
-
-def reconstruct(summary: SummaryGraph, corrections: CorrectionSet) -> LabeledMultiGraph:
-    """Apply corrections to the decompressed summary; exact inverse of
-    compute_corrections for the graph the corrections were derived from.
-    The summary is decoded by :func:`lmgsum.verify.decode`, with ids for
-    names, and the corrections are read as a report's columns; an
-    inconsistent pair raises ValueError."""
+def _decode(summary: SummaryGraph, corrections: CorrectionSet):
+    """:func:`lmgsum.verify.decode` on ``summary`` and ``corrections``, with
+    ids for names: the sorted edge keys ``u * n + w`` for n nodes, their
+    multiplicities and each node's label.  An inconsistent summary or
+    correction raises ValueError."""
     # only code that decodes a summary compiles the decoder
     from .verify import correction_columns, decode
 
@@ -373,15 +231,53 @@ def reconstruct(summary: SummaryGraph, corrections: CorrectionSet) -> LabeledMul
     nodes = transpose(rows, 7)
     edges = transpose(((a, b, m) for (a, b), m in summary.super_edges.items()), 3)
     try:
-        keys, mult, label, _record = decode(
+        keys, mult, labels, _record = decode(
             nodes, edges, correction_columns(corrections_to_dict(summary, corrections), n),
             dict(zip(range(n), range(n))), dict(zip(label_ids, label_ids)), n,
             (summary.node_names or range(n)).__getitem__,
         )
     except KeyError as e:
         raise ValueError(f"id {e.args[0]!r} out of range") from None
+    return keys, mult, labels
+
+
+def compute_corrections(g: LabeledMultiGraph, summary: SummaryGraph) -> CorrectionSet:
+    """Corrections such that reconstruct(summary, corrections) == g exactly:
+    the difference between g and the summary's decoding.  Each kind is in
+    (u, w) order: g's edges the decoding lacks are positive, the decoded
+    pairs g lacks negative, and the edges whose multiplicity differs from
+    the decoded one get its delta."""
+    n = summary.graph_size
+    if g.n != n:
+        raise ValueError(f"the summary has {n} nodes, the graph {g.n}")
+    keys, mult, _labels = _decode(summary, CorrectionSet())
+    # g's out-arrays are sorted by (u, w), and so are the decoded keys
+    edge_keys = g.out_src * n + g.out_dst
+    at = np.searchsorted(keys, edge_keys)
+    covered = at < len(keys)
+    covered[covered] = keys[at[covered]] == edge_keys[covered]
+    at, free = at[covered], ~covered
+    delta = g.out_mult[covered] - mult[at]
+    changed = delta != 0
+    idx = np.flatnonzero(covered)[changed]
+    gone = np.delete(keys, at)
+    return CorrectionSet(
+        positive=_triples(g.out_src[free], g.out_dst[free], g.out_mult[free]),
+        negative=list(zip((gone // n).tolist(), (gone % n).tolist())),
+        mult_deltas=_triples(g.out_src[idx], g.out_dst[idx], delta[changed]),
+    )
+
+
+def reconstruct(summary: SummaryGraph, corrections: CorrectionSet) -> LabeledMultiGraph:
+    """Apply corrections to the decompressed summary; exact inverse of
+    compute_corrections for the graph the corrections were derived from.
+    The summary is decoded by :func:`lmgsum.verify.decode` and the
+    corrections are read as a report's columns; an inconsistent pair raises
+    ValueError."""
+    keys, mult, labels = _decode(summary, corrections)
+    n = summary.graph_size
     return LabeledMultiGraph.from_arrays(
-        n, keys // n, keys % n, mult, label, summary.label_names or None, summary.node_names or None
+        n, keys // n, keys % n, mult, labels, summary.label_names or None, summary.node_names or None
     )
 
 
@@ -499,6 +395,80 @@ class ContextPrices:
         if rep is None and len(edges) == 1:
             return self.one_edge(sa.size * sb.size, edges[0][2])
         return pair_context_bits(sa, sb, rep, edges)
+
+
+# NumPy's plain np.unique, and np.union1d through it, checks for a masked
+# array and so imports numpy.ma, ~15 ms that no command uses; this does the
+# same work without it
+
+
+def sorted_distinct(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of ``a``: ``np.unique(a)``."""
+    a = np.sort(a)
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    return a[first]
+
+
+class _EdgeGroups:
+    """g's edges grouped by the super-nodes of a summary, for the
+    correction bits of :func:`total_cost`.
+
+    Super-nodes are ranked in ascending id order.  Internal edges (both
+    endpoints in one super-node) are grouped by that super-node and cross
+    edges by their ordered pair of super-nodes; within a group the edges
+    keep g's (u, w) order.  The pair of ranks (a, b) has the key
+    ``a * S + b`` for S super-nodes, so keys sort like pairs of ids.  The
+    edges are (u, w, m) lists, built once and sliced per group.
+    """
+
+    def __init__(self, g: LabeledMultiGraph, summary: SummaryGraph):
+        self.ids = sorted(summary.super_nodes)
+        self.rank = {vid: r for r, vid in enumerate(self.ids)}
+        s_count = len(self.ids)
+        members = [summary.super_nodes[vid].members for vid in self.ids]
+        sizes = np.fromiter(map(len, members), dtype=np.int64, count=s_count)
+        assign = np.full(g.n, -1, dtype=np.int64)
+        assign[np.fromiter(chain.from_iterable(members), dtype=np.int64)] = np.repeat(
+            np.arange(s_count, dtype=np.int64), sizes
+        )
+        if (assign < 0).any():
+            raise ValueError(f"node {int(np.argmax(assign < 0))} is in no super-node")
+        a, b = assign[g.out_src], assign[g.out_dst]
+        inside = a == b
+
+        # g's out-arrays are sorted by (u, w); stable sorts keep that order
+        idx = np.flatnonzero(inside)
+        idx = idx[np.argsort(a[idx], kind="stable")]
+        self.int_edges = _triples(g.out_src[idx], g.out_dst[idx], g.out_mult[idx])
+        self.int_ptr = np.searchsorted(a[idx], np.arange(s_count + 1)).tolist()
+
+        idx = np.flatnonzero(~inside)
+        key = a[idx] * s_count + b[idx]
+        order = np.argsort(key, kind="stable")
+        idx, self.x_key = idx[order], key[order]
+        self.x_edges = _triples(g.out_src[idx], g.out_dst[idx], g.out_mult[idx])
+
+        #: sorted keys of the pairs with a super-edge
+        self.linked_keys = np.array(
+            sorted(self.rank[a] * s_count + self.rank[b] for a, b in summary.super_edges),
+            dtype=np.int64,
+        )
+
+    def internal(self, vid: int) -> list[tuple[int, int, int]]:
+        """The edges inside super-node ``vid``."""
+        r = self.rank[vid]
+        return self.int_edges[self.int_ptr[r]:self.int_ptr[r + 1]]
+
+    def contexts(self, keys: np.ndarray) -> Iterator[tuple[tuple[int, int], list]]:
+        """((a, b), edges) for each of the sorted pair keys ``keys``: the
+        pair's super-node ids and its cross edges."""
+        ids, s_count, edges = self.ids, len(self.ids), self.x_edges
+        lo = np.searchsorted(self.x_key, keys, "left").tolist()
+        hi = np.searchsorted(self.x_key, keys, "right").tolist()
+        for key, l, h in zip(keys.tolist(), lo, hi):
+            a, b = divmod(key, s_count)
+            yield (ids[a], ids[b]), edges[l:h]
 
 
 def total_cost(g: LabeledMultiGraph, summary: SummaryGraph) -> CostBreakdown:
@@ -624,13 +594,15 @@ def export_dot(summary: SummaryGraph, graph_name: str = "summary") -> str:
     """Graphviz rendering: shape encodes the glyph, fill color the label,
 
     node text is "label|member count|representative multiplicity", and each
-    super-edge is annotated with its representative multiplicity.
+    super-edge is annotated with its representative multiplicity.  A label
+    name's backslashes and double quotes are escaped, so Graphviz shows
+    them as they are.
     """
     lines = [f"digraph {graph_name} {{", "  node [style=filled];"]
     for sn in sorted(summary.super_nodes.values(), key=lambda s: s.id):
         label_name = (
             summary.label_names[sn.label] if summary.label_names else str(sn.label)
-        )
+        ).replace("\\", "\\\\").replace('"', '\\"')
         color = DOT_PALETTE[sn.label % len(DOT_PALETTE)]
         text = f"{label_name}|{sn.size}|{sn.rep_mult}"
         lines.append(

@@ -10,8 +10,10 @@ positives, then the negatives, then each edge's multiplicity deltas in
 turn.  An inconsistent summary or correction raises a
 :class:`GraphFormatError` that names its nodes.  :func:`mismatch` decodes a
 parsed report in the input graph's own ids and words the first difference
-from the input's arrays; :func:`lmgsum.summary.reconstruct` builds its graph
-from the same decoding.
+from the input's arrays.  The library decodes through it too:
+:func:`lmgsum.summary.compute_corrections` takes the input minus the
+decoding of the summary alone, and :func:`lmgsum.summary.reconstruct` builds
+its graph from the decoding with the corrections.
 """
 
 from __future__ import annotations

@@ -480,9 +480,10 @@ def oracle_group_edges(g, summary):
 
 
 def oracle_compute_corrections(g, summary) -> CorrectionSet:
-    """Per-edge reference for ``compute_corrections``, same lists in the
-    same order: node contexts in the summary's order, then the cross edges
-    of unlinked pairs, then the super-edge contexts, pairs sorted."""
+    """Per-edge reference for ``compute_corrections``, the same lists in
+    context order: node contexts in the summary's order, then the cross
+    edges of unlinked pairs, then the super-edge contexts, pairs sorted;
+    ``compute_corrections`` emits each list sorted."""
     cor = CorrectionSet()
     internal, cross = oracle_group_edges(g, summary)
 
@@ -541,8 +542,11 @@ def oracle_expand(summary) -> tuple[dict[tuple[int, int], int], list[int]]:
     for sn in summary.super_nodes.values():
         for u in sn.members:
             labels[u] = sn.label
-        for pair in sn.expansion():
+        for pair in sn.glyph_pairs():
             edges[pair] = sn.rep_mult
+        if sn.self_loop:
+            for u in sn.members:
+                edges[(u, u)] = sn.rep_mult
     for (a, b), m in summary.super_edges.items():
         sa, sb = summary.super_nodes[a], summary.super_nodes[b]
         for pair in product(sa.ports(), sb.ports()):

@@ -4,6 +4,7 @@ PASS/FAIL line.  These are end-to-end checks of the released behavior:
 losslessness, encoding laws, optimizer exactness, structure recovery,
 scaling, and the statistical guarantees of the similarity search."""
 
+import gc
 import math
 import os
 import time
@@ -330,18 +331,26 @@ def test_criterion_13_star_runtime_scales_linearly_in_leaves(tmp_path, capsys):
     # a star's leaves are exact twins: one similarity vertex, however many
     # there are.  Every size takes the best of 3 against host noise, and
     # each repetition times the sizes in turn, so that a drift of the host's
-    # speed reaches every size alike
+    # speed reaches every size alike.  Each run is timed with the cyclic
+    # collector paused, as `cli.main` runs every command, so that passes
+    # over the test session's own heap are not timed
     t0 = time.perf_counter()
     sizes = (1_000, 2_000, 4_000, 8_000, 16_000)
     slopes = {}
+    enabled = gc.isenabled()
     for hubs in (1, 2):
         graphs = [_star(hubs, leaves) for leaves in sizes]
         best = [math.inf] * len(sizes)
         for _ in range(3):
             for i, g in enumerate(graphs):
-                start = time.perf_counter()
-                run(g, RunConfig(seed=0))
-                best[i] = min(best[i], time.perf_counter() - start)
+                gc.disable()
+                try:
+                    start = time.perf_counter()
+                    run(g, RunConfig(seed=0))
+                    best[i] = min(best[i], time.perf_counter() - start)
+                finally:
+                    if enabled:
+                        gc.enable()
         slopes[hubs] = float(np.polyfit(np.log(sizes), np.log(best), 1)[0])
     edges = tmp_path / "star.tsv"
     edges.write_text("".join(f"h{h}\tleaf{i}\n" for h in range(2) for i in range(16_000)))
