@@ -197,44 +197,70 @@ def all_singleton_summary(g: LabeledMultiGraph) -> SummaryGraph:
 # -- decompression and corrections -------------------------------------------
 
 
+#: each correction kind's row width: (src, dst, mult), (src, dst), (src, dst, delta)
+_WIDTHS = {"positive": 3, "negative": 2, "mult_deltas": 3}
+
+
 @dataclass
 class CorrectionSet:
-    """Exact patch from a decompressed summary back to the original graph."""
+    """Exact patch from a decompressed summary back to the original graph:
+    one int64 row per correction, (src, dst, mult) in ``positive``, (src,
+    dst) in ``negative`` and (src, dst, delta) in ``mult_deltas``.  Rows
+    given as tuples, lists or an array are converted here, and a row of
+    another width or a value outside int64 raises ValueError naming its
+    kind.  Two sets are equal when their rows are."""
 
-    positive: list[tuple[int, int, int]] = field(default_factory=list)
-    negative: list[tuple[int, int]] = field(default_factory=list)
-    mult_deltas: list[tuple[int, int, int]] = field(default_factory=list)
+    positive: np.ndarray = ()
+    negative: np.ndarray = ()
+    mult_deltas: np.ndarray = ()
+
+    def __post_init__(self):
+        for kind, width in _WIDTHS.items():
+            try:
+                rows = np.asarray(getattr(self, kind))
+            except ValueError:  # rows of different lengths
+                raise ValueError(f"{kind}: rows of different lengths") from None
+            if rows.shape == (0,):
+                rows = rows.reshape(0, width)
+            if rows.ndim != 2 or rows.shape[1] != width:
+                raise ValueError(f"{kind}: shape {rows.shape}, not rows of {width} values")
+            # NumPy reads a Python int beyond int64 as a float or an object
+            if rows.size and (rows.dtype.kind not in "iu" or rows.max() > 2**63 - 1):
+                raise ValueError(f"{kind}: values that are not integers within int64")
+            setattr(self, kind, rows.astype(np.int64, copy=False))
+
+    def __eq__(self, other):
+        return isinstance(other, CorrectionSet) and all(
+            np.array_equal(getattr(self, k), getattr(other, k)) for k in _WIDTHS
+        )
 
     def counts(self) -> dict[str, int]:
-        return {
-            "positive": len(self.positive),
-            "negative": len(self.negative),
-            "mult_deltas": len(self.mult_deltas),
-        }
-
-
-def _triples(u: np.ndarray, w: np.ndarray, m: np.ndarray) -> list[tuple[int, int, int]]:
-    return list(zip(u.tolist(), w.tolist(), m.tolist()))
+        return {kind: len(getattr(self, kind)) for kind in _WIDTHS}
 
 
 def _decode(summary: SummaryGraph, corrections: CorrectionSet):
     """:func:`lmgsum.verify.decode` on ``summary`` and ``corrections``, with
     ids for names: the sorted edge keys ``u * n + w`` for n nodes, their
     multiplicities and each node's label.  An inconsistent summary or
-    correction raises ValueError."""
+    correction, or a correction's node index outside ``range(n)``, raises
+    ValueError."""
     # only code that decodes a summary compiles the decoder
-    from .verify import correction_columns, decode
+    from .verify import CORRECTION_KINDS, decode, node_indices
 
     n, label_ids = summary.graph_size, range(summary.label_count)
     rows = ((sn.id, sn.label, sn.glyph.value, sn.members, sn.hub, sn.rep_mult, sn.self_loop)
             for sn in summary.super_nodes.values())
     nodes = transpose(rows, 7)
     edges = transpose(((a, b, m) for (a, b), m in summary.super_edges.items()), 3)
+    columns = []
+    for key, _names, what in CORRECTION_KINDS:
+        src, dst, *rest = getattr(corrections, key).T
+        columns.append([node_indices(src, n, f"src of {what}"),
+                        node_indices(dst, n, f"dst of {what}"), *rest])
     try:
         keys, mult, labels, _record = decode(
-            nodes, edges, correction_columns(corrections_to_dict(summary, corrections), n),
-            dict(zip(range(n), range(n))), dict(zip(label_ids, label_ids)), n,
-            (summary.node_names or range(n)).__getitem__,
+            nodes, edges, columns, dict(zip(range(n), range(n))),
+            dict(zip(label_ids, label_ids)), n, (summary.node_names or range(n)).__getitem__,
         )
     except KeyError as e:
         raise ValueError(f"id {e.args[0]!r} out of range") from None
@@ -262,18 +288,17 @@ def compute_corrections(g: LabeledMultiGraph, summary: SummaryGraph) -> Correcti
     idx = np.flatnonzero(covered)[changed]
     gone = np.delete(keys, at)
     return CorrectionSet(
-        positive=_triples(g.out_src[free], g.out_dst[free], g.out_mult[free]),
-        negative=list(zip((gone // n).tolist(), (gone % n).tolist())),
-        mult_deltas=_triples(g.out_src[idx], g.out_dst[idx], delta[changed]),
+        positive=np.column_stack((g.out_src[free], g.out_dst[free], g.out_mult[free])),
+        negative=np.column_stack(np.divmod(gone, n)),
+        mult_deltas=np.column_stack((g.out_src[idx], g.out_dst[idx], delta[changed])),
     )
 
 
 def reconstruct(summary: SummaryGraph, corrections: CorrectionSet) -> LabeledMultiGraph:
     """Apply corrections to the decompressed summary; exact inverse of
     compute_corrections for the graph the corrections were derived from.
-    The summary is decoded by :func:`lmgsum.verify.decode` and the
-    corrections are read as a report's columns; an inconsistent pair raises
-    ValueError."""
+    :func:`lmgsum.verify.decode` decodes the summary and applies the
+    corrections' array columns; an inconsistent pair raises ValueError."""
     keys, mult, labels = _decode(summary, corrections)
     n = summary.graph_size
     return LabeledMultiGraph.from_arrays(
@@ -410,6 +435,10 @@ def sorted_distinct(a: np.ndarray) -> np.ndarray:
     return a[first]
 
 
+def _triples(u: np.ndarray, w: np.ndarray, m: np.ndarray) -> list[tuple[int, int, int]]:
+    return list(zip(u.tolist(), w.tolist(), m.tolist()))
+
+
 class _EdgeGroups:
     """g's edges grouped by the super-nodes of a summary, for the
     correction bits of :func:`total_cost`.
@@ -514,18 +543,17 @@ def summary_to_dict(
 ) -> dict:
     """JSON-ready form of a summary, with original node-id strings."""
     names = summary.node_names or tuple(g.node_names)
+    label_names = summary.label_names or g.label_names
     if costs is None:
         costs = total_cost(g, summary)
     return {
         "graph_size": summary.graph_size,
-        "label_names": list(summary.label_names or g.label_names),
+        "label_names": list(label_names),
         "node_names": list(names),
         "super_nodes": [
             {
                 "id": sn.id,
-                "label": summary.label_names[sn.label]
-                if summary.label_names
-                else g.label_names[sn.label],
+                "label": label_names[sn.label],
                 "glyph": sn.glyph.value,
                 "members": [names[u] for u in sn.members],
                 "hub": names[sn.hub] if sn.hub is not None else None,
@@ -570,24 +598,15 @@ def summary_from_dict(data: dict) -> SummaryGraph:
 def corrections_to_dict(summary: SummaryGraph, cor: CorrectionSet) -> dict:
     """JSON-ready form of the corrections: each kind as its columns,
     ``src`` and ``dst`` node ids, which index the summary's node names."""
-    return {
-        "positive": transpose(cor.positive, 3),
-        "negative": transpose(cor.negative, 2),
-        "mult_deltas": transpose(cor.mult_deltas, 3),
-    }
+    return {kind: getattr(cor, kind).T.tolist() for kind in _WIDTHS}
 
 
 def corrections_from_dict(summary: SummaryGraph, data: dict) -> CorrectionSet:
-    """Inverse of corrections_to_dict; every node index must be below the
-    count of ``summary``'s node names."""
+    """Inverse of corrections_to_dict; every node index must be below
+    ``summary``'s graph size."""
     from .verify import correction_columns
 
-    (pu, pw, pm), (nu, nw), (du, dw, dd) = correction_columns(data, len(summary.node_names))
-    return CorrectionSet(
-        positive=list(zip(pu.tolist(), pw.tolist(), pm)),
-        negative=list(zip(nu.tolist(), nw.tolist())),
-        mult_deltas=list(zip(du.tolist(), dw.tolist(), dd)),
-    )
+    return CorrectionSet(*map(np.column_stack, correction_columns(data, summary.graph_size)))
 
 
 def export_dot(summary: SummaryGraph, graph_name: str = "summary") -> str:

@@ -13,7 +13,8 @@ parsed report in the input graph's own ids and words the first difference
 from the input's arrays.  The library decodes through it too:
 :func:`lmgsum.summary.compute_corrections` takes the input minus the
 decoding of the summary alone, and :func:`lmgsum.summary.reconstruct` builds
-its graph from the decoding with the corrections.
+its graph from the decoding with a correction set's int64 rows, read as
+columns.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ _NODE_FIELDS = itemgetter("id", "label", "glyph", "members", "hub", "rep_mult", 
 _EDGE_FIELDS = itemgetter("src", "dst", "rep_mult")
 _NOUNS = {int: "an integer", bool: "a boolean", str: "a string", list: "a list", dict: "an object"}
 #: each correction kind: its key, its columns and the name of one correction
-_KINDS = (
+CORRECTION_KINDS = (
     ("positive", ("src", "dst", "mult"), "positive correction"),
     ("negative", ("src", "dst"), "negative correction"),
     ("mult_deltas", ("src", "dst", "delta"), "multiplicity delta"),
@@ -104,11 +105,12 @@ def summary_columns(data: dict) -> tuple[int, list[str], list[str], list[list], 
     return size, names, label_names, nodes, edges
 
 
-def _node_indices(column: list, size: int, where: str) -> np.ndarray:
-    """The ints of ``column`` as int64 indices below ``size``; else
-    ValueError for the first that is not, ``where`` and its position."""
+def node_indices(column, size: int, where: str) -> np.ndarray:
+    """The ints of ``column``, a list or an array, as int64 indices below
+    ``size``; else ValueError for the first that is not, ``where`` and its
+    position."""
     try:
-        indices = np.array(column, dtype=np.int64)
+        indices = np.asarray(column, dtype=np.int64)
         if ((indices >= 0) & (indices < size)).all():
             return indices
     except OverflowError:
@@ -126,7 +128,7 @@ def correction_columns(data: dict, size: int) -> list[list]:
     TypeError or ValueError, naming the kind and the position.
     """
     kinds = []
-    for key, names, what in _KINDS:
+    for key, names, what in CORRECTION_KINDS:
         columns = _listed(data, key, list, f"{key} column")
         # as earlier reports held them: each a row of its width, two names first
         if all(len(row) == len(names) and type(row[0]) is type(row[1]) is str for row in columns):
@@ -140,7 +142,7 @@ def correction_columns(data: dict, size: int) -> list[list]:
         for column, name in zip(columns, names):
             _exact(column, int, lambda i: f"{name} of {what} {i}")
             kind.append(column if name not in ("src", "dst") else
-                        _node_indices(column, size, f"{name} of {what}"))
+                        node_indices(column, size, f"{name} of {what}"))
         kinds.append(kind)
     return kinds
 
@@ -185,8 +187,9 @@ def _find(sorted_keys: np.ndarray, keys: np.ndarray, missing) -> np.ndarray:
 
 def decode(nodes, edges, corrections, index: dict, label_of: dict, space: int, name):
     """Decode the columns that :func:`summary_columns` and
-    :func:`correction_columns` read, the corrections' ``src`` and ``dst``
-    ids below ``space``.  ``index`` gives each node name's id below
+    :func:`correction_columns` read, or a correction set's int64 columns,
+    the corrections' ``src`` and ``dst`` ids below ``space``.  ``index``
+    gives each node name's id below
     ``space``, and the records must cover every one once; ``label_of`` gives
     each label name's id and ``name(u)`` node u's name in messages.  Returns
     the sorted edge keys ``u * space + w``, their multiplicities, and each
@@ -280,7 +283,7 @@ def decode(nodes, edges, corrections, index: dict, label_of: dict, space: int, n
     at = _find(keys, gone, lambda key: f"{what} {pair(key)}")
     keys, mult = np.delete(keys, at), np.delete(mult, at)
 
-    if delta:
+    if len(delta):
         delta_keys = delta_u * space + delta_w
         order = np.argsort(delta_keys, kind="stable")  # each edge's deltas in order
         # Python ints, which int64 sums of deltas could pass

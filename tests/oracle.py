@@ -21,8 +21,8 @@ and error messages.
 ``SummaryGraph.validate`` replaced with the same decoding.
 ``oracle_verify`` is the object path that ``lmgsum verify`` took before it
 decided every report on arrays: summary objects, ``oracle_validate``,
-correction tuples, the dict decompression and a comparison of sorted text
-dumps.
+the correction set's rows one at a time, the dict decompression and a
+comparison of sorted text dumps.
 
 ``oracle_score`` is the merge state's proposal scoring as it was before
 a proposal was built by extending a partial one: every member's edges are
@@ -480,11 +480,11 @@ def oracle_group_edges(g, summary):
 
 
 def oracle_compute_corrections(g, summary) -> CorrectionSet:
-    """Per-edge reference for ``compute_corrections``, the same lists in
+    """Per-edge reference for ``compute_corrections``, the same rows in
     context order: node contexts in the summary's order, then the cross
     edges of unlinked pairs, then the super-edge contexts, pairs sorted;
-    ``compute_corrections`` emits each list sorted."""
-    cor = CorrectionSet()
+    ``compute_corrections`` emits each kind's rows sorted."""
+    positive, negative, mult_deltas = [], [], []
     internal, cross = oracle_group_edges(g, summary)
 
     for vid, sn in summary.super_nodes.items():
@@ -492,26 +492,26 @@ def oracle_compute_corrections(g, summary) -> CorrectionSet:
         for pair in sn.glyph_pairs():
             if pair in present:
                 if present[pair] != sn.rep_mult:
-                    cor.mult_deltas.append((*pair, present[pair] - sn.rep_mult))
+                    mult_deltas.append((*pair, present[pair] - sn.rep_mult))
             else:
-                cor.negative.append(pair)
+                negative.append(pair)
         if sn.self_loop:
             for u in sn.members:
                 if (u, u) in present:
                     if present[(u, u)] != sn.rep_mult:
-                        cor.mult_deltas.append((u, u, present[(u, u)] - sn.rep_mult))
+                        mult_deltas.append((u, u, present[(u, u)] - sn.rep_mult))
                 else:
-                    cor.negative.append((u, u))
+                    negative.append((u, u))
         for (u, w), m in sorted(present.items()):
             if not sn.covers_pair(u, w):
-                cor.positive.append((u, w, m))
+                positive.append((u, w, m))
 
     linked = set(summary.super_edges)
     for (a, b), edges in sorted(cross.items()):
         if (a, b) in linked:
             continue
         for u, w, m in sorted(edges):
-            cor.positive.append((u, w, m))
+            positive.append((u, w, m))
 
     for (a, b), rep in sorted(summary.super_edges.items()):
         present = {(u, w): m for (u, w, m) in cross.get((a, b), [])}
@@ -521,14 +521,14 @@ def oracle_compute_corrections(g, summary) -> CorrectionSet:
             for w in ports_b:
                 if (u, w) in present:
                     if present[(u, w)] != rep:
-                        cor.mult_deltas.append((u, w, present[(u, w)] - rep))
+                        mult_deltas.append((u, w, present[(u, w)] - rep))
                 else:
-                    cor.negative.append((u, w))
+                    negative.append((u, w))
         for (u, w), m in sorted(present.items()):
             if not (u in ports_a and w in ports_b):
-                cor.positive.append((u, w, m))
+                positive.append((u, w, m))
 
-    return cor
+    return CorrectionSet(positive, negative, mult_deltas)
 
 
 # -- the object path: dict decompression and verify ---------------------------
@@ -585,15 +585,15 @@ def oracle_reconstruct(summary, corrections: CorrectionSet) -> LabeledMultiGraph
     """Apply the corrections to the dict expansion one at a time: the
     positives, the negatives, then the deltas, in list order."""
     edges, labels = oracle_expand(summary)
-    for u, w, m in corrections.positive:
+    for u, w, m in corrections.positive.tolist():
         if (u, w) in edges:
             raise ValueError(f"positive correction for existing edge ({u}, {w})")
         edges[(u, w)] = m
-    for u, w in corrections.negative:
+    for u, w in corrections.negative.tolist():
         if (u, w) not in edges:
             raise ValueError(f"negative correction for missing edge ({u}, {w})")
         del edges[(u, w)]
-    for u, w, delta in corrections.mult_deltas:
+    for u, w, delta in corrections.mult_deltas.tolist():
         if (u, w) not in edges:
             raise ValueError(f"multiplicity delta for missing edge ({u}, {w})")
         edges[(u, w)] += delta

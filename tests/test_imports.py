@@ -110,7 +110,8 @@ def test_verify_never_imports_the_merge_engine(graph_files):
 def test_eval_labels_never_imports_the_decoder(graph_files):
     # summarize decodes its summary to find the corrections; eval-labels
     # only prices labelings and computes no corrections
-    common, _report, _modules = graph_files
+    common, _report, summarize_modules = graph_files
+    assert "lmgsum.verify" in summarize_modules
     assert "lmgsum.verify" not in run_cli("eval-labels", *common, "--shuffles", "2")
 
 

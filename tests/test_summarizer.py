@@ -98,9 +98,9 @@ def run_record(summary, report) -> dict:
             for sn in sorted(summary.super_nodes.values(), key=lambda sn: sn.id)
         ],
         "super_edges": [[a, b, m] for (a, b), m in sorted(summary.super_edges.items())],
-        "positive": [list(c) for c in cor.positive],
-        "negative": [list(c) for c in cor.negative],
-        "mult_deltas": [list(c) for c in cor.mult_deltas],
+        "positive": cor.positive.tolist(),
+        "negative": cor.negative.tolist(),
+        "mult_deltas": cor.mult_deltas.tolist(),
         "commit_count": report.commit_count,
         "candidate_count": report.candidate_count,
         "bits_after": report.bits_after,

@@ -249,9 +249,8 @@ class TestEdgeGrouping:
         g, s = case
         # the reference walks the contexts; each kind comes out in (u, w) order
         got, want = compute_corrections(g, s), oracle_compute_corrections(g, s)
-        assert got.positive == sorted(want.positive)
-        assert got.negative == sorted(want.negative)
-        assert got.mult_deltas == sorted(want.mult_deltas)
+        for kind in ("positive", "negative", "mult_deltas"):
+            assert getattr(got, kind).tolist() == sorted(getattr(want, kind).tolist())
 
     @given(grouping_cases())
     @settings(max_examples=150, deadline=None)
@@ -328,21 +327,23 @@ class TestRoundTrip:
         # the exact corrections, then a few edits that may contradict the
         # summary: rows dropped, repeated, or added on any pair
         g, s = gs
-        cor = compute_corrections(g, s)
+        kinds = ("positive", "negative", "mult_deltas")
+        rows_of = {kind: getattr(compute_corrections(g, s), kind).tolist() for kind in kinds}
         pairs = st.tuples(st.integers(0, g.n - 1), st.integers(0, g.n - 1))
         for _ in range(data.draw(st.integers(0, 3))):
-            kind = data.draw(st.sampled_from(["positive", "negative", "mult_deltas"]))
-            rows = getattr(cor, kind)
+            kind = data.draw(st.sampled_from(kinds))
+            rows = rows_of[kind]
             edit = data.draw(st.sampled_from(["drop", "repeat", "add"]))
             if edit == "add":
                 u, w = data.draw(pairs)
-                rows.append((u, w) if kind == "negative" else (u, w, data.draw(st.integers(-3, 3))))
+                rows.append([u, w] if kind == "negative" else [u, w, data.draw(st.integers(-3, 3))])
             elif rows:
                 row = data.draw(st.sampled_from(rows))
                 if edit == "drop":
                     rows.remove(row)
                 else:
                     rows.append(row)
+        cor = CorrectionSet(**rows_of)
         try:
             expected = oracle_reconstruct(s, cor)
         except ValueError:
@@ -358,11 +359,7 @@ class TestRoundTrip:
         g = L.random_graph(5)
         s = all_singleton_summary(g)
         cor = compute_corrections(g, s)
-        bogus = CorrectionSet(
-            positive=list(cor.positive),
-            negative=[(0, 1)],
-            mult_deltas=list(cor.mult_deltas),
-        )
+        bogus = CorrectionSet(positive=cor.positive, negative=[(0, 1)], mult_deltas=cor.mult_deltas)
         with pytest.raises(ValueError):
             reconstruct(s, bogus)
 
@@ -372,6 +369,60 @@ class TestRoundTrip:
         bigger = LabeledMultiGraph(g.n + 1, {(g.n, 0): 1})
         with pytest.raises(ValueError, match="nodes"):
             compute_corrections(bigger, all_singleton_summary(g))
+
+
+class TestCorrectionSet:
+    """Rows in any form become int64 arrays of the kind's width, once."""
+
+    def test_rows_of_any_form_become_int64_arrays(self):
+        arrays = CorrectionSet(
+            positive=np.array([[0, 1, 2], [3, 4, 5]], dtype=np.int32),
+            negative=np.array([[6, 7]], dtype=np.uint8),
+        )
+        for cor in (arrays, CorrectionSet([(0, 1, 2), (3, 4, 5)], [(6, 7)]),
+                    CorrectionSet([[0, 1, 2], [3, 4, 5]], [[6, 7]], [])):
+            shapes = {k: (v.dtype, v.shape) for k, v in vars(cor).items()}
+            assert shapes == {"positive": (np.int64, (2, 3)), "negative": (np.int64, (1, 2)),
+                              "mult_deltas": (np.int64, (0, 3))}
+            assert cor.positive.tolist() == [[0, 1, 2], [3, 4, 5]]
+            assert cor.counts() == {"positive": 2, "negative": 1, "mult_deltas": 0}
+
+    @pytest.mark.parametrize(
+        "kind, rows",
+        [("positive", [(0, 1)]), ("negative", [(0, 1, 2)]), ("mult_deltas", [(0, 1, 2), (0, 1)]),
+         ("negative", np.zeros((0, 3), dtype=np.int64)), ("positive", [0, 1, 2])],
+        ids=["short", "long", "ragged", "empty-of-another-width", "flat"],
+    )
+    def test_a_wrong_width_names_its_kind(self, kind, rows):
+        with pytest.raises(ValueError, match=f"^{kind}: "):
+            CorrectionSet(**{kind: rows})
+
+    @pytest.mark.parametrize(
+        "kind, rows",
+        [("positive", [(0, 1, 2**63)]), ("mult_deltas", [(0, 1, -(2**63) - 1)]),
+         ("mult_deltas", [(0, 1, 2**64)]), ("positive", np.array([[0, 1, 2**63]], dtype=np.uint64)),
+         ("negative", [(0.0, 1.5)])],
+        ids=["above", "below", "beyond-uint64", "uint64-array", "floats"],
+    )
+    def test_a_value_outside_int64_names_its_kind(self, kind, rows):
+        with pytest.raises(ValueError, match=f"^{kind}: values that are not integers within int64"):
+            CorrectionSet(**{kind: rows})
+
+    def test_equality_compares_contents(self):
+        cor = CorrectionSet([(0, 1, 2), (3, 4, 5)], [(6, 7)], [(0, 1, -1)])
+        assert cor == CorrectionSet(cor.positive.copy(), [[6, 7]], np.array([[0, 1, -1]]))
+        assert cor != CorrectionSet(cor.positive, [(6, 7)], [(0, 1, 1)])
+        assert cor != CorrectionSet(cor.positive[:1], [(6, 7)], [(0, 1, -1)])
+        assert CorrectionSet() == CorrectionSet([], (), np.zeros((0, 3), dtype=np.int64))
+        assert cor != cor.counts()
+
+    def test_reconstruct_rejects_node_indices_outside_the_graph(self):
+        g = L.random_graph(5)
+        s = all_singleton_summary(g)
+        for kind, row in (("positive", (-1, 0, 1)), ("negative", (0, g.n)),
+                          ("mult_deltas", (g.n, 0, 1))):
+            with pytest.raises(ValueError, match=f"is not a node index below {g.n}$"):
+                reconstruct(s, CorrectionSet(**{kind: [row]}))
 
 
 class TestGolden:
@@ -426,9 +477,22 @@ class TestSerialization:
         cor = compute_corrections(g, s)
         data = corrections_to_dict(s, cor)
         back = corrections_from_dict(s, json.loads(json.dumps(data)))
-        assert back.positive == cor.positive
-        assert back.negative == cor.negative
-        assert back.mult_deltas == cor.mult_deltas
+        assert back == cor
+
+    def test_corrections_round_trip_without_node_names(self):
+        # node indices are bounded by the graph size, which a summary built
+        # without node names has too
+        g = L.random_graph(5)
+        s = all_singleton_summary(g)
+        s.node_names = ()
+        cor = compute_corrections(g, s)
+        data = json.loads(json.dumps(corrections_to_dict(s, cor)))
+        back = corrections_from_dict(s, data)
+        assert back == cor
+        assert list(reconstruct(s, back).edges()) == list(g.edges())
+        data["negative"] = [[0], [g.n]]
+        with pytest.raises(ValueError, match=f"^dst of negative correction 0: {g.n} is not "):
+            corrections_from_dict(s, data)
 
     def test_export_dot_shape_map(self, toy):
         g, s = toy

@@ -5,8 +5,8 @@ verify reads the report through its own column reader
 arrays (``lmgsum.verify.decode``) and words every error and mismatch itself.
 The corrections are columns of node indices into the report's node names.  The
 reference is ``oracle_verify`` in ``tests/oracle.py``: summary objects,
-``oracle_validate``, correction tuples, the dict decompression and a
-comparison of sorted text dumps.  On every report, regular or corrupted, the two must
+``oracle_validate``, the correction rows one at a time, the dict decompression and
+a comparison of sorted text dumps.  On every report, regular or corrupted, the two must
 give one exit code, and a MISMATCH line must name the first node, or else
 the first edge, on which the input and the oracle's reconstruction differ.
 """
@@ -471,8 +471,8 @@ def test_every_correction_kind_is_applied_on_arrays(retyped):
                 summary.super_nodes[vid] = replace(sn, glyph=retyped, hub=hub)
         summary.validate(g)
     cor = compute_corrections(g, summary)
-    assert cor.positive and cor.negative
-    assert cor.mult_deltas or retyped is Glyph.DISCONNECTED
+    assert len(cor.positive) and len(cor.negative)
+    assert len(cor.mult_deltas) or retyped is Glyph.DISCONNECTED
     summary_dict = summary_to_dict(g, summary)
     corrections = corrections_to_dict(summary, cor)
     assert verify.mismatch(g, summary_dict, corrections) is None
@@ -486,6 +486,35 @@ def test_every_correction_kind_is_applied_on_arrays(retyped):
                 f"MISMATCH: edge ({names[src[0]]!a}, {names[dst[0]]!a}) "
             )
             values[0] -= 1
+
+
+@pytest.mark.parametrize("kind", ["positive", "negative", "mult_deltas"])
+def test_a_report_missing_one_correction_is_a_mismatch_on_its_edge(tmp_path, kind):
+    # the planted multigraph of seed 1 has corrections of every kind; one
+    # position is dropped from every column of the kind, which leaves a
+    # well-formed report of one correction less
+    edges, labels = _write_inputs(str(tmp_path), _planted_multigraph(1))
+    report = str(tmp_path / "report.json")
+    common = ["-i", edges, "-l", labels, "--json", report]
+    assert _cli(["summarize", *common, "--seed", "1"])[0] == 0
+    with open(report, encoding="utf-8") as f:
+        payload = json.load(f)
+    columns = payload["corrections"][kind]
+    at = len(columns[0]) // 2
+    src, dst, *value = (column.pop(at) for column in columns)
+    with open(report, "w", encoding="utf-8") as f:
+        json.dump(payload, f)
+    code, out, err = _cli(["verify", *common])
+    assert (code, err) == (1, "")
+    names = payload["summary"]["node_names"]
+    what, pair, was, now = _named_difference(out.rstrip("\n"))
+    assert (what, pair) == ("edge", (names[src], names[dst]))
+    if kind == "positive":
+        assert (was, now) == (value[0], 0)
+    elif kind == "negative":
+        assert was == 0 and now >= 1
+    else:
+        assert was - now == value[0] != 0
 
 
 @pytest.mark.parametrize(
