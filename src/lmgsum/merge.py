@@ -30,18 +30,21 @@ completions (see :meth:`SummaryState._hub_variants`) extends the subset's.
 That is exact: a context between two singletons never holds a super-edge,
 as a commit creates every super-edge with its new multi-member node at one
 end, so absorbing X leaves every context the partial set removed as it
-was; and sums of terms do not depend on their order.  Contexts priced by a
-small class key come from memos: one-edge pair contexts without a
-super-edge, which every context between two singletons is, and one-member
-node contexts from :class:`~lmgsum.summary.ContextPrices`, each bundle's
-super-edge decision from the bundle memo (see :func:`_bundle_choice`), and
-representative multiplicities by the sorted covered multiplicities.  A
-commit takes the proposal's width.  The old contexts, found from the
-gathered edges, include every super-edge the merge dissolves because of
-one invariant: each super-edge has at least one edge of the graph under
-it.  A super-edge is only created over a non-empty list of covered edges,
-graphs are immutable, and a multi-member super-node never changes, so the
-invariant holds from commit to commit.
+was; and sums of terms do not depend on their order.  Every context is
+priced from its class by :func:`~lmgsum.summary.context_bits`: region,
+expansion size, representative, and the multiplicities inside and outside
+the expansion.  The state memoizes three functions, each keyed by its own
+arguments: ``context_bits`` for one-edge pair contexts without a
+super-edge, which every context between two singletons is, and for
+one-member node contexts; :func:`super_edge_choice` for each bundle, its
+multiplicities sorted (see :func:`_bundle_choice`); and
+:func:`representative_multiplicity` for a new super-node's sorted covered
+multiplicities.  A commit takes the proposal's width.  The old contexts,
+found from the gathered edges, include every super-edge the merge
+dissolves because of one invariant: each super-edge has at least one edge
+of the graph under it.  A super-edge is only created over a non-empty list
+of covered edges, graphs are immutable, and a multi-member super-node never
+changes, so the invariant holds from commit to commit.
 
 Only current singletons can be merged; once a node is absorbed into a
 multi-member super-node it is marked and never regrouped.  Singleton ids
@@ -54,6 +57,7 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -70,12 +74,13 @@ from .graph import LabeledMultiGraph
 from .summary import (
     Glyph,
     STAR_GLYPHS,
-    ContextPrices,
     SummaryGraph,
     SuperNode,
     all_singleton_summary,
-    node_context_bits,
+    context_bits,
+    node_context,
     pair_context_bits,
+    split_bundle,
 )
 
 #: most (candidate, distinct multiplicity) cells priced in one array
@@ -235,55 +240,61 @@ def representative_multiplicity(mults) -> tuple[int, float]:
     return int(candidates[first]), cost
 
 
-def decide_super_edge(
-    src: SuperNode, dst: SuperNode, edges: list[tuple[int, int, int]]
+def super_edge_choice(
+    region: int, x_size: int, covered, free
 ) -> tuple[int | None, float]:
-    """Super-edge or plain corrections for the original edges from ``src``'s
-    members to ``dst``'s, whichever is cheaper.
+    """Super-edge or plain corrections for a non-empty bundle of edges over
+    ``region`` node pairs, whichever is cheaper; a super-edge would expand
+    to ``x_size`` of them and cover the edges of multiplicities ``covered``,
+    and not those of ``free``.
 
     Returns (rep_mult, context_bits): rep_mult is None when the edges stay
     as positive corrections.  context_bits is the correction cost of the
     chosen option; the super-edge option additionally pays super_edge_bits
     on the summary side, which is included in the comparison here but
-    charged to the source super-node by the caller.
+    charged to the source super-node by the caller.  The representative
+    multiplicity counts values and every bit is a correctly rounded sum, so
+    the order of ``covered`` and ``free`` does not matter.
     """
-    without_bits = pair_context_bits(src, dst, None, edges)
-    if not edges:
-        return None, without_bits
-    port_src = set(src.ports())
-    port_dst = set(dst.ports())
-    covered = [m for u, w, m in edges if u in port_src and w in port_dst]
+    without_bits = context_bits(region, 0, None, (), [*covered, *free])
     if not covered:
         return None, without_bits
     rep, _ = representative_multiplicity(covered)
-    with_bits = pair_context_bits(src, dst, rep, edges)
+    with_bits = context_bits(region, x_size, rep, covered, free)
     if with_bits + super_edge_bits(rep) < without_bits:
         return rep, with_bits
     return None, without_bits
 
 
-def _bundle_choice(
-    memo: dict, src: SuperNode, dst: SuperNode, src_ports, dst_ports, edges
+def decide_super_edge(
+    src: SuperNode, dst: SuperNode, edges: list[tuple[int, int, int]]
 ) -> tuple[int | None, float]:
-    """:func:`decide_super_edge` of a non-empty bundle, computed once per
-    class and kept in ``memo``.
+    """:func:`super_edge_choice` for the original edges from ``src``'s
+    members to ``dst``'s; an empty bundle has no context (None, 0.0)."""
+    if not edges:
+        return None, 0.0
+    ports_src, ports_dst = set(src.ports()), set(dst.ports())
+    return super_edge_choice(
+        src.size * dst.size, len(ports_src) * len(ports_dst),
+        *split_bundle(ports_src, ports_dst, edges),
+    )
+
+
+def _bundle_choice(
+    choose, src: SuperNode, dst: SuperNode, src_ports, dst_ports, edges
+) -> tuple[int | None, float]:
+    """:func:`decide_super_edge` of a non-empty bundle, from ``choose``, a
+    memoized :func:`super_edge_choice`: its arguments are the bundle's
+    class, multiplicities sorted, so each class is decided once.
 
     ``src_ports`` and ``dst_ports`` are sets of the two sides' ports, so a
-    cover test is one hash lookup however large a side is.  Every bit of
-    the decision is a correctly rounded sum and the representative
-    multiplicity counts values, so the result depends only on the region,
-    the expansion size and the multiset of (cover flag, multiplicity)
-    pairs; together they are the key, whatever the edges' order.
+    cover test is one hash lookup however large a side is.
     """
-    key = (
-        src.size * dst.size,
-        len(src_ports) * len(dst_ports),
-        tuple(sorted([(u in src_ports and w in dst_ports, m) for u, w, m in edges])),
+    covered, free = split_bundle(src_ports, dst_ports, edges)
+    return choose(
+        src.size * dst.size, len(src_ports) * len(dst_ports),
+        tuple(sorted(covered)), tuple(sorted(free)),
     )
-    choice = memo.get(key)
-    if choice is None:
-        choice = memo[key] = decide_super_edge(src, dst, edges)
-    return choice
 
 
 @dataclass
@@ -353,12 +364,14 @@ class SummaryState:
         self.out_se: dict[int, dict[int, int]] = {}
         self.odeg_hist: dict[int, int] = {0: g.n}
 
-        #: context bits by class, shared by the baseline and every proposal
-        self._prices = prices = ContextPrices()
-        #: super-edge decisions by bundle class (see :func:`_bundle_choice`)
-        self._bundles: dict[tuple, tuple[int | None, float]] = {}
-        #: representative multiplicities by sorted covered multiplicities
-        self._reps: dict[tuple[int, ...], int] = {}
+        #: memos of this state alone, each keyed by its function's arguments
+        #: (a process-wide one would outlive a change to a formula): the
+        #: bits of one-edge pair contexts without a super-edge and of
+        #: one-member node contexts, bundle decisions (see
+        #: :func:`_bundle_choice`) and representative multiplicities
+        self._context_bits = price = cache(context_bits)
+        self._choose = cache(super_edge_choice)
+        self._rep = cache(representative_multiplicity)
         #: the map bits of any singleton
         self._singleton_map = cost_node_map(1, g.n, False)
 
@@ -371,10 +384,10 @@ class SummaryState:
         for m, v, count in zip(*_distinct(g.self_loop_mults())):
             sn = self.snodes[v]
             own += count * _units(supernode_own_bits(sn.size, sn.rep_mult))
-            corr += count * _units(prices.singleton(sn, m))
+            corr += count * _units(price(*node_context(sn, [(v, v, m)] if m else [])))
         plain = np.nonzero(g.out_src != g.out_dst)[0]
         for m, count in zip(*_distinct(g.out_mult[plain])[::2]):
-            corr += count * _units(prices.one_edge(1, m))
+            corr += count * _units(price(1, 0, None, (), (m,)))
         #: the summary header plus every super-node's width bits
         self._width = summary_width_bits(g.n, g.label_count, self.odeg_hist)
         #: the exact parts of the cost, in units of 2^-1074
@@ -421,7 +434,7 @@ class SummaryState:
         """``part``, or the empty proposal when None, extended by the
         singletons ``extra`` (see the module docstring)."""
         g, assign, snodes, out_se = self.g, self.assign, self.snodes, self.out_se
-        prices = self._prices
+        price = self._context_bits
         xs = set(extra)
         if part is None:
             new = _Partial(sorted(xs), [], {}, {}, {}, [], [], {}, {}, [])
@@ -449,13 +462,13 @@ class SummaryState:
                     if w == x:
                         new.loops[x] = m
                     elif w in xs:
-                        d_correction.append(-prices.one_edge(1, m))
+                        d_correction.append(-price(1, 0, None, (), (m,)))
                 else:
                     b = assign[w]
                     e = (x, w, m)
                     out_b.setdefault(b, []).append(e)
                     if b == w:
-                        d_correction.append(-prices.one_edge(1, m))
+                        d_correction.append(-price(1, 0, None, (), (m,)))
                     else:
                         pairs.setdefault((x, b), []).append(e)
             it = iter(ins)
@@ -465,7 +478,7 @@ class SummaryState:
                     e = (u, x, m)
                     in_b.setdefault(b, []).append(e)
                     if b == u:
-                        d_correction.append(-prices.one_edge(1, m))
+                        d_correction.append(-price(1, 0, None, (), (m,)))
                     else:
                         pairs.setdefault((b, x), []).append(e)
                 elif u not in xs:
@@ -475,7 +488,8 @@ class SummaryState:
             sn = snodes[x]
             d_summary.append(-supernode_own_bits(1, sn.rep_mult))
             d_correction.append(-self._singleton_map)
-            d_correction.append(-prices.singleton(sn, new.loops.get(x, 0)))
+            loop = new.loops.get(x, 0)
+            d_correction.append(-price(*node_context(sn, [(x, x, loop)] if loop else [])))
             out = out_se.get(x, {})
             for m in out.values():
                 d_summary.append(-super_edge_bits(m))
@@ -488,7 +502,12 @@ class SummaryState:
         # ---- the old pair contexts, negated, and the super-edges they hold
         for (a, b), edges in pairs.items():
             rep_ab = out_se.get(a, {}).get(b)
-            d_correction.append(-prices.pair(snodes[a], snodes[b], rep_ab, edges))
+            sa, sb = snodes[a], snodes[b]
+            if rep_ab is None and len(edges) == 1:
+                bits = price(sa.size * sb.size, 0, None, (), (edges[0][2],))
+            else:
+                bits = pair_context_bits(sa, sb, rep_ab, edges)
+            d_correction.append(-bits)
             if rep_ab is not None:
                 new.dissolved.append((a, b))
                 # a surviving source loses this super-edge from its own cost
@@ -512,16 +531,15 @@ class SummaryState:
             rep_mult=1,
             self_loop=2 * len(part.loops) >= k,
         )
-        covered = tuple(sorted([m for u, w, m in internal if new_node.covers_pair(u, w)]))
-        if covered not in self._reps:
-            self._reps[covered] = representative_multiplicity(covered)[0] if covered else 1
-        new_node.rep_mult = rep = self._reps[covered]
+        # one split of the internal edges serves the representative and the node context
+        region, x_size, _, covered, free = node_context(new_node, internal)
+        new_node.rep_mult = rep = self._rep(covered)[0] if covered else 1
 
         d_summary = [-self._width, *part.d_summary]
         d_correction = [
             *part.d_correction,
             cost_node_map(k, g.n, glyph in STAR_GLYPHS),
-            node_context_bits(new_node, internal),
+            context_bits(region, x_size, rep, covered, free),
         ]
         odeg_delta = dict(part.odeg_delta)
         se_change = dict(part.se_change)
@@ -531,7 +549,7 @@ class SummaryState:
         for other in sorted(part.out_b):
             sn = self.snodes[other]
             se_rep, ctx_bits = _bundle_choice(
-                self._bundles, new_node, sn, ports, set(sn.ports()), part.out_b[other]
+                self._choose, new_node, sn, ports, set(sn.ports()), part.out_b[other]
             )
             d_correction.append(ctx_bits)
             if se_rep is not None:
@@ -539,7 +557,7 @@ class SummaryState:
         for other in sorted(part.in_b):
             sn = self.snodes[other]
             se_rep, ctx_bits = _bundle_choice(
-                self._bundles, sn, new_node, set(sn.ports()), ports, part.in_b[other]
+                self._choose, sn, new_node, set(sn.ports()), ports, part.in_b[other]
             )
             d_correction.append(ctx_bits)
             if se_rep is not None:

@@ -21,7 +21,7 @@ integer code), and expansion pairs without an original edge are negative
 corrections.  Positive and negative corrections are charged per context with
 a binomial bundle code; a pair context without a super-edge exists only when
 it contains at least one original edge, in which case all its corrections
-are positive.
+are positive.  :func:`context_bits` prices every context from its class.
 """
 
 from __future__ import annotations
@@ -309,45 +309,54 @@ def reconstruct(summary: SummaryGraph, corrections: CorrectionSet) -> LabeledMul
 # -- correction cost ----------------------------------------------------------
 
 
-def _context_bits(region: int, x_size: int, rep: int, edges, covers) -> float:
-    """Correction bits of one context whose expansion X holds ``x_size`` of
-    its ``region`` node pairs; ``covers(u, w)`` tells whether (u, w) is in X.
+def context_bits(region: int, x_size: int, rep: int | None, covered, free) -> float:
+    """Correction bits of one context, priced from its class: ``x_size`` of
+    its ``region`` node pairs lie in its expansion X, ``covered`` lists the
+    multiplicities of its edges inside X and ``free`` those outside X.
 
-    Edges inside X are corrected against ``rep``, edges outside X are
-    positive corrections, and pairs of X without an edge are negative ones.
+    Edges inside X are corrected against the representative multiplicity
+    ``rep``, edges outside X are positive corrections, and pairs of X
+    without an edge are negative ones.  A pair context without a super-edge
+    is the case ``x_size = 0``, where ``covered`` is empty and ``rep``
+    unused.  Every bit is the correctly rounded sum of its terms, so the
+    order of ``covered`` and ``free`` does not matter.
     """
-    terms: list[float] = []
-    covered = 0
-    for u, w, m in edges:
-        if covers(u, w):
-            terms.append(ell_diff(m, rep))
-            covered += 1
-        else:
-            terms.append(len_natural(m))
-    positive = len(terms) - covered
+    terms = [ell_diff(m, rep) for m in covered]
+    terms.extend(map(len_natural, free))
     if x_size >= 1:
-        terms.append(cost_correction_set(x_size - covered, x_size))
+        terms.append(cost_correction_set(x_size - len(covered), x_size))
     if region - x_size >= 1:
-        terms.append(cost_correction_set(positive, region - x_size))
+        terms.append(cost_correction_set(len(free), region - x_size))
     return math.fsum(terms)
 
 
-def _port_cover(sa: SuperNode, sb: SuperNode):
-    """Whether (u, w) lies in the expansion of a super-edge from sa to sb:
-    every port of sa to every port of sb."""
-    ports_a, ports_b = set(sa.ports()), set(sb.ports())
-    return lambda u, w: u in ports_a and w in ports_b
+def node_context(sn: SuperNode, internal: list[tuple[int, int, int]]) -> tuple:
+    """The class of ``sn``'s node context, as :func:`context_bits`'s
+    arguments with the multiplicities sorted, from ``internal``: the
+    original edges (u, w, m) with both endpoints in the super-node,
+    self-loops included."""
+    covered, free = [], []
+    for u, w, m in internal:
+        (covered if sn.covers_pair(u, w) else free).append(m)
+    k = sn.size
+    x_size = sn.glyph_pair_count() + (k if sn.self_loop else 0)
+    return k * k, x_size, sn.rep_mult, tuple(sorted(covered)), tuple(sorted(free))
 
 
 def node_context_bits(sn: SuperNode, internal: list[tuple[int, int, int]]) -> float:
-    """Correction bits owned by one super-node's internal region.
+    """Correction bits owned by one super-node's internal region, whose
+    edges are ``internal`` (see :func:`node_context`)."""
+    return context_bits(*node_context(sn, internal))
 
-    ``internal`` lists the original edges (u, w, m) with both endpoints in
-    the super-node, self-loops included.
-    """
-    k = sn.size
-    x_size = sn.glyph_pair_count() + (k if sn.self_loop else 0)
-    return _context_bits(k * k, x_size, sn.rep_mult, internal, sn.covers_pair)
+
+def split_bundle(ports_a, ports_b, edges: list[tuple[int, int, int]]):
+    """The multiplicities of ``edges`` (u, w, m) that a super-edge covers,
+    every port in ``ports_a`` to every port in ``ports_b`` (two sets), and
+    those of the others."""
+    covered, free = [], []
+    for u, w, m in edges:
+        (covered if u in ports_a and w in ports_b else free).append(m)
+    return covered, free
 
 
 def pair_context_bits(
@@ -359,67 +368,15 @@ def pair_context_bits(
     """Correction bits owned by the ordered super-node pair (sa, sb).
 
     ``rep`` is the super-edge's representative multiplicity, or None when the
-    pair is not linked (then every edge is a positive correction over the
-    full region).
+    pair is not linked: then every edge is a positive correction over the
+    full region, and with no edge the context does not exist (0 bits).
     """
     region = sa.size * sb.size
     if rep is None:
-        if not edges:
-            return 0.0
-        return _unlinked_bits(region, [m for _, _, m in edges])
-    x_size = len(sa.ports()) * len(sb.ports())
-    return _context_bits(region, x_size, rep, edges, _port_cover(sa, sb))
-
-
-def _unlinked_bits(region: int, mults: list[int]) -> float:
-    """Bits of a pair context without a super-edge over ``region`` node
-    pairs: every edge, of multiplicity ``mults[i]``, is a positive one."""
-    return math.fsum(chain((cost_correction_set(len(mults), region),), map(len_natural, mults)))
-
-
-class ContextPrices:
-    """Context bits, each class of cheap context priced once.
-
-    A one-edge pair context without a super-edge costs the same for every
-    ``(region, m)``, and a one-member node context, whose only possible
-    edge is the member's self-loop, the same for every ``(self_loop,
-    rep_mult, loop multiplicity)``.  Those two classes are served from one
-    memo (2-tuple and 3-tuple keys); every other context is priced by
-    :func:`pair_context_bits` or :func:`node_context_bits` on each call.
-
-    Its one owner is the merge state (:class:`lmgsum.merge.SummaryState`),
-    which keeps its own instance: a process-wide memo would go on serving
-    bits from a formula that has since changed.
-    """
-
-    def __init__(self):
-        self._memo: dict[tuple, float] = {}
-
-    def one_edge(self, region: int, m: int) -> float:
-        """Bits of an unlinked pair context over ``region`` node pairs
-        holding one edge of multiplicity ``m``."""
-        bits = self._memo.get((region, m))
-        if bits is None:
-            bits = self._memo[(region, m)] = _unlinked_bits(region, [m])
-        return bits
-
-    def singleton(self, sn: SuperNode, loop: int) -> float:
-        """Bits of the one-member ``sn``'s node context when its member's
-        self-loop has multiplicity ``loop`` (0 for none)."""
-        key = (sn.self_loop, sn.rep_mult, loop)
-        bits = self._memo.get(key)
-        if bits is None:
-            (u,) = sn.members
-            bits = self._memo[key] = node_context_bits(sn, [(u, u, loop)] if loop else [])
-        return bits
-
-    def pair(
-        self, sa: SuperNode, sb: SuperNode, rep: int | None, edges: list[tuple[int, int, int]]
-    ) -> float:
-        """:func:`pair_context_bits`, from the memo for one unlinked edge."""
-        if rep is None and len(edges) == 1:
-            return self.one_edge(sa.size * sb.size, edges[0][2])
-        return pair_context_bits(sa, sb, rep, edges)
+        return context_bits(region, 0, None, (), [m for _, _, m in edges]) if edges else 0.0
+    ports_a, ports_b = set(sa.ports()), set(sb.ports())
+    covered, free = split_bundle(ports_a, ports_b, edges)
+    return context_bits(region, len(ports_a) * len(ports_b), rep, covered, free)
 
 
 # NumPy's plain np.unique, and np.union1d through it, checks for a masked

@@ -105,6 +105,16 @@ def summary_columns(data: dict) -> tuple[int, list[str], list[str], list[list], 
     return size, names, label_names, nodes, edges
 
 
+def _int64(column: list, where: str) -> np.ndarray:
+    """The ints of ``column`` as an int64 array; else ValueError for the
+    first outside int64, ``where`` and its position."""
+    try:
+        return np.asarray(column, dtype=np.int64)
+    except OverflowError:
+        i = next(i for i, value in enumerate(column) if not -(2**63) <= value < 2**63)
+        raise ValueError(f"{where} {i}: {column[i]} is outside int64") from None
+
+
 def node_indices(column, size: int, where: str) -> np.ndarray:
     """The ints of ``column``, a list or an array, as int64 indices below
     ``size``; else ValueError for the first that is not, ``where`` and its
@@ -120,12 +130,13 @@ def node_indices(column, size: int, where: str) -> np.ndarray:
 
 
 def correction_columns(data: dict, size: int) -> list[list]:
-    """The columns of a report's ``corrections`` section: (src, dst, mult)
-    of the positive corrections, (src, dst) of the negative ones and (src,
-    dst, delta) of the multiplicity deltas; ``src`` and ``dst``, indices of
-    the report's ``size`` node names, as int64 arrays.  Each kind must be a
-    JSON list of its columns, of one length, every cell a JSON integer; else
-    TypeError or ValueError, naming the kind and the position.
+    """The columns of a report's ``corrections`` section, as int64 arrays:
+    (src, dst, mult) of the positive corrections, (src, dst) of the
+    negative ones and (src, dst, delta) of the multiplicity deltas; ``src``
+    and ``dst`` index the report's ``size`` node names.  Each kind must be
+    a JSON list of its columns, of one length, every cell a JSON integer
+    within int64; else TypeError or ValueError, naming the kind and the
+    position.
     """
     kinds = []
     for key, names, what in CORRECTION_KINDS:
@@ -141,8 +152,8 @@ def correction_columns(data: dict, size: int) -> list[list]:
         kind = []
         for column, name in zip(columns, names):
             _exact(column, int, lambda i: f"{name} of {what} {i}")
-            kind.append(column if name not in ("src", "dst") else
-                        node_indices(column, size, f"{name} of {what}"))
+            kind.append(node_indices(column, size, f"{name} of {what}") if name in ("src", "dst")
+                        else _int64(column, f"{name} of {what}"))
         kinds.append(kind)
     return kinds
 
@@ -264,7 +275,7 @@ def decode(nodes, edges, corrections, index: dict, label_of: dict, space: int, n
 
     # -- the corrections: positives, negatives, then the deltas
     (pos_u, pos_w, pos_m), (neg_u, neg_w), (delta_u, delta_w, delta) = corrections
-    parts.append((pos_u, pos_w, np.array(pos_m, dtype=np.int64)))
+    parts.append((pos_u, pos_w, np.asarray(pos_m, dtype=np.int64)))
     del corrections, pos_u, pos_w, pos_m  # the longest columns, dropped before the sort
     u, w, m = (np.concatenate(column) for column in zip(*parts))
     order = np.argsort(u * space + w)

@@ -100,6 +100,20 @@ def obundle(n_corrections: int, n_max: int) -> float:
     return olen_natural(n_corrections) + olog2_binomial(n_max, n_corrections)
 
 
+def oracle_context_bits(region: int, x_size: int, rep, covered, free) -> float:
+    """A context's correction bits term by term: each covered multiplicity
+    against ``rep``, each free one as a positive correction, then the
+    bundle of X's pairs without an edge and the bundle of the positives
+    outside X, where X (``x_size`` of the ``region`` pairs) or its
+    complement is non-empty."""
+    bits = sum(oell_diff(m, rep) for m in covered) + sum(olen_natural(m) for m in free)
+    if x_size:
+        bits += obundle(x_size - len(covered), x_size)
+    if region > x_size:
+        bits += obundle(len(free), region - x_size)
+    return bits
+
+
 def oracle_rep_mult(mults) -> tuple[int, float]:
     """Exhaustive scan of every integer in [min, max]; ties -> smallest."""
     mults = list(mults)

@@ -5,6 +5,7 @@ decisions, and incremental merge bookkeeping."""
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from lmgsum.merge import (
     decide_super_edge,
     representative_multiplicity,
     split_by_label,
+    super_edge_choice,
 )
 from lmgsum.summary import (
     Glyph,
@@ -294,25 +296,27 @@ class TestDecideSuperEdge:
     def test_memoized_decision_equals_decide_super_edge(self, cases):
         # one memo for every bundle, so a later bundle of an earlier one's
         # class is served from it; the second round is served entirely
-        memo = {}
+        choose = cache(super_edge_choice)
         cases = [variant for case in cases for variant in near_variants(*case)]
         for _round in range(2):
+            misses = choose.cache_info().misses
             for src, dst, edges in cases:
-                got = _bundle_choice(memo, src, dst, set(src.ports()), set(dst.ports()), edges)
+                got = _bundle_choice(choose, src, dst, set(src.ports()), set(dst.ports()), edges)
                 assert got == decide_super_edge(src, dst, edges)
+        assert choose.cache_info().misses == misses
 
     @given(bundles(), st.data())
     @settings(max_examples=200, deadline=None)
     def test_permuted_bundle_is_a_memo_hit_with_its_own_decision(self, case, data):
-        # the key is the multiset of (cover flag, multiplicity) pairs, so a
-        # reordered bundle is served the decision of the first order
+        # the key holds the covered and the free multiplicities sorted, so
+        # a reordered bundle is served the decision of the first order
         src, dst, edges = case
         shuffled = data.draw(st.permutations(edges))
         ports = set(src.ports()), set(dst.ports())
-        memo = {}
-        first = _bundle_choice(memo, src, dst, *ports, edges)
-        assert _bundle_choice(memo, src, dst, *ports, shuffled) == first
-        assert len(memo) == 1
+        choose = cache(super_edge_choice)
+        first = _bundle_choice(choose, src, dst, *ports, edges)
+        assert _bundle_choice(choose, src, dst, *ports, shuffled) == first
+        assert choose.cache_info()[:2] == (1, 1)  # one hit, one miss
         assert first == decide_super_edge(src, dst, shuffled)
 
     def test_score_passes_port_sets(self, monkeypatch):
@@ -321,9 +325,9 @@ class TestDecideSuperEdge:
         seen = []
         real = merge_module._bundle_choice
 
-        def spy(memo, src, dst, src_ports, dst_ports, edges):
+        def spy(choose, src, dst, src_ports, dst_ports, edges):
             seen.append((type(src_ports), type(dst_ports)))
-            return real(memo, src, dst, src_ports, dst_ports, edges)
+            return real(choose, src, dst, src_ports, dst_ports, edges)
 
         monkeypatch.setattr(merge_module, "_bundle_choice", spy)
         g, _ = L.planted_graph(1, 3, 3, 3, size_range=(5, 8), noise=0.05)

@@ -17,6 +17,7 @@ from lmgsum.summary import (
     SuperNode,
     all_singleton_summary,
     compute_corrections,
+    context_bits,
     corrections_from_dict,
     corrections_to_dict,
     export_dot,
@@ -31,6 +32,7 @@ from lmgsum.synth import planted_graph
 from oracle import (
     node_to_super,
     oracle_compute_corrections,
+    oracle_context_bits,
     oracle_reconstruct,
     oracle_total_cost,
     oracle_total_cost_exact,
@@ -79,6 +81,37 @@ class TestSuperNode:
         )
         assert sn.covers_pair(1, 1) and sn.covers_pair(2, 2)
         assert not sn.covers_pair(1, 2)
+
+
+@st.composite
+def context_classes(draw):
+    """A context's class, :func:`context_bits`'s arguments: often no
+    expansion or no covered edge, and multiplicities up to 2^63 - 1."""
+    region = draw(st.integers(1, 10**6))
+    x_size = draw(st.one_of(st.just(0), st.integers(0, region)))
+    mult = st.one_of(st.integers(1, 3), st.integers(1, 2**63 - 1))
+    covered = draw(st.lists(mult, max_size=min(x_size, 8)))
+    free = draw(st.lists(mult, max_size=min(region - x_size, 8)))
+    return region, x_size, draw(mult), covered, free
+
+
+class TestContextBits:
+    @given(context_classes(), st.data())
+    @settings(max_examples=300, deadline=None)
+    @example((1, 0, 1, [], []), None)
+    @example((4, 4, 2**63 - 1, [1, 2**63 - 1, 2**63 - 1], []), None)
+    @example((10**6, 3, 5, [], [2**63 - 1] * 8), None)
+    def test_equals_the_per_term_price_in_any_order(self, case, data):
+        region, x_size, rep, covered, free = case
+        event("no expansion" if x_size == 0 else "no covered edge" if not covered else "covered")
+        bits = context_bits(*case)
+        # log binomials from lgamma against exact ones from math.comb
+        assert bits == pytest.approx(oracle_context_bits(*case), rel=1e-12, abs=1e-6)
+        if data is not None:
+            covered, free = data.draw(st.permutations(covered)), data.draw(st.permutations(free))
+            assert context_bits(region, x_size, rep, covered, free) == bits
+        if not covered:
+            assert context_bits(region, x_size, None, covered, free) == bits
 
 
 class TestValidate:

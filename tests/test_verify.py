@@ -233,6 +233,16 @@ def _dipping_deltas(payload, g, draw):
     _set_rows(payload, "mult_deltas", _rows(payload, "mult_deltas") + [[u, w, -m], [u, w, m]])
 
 
+def _deltas_outside_int64(payload, g, draw):
+    # two deltas that cancel, each beyond int64, which summarize never writes
+    u, w, _m = draw(st.sampled_from(list(g.edges())))
+    u, w = _index_of(payload, g, u), _index_of(payload, g, w)
+    big = draw(st.sampled_from([2**63, -(2**63) - 1]))
+    rows = _rows(payload, "mult_deltas")
+    _set_rows(payload, "mult_deltas", rows + [[u, w, big], [u, w, -big]])
+    return f"delta of multiplicity delta {len(rows)}: {big} is outside int64"
+
+
 def _string_for_a_list(payload, g, draw):
     # a string iterates like the list of its characters
     summary = payload["summary"]
@@ -362,6 +372,7 @@ CORRUPTIONS = {
     "hub-outside-the-star": (_hub_outside_the_star, 3),
     "negative-for-missing-edge": (_negative_for_missing_edge, 3),
     "dipping-deltas": (_dipping_deltas, 3),
+    "deltas-outside-int64": (_deltas_outside_int64, 3),
     "string-for-a-list": (_string_for_a_list, 3),
     "repeated-record": (_repeated_record, 3),
     "reordered-node-names": (_reordered_node_names, 0),
@@ -379,7 +390,7 @@ CORRUPTIONS = {
 #: corruptions that the column reader itself rejects
 READER_REJECTS = {
     "string-for-a-list", "repeated-record", "index-out-of-range", "wrong-column-count",
-    "unequal-columns", "wrong-cell-type", "rows-of-names",
+    "unequal-columns", "wrong-cell-type", "rows-of-names", "deltas-outside-int64",
 }
 
 
